@@ -8,7 +8,6 @@ simulator.
 
 from .channel import (
     Decoding,
-    FadingDraw,
     InvalidParameterError,
     InvalidProfileError,
     MonteCarloProfile,
@@ -24,6 +23,7 @@ from .channel import (
     sinr_success,
     snr_success,
     solo_success,
+    success_events,
 )
 from .region import (
     InfeasibleRateError,
@@ -36,7 +36,6 @@ from .region import (
     dominant_service_rates,
     membership,
     membership_grid,
-    region_adaptive,
     region_fixed_sc_decoupled,
     region_for_params,
     region_general,

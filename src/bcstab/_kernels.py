@@ -1,106 +1,43 @@
-"""Slot-loop simulation kernel, JIT-compiled when numba is available.
+"""Slot-loop queue recursion, JIT-compiled when numba is available.
 
-The kernel consumes pre-drawn randomness (arrival uniforms plus one channel
-draw per user per slot) and uses only multiply/add/compare, no
-transcendentals, so the compiled and pure-Python paths produce bit-identical
-trajectories. Set the environment variable ``BCSTAB_NO_NUMBA=1`` before
-import to force the pure-Python path; it is also used automatically when
-numba cannot be imported. ``benchmarks/bench_kernels.py`` times both paths.
+The kernel knows nothing about decoding schemes: it consumes per-slot
+arrival flags and the four precomputed success events of
+:func:`bcstab.channel.success_events`, and only compares and counts, so the
+compiled and pure-Python paths produce bit-identical trajectories. Set the
+environment variable ``BCSTAB_NO_NUMBA=1`` before import to force the
+pure-Python path; it is also used automatically when numba cannot be
+imported. ``benchmarks/bench_kernels.py`` times both paths.
 """
 
 from __future__ import annotations
 
 import os
 
-SCHEME_GENERIC = 0
-SCHEME_IAN = 1
-SCHEME_SC = 2
 
-MODE_NONE = 0
-MODE_QUEUE1_DUMMY = 1
-MODE_QUEUE2_DUMMY = 2
+def _simulate_slots(arrivals, solo1, solo2, both1, both2, force1, force2, qtraj):
+    """Run the slot recursion, filling qtraj with slot-start lengths plus the final state.
 
-
-def _simulate_slots(
-    arr_u,
-    chan,
-    lam1,
-    lam2,
-    mode,
-    scheme,
-    gamma1,
-    gamma2,
-    dinv1,
-    dinv2,
-    p1,
-    p2,
-    psolo1,
-    psolo2,
-    q1_solo,
-    q2_solo,
-    q1_both,
-    q2_both,
-    qtraj,
-    succ,
-):
-    """Run the slot recursion, filling qtraj (slot-start lengths) and succ.
-
-    Per slot: read queue state, form the transmission set (a dummy mode
-    forces its queue in), evaluate the per-user success events on this
-    slot's channel draws, let successful real head-of-line packets depart,
-    then append Bernoulli arrivals. ``chan`` holds uniforms for the generic
-    scheme (compared against the profile probabilities) and unit-mean
-    exponential gains otherwise (raw SNR/SINR inequalities).
+    Per slot: read queue state, form the transmission set (``force1``/
+    ``force2`` put a dummy-mode queue in even when empty), let a real
+    head-of-line packet depart when its user's event for that set occurred
+    (``both*`` when both queues transmit, ``solo*`` otherwise), then append
+    the slot's arrivals (``arrivals[t, 0]``/``arrivals[t, 1]``).
     """
-    horizon = arr_u.shape[0]
+    horizon = arrivals.shape[0]
     q1 = 0
     q2 = 0
     for t in range(horizon):
         qtraj[t, 0] = q1
         qtraj[t, 1] = q2
-        t1 = q1 > 0 or mode == 1
-        t2 = q2 > 0 or mode == 2
-        if t1 and t2:
-            if scheme == 0:
-                s1 = chan[t, 0] < q1_both
-                s2 = chan[t, 1] < q2_both
-            else:
-                u1 = chan[t, 0] * dinv1
-                u2 = chan[t, 1] * dinv2
-                if scheme == 1:
-                    s1 = p1 * u1 >= gamma1 * (1.0 + p2 * u1)
-                else:
-                    s1 = p2 * u1 >= gamma2 * (1.0 + p1 * u1) and p1 * u1 >= gamma1
-                s2 = p2 * u2 >= gamma2 * (1.0 + p1 * u2)
-            if s1:
-                succ[t, 0] = 1
-                if q1 > 0:
-                    q1 -= 1
-            if s2:
-                succ[t, 1] = 1
-                if q2 > 0:
-                    q2 -= 1
-        elif t1:
-            if scheme == 0:
-                s1 = chan[t, 0] < q1_solo
-            else:
-                s1 = psolo1 * (chan[t, 0] * dinv1) >= gamma1
-            if s1:
-                succ[t, 0] = 1
-                if q1 > 0:
-                    q1 -= 1
-        elif t2:
-            if scheme == 0:
-                s2 = chan[t, 1] < q2_solo
-            else:
-                s2 = psolo2 * (chan[t, 1] * dinv2) >= gamma2
-            if s2:
-                succ[t, 1] = 1
-                if q2 > 0:
-                    q2 -= 1
-        if arr_u[t, 0] < lam1:
+        t1 = q1 > 0 or force1
+        t2 = q2 > 0 or force2
+        if q1 > 0 and (both1[t] if t2 else solo1[t]):
+            q1 -= 1
+        if q2 > 0 and (both2[t] if t1 else solo2[t]):
+            q2 -= 1
+        if arrivals[t, 0]:
             q1 += 1
-        if arr_u[t, 1] < lam2:
+        if arrivals[t, 1]:
             q2 += 1
     qtraj[horizon, 0] = q1
     qtraj[horizon, 1] = q2

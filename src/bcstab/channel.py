@@ -21,7 +21,6 @@ __all__ = [
     "PowerScheme",
     "SuccessProfile",
     "SystemParams",
-    "FadingDraw",
     "MonteCarloProfile",
     "InvalidParameterError",
     "InvalidProfileError",
@@ -33,6 +32,7 @@ __all__ = [
     "sc_both_success_user1",
     "adaptive_solo_success",
     "build_profile",
+    "success_events",
     "mc_estimate_profile",
 ]
 
@@ -98,18 +98,6 @@ class SuccessProfile:
 
 
 @dataclass(frozen=True)
-class FadingDraw:
-    """Channel power gains of both links for one slot."""
-
-    g1: float
-    g2: float
-
-    def __post_init__(self):
-        if self.g1 < 0.0 or self.g2 < 0.0:
-            raise InvalidParameterError("channel power gains must be >= 0")
-
-
-@dataclass(frozen=True)
 class SystemParams:
     """All physical and protocol constants for one operating point.
 
@@ -135,9 +123,20 @@ class SystemParams:
     def __post_init__(self):
         object.__setattr__(self, "decoding", Decoding(self.decoding))
         object.__setattr__(self, "power_scheme", PowerScheme(self.power_scheme))
+        for name in ("gamma1", "gamma2", "d1", "d2", "alpha", "p_total", "p1", "p2"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParameterError(f"{name} must be finite")
         for name in ("gamma1", "gamma2", "d1", "d2", "alpha", "p_total"):
             if not getattr(self, name) > 0.0:
                 raise InvalidParameterError(f"{name} must be strictly positive")
+        for name in ("d1", "d2"):
+            try:
+                getattr(self, name) ** self.alpha
+                getattr(self, name) ** -self.alpha
+            except OverflowError:
+                raise InvalidParameterError(
+                    f"pathloss {name}**alpha or its inverse is out of floating-point range"
+                ) from None
         if self.p1 < 0.0 or self.p2 < 0.0:
             raise InvalidParameterError("per-queue powers must be >= 0")
         if abs(self.p1 + self.p2 - self.p_total) > 1e-12 * self.p_total:
@@ -289,6 +288,35 @@ def build_profile(params: SystemParams) -> SuccessProfile:
     return SuccessProfile(p1_solo, p2_solo, p1_both, p2_both)
 
 
+def success_events(params: SystemParams, c1, c2):
+    """Decoding outcome of each user on given channel draws, alone and shared.
+
+    ``c1``/``c2`` are the draws of users 1 and 2, scalars or equal-shape
+    arrays: uniforms for the generic scheme, which succeed below the
+    profile's probability, and unit-mean exponential gains otherwise, which
+    are tested against the raw SNR/SINR inequalities (multiplied out, so
+    only multiply/add/compare touch the draws). Returns ``(solo1, solo2,
+    both1, both2)``: success when only that user's packet is sent, and when
+    both packets share the slot.
+    """
+    if params.decoding is Decoding.GENERIC:
+        prof = params.generic_profile
+        return (c1 < prof.p1_solo, c2 < prof.p2_solo, c1 < prof.p1_both, c2 < prof.p2_both)
+    u1 = c1 * params.d1 ** -params.alpha
+    u2 = c2 * params.d2 ** -params.alpha
+    gamma1, gamma2, p1, p2 = params.gamma1, params.gamma2, params.p1, params.p2
+    solo1 = params.solo_power(1) * u1 >= gamma1
+    solo2 = params.solo_power(2) * u2 >= gamma2
+    own1 = p1 * u1
+    if params.decoding is Decoding.SUCCESSIVE_DECODING:
+        # peel user 2's layer (its SINR), then decode user 1's interference-free
+        both1 = (p2 * u1 >= gamma2 * (1.0 + own1)) & (own1 >= gamma1)
+    else:
+        both1 = own1 >= gamma1 * (1.0 + p2 * u1)
+    both2 = p2 * u2 >= gamma2 * (1.0 + p1 * u2)
+    return solo1, solo2, both1, both2
+
+
 @dataclass(frozen=True)
 class MonteCarloProfile:
     """Sampled estimates of the four success probabilities.
@@ -316,26 +344,25 @@ class MonteCarloProfile:
 
 
 _MC_CHUNK = 1_000_000
+# Events are evaluated in cache-sized slices of a chunk: their temporaries
+# stay small, and releasing them does not hand heap pages back to the OS
+# only to fault them in again for the next chunk.
+_MC_BLOCK = 1 << 17
 
 
 def mc_estimate_profile(params: SystemParams, draws: int, seed: int) -> MonteCarloProfile:
     """Estimate the success profile by sampling fading and testing raw events.
 
     This is the independent cross-check of the closed forms: per draw it
-    evaluates the SNR/SINR/joint inequalities directly on exponential gains
-    instead of going through any rearranged threshold. Deterministic for a
-    given seed; draws are consumed in fixed-size chunks.
+    evaluates the SNR/SINR/joint inequalities of :func:`success_events`
+    directly on exponential gains instead of going through any closed-form
+    threshold. Deterministic for a given seed; draws are consumed in
+    fixed-size chunks.
     """
     if draws < 1:
         raise InvalidParameterError("draws must be >= 1")
     if params.decoding is Decoding.GENERIC:
         raise InvalidParameterError("generic profiles have no channel model to sample")
-
-    dinv1 = params.d1 ** -params.alpha
-    dinv2 = params.d2 ** -params.alpha
-    ps1 = params.solo_power(1)
-    ps2 = params.solo_power(2)
-    sc = params.decoding is Decoding.SUCCESSIVE_DECODING
 
     rng = np.random.default_rng(seed)
     counts = np.zeros(4, dtype=np.int64)
@@ -344,18 +371,9 @@ def mc_estimate_profile(params: SystemParams, draws: int, seed: int) -> MonteCar
         n = min(left, _MC_CHUNK)
         g1 = rng.exponential(1.0, n)
         g2 = rng.exponential(1.0, n)
-        u1 = g1 * dinv1
-        u2 = g2 * dinv2
-        counts[0] += np.count_nonzero(ps1 * u1 >= params.gamma1)
-        counts[1] += np.count_nonzero(ps2 * u2 >= params.gamma2)
-        if sc:
-            both1 = (params.p2 * u1 / (1.0 + params.p1 * u1) >= params.gamma2) & (
-                params.p1 * u1 >= params.gamma1
-            )
-        else:
-            both1 = params.p1 * u1 / (1.0 + params.p2 * u1) >= params.gamma1
-        counts[2] += np.count_nonzero(both1)
-        counts[3] += np.count_nonzero(params.p2 * u2 / (1.0 + params.p1 * u2) >= params.gamma2)
+        for lo in range(0, n, _MC_BLOCK):
+            block = slice(lo, lo + _MC_BLOCK)
+            counts += [np.count_nonzero(ev) for ev in success_events(params, g1[block], g2[block])]
         left -= n
 
     est = counts / float(draws)

@@ -24,6 +24,7 @@ import numpy as np
 
 from .channel import (
     Decoding,
+    InvalidParameterError,
     PowerScheme,
     SuccessProfile,
     SystemParams,
@@ -86,8 +87,40 @@ _DEFAULTS = {
 }
 
 
+_CHOICES = {
+    "scheme": ("generic", "ian", "sc"),
+    "power": ("fixed", "adaptive"),
+    "dominant": ("none", "queue1", "queue2"),
+    "format": ("csv", "json"),
+}
+
+# Config-file values bypass argparse, so resolve_spec checks their types.
+_INT_KEYS = {"horizon", "warmup", "seed", "grid", "points", "draws", "steps", "workers"}
+_STR_KEYS = {"scheme", "power", "dominant", "format", "out"}
+_LIST_KEYS = {"profile", "angles"}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _config_value_ok(key: str, value) -> bool:
+    if value is None:
+        return _DEFAULTS[key] is None
+    if key == "simulate":
+        return isinstance(value, bool)
+    if key in _STR_KEYS:
+        return isinstance(value, str) and value in _CHOICES.get(key, (value,))
+    if key in _LIST_KEYS:
+        return isinstance(value, list) and all(_is_number(v) for v in value)
+    return _is_number(value) and (key not in _INT_KEYS or isinstance(value, int))
+
+
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise InvalidParameterError(f"{db} dB is out of floating-point range") from None
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -98,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     g = common.add_argument_group("system parameters")
     g.add_argument("--config", help="JSON file with any of the flag values (linear gammas)")
-    g.add_argument("--scheme", choices=["generic", "ian", "sc"])
-    g.add_argument("--power", choices=["fixed", "adaptive"])
+    g.add_argument("--scheme", choices=_CHOICES["scheme"])
+    g.add_argument("--power", choices=_CHOICES["power"])
     g.add_argument("--gamma1-db", type=float, help="SNR/SINR threshold of user 1, dB")
     g.add_argument("--gamma2-db", type=float, help="SNR/SINR threshold of user 2, dB")
     g.add_argument("--d1", type=float)
@@ -115,11 +148,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--horizon", type=int)
     s.add_argument("--warmup", type=int)
     s.add_argument("--seed", type=int)
-    s.add_argument("--dominant", choices=["none", "queue1", "queue2"])
+    s.add_argument("--dominant", choices=_CHOICES["dominant"])
     s.add_argument("--grid", type=int, help="sweep resolution per axis")
     s.add_argument("--points", type=int, help="boundary points for region tracing")
     s.add_argument("--out", help="output path (default stdout)")
-    s.add_argument("--format", choices=["csv", "json"])
+    s.add_argument("--format", choices=_CHOICES["format"])
     s.add_argument("--simulate", action="store_const", const=True, default=None,
                    help="sweep: run the simulator at each grid point")
     s.add_argument("--draws", type=int, help="mc-verify: fading draws (>= 10000)")
@@ -149,10 +182,18 @@ def resolve_spec(args: argparse.Namespace) -> dict:
     spec = dict(_DEFAULTS)
     if args.config:
         with open(args.config) as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise UsageError(f"config file is not valid JSON: {exc}") from None
+        if not isinstance(raw, dict):
+            raise UsageError("config file must hold a JSON object")
         unknown = set(raw) - set(_DEFAULTS)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in raw.items():
+            if not _config_value_ok(key, value):
+                raise UsageError(f"config key {key!r} has an invalid value {value!r}")
         spec.update(raw)
     for key in ("scheme", "power", "d1", "d2", "alpha", "p_total", "p1", "p2",
                 "lambda1", "lambda2", "horizon", "warmup", "seed", "dominant",
@@ -196,7 +237,7 @@ def params_from_spec(spec: dict) -> SystemParams:
         d1=spec["d1"], d2=spec["d2"], alpha=spec["alpha"],
         p_total=spec["p_total"], p1=spec["p1"], p2=spec["p2"],
         decoding=Decoding(spec["scheme"]),
-        power_scheme=PowerScheme("adaptive" if spec["power"] == "adaptive" else "fixed"),
+        power_scheme=PowerScheme(spec["power"]),
         generic_profile=profile,
     )
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from .channel import (
     InvalidParameterError,
-    PowerScheme,
     SuccessProfile,
     SystemParams,
     build_profile,
@@ -33,7 +32,6 @@ __all__ = [
     "InfeasibleRateError",
     "region_general",
     "region_fixed_sc_decoupled",
-    "region_adaptive",
     "region_for_params",
     "membership",
     "membership_grid",
@@ -75,8 +73,8 @@ class RatePoint:
     def __post_init__(self):
         for name in ("lambda1", "lambda2"):
             v = float(getattr(self, name))
-            if math.isnan(v) or v < 0.0:
-                raise InvalidParameterError(f"{name}={v!r} must be a nonnegative rate")
+            if not math.isfinite(v) or v < 0.0:
+                raise InvalidParameterError(f"{name}={v!r} must be a finite nonnegative rate")
             object.__setattr__(self, name, v)
 
 
@@ -182,15 +180,8 @@ def region_fixed_sc_decoupled(profile: SuccessProfile) -> StabilityRegion:
     )
 
 
-def region_adaptive(params: SystemParams) -> StabilityRegion:
-    """Region under the queue-adaptive power scheme."""
-    if params.power_scheme is not PowerScheme.QUEUE_ADAPTIVE:
-        raise InvalidParameterError("region_adaptive requires the adaptive power scheme")
-    return region_general(build_profile(params))
-
-
 def region_for_params(params: SystemParams) -> StabilityRegion:
-    """General region for any configured scheme."""
+    """General region for any configured scheme, fixed or queue-adaptive power."""
     return region_general(build_profile(params))
 
 
@@ -313,11 +304,26 @@ def dominant_service_rates(
     return (p1b, mu2, empty)
 
 
-def boundary_scale(region: StabilityRegion, angle_deg: float) -> float:
-    """Distance from the origin to the frontier along a ray, by bisection.
+def _ray_limit(budget: float, rate: float) -> float:
+    """Scale t at which ``rate * t`` reaches ``budget`` (rate >= 0).
 
-    The region is star-shaped about the origin, so membership along the ray
-    flips exactly once. Angle is in degrees within [0, 90].
+    Infinite when a zero rate never reaches a positive budget, 0 when a zero
+    rate is already past a nonpositive one.
+    """
+    if rate > 0.0:
+        return budget / rate
+    return math.inf if budget > 0.0 else 0.0
+
+
+def boundary_scale(region: StabilityRegion, angle_deg: float) -> float:
+    """Distance from the origin to the frontier along a ray.
+
+    The ray meets each part's line and cap constraints where their residuals
+    reach ``-BOUNDARY_TOL``, so the scale up to which a part classifies the
+    ray's points as inside is the nearer of the two crossings; the union
+    reaches the farthest part. Angle is in degrees within [0, 90]. A ray
+    that never leaves the region (possible only for hand-built parts with
+    zero slopes) has infinite scale.
     """
     if not 0.0 <= angle_deg <= 90.0:
         raise InvalidParameterError("angle must lie in [0, 90] degrees")
@@ -325,12 +331,10 @@ def boundary_scale(region: StabilityRegion, angle_deg: float) -> float:
     s = math.sin(math.radians(angle_deg))
     if membership(region, RatePoint(0.0, 0.0)) is not Membership.INSIDE:
         return 0.0
-    lo = 0.0
-    hi = 1.5 / max(c, s)  # a coordinate beyond 1 is outside any region
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if membership(region, RatePoint(mid * c, mid * s)) is Membership.INSIDE:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return max(
+        min(
+            _ray_limit(1.0 - BOUNDARY_TOL, part.a1 * c + part.a2 * s),
+            _ray_limit(part.cap_value - BOUNDARY_TOL, c if part.cap_axis == 0 else s),
+        )
+        for part in region.parts
+    )

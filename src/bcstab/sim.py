@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from . import _kernels
-from .channel import Decoding, InvalidParameterError, SystemParams
+from .channel import Decoding, InvalidParameterError, SystemParams, success_events
 from .region import RatePoint
 
 __all__ = [
@@ -62,19 +62,6 @@ class Verdict(str, Enum):
     STABLE = "stable"
     UNSTABLE = "unstable"
     INCONCLUSIVE = "inconclusive"
-
-
-_MODE_CODE = {
-    DominantMode.NONE: _kernels.MODE_NONE,
-    DominantMode.QUEUE1_DUMMY: _kernels.MODE_QUEUE1_DUMMY,
-    DominantMode.QUEUE2_DUMMY: _kernels.MODE_QUEUE2_DUMMY,
-}
-
-_SCHEME_CODE = {
-    Decoding.GENERIC: _kernels.SCHEME_GENERIC,
-    Decoding.INTERFERENCE_AS_NOISE: _kernels.SCHEME_IAN,
-    Decoding.SUCCESSIVE_DECODING: _kernels.SCHEME_SC,
-}
 
 
 @dataclass(frozen=True)
@@ -143,18 +130,10 @@ class SimResult:
     trajectory: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
-def _scheme_floats(params: SystemParams) -> tuple:
-    """Kernel scalar arguments for a parameter set (zeros where unused)."""
-    scheme = _SCHEME_CODE[params.decoding]
-    if params.decoding is Decoding.GENERIC:
-        prof = params.generic_profile
-        return (scheme, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-                prof.p1_solo, prof.p2_solo, prof.p1_both, prof.p2_both)
-    dinv1 = params.d1 ** -params.alpha
-    dinv2 = params.d2 ** -params.alpha
-    return (scheme, params.gamma1, params.gamma2, dinv1, dinv2,
-            params.p1, params.p2, params.solo_power(1), params.solo_power(2),
-            0.0, 0.0, 0.0, 0.0)
+def _forced(config: SimConfig) -> tuple[bool, bool]:
+    """Which queues transmit even when empty (dummy packets) in this mode."""
+    return (config.dominant_mode is DominantMode.QUEUE1_DUMMY,
+            config.dominant_mode is DominantMode.QUEUE2_DUMMY)
 
 
 def step(
@@ -172,46 +151,20 @@ def step(
     q1, q2 = queues
     if q1 < 0 or q2 < 0:
         raise InvalidParameterError("queue lengths must be nonnegative")
-    mode = _MODE_CODE[config.dominant_mode]
-    (scheme, gamma1, gamma2, dinv1, dinv2, p1, p2, psolo1, psolo2,
-     q1_solo, q2_solo, q1_both, q2_both) = _scheme_floats(config.params)
-    c1, c2 = channel
-
-    t1 = q1 > 0 or mode == 1
-    t2 = q2 > 0 or mode == 2
-    s1 = False
-    s2 = False
-    if t1 and t2:
-        if scheme == 0:
-            s1 = c1 < q1_both
-            s2 = c2 < q2_both
-        else:
-            u1 = c1 * dinv1
-            u2 = c2 * dinv2
-            if scheme == 1:
-                s1 = p1 * u1 >= gamma1 * (1.0 + p2 * u1)
-            else:
-                s1 = p2 * u1 >= gamma2 * (1.0 + p1 * u1) and p1 * u1 >= gamma1
-            s2 = p2 * u2 >= gamma2 * (1.0 + p1 * u2)
-    elif t1:
-        if scheme == 0:
-            s1 = c1 < q1_solo
-        else:
-            s1 = psolo1 * (c1 * dinv1) >= gamma1
-    elif t2:
-        if scheme == 0:
-            s2 = c2 < q2_solo
-        else:
-            s2 = psolo2 * (c2 * dinv2) >= gamma2
-
-    dep1 = bool(t1 and s1 and q1 > 0)
-    dep2 = bool(t2 and s2 and q2 > 0)
+    force1, force2 = _forced(config)
+    solo1, solo2, both1, both2 = success_events(config.params, *channel)
+    t1 = q1 > 0 or force1
+    t2 = q2 > 0 or force2
+    s1 = t1 and (both1 if t2 else solo1)
+    s2 = t2 and (both2 if t1 else solo2)
+    dep1 = bool(s1) and q1 > 0
+    dep2 = bool(s2) and q2 > 0
     a1 = bool(arrival_u[0] < config.arrivals.lambda1)
     a2 = bool(arrival_u[1] < config.arrivals.lambda2)
     events = SlotEvents(
         attempt1=bool(t1), attempt2=bool(t2),
         real1=q1 > 0, real2=q2 > 0,
-        success1=bool(t1 and s1), success2=bool(t2 and s2),
+        success1=bool(s1), success2=bool(s2),
         arrival1=a1, arrival2=a2,
         departure1=dep1, departure2=dep2,
     )
@@ -228,6 +181,13 @@ def _draw_randomness(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     else:
         chan = rng.exponential(1.0, (config.horizon, 2))
     return arr_u, chan
+
+
+def _kernel_inputs(config: SimConfig) -> tuple:
+    """Arrival flags, the four success-event columns and the dummy-mode flags."""
+    arr_u, chan = _draw_randomness(config)
+    arrivals = arr_u < np.array([config.arrivals.lambda1, config.arrivals.lambda2])
+    return (arrivals, *success_events(config.params, chan[:, 0], chan[:, 1]), *_forced(config))
 
 
 def _fit_slope(series: np.ndarray) -> float:
@@ -277,31 +237,22 @@ def system_verdict(verdicts: tuple[Verdict, Verdict]) -> Verdict:
 def run(config: SimConfig, return_trajectory: bool = False) -> SimResult:
     """Simulate one configuration; deterministic for a given config."""
     horizon, warmup = config.horizon, config.warmup
-    arr_u, chan = _draw_randomness(config)
+    inputs = _kernel_inputs(config)
+    arrivals, solo1, solo2, both1, both2, force1, force2 = inputs
     qtraj = np.zeros((horizon + 1, 2), dtype=np.int64)
-    succ = np.zeros((horizon, 2), dtype=np.uint8)
-    scheme_args = _scheme_floats(config.params)
-    _kernels.simulate_slots(
-        arr_u, chan,
-        config.arrivals.lambda1, config.arrivals.lambda2,
-        _MODE_CODE[config.dominant_mode], *scheme_args,
-        qtraj, succ,
-    )
+    _kernels.simulate_slots(*inputs, qtraj)
 
     starts = qtraj[:horizon]
-    rates = np.array([config.arrivals.lambda1, config.arrivals.lambda2])
-    arrivals_ev = arr_u < rates
     real = starts > 0
-    attempts = real.copy()
-    if config.dominant_mode is DominantMode.QUEUE1_DUMMY:
-        attempts[:, 0] = True
-    elif config.dominant_mode is DominantMode.QUEUE2_DUMMY:
-        attempts[:, 1] = True
-    departures = succ.astype(bool) & real
+    t1 = real[:, 0] | force1
+    t2 = real[:, 1] | force2
+    attempts = np.stack([t1, t2], axis=1)
+    succ = np.stack([t1 & np.where(t2, both1, solo1), t2 & np.where(t1, both2, solo2)], axis=1)
+    departures = succ & real
 
     post = slice(warmup, horizon)
     att_counts = attempts[post].sum(axis=0)
-    suc_counts = (succ[post] != 0).sum(axis=0)
+    suc_counts = succ[post].sum(axis=0)
     success_rate = np.divide(
         suc_counts, att_counts, out=np.zeros(2), where=att_counts > 0
     )
@@ -325,7 +276,7 @@ def run(config: SimConfig, return_trajectory: bool = False) -> SimResult:
             _fit_slope(qtraj[warmup:horizon, 1]),
         ),
         verdict=verdicts,
-        arrivals_total=tuple(arrivals_ev.sum(axis=0).tolist()),
+        arrivals_total=tuple(arrivals.sum(axis=0).tolist()),
         departures_total=tuple(departures.sum(axis=0).tolist()),
         trajectory=qtraj if return_trajectory else None,
     )

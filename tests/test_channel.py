@@ -215,12 +215,6 @@ class TestBuildProfile:
 
 
 class TestValidation:
-    def test_fading_draw_gains_nonnegative(self):
-        draw = b.FadingDraw(0.5, 1.2)
-        assert (draw.g1, draw.g2) == (0.5, 1.2)
-        with pytest.raises(InvalidParameterError):
-            b.FadingDraw(-0.1, 1.0)
-
     def test_power_split_must_sum(self):
         with pytest.raises(InvalidParameterError):
             SystemParams(0.5, 0.5, 1, 1, 2, 2.0, 1.0, 0.5, "ian", "fixed")
@@ -230,6 +224,14 @@ class TestValidation:
             SystemParams(-0.5, 0.5, 1, 1, 2, 2.0, 1.0, 1.0, "ian", "fixed")
         with pytest.raises(InvalidParameterError):
             SystemParams(0.5, 0.5, 0.0, 1, 2, 2.0, 1.0, 1.0, "ian", "fixed")
+        # non-finite or overflowing constants are rejected on entry
+        inf = math.inf
+        with pytest.raises(InvalidParameterError, match="p_total must be finite"):
+            SystemParams(0.5, 0.5, 1, 1, 2, inf, inf, inf, "ian", "fixed")
+        with pytest.raises(InvalidParameterError, match="d1 must be finite"):
+            SystemParams(0.5, 0.5, inf, 1, 2, 2.0, 1.0, 1.0, "ian", "fixed")
+        with pytest.raises(InvalidParameterError, match="out of floating-point range"):
+            SystemParams(0.5, 0.5, 0.5, 1, 2000, 2.0, 1.0, 1.0, "ian", "fixed")
 
     def test_generic_needs_profile(self):
         with pytest.raises(InvalidParameterError):
@@ -306,6 +308,19 @@ class TestMonteCarloEstimates:
         rms_small = np.sqrt(np.mean(np.square(errors[10_000])))
         rms_large = np.sqrt(np.mean(np.square(errors[1_000_000])))
         assert rms_large < rms_small
+
+    @pytest.mark.parametrize("params, counts", [
+        (ian_params(), (910779, 910714, 552828, 552302)),
+        (SystemParams(0.5, 0.5, 1, 1, 2, 2.0, 0.5, 1.5, "sc", "fixed"),
+         (552828, 1076334, 552828, 1006772)),
+    ], ids=["ian", "sc"])
+    def test_counts_match_pinned(self, params, counts):
+        # 1.5e6 draws span two sampling chunks; counts recorded from the
+        # division-form inequalities the estimator evaluated before they were
+        # shared with the simulator
+        draws = 1_500_000
+        est = b.mc_estimate_profile(params, draws, seed=3)
+        assert tuple(round(p * draws) for p in est.as_tuple()) == counts
 
     def test_reported_standard_errors(self):
         est = b.mc_estimate_profile(ian_params(), 40_000, seed=3)

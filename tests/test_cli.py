@@ -225,3 +225,21 @@ class TestConfigAndErrors:
     def test_missing_config_file_is_io_error(self, capsys):
         status, _, _ = run_cli(capsys, "region", "--config", "/no/such/file.json")
         assert status == cli.EXIT_IO
+
+
+@pytest.mark.parametrize("config, argv, status", [
+    ('{"grid": "50"}', ["sweep"], cli.EXIT_USAGE),
+    ('{"grid": ', ["region"], cli.EXIT_USAGE),
+    (None, ["region", "--alpha", "1e308", "--d1", "2"], cli.EXIT_VALIDATION),
+    (None, ["region", "--p-total", "inf"], cli.EXIT_VALIDATION),
+    (None, ["region", "--d1", "inf"], cli.EXIT_VALIDATION),
+    (None, ["region", "--gamma1-db", "1e5"], cli.EXIT_VALIDATION),
+    (None, ["check", "--lambda1", "inf", "--lambda2", "0"], cli.EXIT_VALIDATION),
+], ids=["config-type", "config-json", "pathloss-overflow", "p-total-inf", "d1-inf",
+        "gamma-db-overflow", "lambda-inf"])
+def test_bad_input_exits_with_documented_code(tmp_path, capsys, config, argv, status):
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(config)
+        argv = [*argv, "--config", str(path)]
+    assert run_cli(capsys, *argv)[0] == status

@@ -221,17 +221,13 @@ class TestRegionAdaptive:
     PARAMS = SystemParams(0.5, 0.5, 1, 1, 2, 2.0, 0.5, 1.5, "sc", "adaptive")
 
     def test_corner_from_adaptive_sc_profile(self):
-        reg = b.region_adaptive(self.PARAMS)
+        reg = b.region_for_params(self.PARAMS)
         assert reg.profile.as_tuple() == pytest.approx(
             (0.778801, 0.778801, 0.367879, 0.670320), abs=1e-6
         )
         assert (reg.corner.lambda1, reg.corner.lambda2) == pytest.approx(
             (0.367879, 0.670320), abs=1e-6
         )
-
-    def test_requires_adaptive(self):
-        with pytest.raises(InvalidParameterError):
-            b.region_adaptive(SystemParams(0.5, 0.5, 1, 1, 2, 2.0, 0.5, 1.5, "sc", "fixed"))
 
     def test_single_user_power_split(self):
         # all power on queue 1: shared-slot service vanishes for both users,
@@ -241,7 +237,7 @@ class TestRegionAdaptive:
         assert prof.p1_both == 0.0 and prof.p2_both == 0.0
         assert prof.p1_solo == pytest.approx(math.exp(-0.25))
         assert prof.p2_solo == pytest.approx(math.exp(-0.25))
-        reg = b.region_adaptive(params)
+        reg = b.region_for_params(params)
         assert b.membership(reg, RatePoint(0.5, 0.0)) is Membership.BOUNDARY
         assert b.membership(reg, RatePoint(0.5, 0.1)) is Membership.OUTSIDE
 
@@ -249,7 +245,7 @@ class TestRegionAdaptive:
         fixed = b.region_for_params(
             SystemParams(0.5, 0.5, 1, 1, 2, 2.0, 0.5, 1.5, "sc", "fixed")
         )
-        adaptive = b.region_adaptive(self.PARAMS)
+        adaptive = b.region_for_params(self.PARAMS)
         grid = np.linspace(0.0, 1.0, 101)
         cf = b.membership_grid(fixed, grid[:, None], grid[None, :])
         ca = b.membership_grid(adaptive, grid[:, None], grid[None, :])
@@ -281,3 +277,37 @@ class TestBoundaryScale:
     def test_angle_range_enforced(self):
         with pytest.raises(InvalidParameterError):
             b.boundary_scale(b.region_general(RECT), -1.0)
+
+    def test_matches_bisection_reference(self):
+        rng = np.random.default_rng(67)
+        angles = np.concatenate([[0.0, 90.0], rng.uniform(0.0, 90.0, 30)])
+        for _ in range(40):
+            prof = random_profile(rng)
+            for reg in (b.region_general(prof),
+                        b.region_fixed_sc_decoupled(SuccessProfile(
+                            prof.p1_solo, prof.p2_solo, prof.p1_solo, prof.p2_both))):
+                for ang in angles:
+                    assert b.boundary_scale(reg, ang) == pytest.approx(
+                        bisect_boundary_scale(reg, ang), abs=1e-12)
+
+    def test_region_without_interior_has_zero_scale(self):
+        reg = b.region_general(SuccessProfile(0.0, 0.0, 0.0, 0.0))
+        assert b.boundary_scale(reg, 30.0) == 0.0
+
+
+def bisect_boundary_scale(region, angle_deg):
+    """Reference: bisect the inside/outside flip along the ray (the region is
+    star-shaped about the origin, so membership flips exactly once)."""
+    c = math.cos(math.radians(angle_deg))
+    s = math.sin(math.radians(angle_deg))
+    if b.membership(region, RatePoint(0.0, 0.0)) is not Membership.INSIDE:
+        return 0.0
+    lo = 0.0
+    hi = 1.5 / max(c, s)  # a coordinate beyond 1 is outside any region
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if b.membership(region, RatePoint(mid * c, mid * s)) is Membership.INSIDE:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

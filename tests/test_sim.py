@@ -1,6 +1,7 @@
 """Slot simulator: dynamics, statistics, dominance, boundary estimation."""
 
-import json
+import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from bcstab import (
     Verdict,
 )
 from bcstab import _kernels
-from bcstab.sim import _draw_randomness, _scheme_floats, _MODE_CODE
+from bcstab.sim import _draw_randomness, _kernel_inputs
 
 GENERAL_PROFILE = SuccessProfile(0.9, 0.8, 0.3, 0.5)
 
@@ -37,6 +38,16 @@ ALL_PARAMS = [
     SystemParams(0.5, 0.5, 1, 1, 2, 2.0, 0.5, 1.5, "sc", "adaptive"),
     generic_params(),
 ]
+
+# A moderate load, and one where both queues stay busy after a short ramp.
+KERNEL_LOADS = [(0.35, 0.3), (0.9, 0.9)]
+
+
+def kernel_run(fn, cfg):
+    """Slot-start trajectory of one kernel path on the config's randomness."""
+    qtraj = np.zeros((cfg.horizon + 1, 2), np.int64)
+    fn(*_kernel_inputs(cfg), qtraj)
+    return qtraj
 
 
 class TestStep:
@@ -82,38 +93,40 @@ class TestStep:
     @pytest.mark.parametrize("params", ALL_PARAMS)
     @pytest.mark.parametrize("mode", ["none", "queue1", "queue2"])
     def test_step_matches_kernel(self, params, mode):
-        """Repeated single-slot stepping reproduces the kernel trajectory."""
-        cfg = SimConfig(RatePoint(0.35, 0.3), params, horizon=400, seed=97,
-                        dominant_mode=mode)
-        arr_u, chan = _draw_randomness(cfg)
-        qtraj = np.zeros((cfg.horizon + 1, 2), np.int64)
-        succ = np.zeros((cfg.horizon, 2), np.uint8)
-        _kernels.simulate_slots_py(
-            arr_u, chan, 0.35, 0.3, _MODE_CODE[cfg.dominant_mode],
-            *_scheme_floats(params), qtraj, succ,
-        )
-        state = (0, 0)
-        for t in range(cfg.horizon):
-            assert state == tuple(qtraj[t])
-            state, ev = b.step(state, cfg, tuple(arr_u[t]), tuple(chan[t]))
-            assert (ev.success1, ev.success2) == (bool(succ[t, 0]), bool(succ[t, 1]))
-        assert state == tuple(qtraj[cfg.horizon])
+        """Repeated single-slot stepping reproduces the kernel trajectory and
+        the success and departure counts run() derives from it."""
+        for lam1, lam2 in KERNEL_LOADS:
+            cfg = SimConfig(RatePoint(lam1, lam2), params, horizon=400, seed=97,
+                            dominant_mode=mode)
+            arr_u, chan = _draw_randomness(cfg)
+            qtraj = kernel_run(_kernels.simulate_slots_py, cfg)
+            state = (0, 0)
+            attempts, successes, departures = np.zeros((3, 2), np.int64)
+            for t in range(cfg.horizon):
+                assert state == tuple(qtraj[t])
+                state, ev = b.step(state, cfg, tuple(arr_u[t]), tuple(chan[t]))
+                departures += (ev.departure1, ev.departure2)
+                if t >= cfg.warmup:
+                    attempts += (ev.attempt1, ev.attempt2)
+                    successes += (ev.success1, ev.success2)
+            assert state == tuple(qtraj[cfg.horizon])
+            r = b.run(cfg)
+            assert r.departures_total == tuple(departures.tolist())
+            assert r.success_rate == tuple(
+                s / a if a else 0.0 for s, a in zip(successes.tolist(), attempts.tolist())
+            )
 
 
 @pytest.mark.skipif(not _kernels.USING_NUMBA, reason="numba path not active")
 class TestKernelPaths:
     def test_jit_matches_python_bitwise(self):
         for params in ALL_PARAMS:
-            cfg = SimConfig(RatePoint(0.4, 0.4), params, horizon=20_000, seed=13)
-            arr_u, chan = _draw_randomness(cfg)
-            outs = []
-            for fn in (_kernels.simulate_slots_jit, _kernels.simulate_slots_py):
-                qtraj = np.zeros((cfg.horizon + 1, 2), np.int64)
-                succ = np.zeros((cfg.horizon, 2), np.uint8)
-                fn(arr_u, chan, 0.4, 0.4, 0, *_scheme_floats(params), qtraj, succ)
-                outs.append((qtraj, succ))
-            assert np.array_equal(outs[0][0], outs[1][0])
-            assert np.array_equal(outs[0][1], outs[1][1])
+            for lam1, lam2 in KERNEL_LOADS:
+                for mode in ("none", "queue1", "queue2"):
+                    cfg = SimConfig(RatePoint(lam1, lam2), params, horizon=20_000, seed=13,
+                                    dominant_mode=mode)
+                    assert np.array_equal(kernel_run(_kernels.simulate_slots_jit, cfg),
+                                          kernel_run(_kernels.simulate_slots_py, cfg))
 
     def test_env_flag_forces_python_path(self):
         code = (
@@ -136,6 +149,41 @@ class TestKernelPaths:
                         horizon=12_000, seed=3)
         r = b.run(cfg)
         assert [int(n) for n in numbers] == [*r.final_queue, *r.arrivals_total]
+
+
+# sha256 of run()'s trajectory and SimResult fields at RatePoint(0.4, 0.35),
+# 20k slots, seed 41, recorded from the scheme-aware slot kernel that
+# evaluated the decoding inequalities inline. Rows follow ALL_PARAMS.
+PINNED_RUN_DIGESTS = [
+    {"none": "cb83fbee753dbb8640fd220159cce7ad8689b211e5b8439d28d5d9512fa19d9f",
+     "queue1": "c53892dd6076b50df7e3ab0304573d6fd2226e7fa009586b63d18823b5dcc52d",
+     "queue2": "c0fb1399ec72c1646678d373b576378f0eeb4fed90679e32e6e98cc79381e7a2"},
+    {"none": "6ee36d3346ee762bbf740d894017c25f019c801297d1bdf46f6761126db5e623",
+     "queue1": "2ab68d64538f64931bafaf953c936be5b3b9f0d650cd8465b9807b54a24c6b08",
+     "queue2": "e35198d36e09f0a509e8cc8f2170eb6b167127264a9b22933841f18c7a7de61f"},
+    {"none": "597b68a2911d6ab6a9928faef2f8eb2aff886303fbfe3ff1b8c4636bb9034bad",
+     "queue1": "9986cbec7268540a6763ca7174638ef02c7d1a5fb4d1f671addb3a650a669b31",
+     "queue2": "fdf82dc776536080176349a61ab2bf39e413541faff7ebadf157a9077bf19458"},
+    {"none": "9e9f0ff74f541c43c24f071833d6e72da9109be0a323430161964883e11c2e3c",
+     "queue1": "84546db2dd13ae1da499f1622ad8f298bb27ddf930908db17318de3834afd7c4",
+     "queue2": "66a502a626a0bc794245d1bf26e47d3d6ef86d94462dc2dac7154a2526907320"},
+]
+
+
+def run_digest(result):
+    h = hashlib.sha256(result.trajectory.astype(np.int64).tobytes())
+    fields = [(f.name, getattr(result, f.name)) for f in dataclasses.fields(result)
+              if f.name not in ("config", "trajectory")]
+    h.update(repr(fields).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("index", range(len(ALL_PARAMS)))
+@pytest.mark.parametrize("mode", ["none", "queue1", "queue2"])
+def test_run_matches_pinned_digest(index, mode):
+    cfg = SimConfig(RatePoint(0.4, 0.35), ALL_PARAMS[index], horizon=20_000, seed=41,
+                    dominant_mode=mode)
+    assert run_digest(b.run(cfg, return_trajectory=True)) == PINNED_RUN_DIGESTS[index][mode]
 
 
 class TestRunStatistics:
