@@ -1,17 +1,43 @@
-"""Slot-loop queue recursion, JIT-compiled when numba is available.
+"""Queue recursion of the slot simulator: a reference loop, an exact numpy
+solver, and the loop JIT-compiled when numba is available.
 
-The kernel knows nothing about decoding schemes: it consumes per-slot
+Every path knows nothing about decoding schemes: it consumes per-slot
 arrival flags and the four precomputed success events of
-:func:`bcstab.channel.success_events`, and only compares and counts, so the
-compiled and pure-Python paths produce bit-identical trajectories. Set the
-environment variable ``BCSTAB_NO_NUMBA=1`` before import to force the
-pure-Python path; it is also used automatically when numba cannot be
-imported. ``benchmarks/bench_kernels.py`` times both paths.
+:func:`bcstab.channel.success_events`, and only compares and counts, so all
+paths produce bit-identical trajectories. ``simulate_slots`` is the JIT loop
+when numba imports and the vectorised solver otherwise; set the environment
+variable ``BCSTAB_NO_NUMBA=1`` before import to skip the JIT.
+``simulate_slots_py`` is the reference loop and the solver's fallback.
+``benchmarks/bench_kernels.py`` times all three.
+
+Why the vectorised solver is exact. Given its service column ``s`` (whether
+a head-of-line packet would leave in that slot), one queue follows Lindley's
+recursion: the post-departure length ``r[t] = max(r[t-1] + a[t-1] - s[t], 0)``
+with ``r[-1] + a[-1] = 0`` is a random walk reflected at zero, so
+``r = S - min(minimum.accumulate(S), 0)`` for the cumulative sum ``S`` of the
+increments, and the slot-start length is ``r + a`` one slot later. All of
+it is integer arithmetic, so the result is exact. A queue's service column
+depends on the other queue only through whether it is transmitting. In a
+dominant mode the forced queue always transmits, so the other queue's
+service is known and two Lindley solves give the trajectory.
+Coupled queues are solved by Picard iteration: assume queue 2 never busy,
+solve queue 1, solve queue 2 from queue 1's busy column, and repeat until
+queue 2's busy column stops changing. The pair is then a fixed point of the
+joint recursion, and because slot ``t + 1`` depends only on slots up to
+``t`` that fixed point is unique, so it is the trajectory; each pass also
+fixes at least one more slot, so the iteration converges. A pass cap hands
+pathological inputs to the reference loop.
 """
 
 from __future__ import annotations
 
 import os
+
+import numpy as np
+
+# Picard passes before the coupled solve gives up and runs the slot loop;
+# near-frontier runs of 200k slots take up to about 17.
+_MAX_PASSES = 64
 
 
 def _simulate_slots(arrivals, solo1, solo2, both1, both2, force1, force2, qtraj):
@@ -45,6 +71,60 @@ def _simulate_slots(arrivals, solo1, solo2, both1, both2, force1, force2, qtraj)
 
 simulate_slots_py = _simulate_slots
 
+
+def _lindley(arrivals, service):
+    """Slot-start lengths (plus the final state) of one queue with a known service column."""
+    # The walk moves by at most one packet per slot and runs are capped at
+    # sim.MAX_HORIZON < 2**31 slots, so int32 is exact; it halves the memory
+    # traffic of int64.
+    q = np.zeros(arrivals.shape[0] + 1, dtype=np.int32)
+    walk = q[1:]
+    walk[1:] = arrivals[:-1]
+    walk -= service
+    np.cumsum(walk, out=walk)
+    # r = S - min(minimum.accumulate(S), 0); S[0] = -service[0] <= 0, so the
+    # running minimum is never positive and needs no clip at zero.
+    walk -= np.minimum.accumulate(walk)
+    walk += arrivals
+    return q
+
+
+def simulate_slots_vec(arrivals, solo1, solo2, both1, both2, force1, force2, qtraj):
+    """Fill qtraj exactly as the slot loop does, with numpy and no per-slot Python.
+
+    Returns the number of Picard passes (1 in a dominant mode), or None when
+    the coupled solve hit the pass cap and the slot loop filled qtraj.
+    """
+    a1 = arrivals[:, 0]
+    a2 = arrivals[:, 1]
+    # The service column np.where(busy, both, solo), written as solo ^ (busy & flip):
+    # the same bits, far cheaper on boolean arrays.
+    flip1 = solo1 ^ both1
+    flip2 = solo2 ^ both2
+    passes = 1
+    if force1:
+        q2 = _lindley(a2, both2)
+        q1 = _lindley(a1, both1 if force2 else solo1 ^ ((q2[:-1] > 0) & flip1))
+    elif force2:
+        q1 = _lindley(a1, both1)
+        q2 = _lindley(a2, solo2 ^ ((q1[:-1] > 0) & flip2))
+    else:
+        busy2 = np.zeros(arrivals.shape[0], dtype=bool)
+        for passes in range(1, _MAX_PASSES + 1):
+            q1 = _lindley(a1, solo1 ^ (busy2 & flip1))
+            q2 = _lindley(a2, solo2 ^ ((q1[:-1] > 0) & flip2))
+            new_busy2 = q2[:-1] > 0
+            if np.array_equal(new_busy2, busy2):
+                break
+            busy2 = new_busy2
+        else:
+            simulate_slots_py(arrivals, solo1, solo2, both1, both2, force1, force2, qtraj)
+            return None
+    qtraj[:, 0] = q1
+    qtraj[:, 1] = q2
+    return passes
+
+
 _disabled = os.environ.get("BCSTAB_NO_NUMBA", "").strip().lower() in {"1", "true", "yes"}
 
 simulate_slots_jit = None
@@ -57,4 +137,4 @@ if not _disabled:
         simulate_slots_jit = None
 
 USING_NUMBA = simulate_slots_jit is not None
-simulate_slots = simulate_slots_jit if USING_NUMBA else simulate_slots_py
+simulate_slots = simulate_slots_jit if USING_NUMBA else simulate_slots_vec

@@ -52,6 +52,13 @@ EXIT_VERIFICATION = 5
 # frontier that sweep excludes when counting analytic/simulated disagreements.
 BAND_HALFWIDTH = 0.05
 
+# Largest sweep resolution per axis (a million grid cells) and largest number
+# of traced frontier points; larger requests are usage errors, rejected
+# before anything is allocated. The simulation horizon is bounded by
+# ``sim.MAX_HORIZON``.
+MAX_GRID = 1000
+MAX_POINTS = 100_000
+
 
 class UsageError(Exception):
     pass
@@ -299,6 +306,8 @@ def _require_rates(spec: dict) -> RatePoint:
 
 
 def cmd_region(spec: dict) -> tuple[list[dict], dict, int]:
+    if spec["points"] > MAX_POINTS:
+        raise UsageError(f"points must be <= {MAX_POINTS}")
     params = params_from_spec(spec)
     reg = region_for_params(params)
     pts = trace_boundary(reg, spec["points"])
@@ -348,8 +357,8 @@ def _axis_range(intercept: float) -> float:
 
 
 def cmd_sweep(spec: dict) -> tuple[list[dict], dict, int]:
-    if spec["grid"] < 2:
-        raise UsageError("grid resolution must be >= 2")
+    if not 2 <= spec["grid"] <= MAX_GRID:
+        raise UsageError(f"grid resolution must lie in [2, {MAX_GRID}]")
     params = params_from_spec(spec)
     reg = region_for_params(params)
     lam1 = np.linspace(0.0, _axis_range(reg.profile.p1_solo), spec["grid"])

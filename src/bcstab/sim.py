@@ -44,6 +44,12 @@ __all__ = [
 # Growth below one packet per thousand slots is treated as flat.
 SLOPE_THRESHOLD = 1e-3
 
+# Largest accepted horizon. A run peaks at about 125 bytes per slot
+# (randomness, success events, trajectory, fit temporaries), so this caps
+# one run near 1.3 GB; longer runs are rejected before any allocation. The
+# vectorised queue solver's int32 walk needs it below 2**31.
+MAX_HORIZON = 10_000_000
+
 # Verdicts need enough slots for the drift fit to mean anything.
 _MIN_CLASSIFY_HORIZON = 10_000
 
@@ -69,8 +75,8 @@ class SimConfig:
     """One reproducible simulation run.
 
     ``warmup`` slots are discarded from all statistics (defaults to a tenth
-    of the horizon). Arrivals are independent Bernoulli per queue per slot,
-    so rates must not exceed 1.
+    of the horizon); ``horizon`` lies in ``[10, MAX_HORIZON]``. Arrivals are
+    independent Bernoulli per queue per slot, so rates must not exceed 1.
     """
 
     arrivals: RatePoint
@@ -84,8 +90,8 @@ class SimConfig:
         object.__setattr__(self, "dominant_mode", DominantMode(self.dominant_mode))
         if self.arrivals.lambda1 > 1.0 or self.arrivals.lambda2 > 1.0:
             raise InvalidParameterError("Bernoulli arrival rates cannot exceed 1")
-        if self.horizon < 10:
-            raise InvalidParameterError("horizon must be at least 10 slots")
+        if not 10 <= self.horizon <= MAX_HORIZON:
+            raise InvalidParameterError(f"horizon must lie in [10, {MAX_HORIZON}] slots")
         if self.warmup is None:
             object.__setattr__(self, "warmup", self.horizon // 10)
         if not 0 <= self.warmup < self.horizon:
@@ -213,8 +219,13 @@ def classify_stability(
         )
     if not 0 <= warmup < horizon:
         raise InvalidParameterError("warmup must satisfy 0 <= warmup < horizon")
+    return _verdict(traj, warmup, _fit_slope(traj[warmup:horizon]), slope_threshold)
+
+
+def _verdict(traj: np.ndarray, warmup: int, slope: float, slope_threshold: float) -> Verdict:
+    """classify_stability's rule, given the slope already fitted to ``traj[warmup:-1]``."""
+    horizon = traj.shape[0] - 1
     post = traj[warmup:horizon]
-    slope = _fit_slope(post)
     final = float(traj[horizon])
     early_mean = float(post[: max(1, post.shape[0] // 10)].mean())
     returned_to_zero = bool(np.any(traj[horizon // 2 :] == 0))
@@ -256,10 +267,10 @@ def run(config: SimConfig, return_trajectory: bool = False) -> SimResult:
     success_rate = np.divide(
         suc_counts, att_counts, out=np.zeros(2), where=att_counts > 0
     )
+    slopes = tuple(_fit_slope(qtraj[warmup:horizon, k]) for k in (0, 1))
     if horizon >= _MIN_CLASSIFY_HORIZON:
-        verdicts = (
-            classify_stability(qtraj[:, 0], warmup),
-            classify_stability(qtraj[:, 1], warmup),
+        verdicts = tuple(
+            _verdict(qtraj[:, k], warmup, slopes[k], SLOPE_THRESHOLD) for k in (0, 1)
         )
     else:
         verdicts = (Verdict.INCONCLUSIVE, Verdict.INCONCLUSIVE)
@@ -271,10 +282,7 @@ def run(config: SimConfig, return_trajectory: bool = False) -> SimResult:
         success_rate=tuple(success_rate.tolist()),
         departure_rate=tuple(departures[post].mean(axis=0).tolist()),
         empty_fraction=tuple((starts[post] == 0).mean(axis=0).tolist()),
-        drift_slope=(
-            _fit_slope(qtraj[warmup:horizon, 0]),
-            _fit_slope(qtraj[warmup:horizon, 1]),
-        ),
+        drift_slope=slopes,
         verdict=verdicts,
         arrivals_total=tuple(arrivals.sum(axis=0).tolist()),
         departures_total=tuple(departures.sum(axis=0).tolist()),
@@ -285,8 +293,9 @@ def run(config: SimConfig, return_trajectory: bool = False) -> SimResult:
 def run_batch(configs, workers: int | None = None) -> list[SimResult]:
     """Run independent configs; results follow input order regardless of scheduling.
 
-    With ``workers`` the runs are dispatched to a thread pool (the compiled
-    kernel releases the GIL, so this is real parallelism when numba is on).
+    With ``workers`` the runs are dispatched to a thread pool. A run spends
+    most of its time in numpy calls (and, when numba is on, the nogil JIT
+    loop), which release the GIL, so the workers run in parallel.
     """
     configs = list(configs)
     if workers is None or workers <= 1:

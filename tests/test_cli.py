@@ -5,9 +5,11 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 import bcstab.cli as cli
+import bcstab.sim
 from bcstab import MonteCarloProfile
 
 
@@ -235,9 +237,22 @@ class TestConfigAndErrors:
     (None, ["region", "--d1", "inf"], cli.EXIT_VALIDATION),
     (None, ["region", "--gamma1-db", "1e5"], cli.EXIT_VALIDATION),
     (None, ["check", "--lambda1", "inf", "--lambda2", "0"], cli.EXIT_VALIDATION),
+    (None, ["simulate", "--lambda1", "0.1", "--lambda2", "0.1",
+            "--horizon", "1000000000000000"], cli.EXIT_VALIDATION),
+    ('{"horizon": 1000000000000000}', ["compare-boundary"], cli.EXIT_VALIDATION),
+    (None, ["sweep", "--grid", "1000000000"], cli.EXIT_USAGE),
+    (None, ["region", "--points", "1000000000"], cli.EXIT_USAGE),
 ], ids=["config-type", "config-json", "pathloss-overflow", "p-total-inf", "d1-inf",
-        "gamma-db-overflow", "lambda-inf"])
-def test_bad_input_exits_with_documented_code(tmp_path, capsys, config, argv, status):
+        "gamma-db-overflow", "lambda-inf", "horizon-huge", "config-horizon-huge",
+        "grid-huge", "points-huge"])
+def test_bad_input_exits_with_documented_code(tmp_path, capsys, monkeypatch,
+                                              config, argv, status):
+    # every row must be rejected before grids or randomness are allocated
+    def unreachable(*args, **kwargs):
+        raise AssertionError("bad input reached an allocation")
+
+    monkeypatch.setattr(np, "linspace", unreachable)
+    monkeypatch.setattr(bcstab.sim, "_draw_randomness", unreachable)
     if config is not None:
         path = tmp_path / "run.json"
         path.write_text(config)

@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bcstab as b
 from bcstab import (
@@ -110,11 +112,60 @@ class TestStep:
                     attempts += (ev.attempt1, ev.attempt2)
                     successes += (ev.success1, ev.success2)
             assert state == tuple(qtraj[cfg.horizon])
+            assert np.array_equal(kernel_run(_kernels.simulate_slots, cfg), qtraj)
             r = b.run(cfg)
             assert r.departures_total == tuple(departures.tolist())
             assert r.success_rate == tuple(
                 s / a if a else 0.0 for s, a in zip(successes.tolist(), attempts.tolist())
             )
+
+
+def vec_matches_loop(kernel_args):
+    """Run the vectorised solver and the loop on the same inputs; return the solver's passes."""
+    horizon = kernel_args[0].shape[0]
+    ref = np.zeros((horizon + 1, 2), np.int64)
+    _kernels.simulate_slots_py(*kernel_args, ref)
+    qtraj = np.full((horizon + 1, 2), -1, np.int64)
+    passes = _kernels.simulate_slots_vec(*kernel_args, qtraj)
+    assert np.array_equal(qtraj, ref)
+    return passes
+
+
+class TestVectorisedSolver:
+    @settings(deadline=None)
+    @given(horizon=st.integers(1, 2000), seed=st.integers(0, 2**32 - 1),
+           densities=st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                              min_size=6, max_size=6),
+           force1=st.booleans(), force2=st.booleans())
+    def test_matches_loop_on_any_columns(self, horizon, seed, densities, force1, force2):
+        """Arbitrary arrival and event columns, each with its own density."""
+        cols = np.random.default_rng(seed).random((horizon, 6)) < np.array(densities)
+        solo1, solo2, both1, both2 = cols[:, 2:].T
+        vec_matches_loop((cols[:, :2], solo1, solo2, both1, both2, force1, force2))
+
+    @pytest.mark.parametrize("params", ALL_PARAMS)
+    def test_matches_loop_near_frontier(self, params):
+        """Coupled queues just inside, on and just outside the analytic frontier,
+        where the Picard iteration needs the most passes."""
+        reg = b.region_for_params(params)
+        for angle in (10.0, 45.0, 80.0):
+            bscale = b.boundary_scale(reg, angle)
+            for factor in (0.95, 1.0, 1.05):
+                point = RatePoint(factor * bscale * np.cos(np.radians(angle)),
+                                  factor * bscale * np.sin(np.radians(angle)))
+                cfg = SimConfig(point, params, horizon=20_000, seed=29)
+                assert vec_matches_loop(_kernel_inputs(cfg)) is not None
+
+    @pytest.mark.parametrize("mode", ["none", "queue1", "queue2"])
+    def test_pass_cap_falls_back_to_loop(self, monkeypatch, mode):
+        monkeypatch.setattr(_kernels, "_MAX_PASSES", 1)
+        for params in ALL_PARAMS:
+            for lam1, lam2 in KERNEL_LOADS:
+                cfg = SimConfig(RatePoint(lam1, lam2), params, horizon=5_000, seed=61,
+                                dominant_mode=mode)
+                passes = vec_matches_loop(_kernel_inputs(cfg))
+                # coupled busy queues need a second pass to confirm the fixed point
+                assert passes == (None if mode == "none" else 1)
 
 
 @pytest.mark.skipif(not _kernels.USING_NUMBA, reason="numba path not active")
