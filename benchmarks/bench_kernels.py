@@ -1,19 +1,21 @@
-"""Time the queue-recursion paths: slot loop, vectorised solver and numba JIT.
+"""Time the queue recursion (slot loop and solver) and split one run() into its layers.
 
 Usage:
     python benchmarks/bench_kernels.py [--horizon 200000] [--repeat 5]
 
-Every path consumes identical pre-drawn arrivals and success events and
-produces a bit-identical trajectory (checked here); this script measures
-only the recursion itself (drawing, the success events and the statistics
-are shared by all paths in normal use). The configs cover coupled queues
-inside the region and at 0.98x the analytic frontier, where the vectorised
-solver needs the most Picard passes, and both dominant modes. The JIT column
-is printed only when numba is installed and ``BCSTAB_NO_NUMBA`` is unset.
+Both recursion paths consume identical pre-drawn arrivals and success
+events and produce a bit-identical trajectory (checked here). Each config
+also splits one whole ``run()`` into three parts: the draw and the success
+events (``sim._kernel_inputs``), the recursion (the solver), and the
+statistics, which is everything else in ``run()`` (slope fits, verdicts,
+counts), taken as the run's median less the other two medians. The configs
+cover coupled queues inside the region and at 0.98x the analytic frontier,
+where the solver needs the most Picard passes, and both dominant modes.
 """
 
 import argparse
 import math
+import statistics
 import time
 
 import numpy as np
@@ -25,20 +27,20 @@ from bcstab import (
     SystemParams,
     boundary_scale,
     region_for_params,
+    run,
 )
 from bcstab import _kernels
 from bcstab.sim import _kernel_inputs
 
 
-def time_kernel(fn, kernel_args, repeat):
-    """Best wall time of ``repeat`` runs, the last trajectory and fn's return value."""
-    best = float("inf")
+def median_time(fn, args, repeat):
+    """Median wall time of ``repeat`` calls of fn(*args) and the last call's result."""
+    times = []
     for _ in range(repeat):
-        qtraj = np.zeros((kernel_args[0].shape[0] + 1, 2), dtype=np.int64)
         t0 = time.perf_counter()
-        out = fn(*kernel_args, qtraj)
-        best = min(best, time.perf_counter() - t0)
-    return best, qtraj, out
+        out = fn(*args)
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times), out
 
 
 PARAMS = SystemParams(0.5, 0.5, 1, 1, 2, 2.0, 0.5, 1.5, "sc", "fixed")
@@ -67,29 +69,18 @@ def main():
     ap.add_argument("--repeat", type=int, default=5)
     args = ap.parse_args()
 
-    jit = _kernels.simulate_slots_jit
-    if jit is not None:
-        # compile outside the timed region
-        warm = _kernel_inputs(SimConfig(RatePoint(0.1, 0.1), PARAMS, horizon=1000))
-        time_kernel(jit, warm, 1)
-    print(f"{args.horizon} slots, best of {args.repeat}; dispatched path: "
-          f"{'jit' if _kernels.USING_NUMBA else 'vectorised'}")
-    header = f"{'config':<24}{'loop ms':>10}{'vec ms':>10}{'passes':>8}{'jit ms':>10}  identical"
-    print(header)
+    print(f"{args.horizon} slots, median of {args.repeat}, milliseconds")
+    print(f"{'config':<24}{'loop':>9}{'solver':>9}{'passes':>8}"
+          f"{'run':>9}{'inputs':>9}{'stats':>9}  identical")
     for name, cfg in configs(args.horizon):
-        kernel_args = _kernel_inputs(cfg)
-        t_py, traj_py, _ = time_kernel(_kernels.simulate_slots_py, kernel_args, args.repeat)
-        t_vec, traj_vec, passes = time_kernel(_kernels.simulate_slots_vec, kernel_args, args.repeat)
-        same = np.array_equal(traj_py, traj_vec)
-        jit_ms = "n/a"
-        if jit is not None:
-            t_jit, traj_jit, _ = time_kernel(jit, kernel_args, args.repeat)
-            jit_ms = f"{t_jit * 1e3:.2f}"
-            same = same and np.array_equal(traj_py, traj_jit)
+        t_inputs, kernel_args = median_time(_kernel_inputs, (cfg,), args.repeat)
+        t_loop, (q_loop, _) = median_time(_kernels.simulate_slots_py, kernel_args, args.repeat)
+        t_solve, (q, passes) = median_time(_kernels.simulate_slots, kernel_args, args.repeat)
+        t_run, _ = median_time(run, (cfg,), args.repeat)
         passes = "loop" if passes is None else passes
-        print(f"{name:<24}{t_py * 1e3:>10.2f}{t_vec * 1e3:>10.2f}{passes:>8}{jit_ms:>10}  {same}")
-    if jit is None:
-        print("numba unavailable (not installed or BCSTAB_NO_NUMBA set): no jit column")
+        print(f"{name:<24}{t_loop * 1e3:>9.2f}{t_solve * 1e3:>9.2f}{passes:>8}"
+              f"{t_run * 1e3:>9.2f}{t_inputs * 1e3:>9.2f}{(t_run - t_inputs - t_solve) * 1e3:>9.2f}"
+              f"  {np.array_equal(q, q_loop)}")
 
 
 if __name__ == "__main__":

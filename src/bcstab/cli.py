@@ -52,12 +52,14 @@ EXIT_VERIFICATION = 5
 # frontier that sweep excludes when counting analytic/simulated disagreements.
 BAND_HALFWIDTH = 0.05
 
-# Largest sweep resolution per axis (a million grid cells) and largest number
-# of traced frontier points; larger requests are usage errors, rejected
+# Largest sweep resolution per axis (a million grid cells), largest number
+# of traced frontier points, and largest simulator thread pool (each thread
+# holds horizon-sized arrays); larger requests are usage errors, rejected
 # before anything is allocated. The simulation horizon is bounded by
 # ``sim.MAX_HORIZON``.
 MAX_GRID = 1000
 MAX_POINTS = 100_000
+MAX_WORKERS = 64
 
 
 class UsageError(Exception):
@@ -131,7 +133,10 @@ def db_to_linear(db: float) -> float:
 
 
 def _parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise UsageError(f"{text!r} is not a comma-separated list of numbers") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,6 +364,8 @@ def _axis_range(intercept: float) -> float:
 def cmd_sweep(spec: dict) -> tuple[list[dict], dict, int]:
     if not 2 <= spec["grid"] <= MAX_GRID:
         raise UsageError(f"grid resolution must lie in [2, {MAX_GRID}]")
+    if spec["workers"] > MAX_WORKERS:
+        raise UsageError(f"workers must be <= {MAX_WORKERS}")
     params = params_from_spec(spec)
     reg = region_for_params(params)
     lam1 = np.linspace(0.0, _axis_range(reg.profile.p1_solo), spec["grid"])

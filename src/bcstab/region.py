@@ -45,7 +45,8 @@ BOUNDARY_TOL = 1e-9
 
 # Stand-in slope for constraints of the form "this rate must be zero".
 # Large enough that any positive rate blows past 1, small enough that
-# products with finite rates stay finite (no inf*0 = nan).
+# products with finite rates stay finite (no inf*0 = nan). Extents and
+# scales derived from a slope this large are exact zeros, never 1/_HUGE.
 _HUGE = 1e300
 
 
@@ -229,7 +230,12 @@ def _part_sup_lambda2(part: SubRegion, lam1: float) -> float | None:
     budget = 1.0 - part.a1 * lam1
     if budget < 0.0:
         return None
-    sup = budget / part.a2 if part.a2 > 0.0 else math.inf
+    if part.a2 >= _HUGE:  # the part forces lambda2 to zero
+        sup = 0.0
+    elif part.a2 > 0.0:
+        sup = budget / part.a2
+    else:
+        sup = math.inf
     if part.cap_axis == 1:
         sup = min(sup, part.cap_value)
     return sup if math.isfinite(sup) else None
@@ -238,7 +244,7 @@ def _part_sup_lambda2(part: SubRegion, lam1: float) -> float | None:
 def _lambda1_extent(part: SubRegion) -> float:
     if part.cap_axis == 0:
         return part.cap_value
-    return 1.0 / part.a1 if part.a1 > 0.0 else 0.0
+    return 1.0 / part.a1 if 0.0 < part.a1 < _HUGE else 0.0
 
 
 def trace_boundary(region: StabilityRegion, n_points: int) -> list[RatePoint]:
@@ -315,6 +321,14 @@ def _ray_limit(budget: float, rate: float) -> float:
     return math.inf if budget > 0.0 else 0.0
 
 
+def _line_limit(part: SubRegion, c: float, s: float) -> float:
+    """Scale at which the ray ``(c, s)`` reaches the part's line; exactly 0
+    when the ray moves along a rate the part forces to zero."""
+    if (part.a1 >= _HUGE and c > 0.0) or (part.a2 >= _HUGE and s > 0.0):
+        return 0.0
+    return _ray_limit(1.0 - BOUNDARY_TOL, part.a1 * c + part.a2 * s)
+
+
 def boundary_scale(region: StabilityRegion, angle_deg: float) -> float:
     """Distance from the origin to the frontier along a ray.
 
@@ -333,7 +347,7 @@ def boundary_scale(region: StabilityRegion, angle_deg: float) -> float:
         return 0.0
     return max(
         min(
-            _ray_limit(1.0 - BOUNDARY_TOL, part.a1 * c + part.a2 * s),
+            _line_limit(part, c, s),
             _ray_limit(part.cap_value - BOUNDARY_TOL, c if part.cap_axis == 0 else s),
         )
         for part in region.parts

@@ -250,43 +250,46 @@ def run(config: SimConfig, return_trajectory: bool = False) -> SimResult:
     horizon, warmup = config.horizon, config.warmup
     inputs = _kernel_inputs(config)
     arrivals, solo1, solo2, both1, both2, force1, force2 = inputs
-    qtraj = np.zeros((horizon + 1, 2), dtype=np.int64)
-    _kernels.simulate_slots(*inputs, qtraj)
+    q, _ = _kernels.simulate_slots(*inputs)
 
-    starts = qtraj[:horizon]
-    real = starts > 0
-    t1 = real[:, 0] | force1
-    t2 = real[:, 1] | force2
-    attempts = np.stack([t1, t2], axis=1)
-    succ = np.stack([t1 & np.where(t2, both1, solo1), t2 & np.where(t1, both2, solo2)], axis=1)
-    departures = succ & real
-
-    post = slice(warmup, horizon)
-    att_counts = attempts[post].sum(axis=0)
-    suc_counts = succ[post].sum(axis=0)
-    success_rate = np.divide(
-        suc_counts, att_counts, out=np.zeros(2), where=att_counts > 0
-    )
-    slopes = tuple(_fit_slope(qtraj[warmup:horizon, k]) for k in (0, 1))
-    if horizon >= _MIN_CLASSIFY_HORIZON:
-        verdicts = tuple(
-            _verdict(qtraj[:, k], warmup, slopes[k], SLOPE_THRESHOLD) for k in (0, 1)
-        )
-    else:
-        verdicts = (Verdict.INCONCLUSIVE, Verdict.INCONCLUSIVE)
-
+    n = horizon - warmup
+    real = q[:, :horizon] > 0
+    attempt = (real[0] | force1, real[1] | force2)
+    stats = []
+    for k, solo, both in ((0, solo1, both1), (1, solo2, both2)):
+        # np.where(other queue transmits, both, solo) as in the solver
+        service = solo ^ (attempt[1 - k] & (solo ^ both))
+        departed = real[k] & service
+        attempts = int(np.count_nonzero(attempt[k][warmup:]))
+        successes = int(np.count_nonzero(attempt[k][warmup:] & service[warmup:]))
+        departed_post = int(np.count_nonzero(departed[warmup:]))
+        slope = _fit_slope(q[k, warmup:horizon])
+        stats.append((
+            int(q[k, warmup:horizon].sum()) / n,
+            int(q[k, horizon]),
+            successes / attempts if attempts else 0.0,
+            departed_post / n,
+            (n - int(np.count_nonzero(real[k, warmup:]))) / n,
+            slope,
+            _verdict(q[k], warmup, slope, SLOPE_THRESHOLD)
+            if horizon >= _MIN_CLASSIFY_HORIZON else Verdict.INCONCLUSIVE,
+            int(np.count_nonzero(arrivals[:, k])),
+            int(np.count_nonzero(departed)),
+        ))
+    (mean_queue, final_queue, success_rate, departure_rate, empty_fraction,
+     drift_slope, verdict, arrivals_total, departures_total) = zip(*stats)
     return SimResult(
         config=config,
-        mean_queue=tuple(starts[post].mean(axis=0).tolist()),
-        final_queue=tuple(qtraj[horizon].tolist()),
-        success_rate=tuple(success_rate.tolist()),
-        departure_rate=tuple(departures[post].mean(axis=0).tolist()),
-        empty_fraction=tuple((starts[post] == 0).mean(axis=0).tolist()),
-        drift_slope=slopes,
-        verdict=verdicts,
-        arrivals_total=tuple(arrivals.sum(axis=0).tolist()),
-        departures_total=tuple(departures.sum(axis=0).tolist()),
-        trajectory=qtraj if return_trajectory else None,
+        mean_queue=mean_queue,
+        final_queue=final_queue,
+        success_rate=success_rate,
+        departure_rate=departure_rate,
+        empty_fraction=empty_fraction,
+        drift_slope=drift_slope,
+        verdict=verdict,
+        arrivals_total=arrivals_total,
+        departures_total=departures_total,
+        trajectory=np.ascontiguousarray(q.T, dtype=np.int64) if return_trajectory else None,
     )
 
 
@@ -294,8 +297,8 @@ def run_batch(configs, workers: int | None = None) -> list[SimResult]:
     """Run independent configs; results follow input order regardless of scheduling.
 
     With ``workers`` the runs are dispatched to a thread pool. A run spends
-    most of its time in numpy calls (and, when numba is on, the nogil JIT
-    loop), which release the GIL, so the workers run in parallel.
+    most of its time in numpy calls, which release the GIL, so the workers
+    run in parallel.
     """
     configs = list(configs)
     if workers is None or workers <= 1:

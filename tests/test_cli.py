@@ -1,5 +1,6 @@
 """CLI: argument handling, output formats, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
@@ -7,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bcstab.cli as cli
 import bcstab.sim
@@ -242,9 +245,14 @@ class TestConfigAndErrors:
     ('{"horizon": 1000000000000000}', ["compare-boundary"], cli.EXIT_VALIDATION),
     (None, ["sweep", "--grid", "1000000000"], cli.EXIT_USAGE),
     (None, ["region", "--points", "1000000000"], cli.EXIT_USAGE),
+    (None, ["sweep", "--simulate", "--grid", "100", "--workers", "100000"], cli.EXIT_USAGE),
+    ('{"workers": 100000}', ["sweep", "--simulate", "--grid", "100"], cli.EXIT_USAGE),
+    (None, ["compare-boundary", "--angles", "abc"], cli.EXIT_USAGE),
+    (None, ["region", "--scheme", "generic", "--profile", "a,b,c,d"], cli.EXIT_USAGE),
 ], ids=["config-type", "config-json", "pathloss-overflow", "p-total-inf", "d1-inf",
         "gamma-db-overflow", "lambda-inf", "horizon-huge", "config-horizon-huge",
-        "grid-huge", "points-huge"])
+        "grid-huge", "points-huge", "workers-huge", "config-workers-huge",
+        "angles-not-numbers", "profile-not-numbers"])
 def test_bad_input_exits_with_documented_code(tmp_path, capsys, monkeypatch,
                                               config, argv, status):
     # every row must be rejected before grids or randomness are allocated
@@ -258,3 +266,74 @@ def test_bad_input_exits_with_documented_code(tmp_path, capsys, monkeypatch,
         path.write_text(config)
         argv = [*argv, "--config", str(path)]
     assert run_cli(capsys, *argv)[0] == status
+
+
+def assert_clean_cells(rows):
+    """Every numeric data cell is finite and no underflow stand-in (0 < |x| < 1e-200)."""
+    for row in rows:
+        for cell in row.values():
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            assert math.isfinite(value), row
+            assert not 0.0 < abs(value) < 1e-200, row
+
+
+@pytest.mark.parametrize("profile", ["0,0.8,0,0.5", "0.9,0,0,0"])
+def test_forced_zero_rate_prints_exact_zero(capsys, profile):
+    # a zero success probability forces a rate to exactly 0, not to 1e-300
+    status, out, _ = run_cli(capsys, "region", "--scheme", "generic",
+                             "--profile", profile, "--points", "3")
+    assert status == 0
+    assert_clean_cells(parse_csv(out)[1])
+
+
+# Values for the system flags: ordinary, zero, negative, huge, non-finite and
+# non-numeric. The ordinary ones are small enough that no legitimate success
+# probability falls below 1e-200.
+FLAG_VALUES = st.sampled_from(["0.5", "1", "2", "0", "-1", "1e308", "inf", "-inf", "nan", "abc"])
+SYSTEM_FLAGS = {
+    "--scheme": st.sampled_from(["generic", "ian", "sc"]),
+    "--power": st.sampled_from(["fixed", "adaptive"]),
+    **{flag: FLAG_VALUES for flag in ("--gamma1-db", "--gamma2-db", "--d1", "--d2",
+                                      "--alpha", "--p-total", "--p1", "--p2")},
+    "--profile": st.lists(st.sampled_from(["0", "0.3", "0.5", "0.8", "1", "-1", "2",
+                                           "nan", "inf", "x"]),
+                          min_size=1, max_size=5).map(",".join),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["region", "check", "sweep", "mc-verify"]))
+    argv = [command]
+    if command == "region":
+        argv += ["--points", str(draw(st.integers(-1, 10)))]
+    elif command == "check":
+        argv += ["--lambda1", draw(FLAG_VALUES), "--lambda2", draw(FLAG_VALUES)]
+    elif command == "sweep":
+        argv += ["--grid", str(draw(st.integers(-1, 5)))]
+    else:
+        argv += ["--draws", "10000"]
+    for flag in draw(st.lists(st.sampled_from(sorted(SYSTEM_FLAGS)), unique=True)):
+        argv += [flag, draw(SYSTEM_FLAGS[flag])]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=cli_argv())
+@example(argv=["region", "--points", "3", "--scheme", "generic", "--profile", "0,0.8,0,0.5"])
+def test_any_system_flags_exit_cleanly(argv):
+    """Any mix of system flag values ends in a documented exit code, without a
+    traceback, and a successful run prints only finite, non-artefact numbers."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = cli.main(argv)
+        except SystemExit as exc:  # argparse rejecting a flag value
+            status = exc.code
+    assert status in {0, 2, 3, 4, 5}
+    assert "Traceback" not in err.getvalue()
+    if status == 0:
+        assert_clean_cells(parse_csv(out.getvalue())[1])

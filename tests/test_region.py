@@ -294,6 +294,13 @@ class TestBoundaryScale:
         reg = b.region_general(SuccessProfile(0.0, 0.0, 0.0, 0.0))
         assert b.boundary_scale(reg, 30.0) == 0.0
 
+    def test_forced_zero_rate_has_zero_scale(self):
+        # p1_solo = 0 forces lambda1 to 0: every ray off the lambda2 axis has
+        # scale exactly 0, not the 1/_HUGE stand-in
+        reg = b.region_general(SuccessProfile(0.0, 0.8, 0.0, 0.5))
+        for angle in (0.0, 45.0, 89.0):
+            assert b.boundary_scale(reg, angle) == 0.0
+
 
 def bisect_boundary_scale(region, angle_deg):
     """Reference: bisect the inside/outside flip along the ray (the region is

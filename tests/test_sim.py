@@ -2,9 +2,6 @@
 
 import dataclasses
 import hashlib
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -46,10 +43,8 @@ KERNEL_LOADS = [(0.35, 0.3), (0.9, 0.9)]
 
 
 def kernel_run(fn, cfg):
-    """Slot-start trajectory of one kernel path on the config's randomness."""
-    qtraj = np.zeros((cfg.horizon + 1, 2), np.int64)
-    fn(*_kernel_inputs(cfg), qtraj)
-    return qtraj
+    """Per-queue slot-start trajectory of one kernel path on the config's randomness."""
+    return fn(*_kernel_inputs(cfg))[0]
 
 
 class TestStep:
@@ -105,13 +100,13 @@ class TestStep:
             state = (0, 0)
             attempts, successes, departures = np.zeros((3, 2), np.int64)
             for t in range(cfg.horizon):
-                assert state == tuple(qtraj[t])
+                assert state == tuple(qtraj[:, t])
                 state, ev = b.step(state, cfg, tuple(arr_u[t]), tuple(chan[t]))
                 departures += (ev.departure1, ev.departure2)
                 if t >= cfg.warmup:
                     attempts += (ev.attempt1, ev.attempt2)
                     successes += (ev.success1, ev.success2)
-            assert state == tuple(qtraj[cfg.horizon])
+            assert state == tuple(qtraj[:, cfg.horizon])
             assert np.array_equal(kernel_run(_kernels.simulate_slots, cfg), qtraj)
             r = b.run(cfg)
             assert r.departures_total == tuple(departures.tolist())
@@ -122,11 +117,9 @@ class TestStep:
 
 def vec_matches_loop(kernel_args):
     """Run the vectorised solver and the loop on the same inputs; return the solver's passes."""
-    horizon = kernel_args[0].shape[0]
-    ref = np.zeros((horizon + 1, 2), np.int64)
-    _kernels.simulate_slots_py(*kernel_args, ref)
-    qtraj = np.full((horizon + 1, 2), -1, np.int64)
-    passes = _kernels.simulate_slots_vec(*kernel_args, qtraj)
+    ref, _ = _kernels.simulate_slots_py(*kernel_args)
+    qtraj, passes = _kernels.simulate_slots(*kernel_args)
+    assert qtraj.shape == (2, kernel_args[0].shape[0] + 1)
     assert np.array_equal(qtraj, ref)
     return passes
 
@@ -166,40 +159,6 @@ class TestVectorisedSolver:
                 passes = vec_matches_loop(_kernel_inputs(cfg))
                 # coupled busy queues need a second pass to confirm the fixed point
                 assert passes == (None if mode == "none" else 1)
-
-
-@pytest.mark.skipif(not _kernels.USING_NUMBA, reason="numba path not active")
-class TestKernelPaths:
-    def test_jit_matches_python_bitwise(self):
-        for params in ALL_PARAMS:
-            for lam1, lam2 in KERNEL_LOADS:
-                for mode in ("none", "queue1", "queue2"):
-                    cfg = SimConfig(RatePoint(lam1, lam2), params, horizon=20_000, seed=13,
-                                    dominant_mode=mode)
-                    assert np.array_equal(kernel_run(_kernels.simulate_slots_jit, cfg),
-                                          kernel_run(_kernels.simulate_slots_py, cfg))
-
-    def test_env_flag_forces_python_path(self):
-        code = (
-            "from bcstab import _kernels\n"
-            "import bcstab as b\n"
-            "cfg = b.SimConfig(b.RatePoint(0.3, 0.2), "
-            "b.SystemParams(0.5, 0.5, 1, 1, 2, 2.0, 1.0, 1.0, 'ian', 'fixed'), "
-            "horizon=12000, seed=3)\n"
-            "r = b.run(cfg)\n"
-            "print(_kernels.USING_NUMBA, r.final_queue[0], r.final_queue[1], "
-            "r.arrivals_total[0], r.arrivals_total[1])\n"
-        )
-        env = dict(os.environ, BCSTAB_NO_NUMBA="1")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        flag, *numbers = out.stdout.split()
-        assert flag == "False"
-        cfg = SimConfig(RatePoint(0.3, 0.2),
-                        SystemParams(0.5, 0.5, 1, 1, 2, 2.0, 1.0, 1.0, "ian", "fixed"),
-                        horizon=12_000, seed=3)
-        r = b.run(cfg)
-        assert [int(n) for n in numbers] == [*r.final_queue, *r.arrivals_total]
 
 
 # sha256 of run()'s trajectory and SimResult fields at RatePoint(0.4, 0.35),
