@@ -3,22 +3,30 @@
 Usage:
     python benchmarks/bench_kernels.py [--horizon 200000] [--repeat 5]
 
+Runs from a checkout without installing: the checkout's ``src/`` is put
+first on the import path.
+
 Both recursion paths consume identical pre-drawn arrivals and success
 events and produce a bit-identical trajectory (checked here). Each config
-also splits one whole ``run()`` into three parts: the draw and the success
-events (``sim._kernel_inputs``), the recursion (the solver), and the
-statistics, which is everything else in ``run()`` (slope fits, verdicts,
-counts), taken as the run's median less the other two medians. The configs
-cover coupled queues inside the region and at 0.98x the analytic frontier,
-where the solver needs the most Picard passes, and both dominant modes.
+also splits one whole ``run()`` into four parts: the draw and the success
+events (``sim._kernel_inputs``), the recursion (the solver), the two drift
+slope fits (``sim._fit_slope`` on each queue's post-warmup trajectory), and
+the rest of the statistics (verdicts, counts), taken as the run's median
+less the other three medians. The configs cover coupled queues inside the
+region and at 0.98x the analytic frontier, where the solver needs the most
+Picard passes, and both dominant modes.
 """
 
 import argparse
 import math
 import statistics
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bcstab import (
     RatePoint,
@@ -30,7 +38,7 @@ from bcstab import (
     run,
 )
 from bcstab import _kernels
-from bcstab.sim import _kernel_inputs
+from bcstab.sim import _fit_slope, _kernel_inputs
 
 
 def median_time(fn, args, repeat):
@@ -71,15 +79,19 @@ def main():
 
     print(f"{args.horizon} slots, median of {args.repeat}, milliseconds")
     print(f"{'config':<24}{'loop':>9}{'solver':>9}{'passes':>8}"
-          f"{'run':>9}{'inputs':>9}{'stats':>9}  identical")
+          f"{'run':>9}{'inputs':>9}{'fit':>9}{'rest':>9}  identical")
     for name, cfg in configs(args.horizon):
         t_inputs, kernel_args = median_time(_kernel_inputs, (cfg,), args.repeat)
         t_loop, (q_loop, _) = median_time(_kernels.simulate_slots_py, kernel_args, args.repeat)
         t_solve, (q, passes) = median_time(_kernels.simulate_slots, kernel_args, args.repeat)
+        post = q[:, cfg.warmup:cfg.horizon]
+        t_fit, _ = median_time(lambda: (_fit_slope(post[0]), _fit_slope(post[1])), (),
+                               args.repeat)
         t_run, _ = median_time(run, (cfg,), args.repeat)
+        t_rest = t_run - t_inputs - t_solve - t_fit
         passes = "loop" if passes is None else passes
         print(f"{name:<24}{t_loop * 1e3:>9.2f}{t_solve * 1e3:>9.2f}{passes:>8}"
-              f"{t_run * 1e3:>9.2f}{t_inputs * 1e3:>9.2f}{(t_run - t_inputs - t_solve) * 1e3:>9.2f}"
+              f"{t_run * 1e3:>9.2f}{t_inputs * 1e3:>9.2f}{t_fit * 1e3:>9.2f}{t_rest * 1e3:>9.2f}"
               f"  {np.array_equal(q, q_loop)}")
 
 

@@ -63,6 +63,10 @@ class PowerScheme(str, Enum):
 # Cross-field slack for validating p_both <= p_solo on supplied profiles.
 _PROFILE_TOL = 1e-12
 
+# Upper bound on any float64 unit-mean exponential draw: -ln of the smallest
+# positive double is about 744.4.
+_MAX_GAIN = 745.0
+
 
 @dataclass(frozen=True)
 class SuccessProfile:
@@ -143,6 +147,16 @@ class SystemParams:
             raise InvalidParameterError(
                 f"p1 + p2 = {self.p1 + self.p2!r} does not match p_total={self.p_total!r}"
             )
+        # Every product success_events forms, at the largest possible gain,
+        # must be finite: an overflow to inf would make inf >= inf succeed.
+        power = max(self.p1, self.p2, self.p_total, 1.0)
+        gamma = max(self.gamma1, self.gamma2)
+        for name in ("d1", "d2"):
+            gain = _MAX_GAIN * getattr(self, name) ** -self.alpha
+            if not math.isfinite(gamma * (1.0 + power * gain)):
+                raise InvalidParameterError(
+                    f"threshold times received power over {name} overflows at the largest gain"
+                )
         if self.decoding is Decoding.GENERIC:
             if self.generic_profile is None:
                 raise InvalidParameterError("generic decoding requires generic_profile")

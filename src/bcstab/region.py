@@ -250,15 +250,16 @@ def _lambda1_extent(part: SubRegion) -> float:
 def trace_boundary(region: StabilityRegion, n_points: int) -> list[RatePoint]:
     """Sample the Pareto frontier of the region.
 
-    ``n_points`` lambda1 values are taken uniformly on ``[0, lambda1_max]``;
-    the saturation corner is always included exactly, and a closing point on
-    the lambda1 axis is appended so the outline can be drawn directly. For
-    each lambda1 the reported lambda2 is the supremum over both parts.
+    ``n_points`` lambda1 values are taken uniformly on ``[0, lambda1_max]``
+    (just 0 when no part lets lambda1 be positive); the saturation corner is
+    always included exactly, and a closing point on the lambda1 axis is
+    appended so the outline can be drawn directly. For each lambda1 the
+    reported lambda2 is the supremum over both parts.
     """
     if n_points < 2:
         raise InvalidParameterError("n_points must be >= 2")
     lam1_max = max(_lambda1_extent(p) for p in region.parts)
-    samples = list(np.linspace(0.0, lam1_max, n_points))
+    samples = list(np.linspace(0.0, lam1_max, n_points)) if lam1_max > 0.0 else [0.0]
     corner = region.profile.p1_both
     if len(region.parts) == 2 and 0.0 < corner < lam1_max:
         if all(abs(corner - s) > 1e-12 for s in samples):

@@ -19,6 +19,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,6 +54,10 @@ MAX_HORIZON = 10_000_000
 # Verdicts need enough slots for the drift fit to mean anything.
 _MIN_CLASSIFY_HORIZON = 10_000
 
+# Longest fit window whose least-squares design (16 bytes per point) is kept
+# for reuse: at most 16 MB per cached design, two designs cached.
+_MAX_CACHED_FIT = 1_000_000
+
 
 class EstimationFailureError(RuntimeError):
     """The empirical boundary search could not bracket the frontier."""
@@ -75,8 +80,9 @@ class SimConfig:
     """One reproducible simulation run.
 
     ``warmup`` slots are discarded from all statistics (defaults to a tenth
-    of the horizon); ``horizon`` lies in ``[10, MAX_HORIZON]``. Arrivals are
-    independent Bernoulli per queue per slot, so rates must not exceed 1.
+    of the horizon) and must leave at least two slots for the drift fit;
+    ``horizon`` lies in ``[10, MAX_HORIZON]``. Arrivals are independent
+    Bernoulli per queue per slot, so rates must not exceed 1.
     """
 
     arrivals: RatePoint
@@ -94,8 +100,7 @@ class SimConfig:
             raise InvalidParameterError(f"horizon must lie in [10, {MAX_HORIZON}] slots")
         if self.warmup is None:
             object.__setattr__(self, "warmup", self.horizon // 10)
-        if not 0 <= self.warmup < self.horizon:
-            raise InvalidParameterError("warmup must satisfy 0 <= warmup < horizon")
+        _check_fit_window(self.warmup, self.horizon)
 
 
 @dataclass(frozen=True)
@@ -196,9 +201,37 @@ def _kernel_inputs(config: SimConfig) -> tuple:
     return (arrivals, *success_events(config.params, chan[:, 0], chan[:, 1]), *_forced(config))
 
 
+def _check_fit_window(warmup: int, horizon: int) -> None:
+    if not 0 <= warmup <= horizon - 2:
+        raise InvalidParameterError(
+            "warmup must satisfy 0 <= warmup <= horizon - 2 (the drift fit needs two slots)"
+        )
+
+
+def _build_slope_design(n: int) -> tuple[np.ndarray, float, float]:
+    """np.polyfit's degree-1 least-squares setup for x = 0..n-1, built its way.
+
+    Returns the column-scaled Vandermonde matrix (read-only), the slope
+    column's scale and the default ``rcond``. Each step is the one polyfit
+    takes, in the same order, so the solve below gives its bits.
+    """
+    lhs = np.vander(np.arange(n, dtype=np.float64), 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    lhs.flags.writeable = False
+    return lhs, float(scale[0]), n * np.finfo(np.float64).eps
+
+
+_cached_slope_design = lru_cache(maxsize=2)(_build_slope_design)
+
+
 def _fit_slope(series: np.ndarray) -> float:
-    x = np.arange(series.shape[0], dtype=np.float64)
-    return float(np.polyfit(x, series.astype(np.float64), 1)[0])
+    """Least-squares drift slope of ``series`` over its index, bit-identical to
+    ``np.polyfit(np.arange(n), series, 1)[0]``; needs at least two points."""
+    n = series.shape[0]
+    design = _cached_slope_design if n <= _MAX_CACHED_FIT else _build_slope_design
+    lhs, scale, rcond = design(n)
+    return float(np.linalg.lstsq(lhs, series.astype(np.float64), rcond)[0][0] / scale)
 
 
 def classify_stability(
@@ -217,8 +250,7 @@ def classify_stability(
         raise InvalidParameterError(
             f"classification needs a horizon of at least {_MIN_CLASSIFY_HORIZON} slots"
         )
-    if not 0 <= warmup < horizon:
-        raise InvalidParameterError("warmup must satisfy 0 <= warmup < horizon")
+    _check_fit_window(warmup, horizon)
     return _verdict(traj, warmup, _fit_slope(traj[warmup:horizon]), slope_threshold)
 
 

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bcstab as b
@@ -15,6 +15,7 @@ from bcstab import (
     SuccessProfile,
     SystemParams,
 )
+from bcstab.channel import _MAX_GAIN
 
 EXP_HALF = 0.6065306597126334  # exp(-0.5)
 EXP_QUARTER = 0.7788007830714049  # exp(-0.25)
@@ -245,6 +246,45 @@ class TestValidation:
     def test_sc_with_farther_strong_receiver_warns(self):
         with pytest.warns(UserWarning, match="stronger receiver"):
             SystemParams(0.5, 0.5, 2.0, 1.0, 2, 2.0, 1.0, 1.0, "sc", "fixed")
+
+    def test_power_overflowing_at_largest_gain_rejected(self):
+        # a product that overflows to inf in success_events would make
+        # inf >= inf count as a decoding success
+        gamma = 10 ** 0.2
+        with pytest.raises(InvalidParameterError, match="largest gain"):
+            SystemParams(gamma, gamma, 1, 1, 2, 1e308, 5e307, 5e307, "ian", "fixed")
+        with pytest.raises(InvalidParameterError, match="largest gain"):
+            SystemParams(0.5, 0.5, 1e-153, 1, 2, 2.0, 1.0, 1.0, "ian", "fixed")
+        with pytest.raises(InvalidParameterError, match="largest gain"):
+            SystemParams(1e10, 0.5, 1, 1, 2, 3e295, 1.5e295, 1.5e295, "sc", "fixed")
+        SystemParams(1e10, 0.5, 1, 1, 2, 2e295, 1e295, 1e295, "sc", "fixed")
+
+    @settings(deadline=None)
+    @given(decoding=st.sampled_from(["ian", "sc"]),
+           power=st.sampled_from(["fixed", "adaptive"]),
+           log_gammas=st.tuples(st.floats(-300, 300), st.floats(-300, 300)),
+           log_dists=st.tuples(st.floats(-150, 150), st.floats(-150, 150)),
+           alpha=st.floats(0.01, 10.0), log_p_total=st.floats(-300, 308),
+           split=st.floats(0.0, 1.0))
+    @example(decoding="sc", power="fixed", log_gammas=(10.0, 10.0), log_dists=(0.0, 0.0),
+             alpha=2.0, log_p_total=math.log10(2e295), split=0.5)
+    def test_accepted_params_never_overflow(self, decoding, power, log_gammas, log_dists,
+                                            alpha, log_p_total, split):
+        """Accepted parameters keep every success_events product finite up to the
+        largest exponential draw."""
+        p_total = 10.0 ** log_p_total
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # sc with d1 > d2 is only advisory
+                params = SystemParams(*(10.0 ** g for g in log_gammas),
+                                      *(10.0 ** d for d in log_dists), alpha, p_total,
+                                      split * p_total, (1.0 - split) * p_total,
+                                      decoding, power)
+        except InvalidParameterError:
+            return
+        gains = np.array([0.0, 1e-300, 1.0, 744.4, _MAX_GAIN])
+        with np.errstate(over="raise", invalid="raise"):
+            b.success_events(params, gains, gains[::-1])
 
     def test_inconsistent_profile_rejected(self):
         with pytest.raises(InvalidProfileError):

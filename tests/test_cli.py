@@ -249,11 +249,16 @@ class TestConfigAndErrors:
     ('{"workers": 100000}', ["sweep", "--simulate", "--grid", "100"], cli.EXIT_USAGE),
     (None, ["compare-boundary", "--angles", "abc"], cli.EXIT_USAGE),
     (None, ["region", "--scheme", "generic", "--profile", "a,b,c,d"], cli.EXIT_USAGE),
+    (None, ["simulate", "--lambda1", "0.1", "--lambda2", "0.1",
+            "--horizon", "10", "--warmup", "9"], cli.EXIT_VALIDATION),
+    (None, ["mc-verify", "--draws", "100000", "--p-total", "1e308", "--gamma1-db", "2",
+            "--gamma2-db", "2", "--scheme", "ian"], cli.EXIT_VALIDATION),
 ], ids=["config-type", "config-json", "pathloss-overflow", "p-total-inf", "d1-inf",
         "gamma-db-overflow", "lambda-inf", "horizon-huge", "config-horizon-huge",
         "grid-huge", "points-huge", "workers-huge", "config-workers-huge",
-        "angles-not-numbers", "profile-not-numbers"])
-def test_bad_input_exits_with_documented_code(tmp_path, capsys, monkeypatch,
+        "angles-not-numbers", "profile-not-numbers", "warmup-leaves-one-slot",
+        "power-overflows-at-largest-gain"])
+def test_bad_input_exits_with_documented_code(tmp_path, capfd, monkeypatch,
                                               config, argv, status):
     # every row must be rejected before grids or randomness are allocated
     def unreachable(*args, **kwargs):
@@ -265,7 +270,10 @@ def test_bad_input_exits_with_documented_code(tmp_path, capsys, monkeypatch,
         path = tmp_path / "run.json"
         path.write_text(config)
         argv = [*argv, "--config", str(path)]
-    assert run_cli(capsys, *argv)[0] == status
+    # capfd also sees what native code (LAPACK) writes to the file descriptors
+    code, out, err = run_cli(capfd, *argv)
+    assert code == status
+    assert not any(text in out + err for text in ("DLASCL", "SVD", "Warning", "Traceback"))
 
 
 def assert_clean_cells(rows):

@@ -187,6 +187,20 @@ class TestTraceBoundary:
         with pytest.raises(InvalidParameterError):
             b.trace_boundary(b.region_general(RECT), 1)
 
+    @pytest.mark.parametrize("n_points", [2, 3, 10])
+    def test_no_repeated_rows(self, n_points):
+        rng = np.random.default_rng(59)
+        profiles = [SuccessProfile(0.0, 0.8, 0.0, 0.5), SuccessProfile(0.0, 0.0, 0.0, 0.0),
+                    SuccessProfile(0.9, 0.0, 0.0, 0.0), SuccessProfile(0.6, 0.5, 0.0, 0.0),
+                    GENERAL, RECT, *(random_profile(rng, floor=0.0) for _ in range(20))]
+        for prof in profiles:
+            pts = b.trace_boundary(b.region_general(prof), n_points)
+            assert all(p != q for p, q in zip(pts, pts[1:])), (prof, pts)
+
+    def test_lambda2_axis_region_is_one_segment(self):
+        pts = b.trace_boundary(b.region_general(SuccessProfile(0.0, 0.8, 0.0, 0.5)), 3)
+        assert pts == [RatePoint(0.0, 0.8), RatePoint(0.0, 0.0)]
+
 
 class TestDominantServiceRates:
     def test_hand_worked_first_system(self):

@@ -19,8 +19,8 @@ from bcstab import (
     SystemParams,
     Verdict,
 )
-from bcstab import _kernels
-from bcstab.sim import _draw_randomness, _kernel_inputs
+from bcstab import _kernels, sim
+from bcstab.sim import _draw_randomness, _fit_slope, _kernel_inputs
 
 GENERAL_PROFILE = SuccessProfile(0.9, 0.8, 0.3, 0.5)
 
@@ -272,6 +272,72 @@ class TestRunStatistics:
             SimConfig(RatePoint(1.2, 0.0), ALL_PARAMS[0])
         with pytest.raises(InvalidParameterError):
             SimConfig(RatePoint(0.1, 0.1), ALL_PARAMS[0], horizon=1000, warmup=1000)
+
+
+def polyfit_slope(series):
+    """The reference drift slope: numpy's own degree-1 fit over the slot index."""
+    return float(np.polyfit(np.arange(series.shape[0]), series, 1)[0])
+
+
+def integer_series(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "zeros":
+        return np.zeros(n, dtype=np.int32)
+    if kind == "constant":
+        return np.full(n, rng.integers(1, 10**6), dtype=np.int32)
+    if kind == "increasing":
+        return np.cumsum(rng.integers(0, 3, n), dtype=np.int32)
+    if kind == "decreasing":
+        return np.cumsum(rng.integers(0, 3, n), dtype=np.int32)[::-1].copy()
+    if kind == "queue":  # a reflected walk like a queue trajectory
+        walk = np.cumsum(rng.integers(-1, 2, n)).astype(np.int32)
+        return walk - np.minimum.accumulate(np.minimum(walk, 0))
+    return rng.integers(-(2**31), 2**31 - 1, n, dtype=np.int64)
+
+
+SERIES_KINDS = ["zeros", "constant", "increasing", "decreasing", "queue", "any"]
+
+
+class TestFitSlope:
+    @settings(deadline=None, max_examples=60)
+    @given(kind=st.sampled_from(SERIES_KINDS), n=st.integers(2, 50_000) | st.integers(2, 50),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_polyfit_bit_for_bit(self, kind, n, seed):
+        series = integer_series(kind, n, seed)
+        slope = _fit_slope(series)
+        assert slope == polyfit_slope(series)
+        assert repr(slope) == repr(polyfit_slope(series))
+
+    @pytest.mark.parametrize("n", [18_000, 36_000, 90_000, sim._MAX_CACHED_FIT + 1])
+    def test_matches_polyfit_at_run_lengths(self, n):
+        """The post-warmup lengths of 20k, 40k and 100k-slot runs, and one
+        fit too long for its design to be cached."""
+        for kind in ("zeros", "increasing", "queue"):
+            series = integer_series(kind, n, n)
+            assert repr(_fit_slope(series)) == repr(polyfit_slope(series))
+
+    def test_design_is_cached_read_only_and_bounded(self):
+        sim._cached_slope_design.cache_clear()
+        _fit_slope(np.arange(1000))
+        lhs, _, _ = sim._cached_slope_design(1000)
+        assert sim._cached_slope_design.cache_info().hits == 1
+        assert not lhs.flags.writeable
+        with pytest.raises(ValueError):
+            lhs[0, 0] = 1.0
+        # a design above the cap is built per call and never cached
+        _fit_slope(np.zeros(sim._MAX_CACHED_FIT + 1, dtype=np.int32))
+        assert sim._cached_slope_design.cache_info().currsize == 1
+        _fit_slope(np.zeros(sim._MAX_CACHED_FIT, dtype=np.int32))
+        info = sim._cached_slope_design.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+        assert info.maxsize * sim._MAX_CACHED_FIT * 16 <= 32 * 2**20
+
+    def test_warmup_leaves_two_slots(self):
+        SimConfig(RatePoint(0.1, 0.1), ALL_PARAMS[0], horizon=10, warmup=8)
+        with pytest.raises(InvalidParameterError, match="two slots"):
+            SimConfig(RatePoint(0.1, 0.1), ALL_PARAMS[0], horizon=10, warmup=9)
+        with pytest.raises(InvalidParameterError, match="two slots"):
+            b.classify_stability(np.zeros(20_001), warmup=19_999)
 
 
 class TestClassify:
