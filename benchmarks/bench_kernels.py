@@ -1,4 +1,4 @@
-"""Time the queue recursion (slot loop and solver) and split one run() into its layers.
+"""Time the reference slot loop and split one run() into its layers.
 
 Usage:
     python benchmarks/bench_kernels.py [--horizon 200000] [--repeat 5]
@@ -6,15 +6,19 @@ Usage:
 Runs from a checkout without installing: the checkout's ``src/`` is put
 first on the import path.
 
-Both recursion paths consume identical pre-drawn arrivals and success
-events and produce a bit-identical trajectory (checked here). Each config
-also splits one whole ``run()`` into four parts: the draw and the success
-events (``sim._kernel_inputs``), the recursion (the solver), the two drift
-slope fits (``sim._fit_slope`` on each queue's post-warmup trajectory), and
-the rest of the statistics (verdicts, counts), taken as the run's median
-less the other three medians. The configs cover coupled queues inside the
-region and at 0.98x the analytic frontier, where the solver needs the most
-Picard passes, and both dominant modes.
+The slot loop and the solver consume identical pre-drawn arrivals and
+success events and produce a bit-identical trajectory (checked here, with
+the solver's Picard pass count). Each config also splits one whole
+``run()`` into four parts, each timed directly, one after the other in the
+same iteration, so none can read negative: the draw and the success events
+(``sim._kernel_inputs``), the recursion (the solver), the two drift slope
+fits (``sim._fit_slope`` on each queue's post-warmup trajectory), and the
+rest of the statistics (``sim._summarise``: counts, rates, verdicts).
+``run`` is the median of the per-iteration sums of the four. ``verdicts``
+times what a boundary-search probe does after the solve in place of the
+fits and the rest: ``classify_stability`` on both queues. The configs cover
+coupled queues inside the region and at 0.98x the analytic frontier, where
+the solver needs the most Picard passes, and both dominant modes.
 """
 
 import argparse
@@ -34,11 +38,11 @@ from bcstab import (
     SuccessProfile,
     SystemParams,
     boundary_scale,
+    classify_stability,
     region_for_params,
-    run,
 )
 from bcstab import _kernels
-from bcstab.sim import _fit_slope, _kernel_inputs
+from bcstab.sim import _fit_slope, _kernel_inputs, _summarise
 
 
 def median_time(fn, args, repeat):
@@ -49,6 +53,22 @@ def median_time(fn, args, repeat):
         out = fn(*args)
         times.append(time.perf_counter() - t0)
     return statistics.median(times), out
+
+
+def timed(fn, *args):
+    t0 = time.perf_counter()
+    out = fn(*args)
+    return time.perf_counter() - t0, out
+
+
+def split_run(cfg):
+    """One run() made phase by phase, each phase timed; returns the times in seconds."""
+    t_inputs, inputs = timed(_kernel_inputs, cfg)
+    t_solve, (q, _) = timed(_kernels.simulate_slots, *inputs)
+    t_fit, slopes = timed(lambda: [_fit_slope(row[cfg.warmup:cfg.horizon]) for row in q])
+    t_rest, _ = timed(_summarise, cfg, inputs, q, slopes)
+    t_verdicts, _ = timed(lambda: [classify_stability(row, cfg.warmup) for row in q])
+    return t_inputs, t_solve, t_fit, t_rest, t_verdicts
 
 
 PARAMS = SystemParams(0.5, 0.5, 1, 1, 2, 2.0, 0.5, 1.5, "sc", "fixed")
@@ -78,21 +98,19 @@ def main():
     args = ap.parse_args()
 
     print(f"{args.horizon} slots, median of {args.repeat}, milliseconds")
-    print(f"{'config':<24}{'loop':>9}{'solver':>9}{'passes':>8}"
-          f"{'run':>9}{'inputs':>9}{'fit':>9}{'rest':>9}  identical")
+    print(f"{'config':<24}{'loop':>9}{'passes':>8}{'run':>9}{'inputs':>9}{'solve':>9}"
+          f"{'fit':>9}{'rest':>9}{'verdicts':>10}  identical")
     for name, cfg in configs(args.horizon):
-        t_inputs, kernel_args = median_time(_kernel_inputs, (cfg,), args.repeat)
+        kernel_args = _kernel_inputs(cfg)
         t_loop, (q_loop, _) = median_time(_kernels.simulate_slots_py, kernel_args, args.repeat)
-        t_solve, (q, passes) = median_time(_kernels.simulate_slots, kernel_args, args.repeat)
-        post = q[:, cfg.warmup:cfg.horizon]
-        t_fit, _ = median_time(lambda: (_fit_slope(post[0]), _fit_slope(post[1])), (),
-                               args.repeat)
-        t_run, _ = median_time(run, (cfg,), args.repeat)
-        t_rest = t_run - t_inputs - t_solve - t_fit
+        q, passes = _kernels.simulate_slots(*kernel_args)
+        splits = [split_run(cfg) for _ in range(args.repeat)]
+        t_run = statistics.median(sum(split[:4]) for split in splits)
+        parts = [statistics.median(column) for column in zip(*splits)]
         passes = "loop" if passes is None else passes
-        print(f"{name:<24}{t_loop * 1e3:>9.2f}{t_solve * 1e3:>9.2f}{passes:>8}"
-              f"{t_run * 1e3:>9.2f}{t_inputs * 1e3:>9.2f}{t_fit * 1e3:>9.2f}{t_rest * 1e3:>9.2f}"
-              f"  {np.array_equal(q, q_loop)}")
+        print(f"{name:<24}{t_loop * 1e3:>9.2f}{passes:>8}{t_run * 1e3:>9.2f}"
+              + "".join(f"{t * 1e3:>9.2f}" for t in parts[:4]) + f"{parts[4] * 1e3:>10.2f}"
+              + f"  {np.array_equal(q, q_loop)}")
 
 
 if __name__ == "__main__":

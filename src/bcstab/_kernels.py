@@ -17,13 +17,17 @@ it is integer arithmetic, so the result is exact. A queue's service column
 depends on the other queue only through whether it is transmitting. In a
 dominant mode the forced queue always transmits, so the other queue's
 service is known and two Lindley solves give the trajectory.
-Coupled queues are solved by Picard iteration: assume queue 2 never busy,
+Coupled queues are solved by Picard iteration: assume queue 2 always busy,
 solve queue 1, solve queue 2 from queue 1's busy column, and repeat until
 queue 2's busy column stops changing. The pair is then a fixed point of the
 joint recursion, and because slot ``t + 1`` depends only on slots up to
 ``t`` that fixed point is unique, so it is the trajectory; each pass also
-fixes at least one more slot, so the iteration converges. A pass cap hands
-pathological inputs to the reference loop.
+fixes at least one more slot from any start, so the iteration converges and
+the start changes only the pass count. The all-busy start is the cheap one:
+a shared-slot success implies the solo one, so the passes descend
+monotonically from it, and next to the frontier, where passes cost, queue 2
+is busy in most slots. A pass cap hands pathological inputs to the
+reference loop.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from __future__ import annotations
 import numpy as np
 
 # Picard passes before the coupled solve gives up and runs the slot loop;
-# near-frontier runs of 200k slots take up to about 17.
+# near-frontier runs of 200k slots take up to about 17, and up to 35 for the
+# strongly coupled generic profile 0.9,0.9,0.05,0.05.
 _MAX_PASSES = 64
 
 
@@ -105,7 +110,7 @@ def simulate_slots(arrivals, solo1, solo2, both1, both2, force1, force2):
         _lindley(a1, both1, q1)
         _lindley(a2, solo2 ^ ((q1[:-1] > 0) & flip2), q2)
     else:
-        busy2 = np.zeros(arrivals.shape[0], dtype=bool)
+        busy2 = np.ones(arrivals.shape[0], dtype=bool)
         for passes in range(1, _MAX_PASSES + 1):
             _lindley(a1, solo1 ^ (busy2 & flip1), q1)
             _lindley(a2, solo2 ^ ((q1[:-1] > 0) & flip2), q2)

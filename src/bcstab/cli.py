@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -187,6 +188,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("mc-verify", parents=[common],
                    help="closed-form probabilities vs fading Monte Carlo")
     return parser
+
+
+# parse_args leaves the parser untouched, so one process builds it once: a
+# build costs several times a parse.
+_cached_parser = lru_cache(maxsize=1)(build_parser)
 
 
 def resolve_spec(args: argparse.Namespace) -> dict:
@@ -484,8 +490,7 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _cached_parser().parse_args(argv)
     try:
         spec = resolve_spec(args)
         rows, meta, status = _HANDLERS[args.command](spec)

@@ -136,6 +136,15 @@ class TestLayeredDecoding:
         with pytest.raises(InvalidParameterError):
             b.layered_decode_success(0.0, 0.5, 1.0, 2.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("power_scheme", ["fixed", "adaptive"])
+    def test_zero_own_power_never_succeeds(self, power_scheme):
+        # a zero per-queue power is legal, as under IAN, not a parameter error
+        assert b.layered_decode_success(0.5, 0.5, 1.0, 2.0, 0.0, 2.0) == 0.0
+        prof = b.build_profile(sc_params(0.0, 2.0, power_scheme=power_scheme))
+        assert prof.p1_both == 0.0
+        assert prof.p1_solo == (EXP_QUARTER if power_scheme == "adaptive" else 0.0)
+        assert prof.p2_both == prof.p2_solo == pytest.approx(EXP_QUARTER, abs=1e-12)
+
     def test_branches_agree_at_regime_crossover(self):
         """The two closed-form branches are continuous at the power split
         where the binding sub-event changes."""
@@ -175,6 +184,14 @@ class TestAdaptiveSolo:
         params = sc_params(0.5, 1.5, power_scheme="adaptive")
         assert b.adaptive_solo_success(params, 1) == b.solo_success(params, 1, params.p_total)
 
+    def test_never_below_shared_power_within_split_slack(self):
+        # p1 + p2 may exceed the budget by 1e-12 of it; a lone queue then
+        # transmits at its shared power, as build_profile and success_events do
+        params = ian_params(0.0, 1.0, p_total=1.0 - 3e-14, power_scheme="adaptive")
+        assert params.solo_power(2) == 1.0
+        assert b.adaptive_solo_success(params, 2) == b.build_profile(params).p2_solo
+        assert b.build_profile(params).p2_both == b.build_profile(params).p2_solo
+
 
 class TestBuildProfile:
     def test_fixed_ian_symmetric(self):
@@ -213,6 +230,75 @@ class TestBuildProfile:
             prof = b.build_profile(random_params(rng))
             assert prof.p1_both <= prof.p1_solo + 1e-12
             assert prof.p2_both <= prof.p2_solo + 1e-12
+
+
+def threshold_gains(params):
+    """Each user's gains at which a shared or solo success flips, with their
+    neighbouring floats, plus the extreme gains."""
+    gains = [0.0, 1.0, _MAX_GAIN]
+    users = ((params.gamma1, params.d1, params.p1), (params.gamma2, params.d2, params.p2))
+    for user, (gamma, dist, shared) in enumerate(users, start=1):
+        for power in (shared, params.solo_power(user)):
+            if power > 0.0:
+                gain = gamma * dist**params.alpha / power
+                if gain <= _MAX_GAIN:
+                    gains += [np.nextafter(gain, 0.0), gain, np.nextafter(gain, np.inf)]
+    return np.array(gains)
+
+
+class TestSharedImpliesSolo:
+    """On every draw a shared-slot success implies the solo success: the
+    monotone coupling that the queue solver's all-busy start and the
+    dominant-system bounds rest on."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(decoding=st.sampled_from(["ian", "sc"]),
+           power=st.sampled_from(["fixed", "adaptive"]),
+           log_gammas=st.tuples(st.floats(-30, 30), st.floats(-30, 30)),
+           log_dists=st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
+           alpha=st.floats(0.5, 6.0), powers=st.tuples(st.floats(0, 1e6), st.floats(0, 1e6)),
+           budget_error=st.sampled_from([0.0, 1e-12, -1e-12]) | st.floats(-1e-12, 1e-12),
+           seed=st.integers(0, 2**32 - 1))
+    @example(decoding="ian", power="adaptive", log_gammas=(0.0, 0.0), log_dists=(0.0, 0.0),
+             alpha=1.0, powers=(0.0, 1.0), budget_error=-3e-14, seed=0)
+    def test_physical_schemes(self, decoding, power, log_gammas, log_dists, alpha, powers,
+                              budget_error, seed):
+        p1, p2 = powers
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # sc with d1 > d2 is only advisory
+                params = SystemParams(*(10.0 ** g for g in log_gammas),
+                                      *(10.0 ** d for d in log_dists), alpha,
+                                      (p1 + p2) * (1.0 + budget_error), p1, p2, decoding, power)
+        except InvalidParameterError:
+            return
+        gains = np.concatenate([threshold_gains(params),
+                                np.random.default_rng(seed).standard_exponential(40)])
+        g1, g2 = (grid.ravel() for grid in np.meshgrid(gains, gains))
+        solo1, solo2, both1, both2 = b.success_events(params, g1, g2)
+        assert not np.any(both1 & ~solo1)
+        assert not np.any(both2 & ~solo2)
+
+    @settings(deadline=None, max_examples=200)
+    @given(solo=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+           excess=st.tuples(st.floats(-1.0, 1e-12), st.floats(-1.0, 1e-12)),
+           seed=st.integers(0, 2**32 - 1))
+    @example(solo=(0.5, 0.5), excess=(1e-12, 1e-12), seed=0)
+    def test_generic_profiles(self, solo, excess, seed):
+        # a profile may put p_both up to the validation slack above p_solo
+        both = [min(1.0, max(0.0, s + e)) for s, e in zip(solo, excess)]
+        try:
+            prof = SuccessProfile(*solo, *both)
+        except InvalidProfileError:
+            return
+        params = SystemParams(0.5, 0.5, 1, 1, 2, 2.0, 1.0, 1.0, "generic", "fixed",
+                              generic_profile=prof)
+        edges = [x for p in (*solo, *both) for x in (np.nextafter(p, -1.0), p)]
+        draws = np.concatenate([edges, np.random.default_rng(seed).random(40)])
+        c1, c2 = (grid.ravel() for grid in np.meshgrid(draws, draws))
+        solo1, solo2, both1, both2 = b.success_events(params, c1, c2)
+        assert not np.any(both1 & ~solo1)
+        assert not np.any(both2 & ~solo2)
 
 
 class TestValidation:

@@ -276,6 +276,39 @@ def test_bad_input_exits_with_documented_code(tmp_path, capfd, monkeypatch,
     assert not any(text in out + err for text in ("DLASCL", "SVD", "Warning", "Traceback"))
 
 
+@pytest.mark.parametrize("argv", [
+    ["region", "--points", "3"],
+    ["mc-verify", "--draws", "100000"],
+    ["mc-verify", "--draws", "100000", "--power", "adaptive"],
+], ids=["region", "mc-verify", "mc-verify-adaptive"])
+@pytest.mark.parametrize("split", [["--p1", "0", "--p2", "2"], ["--p1", "2", "--p2", "0"]],
+                         ids=["p1-zero", "p2-zero"])
+def test_zero_power_split_exits_cleanly(capfd, argv, split):
+    # a zero per-queue power is legal under successive decoding, as under IAN
+    code, out, err = run_cli(capfd, *argv, "--scheme", "sc", "--p-total", "2", *split)
+    assert code == cli.EXIT_OK, err
+    meta, rows = parse_csv(out)
+    assert_clean_cells(rows)
+    zero_user = 1 if split[1] == "0" else 2
+    assert meta["profile"][f"p{zero_user}_both"] == 0.0
+
+
+def test_main_keeps_no_state_between_calls(capsys):
+    """The parser is built once per process; no flag of one call reaches the next."""
+    check = ["check", "--lambda1", "0.2", "--lambda2", "0.1"]
+    _, alone, _ = run_cli(capsys, *check)
+    status, _, _ = run_cli(capsys, "simulate", "--lambda1", "0.1", "--lambda2", "0.1",
+                           "--horizon", "10000", "--seed", "3", "--dominant", "queue1",
+                           "--format", "json", *RECT)
+    assert status == cli.EXIT_OK
+    _, again, _ = run_cli(capsys, *check)
+    assert again == alone
+    meta, _ = parse_csv(again)
+    assert (meta["scheme"], meta["seed"], meta["dominant"], meta["format"]) == (
+        "ian", 1, "none", "csv")
+    assert cli._cached_parser.cache_info().currsize == 1
+
+
 def assert_clean_cells(rows):
     """Every numeric data cell is finite and no underflow stand-in (0 < |x| < 1e-200)."""
     for row in rows:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -148,6 +149,17 @@ class TestVectorisedSolver:
                                   factor * bscale * np.sin(np.radians(angle)))
                 cfg = SimConfig(point, params, horizon=20_000, seed=29)
                 assert vec_matches_loop(_kernel_inputs(cfg)) is not None
+
+    def test_converges_next_to_a_strongly_coupled_frontier(self):
+        """Started from the all-busy column, the coupled solve converges in a
+        few passes where a start from the empty column took 61 (seed 1) or hit
+        the cap."""
+        params = generic_params(SuccessProfile(0.9, 0.9, 0.05, 0.05))
+        scale = 0.98 * b.boundary_scale(b.region_for_params(params), 45.0)
+        point = RatePoint(scale * np.cos(np.radians(45.0)), scale * np.sin(np.radians(45.0)))
+        cfg = SimConfig(point, params, horizon=200_000, seed=1)
+        passes = vec_matches_loop(_kernel_inputs(cfg))
+        assert passes is not None and passes <= 32
 
     @pytest.mark.parametrize("mode", ["none", "queue1", "queue2"])
     def test_pass_cap_falls_back_to_loop(self, monkeypatch, mode):
@@ -340,6 +352,82 @@ class TestFitSlope:
             b.classify_stability(np.zeros(20_001), warmup=19_999)
 
 
+def exact_slope(series):
+    """The least-squares slope over the index as a Fraction, from Python ints."""
+    y = series.tolist()
+    n = len(y)
+    sum_t, sum_tt = n * (n - 1) // 2, (n - 1) * n * (2 * n - 1) // 6
+    num = n * sum(t * v for t, v in enumerate(y)) - sum_t * sum(y)
+    return Fraction(num, n * sum_tt - sum_t * sum_t)
+
+
+def verdict_series(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "drifting":  # a queue growing by about SLOPE_THRESHOLD per slot
+        steps = rng.choice([-1, 0, 1], n, p=[0.2495, 0.5, 0.2505])
+        walk = np.cumsum(steps).astype(np.int32)
+        return walk - np.minimum.accumulate(np.minimum(walk, 0))
+    if kind == "huge":  # sums that overflow int64
+        return rng.integers(-(2**62), 2**62, n, dtype=np.int64)
+    return integer_series(kind, n, seed)
+
+
+THRESHOLD_CHOICES = ["default", "exact", "exact-ulp", "inside-band", "outside-band"]
+
+
+def threshold_for(choice, slope):
+    if choice == "default":
+        return sim.SLOPE_THRESHOLD
+    if choice == "exact":
+        return slope
+    if choice == "exact-ulp":
+        return float(np.nextafter(slope, np.inf))
+    if choice == "inside-band":
+        return slope + 1e-7 * abs(slope)
+    return slope + 1e-5 * max(abs(slope), 1e-3)
+
+
+class TestClassifyExactSlope:
+    @settings(deadline=None, max_examples=80)
+    @given(kind=st.sampled_from([*SERIES_KINDS, "drifting", "huge"]),
+           n=st.integers(10_001, 30_000), seed=st.integers(0, 2**32 - 1),
+           choice=st.sampled_from(THRESHOLD_CHOICES), as_float=st.booleans())
+    def test_matches_fitted_verdict(self, kind, n, seed, choice, as_float):
+        """classify_stability gives the verdict of the fitted slope, also when
+        the threshold sits on the exact slope or within the guard band."""
+        traj = verdict_series(kind, n, seed)
+        if as_float:
+            traj = traj.astype(np.float64)
+        warmup = n // 10
+        threshold = threshold_for(choice, float(exact_slope(traj[warmup:n - 1].astype(np.int64))))
+        fitted = _fit_slope(traj[warmup:n - 1])
+        expected = sim._verdict(traj, warmup, fitted, threshold)
+        assert b.classify_stability(traj, warmup, threshold) is expected
+
+    @pytest.mark.parametrize("kind", ["zeros", "queue", "drifting", "increasing"])
+    def test_fits_only_inside_the_guard_band(self, monkeypatch, kind):
+        fits = []
+        monkeypatch.setattr(sim, "_fit_slope", lambda series: fits.append(1) or _fit_slope(series))
+        traj = verdict_series(kind, 20_001, 5)
+        slope = float(exact_slope(traj[2000:20_000]))
+        for choice, fitted in (("exact", True), ("inside-band", True), ("outside-band", False)):
+            fits.clear()
+            b.classify_stability(traj, 2000, threshold_for(choice, slope))
+            assert len(fits) == fitted
+        fits.clear()
+        b.classify_stability(traj.astype(np.float64), 2000)
+        b.classify_stability(verdict_series("huge", 20_001, 5), 2000)
+        assert len(fits) == 2
+
+    @pytest.mark.parametrize("params", ALL_PARAMS)
+    @pytest.mark.parametrize("horizon", [5_000, 20_000])
+    def test_probe_verdict_matches_run(self, params, horizon):
+        """The boundary search's verdict-only probe agrees with run()."""
+        for lam in ((0.2, 0.2), (0.4, 0.35), (0.6, 0.6), (0.05, 0.7), (0.7, 0.05)):
+            cfg = SimConfig(RatePoint(*lam), params, horizon=horizon, seed=17)
+            assert sim._system_verdict_of(cfg) is b.system_verdict(b.run(cfg).verdict)
+
+
 class TestClassify:
     def test_linear_growth_is_unstable(self):
         traj = np.arange(20_001)
@@ -362,6 +450,28 @@ class TestClassify:
         assert b.system_verdict((Verdict.STABLE, Verdict.UNSTABLE)) is Verdict.UNSTABLE
         assert b.system_verdict((Verdict.INCONCLUSIVE, Verdict.UNSTABLE)) is Verdict.UNSTABLE
         assert b.system_verdict((Verdict.STABLE, Verdict.INCONCLUSIVE)) is Verdict.INCONCLUSIVE
+
+
+# repr(estimate_boundary(params, angle, steps=8, horizon=40_000, seed=seed)),
+# recorded before probes skipped run()'s statistics and before the coupled
+# solve started from the all-busy column; rows follow ALL_PARAMS, then the
+# strongly coupled generic profile on two rays.
+PINNED_BOUNDARIES = [
+    (0, 30.0, 5, "RatePoint(lambda1=0.43945312499999994, lambda2=0.25371838001497216)"),
+    (1, 45.0, 6, "RatePoint(lambda1=0.365234375, lambda2=0.36523437499999994)"),
+    (2, 60.0, 7, "RatePoint(lambda1=0.3732479279331371, lambda2=0.6464843750000001)"),
+    (3, 45.0, 8, "RatePoint(lambda1=0.41210937500000006, lambda2=0.412109375)"),
+    (None, 45.0, 9, "RatePoint(lambda1=0.052734375, lambda2=0.052734374999999986)"),
+    (None, 20.0, 10, "RatePoint(lambda1=0.115234375, lambda2=0.04194188246426941)"),
+]
+
+
+@pytest.mark.parametrize("index, angle, seed, expected", PINNED_BOUNDARIES)
+def test_estimate_boundary_matches_pinned(index, angle, seed, expected):
+    params = (ALL_PARAMS[index] if index is not None
+              else generic_params(SuccessProfile(0.9, 0.9, 0.05, 0.05)))
+    point = b.estimate_boundary(params, angle, steps=8, horizon=40_000, seed=seed)
+    assert repr(point) == expected
 
 
 class TestEstimateBoundary:
