@@ -1,7 +1,9 @@
-"""Time the reference slot loop and split one run() into its layers.
+"""Time the reference slot loop, split one run() into its layers, and split
+the fading Monte Carlo into its draws and its events.
 
 Usage:
-    python benchmarks/bench_kernels.py [--horizon 200000] [--repeat 5]
+    python benchmarks/bench_kernels.py [--horizon 200000 ...] [--repeat 5]
+                                       [--seed 1234] [--json BENCH_label.json]
 
 Runs from a checkout without installing: the checkout's ``src/`` is put
 first on the import path.
@@ -16,13 +18,29 @@ fits (``sim._fit_slope`` on each queue's post-warmup trajectory), and the
 rest of the statistics (``sim._summarise``: counts, rates, verdicts).
 ``run`` is the median of the per-iteration sums of the four. ``verdicts``
 times what a boundary-search probe does after the solve in place of the
-fits and the rest: ``classify_stability`` on both queues. The configs cover
-coupled queues inside the region and at 0.98x the analytic frontier, where
-the solver needs the most Picard passes, and both dominant modes.
+fits and the rest: ``classify_stability`` on both queues. ``events_raw``
+and ``events`` time the four success-event columns of the run's draws, from
+the raw inequalities (``channel._raw_events``) and from the per-parameter
+thresholds that ``success_events`` compares with (brackets cached, as in
+any run after the first). The configs cover coupled queues inside the
+region and at 0.98x the analytic frontier, where the solver needs the most
+Picard passes, and both dominant modes; each horizon given is timed.
+
+The ``mc`` rows split ``mc_estimate_profile`` at 1e7 draws on the fixed
+IAN and SC configs: ``draws`` is the exponential draws alone, ``events``
+the threshold events and their counts, ``events_raw`` the four raw events
+and their counts on as many draws (user 1's blocks stand for both users),
+and ``call`` one whole call.
+
+``--json`` writes every median, in milliseconds, with the Python and numpy
+versions, the CPU count, the horizons, the seed and the backend.
 """
 
 import argparse
+import json
 import math
+import os
+import platform
 import statistics
 import sys
 import time
@@ -41,8 +59,8 @@ from bcstab import (
     classify_stability,
     region_for_params,
 )
-from bcstab import _kernels
-from bcstab.sim import _fit_slope, _kernel_inputs, _summarise
+from bcstab import _kernels, channel
+from bcstab.sim import _draw_randomness, _fit_slope, _kernel_inputs, _summarise
 
 
 def median_time(fn, args, repeat):
@@ -79,38 +97,117 @@ NEAR_FRONTIER = [
 ]
 
 
-def configs(horizon):
+def configs(horizon, seed):
     inside = RatePoint(0.3, 0.6)
-    yield "sc coupled (0.3, 0.6)", SimConfig(inside, PARAMS, horizon=horizon, seed=1234)
+    yield "sc coupled (0.3, 0.6)", SimConfig(inside, PARAMS, horizon=horizon, seed=seed)
     for name, angle, params in NEAR_FRONTIER:
         scale = 0.98 * boundary_scale(region_for_params(params), angle)
         near = RatePoint(scale * math.cos(math.radians(angle)), scale * math.sin(math.radians(angle)))
-        yield f"{name} coupled 0.98x", SimConfig(near, params, horizon=horizon, seed=1234)
+        yield f"{name} coupled 0.98x", SimConfig(near, params, horizon=horizon, seed=seed)
     for mode in ("queue1", "queue2"):
-        yield f"sc dominant {mode}", SimConfig(inside, PARAMS, horizon=horizon, seed=1234,
+        yield f"sc dominant {mode}", SimConfig(inside, PARAMS, horizon=horizon, seed=seed,
                                               dominant_mode=mode)
 
 
+def event_times(cfg, repeat):
+    """Median times of the raw and the threshold success events on a run's draws."""
+    _, chan = _draw_randomness(cfg)
+    columns = (cfg.params, chan[:, 0], chan[:, 1])
+    channel.success_events(*columns)  # the brackets are built once per parameter set
+    t_raw, _ = median_time(channel._raw_events, columns, repeat)
+    t_threshold, _ = median_time(channel.success_events, columns, repeat)
+    return t_raw, t_threshold
+
+
+MC_DRAWS = 10_000_000
+MC_PARAMS = {
+    "ian fixed": SystemParams(0.5, 0.5, 1, 1, 2, 2.0, 1.0, 1.0, "ian", "fixed"),
+    "sc fixed": PARAMS,
+}
+
+
+def split_mc(params, seed):
+    """mc_estimate_profile's loop with its draws and its events timed apart,
+    and the raw events on the same blocks; returns seconds."""
+    rng = np.random.default_rng(seed)
+    buf = np.empty(channel._MC_BLOCK)
+    t_draws = t_events = t_raw = 0.0
+    for start in range(0, MC_DRAWS, channel._MC_CHUNK):
+        n = min(MC_DRAWS - start, channel._MC_CHUNK)
+        for user in (1, 2):
+            for lo in range(0, n, channel._MC_BLOCK):
+                t0 = time.perf_counter()
+                gains = rng.standard_exponential(out=buf[:min(channel._MC_BLOCK, n - lo)])
+                t1 = time.perf_counter()
+                for _, success in channel._user_events(params, user, gains):
+                    np.count_nonzero(success)
+                t2 = time.perf_counter()
+                if user == 1:  # all four raw events, each read from one draw
+                    for success in channel._raw_events(params, gains, gains):
+                        np.count_nonzero(success)
+                t_draws += t1 - t0
+                t_events += t2 - t1
+                t_raw += time.perf_counter() - t2
+    return t_draws, t_events, t_raw
+
+
+def environment(args):
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "nproc": os.cpu_count(),
+        "horizons": args.horizon,
+        "seed": args.seed,
+        "repeat": args.repeat,
+        "backend": "numpy",
+        "mc_draws": MC_DRAWS,
+    }
+
+
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--horizon", type=int, default=200_000)
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--horizon", type=int, nargs="+", default=[200_000])
     ap.add_argument("--repeat", type=int, default=5)
+    ap.add_argument("--seed", type=int, default=1234)
+    ap.add_argument("--json", help="write the medians and the environment to this file")
     args = ap.parse_args()
 
-    print(f"{args.horizon} slots, median of {args.repeat}, milliseconds")
-    print(f"{'config':<24}{'loop':>9}{'passes':>8}{'run':>9}{'inputs':>9}{'solve':>9}"
-          f"{'fit':>9}{'rest':>9}{'verdicts':>10}  identical")
-    for name, cfg in configs(args.horizon):
-        kernel_args = _kernel_inputs(cfg)
-        t_loop, (q_loop, _) = median_time(_kernels.simulate_slots_py, kernel_args, args.repeat)
-        q, passes = _kernels.simulate_slots(*kernel_args)
-        splits = [split_run(cfg) for _ in range(args.repeat)]
-        t_run = statistics.median(sum(split[:4]) for split in splits)
-        parts = [statistics.median(column) for column in zip(*splits)]
-        passes = "loop" if passes is None else passes
-        print(f"{name:<24}{t_loop * 1e3:>9.2f}{passes:>8}{t_run * 1e3:>9.2f}"
-              + "".join(f"{t * 1e3:>9.2f}" for t in parts[:4]) + f"{parts[4] * 1e3:>10.2f}"
-              + f"  {np.array_equal(q, q_loop)}")
+    columns = ("loop", "run", "inputs", "solve", "fit", "rest", "verdicts", "events_raw", "events")
+    results = {"environment": environment(args), "unit": "ms", "runs": {}, "mc": {}}
+    for horizon in args.horizon:
+        print(f"{horizon} slots, median of {args.repeat}, milliseconds")
+        print(f"{'config':<24}{'passes':>8}" + "".join(f"{c:>11}" for c in columns) + "  identical")
+        for name, cfg in configs(horizon, args.seed):
+            kernel_args = _kernel_inputs(cfg)
+            t_loop, (q_loop, _) = median_time(_kernels.simulate_slots_py, kernel_args, args.repeat)
+            q, passes = _kernels.simulate_slots(*kernel_args)
+            splits = [split_run(cfg) for _ in range(args.repeat)]
+            t_run = statistics.median(sum(split[:4]) for split in splits)
+            parts = [statistics.median(column) for column in zip(*splits)]
+            times = [t_loop, t_run, *parts, *event_times(cfg, args.repeat)]
+            row = dict(zip(columns, (round(t * 1e3, 4) for t in times)))
+            passes = "loop" if passes is None else passes
+            row.update(passes=passes, identical=bool(np.array_equal(q, q_loop)))
+            results["runs"].setdefault(str(horizon), {})[name] = row
+            print(f"{name:<24}{passes:>8}" + "".join(f"{row[c]:>11.2f}" for c in columns)
+                  + f"  {row['identical']}")
+
+    mc_columns = ("call", "draws", "events", "events_raw")
+    print(f"\nmc_estimate_profile, {MC_DRAWS} draws, median of {args.repeat}, milliseconds")
+    print(f"{'config':<24}" + "".join(f"{c:>11}" for c in mc_columns))
+    for name, params in MC_PARAMS.items():
+        t_call, _ = median_time(channel.mc_estimate_profile, (params, MC_DRAWS, args.seed),
+                                args.repeat)
+        splits = [split_mc(params, args.seed) for _ in range(args.repeat)]
+        times = [t_call, *(statistics.median(column) for column in zip(*splits))]
+        row = dict(zip(mc_columns, (round(t * 1e3, 4) for t in times)))
+        results["mc"][name] = row
+        print(f"{name:<24}" + "".join(f"{row[c]:>11.2f}" for c in mc_columns))
+
+    if args.json:
+        with open(args.json, "w") as fh:
+            json.dump(results, fh, indent=2)
+            fh.write("\n")
 
 
 if __name__ == "__main__":

@@ -5,13 +5,41 @@ exponential (Rayleigh envelope squared), constant within a slot and drawn
 independently across slots. The four probabilities that matter downstream
 are collected in :class:`SuccessProfile`: per user, the success probability
 when its packet is sent alone and when both users' packets share the slot.
+
+The same four events are decided per fading draw by :func:`_raw_events`,
+the only place the decoding inequalities are written, multiplied out so
+that only multiplications, additions and comparisons touch the draw. The
+simulator and the Monte Carlo oracle (:func:`mc_estimate_profile`) take them
+from :func:`success_events`, which gives the same bits with one comparison
+per event and draw. Every event depends on one user's draw alone, so once
+per parameter set a k-ary search over the bit patterns of the draws in
+``[0, _MAX_GAIN]`` (non-negative doubles order like their int64 patterns)
+finds where each raw inequality turns true (:func:`_event_brackets`):
+
+* a solo event, and successive decoding's own-layer test, compares a
+  correctly rounded product of non-negative constants and the draw with a
+  constant, so it is monotone in the draw and the crossing is an exact
+  threshold;
+* a shared-slot test ``a*u >= gamma*(1 + b*u)`` is a difference of two
+  rounded increasing terms and may flip back and forth at the ulp level,
+  but only within a relative ``8 * 2**-53 * (a + gamma*b) / |a - gamma*b|``
+  of the real root. Where that bound is below 2**-22 and the intermediates
+  at the crossing are normal doubles, draws within a relative 2**-20 of the
+  crossing are evaluated raw and every other draw is decided by the
+  threshold; otherwise that event is evaluated raw on every draw.
+
+The thresholds are found by evaluating the raw inequalities themselves,
+never from the closed forms, so the oracle stays independent of the
+probabilities it checks.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from warnings import warn
 
 import numpy as np
@@ -66,6 +94,9 @@ _PROFILE_TOL = 1e-12
 # Upper bound on any float64 unit-mean exponential draw: -ln of the smallest
 # positive double is about 744.4.
 _MAX_GAIN = 745.0
+
+# Smallest positive normal double.
+_TINY = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -308,16 +339,16 @@ def build_profile(params: SystemParams) -> SuccessProfile:
     return SuccessProfile(p1_solo, p2_solo, p1_both, p2_both)
 
 
-def success_events(params: SystemParams, c1, c2):
+def _raw_events(params: SystemParams, c1, c2):
     """Decoding outcome of each user on given channel draws, alone and shared.
 
-    ``c1``/``c2`` are the draws of users 1 and 2, scalars or equal-shape
-    arrays: uniforms for the generic scheme, which succeed below the
-    profile's probability, and unit-mean exponential gains otherwise, which
-    are tested against the raw SNR/SINR inequalities (multiplied out, so
-    only multiply/add/compare touch the draws). Returns ``(solo1, solo2,
-    both1, both2)``: success when only that user's packet is sent, and when
-    both packets share the slot.
+    The only place the decoding inequalities are written. ``c1``/``c2`` are
+    the draws of users 1 and 2, scalars or equal-shape arrays: uniforms for
+    the generic scheme, which succeed below the profile's probability, and
+    unit-mean exponential gains otherwise, which are tested against the raw
+    SNR/SINR inequalities (multiplied out, so only multiply/add/compare
+    touch the draws). Returns ``(solo1, solo2, both1, both2)``: success when
+    only that user's packet is sent, and when both packets share the slot.
     """
     if params.decoding is Decoding.GENERIC:
         prof = params.generic_profile
@@ -338,6 +369,169 @@ def success_events(params: SystemParams, c1, c2):
         both1 = own1 >= gamma1 * (1.0 + p2 * u1)
     both2 = p2 * u2 >= gamma2 * (1.0 + p1 * u2)
     return solo1, solo2, both1, both2
+
+
+# The events of _raw_events, in order, are decided by these users' draws.
+_EVENT_USERS = (1, 2, 1, 2)
+
+# Points per round of the k-ary search for the crossings: eight rounds span
+# the 2**62 bit patterns of [0, _MAX_GAIN].
+_SEARCH_POINTS = 255
+
+# Relative half-width of the band around a shared-slot crossing inside which
+# draws are evaluated raw, and the largest rounding bound (relative distance
+# from the real root within which the raw test may disagree with it) for
+# which the band is used; the band is at least twice that bound wide.
+_BAND = 2.0**-20
+_MAX_ROUNDING = 2.0**-22
+
+
+def _crossings(params: SystemParams) -> list[float]:
+    """Per event, the draw in ``[0, _MAX_GAIN]`` at which _raw_events first
+    reports success after a failure one bit pattern below, or ``inf``.
+
+    Non-negative doubles order like their int64 bit patterns, so this is a
+    bisection over integers: a k-ary search that keeps, per event, a
+    failing pattern ``lo`` and a succeeding pattern ``hi`` (virtual ones
+    just outside the range to start) and ends when they are adjacent. All
+    four events are evaluated in one call per round; each depends only on
+    its user's draw, so the same candidate array is passed for both users.
+    """
+    top = int(np.float64(_MAX_GAIN).view(np.int64))
+    lo = np.full(4, -1, dtype=np.int64)
+    hi = np.full(4, top + 1, dtype=np.int64)
+    rows = np.arange(4)
+    steps = np.arange(1, _SEARCH_POINTS + 1)
+    while np.any(active := hi - lo > 1):
+        stride = np.maximum((hi - lo) // (_SEARCH_POINTS + 1), 1)
+        points = np.minimum(lo[:, None] + stride[:, None] * steps, (hi - 1)[:, None])
+        points[~active] = 0
+        draws = points.view(np.float64)
+        success = np.stack(_raw_events(params, draws, draws))[rows, rows]
+        found = success.any(axis=1)
+        first = success.argmax(axis=1)
+        below = np.where(first > 0, points[rows, first - 1], lo)
+        lo = np.where(active, np.where(found, below, points[:, -1]), lo)
+        hi = np.where(active & found, points[rows, first], hi)
+    return [math.inf if h > top else float(np.int64(h).view(np.float64)) for h in hi]
+
+
+def _shared_test(params: SystemParams, event: int) -> tuple[float, float, float]:
+    """``(a, gamma, b)`` of the test ``a*u >= gamma*(1 + b*u)`` in shared-slot
+    ``event`` (2: both1, 3: both2); under successive decoding, both1's
+    layer-peeling test."""
+    if event == 3 or params.decoding is Decoding.SUCCESSIVE_DECODING:
+        return params.p2, params.gamma2, params.p1
+    return params.p1, params.gamma1, params.p2
+
+
+def _band_is_exact(params: SystemParams, event: int, crossing: float) -> bool:
+    """Whether the raw shared-slot test agrees with the real inequality
+    outside a relative ``_BAND`` of ``crossing`` (``_MAX_GAIN`` for none).
+
+    Each of the four rounded operations errs by at most 2**-53 relative
+    while its result is a normal double, so the test ``a*u >= gamma*(1+b*u)``
+    decides as the real inequality ``(a - gamma*b)*u >= gamma`` does except
+    within a relative ``8 * 2**-53 * (a + gamma*b) / |a - gamma*b|`` of the
+    root. Where that bound is below ``_MAX_ROUNDING`` and every intermediate
+    at the crossing is normal (so ``gamma`` is large enough that subnormal
+    intermediates far below the crossing cannot decide), every crossing of
+    the raw test lies in the band, the bisected one among them. The margin
+    ``a - gamma*b`` only sizes the band; it never decides an event.
+    """
+    a, gamma, b = _shared_test(params, event)
+    margin = a - gamma * b
+    if margin == 0.0:
+        return False
+    rounding = 8.0 * 2.0**-53 * (a + gamma * b) / abs(margin)
+    dist = params.d1 if _EVENT_USERS[event] == 1 else params.d2
+    u = crossing * dist**-params.alpha
+    products = (a * u, b * u, gamma * (1.0 + b * u))
+    return (rounding < _MAX_ROUNDING and _TINY <= u and _TINY <= gamma
+            and all(v == 0.0 or _TINY <= v < math.inf for v in products))
+
+
+@lru_cache(maxsize=16)
+def _event_brackets(params: SystemParams) -> tuple:
+    """Per event of _raw_events, ``(user, lo, hi)``: a draw of ``user`` below
+    ``lo`` fails, one at or above ``hi`` succeeds, and one in between is
+    evaluated raw; ``lo = hi = None`` evaluates the event raw on every draw.
+
+    Solo events are products of non-negative constants and the draw,
+    correctly rounded, compared with a constant: monotone in the draw, so
+    the bisected crossing is exact and ``lo == hi``. Shared-slot events get
+    a band of relative half-width ``_BAND`` around the crossing where
+    ``_band_is_exact`` holds, and are evaluated raw where it does not.
+    """
+    brackets = []
+    for event, crossing in enumerate(_crossings(params)):
+        user = _EVENT_USERS[event]
+        centre = min(crossing, _MAX_GAIN)
+        if event < 2:  # solo1, solo2
+            brackets.append((user, crossing, crossing))
+        elif _band_is_exact(params, event, centre):
+            brackets.append((user, centre * (1.0 - _BAND), crossing * (1.0 + _BAND)))
+        else:
+            brackets.append((user, None, None))
+    return tuple(brackets)
+
+
+def success_events(params: SystemParams, c1, c2):
+    """Decoding outcome of each user on given channel draws, alone and shared.
+
+    ``c1``/``c2`` are the draws of users 1 and 2, scalars or equal-shape
+    arrays: uniforms for the generic scheme, which succeed below the
+    profile's probability, and unit-mean exponential gains otherwise.
+    Returns ``(solo1, solo2, both1, both2)``: success when only that user's
+    packet is sent, and when both packets share the slot.
+
+    The result is that of the raw inequalities (``_raw_events``) on every
+    draw in ``[0, _MAX_GAIN]``, the range of any float64 exponential draw.
+    For arrays of exponential gains each event is decided by one comparison
+    of its user's draw with a threshold found once per parameter set by
+    bisecting the raw inequality over the draw's bit pattern
+    (``_event_brackets``); only the rare draws inside a shared-slot event's
+    narrow band around its threshold are evaluated raw. The thresholds come
+    from the raw inequalities, never from the closed forms, so the Monte
+    Carlo oracle stays independent of what it checks.
+    """
+    if params.decoding is Decoding.GENERIC or not _draw_arrays(c1, c2):
+        return _raw_events(params, c1, c2)
+    events = [None] * 4
+    for user, c in ((1, c1), (2, c2)):
+        # a compare reads a contiguous copy of a strided column (one of the
+        # simulator's (horizon, 2) draws) about twice as fast as the column
+        for event, success in _user_events(params, user, np.ascontiguousarray(c)):
+            events[event] = success
+    return tuple(events)
+
+
+def _user_events(params: SystemParams, user: int, c: np.ndarray):
+    """``(event, success)`` for each event that ``user``'s draws ``c`` decide."""
+    raw = None
+    for event, (owner, lo, hi) in enumerate(_event_brackets(params)):
+        if owner != user:
+            continue
+        if lo is None:
+            # each event reads only its user's draw, so c can stand for both
+            if raw is None:
+                raw = _raw_events(params, c, c)
+            yield event, raw[event]
+            continue
+        success = c >= hi
+        if lo < hi:
+            band = c >= lo
+            band ^= success
+            if band.any():
+                inside = c[band]
+                success[band] = _raw_events(params, inside, inside)[event]
+        yield event, success
+
+
+def _draw_arrays(c1, c2) -> bool:
+    """Whether the draws are equal-shape float64 arrays, the inputs the brackets decide."""
+    return all(isinstance(c, np.ndarray) and c.dtype == np.float64 and c.ndim > 0
+               for c in (c1, c2)) and c1.shape == c2.shape
 
 
 @dataclass(frozen=True)
@@ -366,12 +560,16 @@ class MonteCarloProfile:
         return (self.se_p1_solo, self.se_p2_solo, self.se_p1_both, self.se_p2_both)
 
 
+# A chunk's draws are user 1's gains followed by user 2's, so the chunk size
+# fixes which draws pair up in a slot and is part of every estimate.
 _MC_CHUNK = 1_000_000
-# Events are evaluated in cache-sized slices of a chunk, so their temporaries
-# stay small and are reused rather than handed back to the OS and faulted in
-# again. With 2**17-draw slices (1 MB float temporaries) a 1e6-draw chunk
-# took about 3500 minor page faults and twice the time of 2**15-draw slices,
-# which take none.
+# Each user's draws of a chunk are made a block at a time into one reused
+# buffer, and that user's events are counted on the block while it is in
+# cache: the same stream as one draw per user and chunk, since a generator
+# makes its exponential draws one after another whatever the call sizes.
+# With the threshold events, a 1e7-draw estimate (fixed IAN, seed 3, 2 vCPUs,
+# 8 alternating calls) took a median of 230 ms drawing whole chunks into two
+# 8 MB buffers and counting afterwards, and 201 ms block by block.
 _MC_BLOCK = 1 << 15
 
 
@@ -379,10 +577,11 @@ def mc_estimate_profile(params: SystemParams, draws: int, seed: int) -> MonteCar
     """Estimate the success profile by sampling fading and testing raw events.
 
     This is the independent cross-check of the closed forms: per draw it
-    evaluates the SNR/SINR/joint inequalities of :func:`success_events`
-    directly on exponential gains instead of going through any closed-form
-    threshold. Deterministic for a given seed; draws are consumed in
-    fixed-size chunks.
+    decides the SNR/SINR/joint inequalities of :func:`_raw_events` on
+    exponential gains, through thresholds bisected from those inequalities
+    themselves (:func:`success_events`), never through a closed form.
+    Deterministic for a given seed; draws are consumed in fixed-size
+    chunks.
     """
     if draws < 1:
         raise InvalidParameterError("draws must be >= 1")
@@ -390,21 +589,16 @@ def mc_estimate_profile(params: SystemParams, draws: int, seed: int) -> MonteCar
         raise InvalidParameterError("generic profiles have no channel model to sample")
 
     rng = np.random.default_rng(seed)
-    counts = np.zeros(4, dtype=np.int64)
-    # The draws of each chunk go into the same two buffers: the same bits as
-    # rng.exponential(1.0, n), without faulting in 16 MB per chunk.
-    buf1 = np.empty(min(draws, _MC_CHUNK))
-    buf2 = np.empty_like(buf1)
-    left = draws
-    while left > 0:
-        n = min(left, _MC_CHUNK)
-        g1 = rng.standard_exponential(out=buf1[:n])
-        g2 = rng.standard_exponential(out=buf2[:n])
-        for lo in range(0, n, _MC_BLOCK):
-            block = slice(lo, lo + _MC_BLOCK)
-            counts += [np.count_nonzero(ev) for ev in success_events(params, g1[block], g2[block])]
-        left -= n
+    counts = [0, 0, 0, 0]
+    buf = np.empty(min(draws, _MC_BLOCK))
+    for start in range(0, draws, _MC_CHUNK):
+        n = min(draws - start, _MC_CHUNK)
+        for user in (1, 2):
+            for lo in range(0, n, _MC_BLOCK):
+                gains = rng.standard_exponential(out=buf[:min(_MC_BLOCK, n - lo)])
+                for event, success in _user_events(params, user, gains):
+                    counts[event] += int(np.count_nonzero(success))
 
-    est = counts / float(draws)
+    est = np.array(counts) / float(draws)
     se = np.sqrt(est * (1.0 - est) / draws)
     return MonteCarloProfile(*est.tolist(), *se.tolist(), draws)

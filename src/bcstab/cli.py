@@ -10,7 +10,8 @@ dB on the command line and converted here once; the core works in linear
 scale throughout.
 
 Exit codes: 0 success, 2 usage error, 3 validation error, 4 I/O error,
-5 verification failure.
+5 verification failure (a closed form the Monte Carlo contradicts, or a
+boundary search that cannot bracket the frontier).
 """
 
 from __future__ import annotations
@@ -41,7 +42,16 @@ from .region import (
     region_for_params,
     trace_boundary,
 )
-from .sim import DominantMode, SimConfig, Verdict, estimate_boundary, run, run_batch, system_verdict
+from .sim import (
+    DominantMode,
+    EstimationFailureError,
+    SimConfig,
+    Verdict,
+    estimate_boundary,
+    run,
+    run_batch,
+    system_verdict,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -61,6 +71,11 @@ BAND_HALFWIDTH = 0.05
 MAX_GRID = 1000
 MAX_POINTS = 100_000
 MAX_WORKERS = 64
+
+# Most bisection steps per compare-boundary ray: after about 53 halvings the
+# midpoint of a bracket in (0, sqrt(2)] equals one of its ends, so further
+# steps change nothing and only cost simulations.
+MAX_STEPS = 64
 
 
 class UsageError(Exception):
@@ -427,6 +442,8 @@ def cmd_sweep(spec: dict) -> tuple[list[dict], dict, int]:
 
 
 def cmd_compare_boundary(spec: dict) -> tuple[list[dict], dict, int]:
+    if spec["steps"] > MAX_STEPS:
+        raise UsageError(f"steps must be <= {MAX_STEPS}")
     params = params_from_spec(spec)
     reg = region_for_params(params)
     rows = []
@@ -507,6 +524,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except EstimationFailureError as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

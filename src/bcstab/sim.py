@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .channel import Decoding, InvalidParameterError, SystemParams, success_events
+from .channel import Decoding, InvalidParameterError, SystemParams, _raw_events, success_events
 from .region import RatePoint
 
 __all__ = [
@@ -163,7 +163,7 @@ def step(
     if q1 < 0 or q2 < 0:
         raise InvalidParameterError("queue lengths must be nonnegative")
     force1, force2 = _forced(config)
-    solo1, solo2, both1, both2 = success_events(config.params, *channel)
+    solo1, solo2, both1, both2 = _raw_events(config.params, *channel)
     t1 = q1 > 0 or force1
     t2 = q2 > 0 or force2
     s1 = t1 and (both1 if t2 else solo1)
@@ -430,7 +430,8 @@ def estimate_boundary(
 
     The scale factor along ``(cos a, sin a)`` is bisected between a stable
     and an unstable bracket using simulated verdicts; the origin is stable
-    by definition. Each probe gets its own deterministic seed; an
+    by definition. ``horizon`` must be at least the 10000 slots a verdict
+    needs, and is checked before any run. Each probe gets its own deterministic seed; an
     inconclusive probe is retried once with a fresh seed and then treated
     as non-stable (it can only sit next to the frontier, so either
     assignment keeps the bracket valid to within the probe noise).
@@ -447,6 +448,11 @@ def estimate_boundary(
         raise InvalidParameterError("angle must lie in [0, 90] degrees")
     if steps < 8:
         raise InvalidParameterError("at least 8 bisection steps are required")
+    if horizon < _MIN_CLASSIFY_HORIZON:
+        # every probe would be inconclusive, and no bracket could be found
+        raise InvalidParameterError(
+            f"boundary search needs a horizon of at least {_MIN_CLASSIFY_HORIZON} slots"
+        )
     c = math.cos(math.radians(angle_deg))
     s = math.sin(math.radians(angle_deg))
     cap = min(1.0 / c if c > 0.0 else math.inf, 1.0 / s if s > 0.0 else math.inf)

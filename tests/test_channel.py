@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import bcstab as b
@@ -15,7 +15,7 @@ from bcstab import (
     SuccessProfile,
     SystemParams,
 )
-from bcstab.channel import _MAX_GAIN
+from bcstab.channel import _BAND, _MAX_GAIN, _event_brackets, _raw_events
 
 EXP_HALF = 0.6065306597126334  # exp(-0.5)
 EXP_QUARTER = 0.7788007830714049  # exp(-0.25)
@@ -301,6 +301,140 @@ class TestSharedImpliesSolo:
         assert not np.any(both2 & ~solo2)
 
 
+def to_draw(bits):
+    return float(np.int64(bits).view(np.float64))
+
+
+def to_bits(draw):
+    return int(np.float64(draw).view(np.int64))
+
+
+def raw_crossing(params, event):
+    """A draw in [0, _MAX_GAIN] at which the raw event succeeds and fails one
+    bit pattern below, by plain binary search with scalar draws; None if the
+    event fails at _MAX_GAIN."""
+    lo, hi = -1, to_bits(_MAX_GAIN) + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        draw = to_draw(mid)
+        if _raw_events(params, draw, draw)[event]:
+            hi = mid
+        else:
+            lo = mid
+    return None if hi > to_bits(_MAX_GAIN) else to_draw(hi)
+
+
+def probe_draws(params, seed):
+    """0, _MAX_GAIN, random gains, and 40 bit patterns either side of every
+    bracket end and of every independently found crossing, within [0, _MAX_GAIN]."""
+    marks = [raw_crossing(params, event) for event in range(4)]
+    marks += [end for _, lo, hi in _event_brackets(params) for end in (lo, hi)]
+    bits = [to_bits(m) + k for m in marks if m is not None and m <= _MAX_GAIN
+            for k in range(-40, 41)]
+    draws = np.concatenate([[0.0, _MAX_GAIN], np.array(bits, dtype=np.int64).view(np.float64),
+                            np.random.default_rng(seed).standard_exponential(200)])
+    return draws[(draws >= 0.0) & (draws <= _MAX_GAIN)]
+
+
+@st.composite
+def physical_params(draw):
+    """Accepted IAN or SC parameters, ordinary or extreme: thresholds down to
+    subnormal, adaptive budgets within the split's slack, and optionally a
+    shared-slot margin ``p_own - gamma * p_other`` a relative ``delta`` from
+    zero with that event's root placed at a chosen draw."""
+    decoding = draw(st.sampled_from(["ian", "sc"]))
+    power = draw(st.sampled_from(["fixed", "adaptive"]))
+    gammas = [10.0 ** draw(st.floats(-320, 30)) for _ in range(2)]
+    dists = [10.0 ** draw(st.floats(-5, 5)) for _ in range(2)]
+    alpha = draw(st.floats(0.5, 6.0))
+    p1, p2 = draw(st.floats(0, 1e6)), draw(st.floats(0, 1e6))
+    tuned = draw(st.none() | st.tuples(st.sampled_from([2, 3]),
+                                       st.sampled_from([-1.0, 1.0]), st.integers(0, 16),
+                                       st.floats(-320, math.log10(_MAX_GAIN))))
+    if tuned is not None:
+        event, sign, digits, log_root = tuned
+        if event == 3 or decoding == "sc":  # p2 * u >= gamma2 * (1 + p1 * u)
+            user, gamma, p1 = 1 + event % 2, gammas[1], p1 or 1.0
+            p2 = a = gamma * p1 * (1.0 + sign * 10.0**-digits)
+            margin = a - gamma * p1
+        else:  # p1 * u >= gamma1 * (1 + p2 * u)
+            user, gamma, p2 = 1, gammas[0], p2 or 1.0
+            p1 = a = gamma * p2 * (1.0 + sign * 10.0**-digits)
+            margin = a - gamma * p2
+        scale = gamma / margin / 10.0**log_root if margin > 0.0 else 0.0
+        if 0.0 < scale < math.inf:  # the real root u = gamma / margin at draw 10**log_root
+            dists[user - 1] = scale ** (-1.0 / alpha)
+    budget = (p1 + p2) * (1.0 + draw(st.sampled_from([0.0, 1e-12, -1e-12])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # sc with d1 > d2 is only advisory
+        try:
+            return SystemParams(*gammas, *dists, alpha, budget, p1, p2, decoding, power)
+        except (InvalidParameterError, OverflowError, ZeroDivisionError):
+            assume(False)
+
+
+class TestThresholdEvents:
+    """success_events decides each fading event by comparing its user's draw
+    with a threshold bisected from the raw inequality, and must give exactly
+    what the raw inequalities give."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(params=physical_params(), seed=st.integers(0, 2**32 - 1))
+    @example(params=SystemParams(0.5, 2.3294701747012687, 1, 1, 2, 0.5176490349354173 + 2.7996668711148365,
+                                 0.5176490349354173, 2.7996668711148365, "ian", "fixed"), seed=0)
+    @example(params=SystemParams(0.5, 0.5, 1, 1, 2, 2.0, 0.5, 1.5, "sc", "adaptive"), seed=0)
+    @example(params=SystemParams(1e-310, 1e-310, 1, 1, 2, 2.0, 1.5, 0.5, "ian", "fixed"), seed=0)
+    @example(params=SystemParams(0.5, 0.5, 1, 1, 2, 1.0 - 3e-13, 0.0, 1.0, "sc", "adaptive"), seed=0)
+    def test_equals_raw_events(self, params, seed):
+        draws = probe_draws(params, seed)
+        fast = b.success_events(params, draws, draws[::-1])
+        raw = _raw_events(params, draws, draws[::-1])
+        for got, want in zip(fast, raw):
+            assert got.dtype == bool and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_solo_events_have_exact_thresholds(self):
+        for params in (ian_params(), sc_params(0.5, 1.5), sc_params(0.5, 1.5, power_scheme="adaptive")):
+            for event in (0, 1):
+                user, lo, hi = _event_brackets(params)[event]
+                assert lo == hi == raw_crossing(params, event)
+
+    def test_shared_event_needs_its_band(self):
+        # the raw shared-slot test flips back and forth within a few ulps of
+        # its crossing, so a bare threshold there would be wrong
+        p1, p2 = 0.5176490349354173, 2.7996668711148365
+        params = SystemParams(0.5, 2.3294701747012687, 1, 1, 2, p1 + p2, p1, p2, "ian", "fixed")
+        crossing = raw_crossing(params, 3)
+        draws = np.array([to_draw(to_bits(crossing) + k) for k in range(-40, 41)])
+        raw = _raw_events(params, draws, draws)[3]
+        assert np.any(raw[:-1] & ~raw[1:])  # not monotone
+        _, lo, hi = _event_brackets(params)[3]
+        assert lo < crossing < hi and hi / lo - 1.0 < 4 * _BAND
+        assert np.array_equal(b.success_events(params, draws, draws)[3], raw)
+
+    def test_raw_fallback_where_rounding_bound_fails(self):
+        # p2 exceeds gamma2 * p1 by a relative 2**-40: the raw test disagrees
+        # with the real inequality far outside any 2**-20 band, so the event
+        # is evaluated raw on every draw
+        gamma2, p1, p2, d2 = 1.7070944094947509, 1.1137987045537419, 1.9013595418479177, 2.2505533697683023e-06
+        params = SystemParams(0.5, gamma2, 1, d2, 2, p1 + p2, p1, p2, "ian", "fixed")
+        assert _event_brackets(params)[3] == (2, None, None)
+        crossing = raw_crossing(params, 3)
+        draws = np.linspace(crossing * (1 - 2**-10), crossing * (1 + 2**-10), 100_001)
+        raw = _raw_events(params, draws, draws)[3]
+        outside = np.abs(draws / crossing - 1.0) > _BAND
+        assert np.any(raw[outside] != (draws[outside] >= crossing))
+        assert np.array_equal(b.success_events(params, draws, draws)[3], raw)
+
+    def test_strided_columns_and_scalars(self):
+        params = sc_params(0.5, 1.5)
+        chan = np.random.default_rng(4).standard_exponential((1000, 2))
+        fast = b.success_events(params, chan[:, 0], chan[:, 1])
+        raw = _raw_events(params, chan[:, 0], chan[:, 1])
+        assert all(np.array_equal(got, want) for got, want in zip(fast, raw))
+        assert b.success_events(params, 1.2, 0.3) == _raw_events(params, 1.2, 0.3)
+
+
 class TestValidation:
     def test_power_split_must_sum(self):
         with pytest.raises(InvalidParameterError):
@@ -371,6 +505,36 @@ class TestValidation:
         gains = np.array([0.0, 1e-300, 1.0, 744.4, _MAX_GAIN])
         with np.errstate(over="raise", invalid="raise"):
             b.success_events(params, gains, gains[::-1])
+
+    @settings(deadline=None, max_examples=200)
+    @given(decoding=st.sampled_from(["ian", "sc"]),
+           power=st.sampled_from(["fixed", "adaptive"]),
+           log_gammas=st.tuples(st.floats(-330, 300), st.floats(-330, 300)),
+           log_dists=st.tuples(st.floats(-150, 150), st.floats(-150, 150)),
+           alpha=st.floats(0.01, 10.0), log_p_total=st.floats(-300, 308),
+           split=st.floats(0.0, 1.0))
+    @example(decoding="sc", power="fixed", log_gammas=(0.0, 0.0), log_dists=(0.0, 0.0),
+             alpha=2.0, log_p_total=0.3, split=0.0)
+    @example(decoding="sc", power="adaptive", log_gammas=(-320.0, 0.0), log_dists=(0.0, 0.0),
+             alpha=2.0, log_p_total=0.3, split=1.0)
+    def test_accepted_params_build_profile_and_brackets(self, decoding, power, log_gammas,
+                                                        log_dists, alpha, log_p_total, split):
+        """Every parameter set SystemParams accepts has a closed-form profile and
+        event brackets, built without an exception or a floating-point fault."""
+        p_total = 10.0 ** log_p_total
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # sc with d1 > d2 is only advisory
+                params = SystemParams(*(10.0 ** g for g in log_gammas),
+                                      *(10.0 ** d for d in log_dists), alpha, p_total,
+                                      split * p_total, (1.0 - split) * p_total,
+                                      decoding, power)
+        except InvalidParameterError:
+            return
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            b.build_profile(params)
+            brackets = _event_brackets(params)
+        assert [user for user, _, _ in brackets] == [1, 2, 1, 2]
 
     def test_inconsistent_profile_rejected(self):
         with pytest.raises(InvalidProfileError):

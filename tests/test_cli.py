@@ -5,6 +5,8 @@ import csv
 import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,11 +255,16 @@ class TestConfigAndErrors:
             "--horizon", "10", "--warmup", "9"], cli.EXIT_VALIDATION),
     (None, ["mc-verify", "--draws", "100000", "--p-total", "1e308", "--gamma1-db", "2",
             "--gamma2-db", "2", "--scheme", "ian"], cli.EXIT_VALIDATION),
+    (None, ["compare-boundary", "--steps", "100000000"], cli.EXIT_USAGE),
+    ('{"steps": 65}', ["compare-boundary"], cli.EXIT_USAGE),
+    (None, ["compare-boundary", "--horizon", "9999"], cli.EXIT_VALIDATION),
+    ('{"horizon": 20}', ["compare-boundary", "--steps", "8"], cli.EXIT_VALIDATION),
 ], ids=["config-type", "config-json", "pathloss-overflow", "p-total-inf", "d1-inf",
         "gamma-db-overflow", "lambda-inf", "horizon-huge", "config-horizon-huge",
         "grid-huge", "points-huge", "workers-huge", "config-workers-huge",
         "angles-not-numbers", "profile-not-numbers", "warmup-leaves-one-slot",
-        "power-overflows-at-largest-gain"])
+        "power-overflows-at-largest-gain", "steps-huge", "config-steps-above-max",
+        "horizon-below-verdict", "config-horizon-below-verdict"])
 def test_bad_input_exits_with_documented_code(tmp_path, capfd, monkeypatch,
                                               config, argv, status):
     # every row must be rejected before grids or randomness are allocated
@@ -274,6 +281,22 @@ def test_bad_input_exits_with_documented_code(tmp_path, capfd, monkeypatch,
     code, out, err = run_cli(capfd, *argv)
     assert code == status
     assert not any(text in out + err for text in ("DLASCL", "SVD", "Warning", "Traceback"))
+
+
+def test_unbracketable_frontier_exits_with_verification_failure(capfd):
+    # every transmission succeeds, so no rate on the ray is unstable
+    code, out, err = run_cli(capfd, "compare-boundary", "--scheme", "generic",
+                             "--profile", "1,1,1,1", "--angles", "45", "--steps", "8",
+                             "--horizon", "20000")
+    assert code == cli.EXIT_VERIFICATION
+    assert out == ""
+    assert err.startswith("verification failure: no unstable bracket") and err.count("\n") == 1
+
+
+def test_shortest_verdict_horizon_accepted(capsys):
+    code, _, err = run_cli(capsys, "compare-boundary", *RECT, "--angles", "45",
+                           "--steps", "8", "--horizon", "10000", "--seed", "3")
+    assert code == cli.EXIT_OK, err
 
 
 @pytest.mark.parametrize("argv", [
@@ -345,9 +368,17 @@ SYSTEM_FLAGS = {
 }
 
 
+# The simulating commands run at the shortest horizon a verdict accepts, on
+# grids of at most 3 by 3 and with the fewest bisection steps.
+SIM_ARGS = ["--horizon", "10000"]
+
+
 @st.composite
 def cli_argv(draw):
-    command = draw(st.sampled_from(["region", "check", "sweep", "mc-verify"]))
+    """A command with its own flags, then system flags given on the command
+    line or, with the same values, in a config file (``--config`` last)."""
+    command = draw(st.sampled_from(["region", "check", "sweep", "mc-verify", "simulate",
+                                    "sweep-simulate", "compare-boundary"]))
     argv = [command]
     if command == "region":
         argv += ["--points", str(draw(st.integers(-1, 10)))]
@@ -355,25 +386,57 @@ def cli_argv(draw):
         argv += ["--lambda1", draw(FLAG_VALUES), "--lambda2", draw(FLAG_VALUES)]
     elif command == "sweep":
         argv += ["--grid", str(draw(st.integers(-1, 5)))]
+    elif command == "simulate":
+        argv += ["--lambda1", draw(FLAG_VALUES), "--lambda2", draw(FLAG_VALUES), *SIM_ARGS]
+    elif command == "sweep-simulate":
+        argv = ["sweep", "--simulate", "--grid", str(draw(st.integers(-1, 3))), *SIM_ARGS]
+    elif command == "compare-boundary":
+        argv += ["--angles", draw(st.sampled_from(["0", "45", "90"])), "--steps", "8", *SIM_ARGS]
     else:
         argv += ["--draws", "10000"]
-    for flag in draw(st.lists(st.sampled_from(sorted(SYSTEM_FLAGS)), unique=True)):
-        argv += [flag, draw(SYSTEM_FLAGS[flag])]
-    return argv
+    system = {flag: draw(SYSTEM_FLAGS[flag])
+              for flag in draw(st.lists(st.sampled_from(sorted(SYSTEM_FLAGS)), unique=True))}
+    if draw(st.booleans()):
+        return argv + [token for flag, value in system.items() for token in (flag, value)], None
+    config = {}
+    for flag, value in system.items():
+        key = flag[2:].replace("-db", "").replace("-", "_")
+        config[key] = ([_config_value(v) for v in value.split(",")] if key == "profile"
+                       else _config_value(value))
+    return argv, config
+
+
+def _config_value(text):
+    """A flag value as a config file carries it: a number as a JSON number (a
+    threshold's read as linear), anything else as the string."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
 
 
 @settings(max_examples=150, deadline=None)
-@given(argv=cli_argv())
-@example(argv=["region", "--points", "3", "--scheme", "generic", "--profile", "0,0.8,0,0.5"])
-def test_any_system_flags_exit_cleanly(argv):
-    """Any mix of system flag values ends in a documented exit code, without a
-    traceback, and a successful run prints only finite, non-artefact numbers."""
+@given(argv_config=cli_argv())
+@example(argv_config=(["region", "--points", "3", "--scheme", "generic",
+                       "--profile", "0,0.8,0,0.5"], None))
+@example(argv_config=(["compare-boundary", "--angles", "45", "--steps", "8", *SIM_ARGS],
+                      {"scheme": "generic", "profile": [1.0, 1.0, 1.0, 1.0]}))
+def test_any_system_flags_exit_cleanly(argv_config):
+    """Any mix of system flag values, on the command line or in a config
+    file, ends in a documented exit code without a traceback, and a
+    successful run prints only finite, non-artefact numbers."""
+    argv, config = argv_config
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            status = cli.main(argv)
-        except SystemExit as exc:  # argparse rejecting a flag value
-            status = exc.code
+    with tempfile.TemporaryDirectory() as tmp:
+        if config is not None:
+            path = Path(tmp) / "system.json"
+            path.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(path)]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                status = cli.main(argv)
+            except SystemExit as exc:  # argparse rejecting a flag value
+                status = exc.code
     assert status in {0, 2, 3, 4, 5}
     assert "Traceback" not in err.getvalue()
     if status == 0:
