@@ -3,7 +3,7 @@ the fading Monte Carlo into its draws and its events.
 
 Usage:
     python benchmarks/bench_kernels.py [--horizon 200000 ...] [--repeat 5]
-                                       [--seed 1234] [--json BENCH_label.json]
+                                       [--json BENCH_label.json]
 
 Runs from a checkout without installing: the checkout's ``src/`` is put
 first on the import path.
@@ -32,8 +32,9 @@ the threshold events and their counts, ``events_raw`` the four raw events
 and their counts on as many draws (user 1's blocks stand for both users),
 and ``call`` one whole call.
 
-``--json`` writes every median, in milliseconds, with the Python and numpy
-versions, the CPU count, the horizons, the seed and the backend.
+Every config and Monte Carlo call uses the seed ``SEED``. ``--json`` writes
+every median, in milliseconds, with the Python and numpy versions, the CPU
+count, the horizons, the seed and the backend.
 """
 
 import argparse
@@ -89,6 +90,7 @@ def split_run(cfg):
     return t_inputs, t_solve, t_fit, t_rest, t_verdicts
 
 
+SEED = 1234
 PARAMS = SystemParams(0.5, 0.5, 1, 1, 2, 2.0, 0.5, 1.5, "sc", "fixed")
 NEAR_FRONTIER = [
     ("ian", 45.0, SystemParams(0.5, 0.5, 1, 1, 2, 2.0, 1.0, 1.0, "ian", "fixed")),
@@ -97,15 +99,15 @@ NEAR_FRONTIER = [
 ]
 
 
-def configs(horizon, seed):
+def configs(horizon):
     inside = RatePoint(0.3, 0.6)
-    yield "sc coupled (0.3, 0.6)", SimConfig(inside, PARAMS, horizon=horizon, seed=seed)
+    yield "sc coupled (0.3, 0.6)", SimConfig(inside, PARAMS, horizon=horizon, seed=SEED)
     for name, angle, params in NEAR_FRONTIER:
         scale = 0.98 * boundary_scale(region_for_params(params), angle)
         near = RatePoint(scale * math.cos(math.radians(angle)), scale * math.sin(math.radians(angle)))
-        yield f"{name} coupled 0.98x", SimConfig(near, params, horizon=horizon, seed=seed)
+        yield f"{name} coupled 0.98x", SimConfig(near, params, horizon=horizon, seed=SEED)
     for mode in ("queue1", "queue2"):
-        yield f"sc dominant {mode}", SimConfig(inside, PARAMS, horizon=horizon, seed=seed,
+        yield f"sc dominant {mode}", SimConfig(inside, PARAMS, horizon=horizon, seed=SEED,
                                               dominant_mode=mode)
 
 
@@ -126,10 +128,10 @@ MC_PARAMS = {
 }
 
 
-def split_mc(params, seed):
+def split_mc(params):
     """mc_estimate_profile's loop with its draws and its events timed apart,
     and the raw events on the same blocks; returns seconds."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     buf = np.empty(channel._MC_BLOCK)
     t_draws = t_events = t_raw = 0.0
     for start in range(0, MC_DRAWS, channel._MC_CHUNK):
@@ -157,7 +159,7 @@ def environment(args):
         "numpy": np.__version__,
         "nproc": os.cpu_count(),
         "horizons": args.horizon,
-        "seed": args.seed,
+        "seed": SEED,
         "repeat": args.repeat,
         "backend": "numpy",
         "mc_draws": MC_DRAWS,
@@ -168,7 +170,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--horizon", type=int, nargs="+", default=[200_000])
     ap.add_argument("--repeat", type=int, default=5)
-    ap.add_argument("--seed", type=int, default=1234)
     ap.add_argument("--json", help="write the medians and the environment to this file")
     args = ap.parse_args()
 
@@ -177,7 +178,7 @@ def main():
     for horizon in args.horizon:
         print(f"{horizon} slots, median of {args.repeat}, milliseconds")
         print(f"{'config':<24}{'passes':>8}" + "".join(f"{c:>11}" for c in columns) + "  identical")
-        for name, cfg in configs(horizon, args.seed):
+        for name, cfg in configs(horizon):
             kernel_args = _kernel_inputs(cfg)
             t_loop, (q_loop, _) = median_time(_kernels.simulate_slots_py, kernel_args, args.repeat)
             q, passes = _kernels.simulate_slots(*kernel_args)
@@ -196,9 +197,9 @@ def main():
     print(f"\nmc_estimate_profile, {MC_DRAWS} draws, median of {args.repeat}, milliseconds")
     print(f"{'config':<24}" + "".join(f"{c:>11}" for c in mc_columns))
     for name, params in MC_PARAMS.items():
-        t_call, _ = median_time(channel.mc_estimate_profile, (params, MC_DRAWS, args.seed),
+        t_call, _ = median_time(channel.mc_estimate_profile, (params, MC_DRAWS, SEED),
                                 args.repeat)
-        splits = [split_mc(params, args.seed) for _ in range(args.repeat)]
+        splits = [split_mc(params) for _ in range(args.repeat)]
         times = [t_call, *(statistics.median(column) for column in zip(*splits))]
         row = dict(zip(mc_columns, (round(t * 1e3, 4) for t in times)))
         results["mc"][name] = row

@@ -178,7 +178,7 @@ class SystemParams:
             raise InvalidParameterError(
                 f"p1 + p2 = {self.p1 + self.p2!r} does not match p_total={self.p_total!r}"
             )
-        # Every product success_events forms, at the largest possible gain,
+        # Every product _raw_events forms, at the largest possible gain,
         # must be finite: an overflow to inf would make inf >= inf succeed.
         power = max(self.p1, self.p2, self.p_total, 1.0)
         gamma = max(self.gamma1, self.gamma2)
@@ -578,8 +578,11 @@ def mc_estimate_profile(params: SystemParams, draws: int, seed: int) -> MonteCar
 
     This is the independent cross-check of the closed forms: per draw it
     decides the SNR/SINR/joint inequalities of :func:`_raw_events` on
-    exponential gains, through thresholds bisected from those inequalities
-    themselves (:func:`success_events`), never through a closed form.
+    exponential gains, never through a closed form. Each user's block of
+    draws goes to :func:`_user_events`, which compares it with the brackets
+    of :func:`_event_brackets` (the thresholds :func:`success_events` uses,
+    bisected from those inequalities themselves) and evaluates
+    :func:`_raw_events` inside a band or where an event has no bracket.
     Deterministic for a given seed; draws are consumed in fixed-size
     chunks.
     """

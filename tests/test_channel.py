@@ -517,10 +517,13 @@ class TestValidation:
              alpha=2.0, log_p_total=0.3, split=0.0)
     @example(decoding="sc", power="adaptive", log_gammas=(-320.0, 0.0), log_dists=(0.0, 0.0),
              alpha=2.0, log_p_total=0.3, split=1.0)
+    @example(decoding="sc", power="fixed", log_gammas=(10.0, 10.0), log_dists=(0.0, 0.0),
+             alpha=2.0, log_p_total=math.log10(2e295), split=0.5)
     def test_accepted_params_build_profile_and_brackets(self, decoding, power, log_gammas,
                                                         log_dists, alpha, log_p_total, split):
         """Every parameter set SystemParams accepts has a closed-form profile and
-        event brackets, built without an exception or a floating-point fault."""
+        event brackets, and raw events up to the largest draw, all computed
+        without an exception or a floating-point fault."""
         p_total = 10.0 ** log_p_total
         try:
             with warnings.catch_warnings():
@@ -531,9 +534,13 @@ class TestValidation:
                                       decoding, power)
         except InvalidParameterError:
             return
+        gains = np.array([0.0, 1e-300, 1.0, 744.4, _MAX_GAIN])
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             b.build_profile(params)
             brackets = _event_brackets(params)
+            # the raw inequalities that sim.step, the bands and the fallback
+            # evaluate stay finite up to the largest draw
+            _raw_events(params, gains, gains[::-1])
         assert [user for user, _, _ in brackets] == [1, 2, 1, 2]
 
     def test_inconsistent_profile_rejected(self):
