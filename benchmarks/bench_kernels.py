@@ -13,18 +13,19 @@ success events and produce a bit-identical trajectory (checked here, with
 the solver's Picard pass count). Each config also splits one whole
 ``run()`` into four parts, each timed directly, one after the other in the
 same iteration, so none can read negative: the draw and the success events
-(``sim._kernel_inputs``), the recursion (the solver), the two drift slope
-fits (``sim._fit_slope`` on each queue's post-warmup trajectory), and the
-rest of the statistics (``sim._summarise``: counts, rates, verdicts).
-``run`` is the median of the per-iteration sums of the four. ``verdicts``
-times what a boundary-search probe does after the solve in place of the
-fits and the rest: ``classify_stability`` on both queues. ``events_raw``
-and ``events`` time the four success-event columns of the run's draws, from
-the raw inequalities (``channel._raw_events``) and from the per-parameter
-thresholds that ``success_events`` compares with (brackets cached, as in
-any run after the first). The configs cover coupled queues inside the
-region and at 0.98x the analytic frontier, where the solver needs the most
-Picard passes, and both dominant modes; each horizon given is timed.
+(``sim._kernel_inputs``), the recursion (the solver), the two exact drift
+slopes (``fit``: ``sim._drift_slope`` on each queue's post-warmup
+trajectory), and the rest of the statistics (``sim._summarise``: counts,
+rates, verdicts). ``run`` is taken over the per-iteration sums of the four.
+``verdicts`` times what a boundary-search probe does after the solve in
+place of the slopes and the rest: ``classify_stability`` on both queues.
+``events_raw`` and ``events`` time the four success-event columns of the
+run's draws, from the raw inequalities (``channel._raw_events``) and from
+the per-parameter thresholds that ``success_events`` compares with
+(brackets cached, as in any run after the first). The configs cover
+coupled queues inside the region and at 0.98x the analytic frontier, where
+the solver needs the most Picard passes, and both dominant modes; each
+horizon given is timed.
 
 The ``mc`` rows split ``mc_estimate_profile`` at 1e7 draws on the fixed
 IAN and SC configs: ``draws`` is the exponential draws alone, ``events``
@@ -32,9 +33,11 @@ the threshold events and their counts, ``events_raw`` the four raw events
 and their counts on as many draws (user 1's blocks stand for both users),
 and ``call`` one whole call.
 
-Every config and Monte Carlo call uses the seed ``SEED``. ``--json`` writes
-every median, in milliseconds, with the Python and numpy versions, the CPU
-count, the horizons, the seed and the backend.
+Every column is timed ``--repeat`` times and reported as the median, with
+the best (fastest) time beside it as ``<column>_best``. Every config and
+Monte Carlo call uses the seed ``SEED``. ``--json`` writes every median and
+best, in milliseconds, with the Python and numpy versions, the CPU count,
+the horizons, the seed and the backend.
 """
 
 import argparse
@@ -61,17 +64,31 @@ from bcstab import (
     region_for_params,
 )
 from bcstab import _kernels, channel
-from bcstab.sim import _draw_randomness, _fit_slope, _kernel_inputs, _summarise
+from bcstab.sim import _draw_randomness, _drift_slope, _kernel_inputs, _summarise
 
 
-def median_time(fn, args, repeat):
-    """Median wall time of ``repeat`` calls of fn(*args) and the last call's result."""
+def repeat_times(fn, args, repeat):
+    """Wall times of ``repeat`` calls of fn(*args) and the last call's result."""
     times = []
     for _ in range(repeat):
         t0 = time.perf_counter()
         out = fn(*args)
         times.append(time.perf_counter() - t0)
-    return statistics.median(times), out
+    return times, out
+
+
+def summary(columns, samples):
+    """Median and best of each column's times, in milliseconds."""
+    row = {}
+    for column, times in zip(columns, samples):
+        row[column] = round(statistics.median(times) * 1e3, 4)
+        row[f"{column}_best"] = round(min(times) * 1e3, 4)
+    return row
+
+
+def print_row(name, prefix, columns, row, suffix=""):
+    print(f"{name:<24}{prefix}" + "".join(f"{row[c]:>11.2f}" for c in columns) + suffix)
+    print(f"{'  best':<24}{'':>{len(prefix)}}" + "".join(f"{row[c + '_best']:>11.2f}" for c in columns))
 
 
 def timed(fn, *args):
@@ -84,7 +101,7 @@ def split_run(cfg):
     """One run() made phase by phase, each phase timed; returns the times in seconds."""
     t_inputs, inputs = timed(_kernel_inputs, cfg)
     t_solve, (q, _) = timed(_kernels.simulate_slots, *inputs)
-    t_fit, slopes = timed(lambda: [_fit_slope(row[cfg.warmup:cfg.horizon]) for row in q])
+    t_fit, slopes = timed(lambda: [_drift_slope(row[cfg.warmup:cfg.horizon]) for row in q])
     t_rest, _ = timed(_summarise, cfg, inputs, q, slopes)
     t_verdicts, _ = timed(lambda: [classify_stability(row, cfg.warmup) for row in q])
     return t_inputs, t_solve, t_fit, t_rest, t_verdicts
@@ -112,12 +129,12 @@ def configs(horizon):
 
 
 def event_times(cfg, repeat):
-    """Median times of the raw and the threshold success events on a run's draws."""
+    """Times of the raw and the threshold success events on a run's draws."""
     _, chan = _draw_randomness(cfg)
     columns = (cfg.params, chan[:, 0], chan[:, 1])
     channel.success_events(*columns)  # the brackets are built once per parameter set
-    t_raw, _ = median_time(channel._raw_events, columns, repeat)
-    t_threshold, _ = median_time(channel.success_events, columns, repeat)
+    t_raw, _ = repeat_times(channel._raw_events, columns, repeat)
+    t_threshold, _ = repeat_times(channel.success_events, columns, repeat)
     return t_raw, t_threshold
 
 
@@ -170,40 +187,36 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--horizon", type=int, nargs="+", default=[200_000])
     ap.add_argument("--repeat", type=int, default=5)
-    ap.add_argument("--json", help="write the medians and the environment to this file")
+    ap.add_argument("--json", help="write the medians, the bests and the environment to this file")
     args = ap.parse_args()
 
     columns = ("loop", "run", "inputs", "solve", "fit", "rest", "verdicts", "events_raw", "events")
     results = {"environment": environment(args), "unit": "ms", "runs": {}, "mc": {}}
     for horizon in args.horizon:
-        print(f"{horizon} slots, median of {args.repeat}, milliseconds")
+        print(f"{horizon} slots, median and best of {args.repeat}, milliseconds")
         print(f"{'config':<24}{'passes':>8}" + "".join(f"{c:>11}" for c in columns) + "  identical")
         for name, cfg in configs(horizon):
             kernel_args = _kernel_inputs(cfg)
-            t_loop, (q_loop, _) = median_time(_kernels.simulate_slots_py, kernel_args, args.repeat)
+            t_loop, (q_loop, _) = repeat_times(_kernels.simulate_slots_py, kernel_args, args.repeat)
             q, passes = _kernels.simulate_slots(*kernel_args)
             splits = [split_run(cfg) for _ in range(args.repeat)]
-            t_run = statistics.median(sum(split[:4]) for split in splits)
-            parts = [statistics.median(column) for column in zip(*splits)]
-            times = [t_loop, t_run, *parts, *event_times(cfg, args.repeat)]
-            row = dict(zip(columns, (round(t * 1e3, 4) for t in times)))
+            t_run = [sum(split[:4]) for split in splits]
+            row = summary(columns, [t_loop, t_run, *zip(*splits), *event_times(cfg, args.repeat)])
             passes = "loop" if passes is None else passes
             row.update(passes=passes, identical=bool(np.array_equal(q, q_loop)))
             results["runs"].setdefault(str(horizon), {})[name] = row
-            print(f"{name:<24}{passes:>8}" + "".join(f"{row[c]:>11.2f}" for c in columns)
-                  + f"  {row['identical']}")
+            print_row(name, f"{passes:>8}", columns, row, f"  {row['identical']}")
 
     mc_columns = ("call", "draws", "events", "events_raw")
-    print(f"\nmc_estimate_profile, {MC_DRAWS} draws, median of {args.repeat}, milliseconds")
+    print(f"\nmc_estimate_profile, {MC_DRAWS} draws, median and best of {args.repeat}, milliseconds")
     print(f"{'config':<24}" + "".join(f"{c:>11}" for c in mc_columns))
     for name, params in MC_PARAMS.items():
-        t_call, _ = median_time(channel.mc_estimate_profile, (params, MC_DRAWS, SEED),
-                                args.repeat)
+        t_call, _ = repeat_times(channel.mc_estimate_profile, (params, MC_DRAWS, SEED),
+                                 args.repeat)
         splits = [split_mc(params) for _ in range(args.repeat)]
-        times = [t_call, *(statistics.median(column) for column in zip(*splits))]
-        row = dict(zip(mc_columns, (round(t * 1e3, 4) for t in times)))
+        row = summary(mc_columns, [t_call, *zip(*splits)])
         results["mc"][name] = row
-        print(f"{name:<24}" + "".join(f"{row[c]:>11.2f}" for c in mc_columns))
+        print_row(name, "", mc_columns, row)
 
     if args.json:
         with open(args.json, "w") as fh:

@@ -45,18 +45,15 @@ __all__ = [
 # Growth below one packet per thousand slots is treated as flat.
 SLOPE_THRESHOLD = 1e-3
 
-# Largest accepted horizon. A run peaks at about 125 bytes per slot
-# (randomness, success events, trajectory, fit temporaries), so this caps
-# one run near 1.3 GB; longer runs are rejected before any allocation. The
+# Largest accepted horizon. A run peaks at about 45 bytes per slot, most of
+# it the pre-drawn randomness while the success events are formed from it,
+# so this caps one run near 500 MB (a 10M-slot IAN run peaked at 484 MB,
+# coupled or dominant); longer runs are rejected before any allocation. The
 # vectorised queue solver's int32 walk needs it below 2**31.
 MAX_HORIZON = 10_000_000
 
 # Verdicts need enough slots for the drift fit to mean anything.
 _MIN_CLASSIFY_HORIZON = 10_000
-
-# Longest fit window whose least-squares design (16 bytes per point) is kept
-# for reuse: at most 16 MB per cached design, two designs cached.
-_MAX_CACHED_FIT = 1_000_000
 
 
 class EstimationFailureError(RuntimeError):
@@ -209,32 +206,6 @@ def _check_fit_window(warmup: int, horizon: int) -> None:
         )
 
 
-def _build_slope_design(n: int) -> tuple[np.ndarray, float, float]:
-    """np.polyfit's degree-1 least-squares setup for x = 0..n-1, built its way.
-
-    Returns the column-scaled Vandermonde matrix (read-only), the slope
-    column's scale and the default ``rcond``. Each step is the one polyfit
-    takes, in the same order, so the solve below gives its bits.
-    """
-    lhs = np.vander(np.arange(n, dtype=np.float64), 2)
-    scale = np.sqrt((lhs * lhs).sum(axis=0))
-    lhs /= scale
-    lhs.flags.writeable = False
-    return lhs, float(scale[0]), n * np.finfo(np.float64).eps
-
-
-_cached_slope_design = lru_cache(maxsize=2)(_build_slope_design)
-
-
-def _fit_slope(series: np.ndarray) -> float:
-    """Least-squares drift slope of ``series`` over its index, bit-identical to
-    ``np.polyfit(np.arange(n), series, 1)[0]``; needs at least two points."""
-    n = series.shape[0]
-    design = _cached_slope_design if n <= _MAX_CACHED_FIT else _build_slope_design
-    lhs, scale, rcond = design(n)
-    return float(np.linalg.lstsq(lhs, series.astype(np.float64), rcond)[0][0] / scale)
-
-
 def _build_index(n: int) -> np.ndarray:
     index = np.arange(n, dtype=np.int64)
     index.flags.writeable = False
@@ -243,41 +214,40 @@ def _build_index(n: int) -> np.ndarray:
 
 _cached_index = lru_cache(maxsize=2)(_build_index)
 
-# Relative half-width of the band around the threshold in which an exact
-# slope does not decide the verdict and the least-squares fit is made.
-_VERDICT_GUARD = 1e-6
+# Points per block of the drift slope's int64 sums. Indices count from the
+# block's start, so each partial is exact while block**2 * max|y| < 2**63:
+# every trajectory qualifies, since it grows by at most one packet per slot
+# and MAX_HORIZON < 2**25.
+_SLOPE_BLOCK = 2**19
 
 
-def _slope_for_verdict(series: np.ndarray, slope_threshold: float) -> float:
-    """A slope on the same side of ``slope_threshold`` as ``_fit_slope(series)``.
+def _drift_slope(series: np.ndarray) -> float:
+    """Least-squares slope of ``series`` over its index; needs at least two points.
 
-    For a signed integer series this is the exact least-squares slope,
-    ``num / den`` with ``num = n*sum(t*y) - sum(t)*sum(y)`` and
-    ``den = n*sum(t*t) - sum(t)**2`` formed as Python ints (only ``sum(t*y)``
-    and ``sum(y)`` touch the data, in int64, which is exact while
-    ``max|y| * n * n < 2**63``) and rounded once. The least-squares fit is
-    backward stable on a design whose condition number is about 3.7, so it
-    lies within a few ulps of ``max|y| / n`` of the exact slope (at most
-    4.4e-16 over the 668 probe fits of 36 boundary searches at 40k slots).
-    Outside a band of relative half-width ``_VERDICT_GUARD`` around the
-    threshold, far wider than that, both slopes compare with the threshold
-    alike and give the same verdict. Inside the band, for a float series,
-    for a series whose sums could overflow and above ``_MAX_CACHED_FIT``
-    points, the slope is ``_fit_slope(series)`` itself.
+    An integer series gets the exact slope rounded once: ``num / den`` with
+    ``num = n*sum(t*y) - sum(t)*sum(y)`` and ``den = n*sum(t*t) - sum(t)**2``
+    formed as Python ints. ``sum(y)`` and ``sum(t*y)`` are taken in int64,
+    ``_SLOPE_BLOCK`` points at a time, or as Python ints for values too
+    large for that. A float series gets ``np.polyfit``'s slope.
     """
     n = series.shape[0]
-    if series.dtype.kind == "i" and n <= _MAX_CACHED_FIT:
-        magnitude = max(int(series.max()), -int(series.min()))
-        if magnitude * n * n < 2**63:
-            sum_t = n * (n - 1) // 2
-            sum_tt = (n - 1) * n * (2 * n - 1) // 6
-            sum_ty = int(np.dot(series, _cached_index(n)))
-            num = n * sum_ty - sum_t * int(series.sum(dtype=np.int64))
-            slope = num / (n * sum_tt - sum_t * sum_t)
-            guard = _VERDICT_GUARD * max(abs(slope), abs(slope_threshold), magnitude / n)
-            if not abs(slope - slope_threshold) <= guard:
-                return slope
-    return _fit_slope(series)
+    if series.dtype.kind not in "iu":
+        return float(np.polyfit(np.arange(n), series, 1)[0])
+    block = min(n, _SLOPE_BLOCK)
+    if max(int(series.max()), -int(series.min())) * block * block < 2**63:
+        index = _cached_index(block)
+        sum_y = sum_ty = 0
+        for start in range(0, n, block):
+            part = series[start:start + block].astype(np.int64, copy=False)
+            part_sum = int(part.sum())
+            sum_ty += int(np.dot(part, index[:part.shape[0]])) + start * part_sum
+            sum_y += part_sum
+    else:
+        y = series.tolist()
+        sum_y, sum_ty = sum(y), sum(t * v for t, v in enumerate(y))
+    sum_t = n * (n - 1) // 2
+    sum_tt = (n - 1) * n * (2 * n - 1) // 6
+    return (n * sum_ty - sum_t * sum_y) / (n * sum_tt - sum_t * sum_t)
 
 
 def classify_stability(
@@ -290,12 +260,9 @@ def classify_stability(
     flat slope and at least one return to empty during the final half of the
     run. Everything else is inconclusive.
 
-    The verdict is the one ``run()`` gives from its fitted ``drift_slope``.
-    Only the slope's side of the threshold matters, so an integer
-    trajectory is judged by its exact slope, and the least-squares fit is
-    made only when that slope lies within a relative ``1e-6`` of the
-    threshold, where the fit's last bits could decide
-    (``_slope_for_verdict``).
+    The slope is the one ``run()`` reports as ``drift_slope``
+    (``_drift_slope``): exact for an integer trajectory, ``np.polyfit``'s
+    for a float one.
     """
     traj = np.asarray(trajectory)
     horizon = traj.shape[0] - 1
@@ -304,12 +271,12 @@ def classify_stability(
             f"classification needs a horizon of at least {_MIN_CLASSIFY_HORIZON} slots"
         )
     _check_fit_window(warmup, horizon)
-    slope = _slope_for_verdict(traj[warmup:horizon], slope_threshold)
+    slope = _drift_slope(traj[warmup:horizon])
     return _verdict(traj, warmup, slope, slope_threshold)
 
 
 def _verdict(traj: np.ndarray, warmup: int, slope: float, slope_threshold: float) -> Verdict:
-    """classify_stability's rule, given the slope already fitted to ``traj[warmup:-1]``."""
+    """classify_stability's rule, given the drift slope of ``traj[warmup:-1]``."""
     horizon = traj.shape[0] - 1
     post = traj[warmup:horizon]
     final = float(traj[horizon])
@@ -352,13 +319,13 @@ def _system_verdict_of(config: SimConfig) -> Verdict:
 def run(config: SimConfig, return_trajectory: bool = False) -> SimResult:
     """Simulate one configuration; deterministic for a given config."""
     inputs, q = _solve(config)
-    slopes = [_fit_slope(row[config.warmup:config.horizon]) for row in q]
+    slopes = [_drift_slope(row[config.warmup:config.horizon]) for row in q]
     return _summarise(config, inputs, q, slopes, return_trajectory)
 
 
 def _summarise(config: SimConfig, inputs: tuple, q: np.ndarray, slopes,
                return_trajectory: bool = False) -> SimResult:
-    """run()'s statistics of a solved run, given each queue's fitted drift slope."""
+    """run()'s statistics of a solved run, given each queue's drift slope."""
     horizon, warmup = config.horizon, config.warmup
     arrivals, solo1, solo2, both1, both2, force1, force2 = inputs
 
@@ -438,11 +405,8 @@ def estimate_boundary(
 
     A probe's verdict is ``system_verdict(run(config).verdict)``, computed
     without ``run()``'s statistics: it solves the run and hands each queue
-    to ``classify_stability``, which decides the drift slope's side of the
-    threshold exactly and fits the slope only inside a relative ``1e-6``
-    guard band around it. The least-squares slope lies within a few ulps
-    of the exact one, so every probe, and the estimate, is what fitting
-    every slope would give.
+    to ``classify_stability``, which judges it by the same exact drift
+    slope that ``run()`` reports.
     """
     if not 0.0 <= angle_deg <= 90.0:
         raise InvalidParameterError("angle must lie in [0, 90] degrees")

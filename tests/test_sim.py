@@ -21,7 +21,7 @@ from bcstab import (
     Verdict,
 )
 from bcstab import _kernels, sim
-from bcstab.sim import _draw_randomness, _fit_slope, _kernel_inputs
+from bcstab.sim import _draw_randomness, _kernel_inputs
 
 GENERAL_PROFILE = SuccessProfile(0.9, 0.8, 0.3, 0.5)
 
@@ -174,21 +174,23 @@ class TestVectorisedSolver:
 
 
 # sha256 of run()'s trajectory and SimResult fields at RatePoint(0.4, 0.35),
-# 20k slots, seed 41, recorded from the scheme-aware slot kernel that
-# evaluated the decoding inequalities inline. Rows follow ALL_PARAMS.
+# 20k slots, seed 41. The trajectory and every field but drift_slope were
+# recorded from the scheme-aware slot kernel that evaluated the decoding
+# inequalities inline; drift_slope is the exact least-squares slope, which
+# moved only its last bits from polyfit's. Rows follow ALL_PARAMS.
 PINNED_RUN_DIGESTS = [
-    {"none": "cb83fbee753dbb8640fd220159cce7ad8689b211e5b8439d28d5d9512fa19d9f",
-     "queue1": "c53892dd6076b50df7e3ab0304573d6fd2226e7fa009586b63d18823b5dcc52d",
-     "queue2": "c0fb1399ec72c1646678d373b576378f0eeb4fed90679e32e6e98cc79381e7a2"},
-    {"none": "6ee36d3346ee762bbf740d894017c25f019c801297d1bdf46f6761126db5e623",
-     "queue1": "2ab68d64538f64931bafaf953c936be5b3b9f0d650cd8465b9807b54a24c6b08",
-     "queue2": "e35198d36e09f0a509e8cc8f2170eb6b167127264a9b22933841f18c7a7de61f"},
-    {"none": "597b68a2911d6ab6a9928faef2f8eb2aff886303fbfe3ff1b8c4636bb9034bad",
-     "queue1": "9986cbec7268540a6763ca7174638ef02c7d1a5fb4d1f671addb3a650a669b31",
-     "queue2": "fdf82dc776536080176349a61ab2bf39e413541faff7ebadf157a9077bf19458"},
-    {"none": "9e9f0ff74f541c43c24f071833d6e72da9109be0a323430161964883e11c2e3c",
-     "queue1": "84546db2dd13ae1da499f1622ad8f298bb27ddf930908db17318de3834afd7c4",
-     "queue2": "66a502a626a0bc794245d1bf26e47d3d6ef86d94462dc2dac7154a2526907320"},
+    {"none": "b90cd0aabb96ae91cf3a4fa1d654c31db693870e31157d4f508f4454d1f2e9f6",
+     "queue1": "060cd33119c420f24d97c717df4bb7e564c9226e03c19970b034f95c8dcef51a",
+     "queue2": "610573ee74c0e4d8592b0fa99f42f4eccaf7f8fa464cccc313925038f8aa0e73"},
+    {"none": "1ef8cf12033ba468a25683cb071bdb07ad3667d3b16f9196c0f4d6ff6a1e11ca",
+     "queue1": "5737cf0d870f19e817a9f8ad1077e56a46f60e035b088b0b118390e13ec0c6f4",
+     "queue2": "c6ef39d5bd696f7d23cb38724216bb527d27f796cb26a2ec9972abeb98773203"},
+    {"none": "e473f237b015daff6ad9ca1d111a7c657e089b29617755fe5544177ffd677c1a",
+     "queue1": "78e1c796f00f055a07d68bf7576bf98ef27950099c3b6d8f7748d6c1a07ba4e5",
+     "queue2": "17d226297686d09148e8cab74fd9b47cda172c7d85465708f7f5d56cc05bdeb4"},
+    {"none": "ba88947ed488a0ca205fb9007cba86ec9084e872e08b7e4eaf169076ead5b4e6",
+     "queue1": "f8daeeb0f43c0320fcce32f567dae62859facba965e7067e0952677d4f2f4cd9",
+     "queue2": "7f80c8cf1b4522fcc7a43ae1025197165b14f23bb3fe5d24120300cc71284b7f"},
 ]
 
 
@@ -310,48 +312,6 @@ def integer_series(kind, n, seed):
 SERIES_KINDS = ["zeros", "constant", "increasing", "decreasing", "queue", "any"]
 
 
-class TestFitSlope:
-    @settings(deadline=None, max_examples=60)
-    @given(kind=st.sampled_from(SERIES_KINDS), n=st.integers(2, 50_000) | st.integers(2, 50),
-           seed=st.integers(0, 2**32 - 1))
-    def test_matches_polyfit_bit_for_bit(self, kind, n, seed):
-        series = integer_series(kind, n, seed)
-        slope = _fit_slope(series)
-        assert slope == polyfit_slope(series)
-        assert repr(slope) == repr(polyfit_slope(series))
-
-    @pytest.mark.parametrize("n", [18_000, 36_000, 90_000, sim._MAX_CACHED_FIT + 1])
-    def test_matches_polyfit_at_run_lengths(self, n):
-        """The post-warmup lengths of 20k, 40k and 100k-slot runs, and one
-        fit too long for its design to be cached."""
-        for kind in ("zeros", "increasing", "queue"):
-            series = integer_series(kind, n, n)
-            assert repr(_fit_slope(series)) == repr(polyfit_slope(series))
-
-    def test_design_is_cached_read_only_and_bounded(self):
-        sim._cached_slope_design.cache_clear()
-        _fit_slope(np.arange(1000))
-        lhs, _, _ = sim._cached_slope_design(1000)
-        assert sim._cached_slope_design.cache_info().hits == 1
-        assert not lhs.flags.writeable
-        with pytest.raises(ValueError):
-            lhs[0, 0] = 1.0
-        # a design above the cap is built per call and never cached
-        _fit_slope(np.zeros(sim._MAX_CACHED_FIT + 1, dtype=np.int32))
-        assert sim._cached_slope_design.cache_info().currsize == 1
-        _fit_slope(np.zeros(sim._MAX_CACHED_FIT, dtype=np.int32))
-        info = sim._cached_slope_design.cache_info()
-        assert (info.misses, info.currsize) == (2, 2)
-        assert info.maxsize * sim._MAX_CACHED_FIT * 16 <= 32 * 2**20
-
-    def test_warmup_leaves_two_slots(self):
-        SimConfig(RatePoint(0.1, 0.1), ALL_PARAMS[0], horizon=10, warmup=8)
-        with pytest.raises(InvalidParameterError, match="two slots"):
-            SimConfig(RatePoint(0.1, 0.1), ALL_PARAMS[0], horizon=10, warmup=9)
-        with pytest.raises(InvalidParameterError, match="two slots"):
-            b.classify_stability(np.zeros(20_001), warmup=19_999)
-
-
 def exact_slope(series):
     """The least-squares slope over the index as a Fraction, from Python ints."""
     y = series.tolist()
@@ -369,10 +329,53 @@ def verdict_series(kind, n, seed):
         return walk - np.minimum.accumulate(np.minimum(walk, 0))
     if kind == "huge":  # sums that overflow int64
         return rng.integers(-(2**62), 2**62, n, dtype=np.int64)
+    if kind == "block-limit":  # the largest values whose block sums stay in int64
+        return (2**63 // sim._SLOPE_BLOCK**2 - 1 - rng.integers(0, 3, n)).astype(np.int64)
     return integer_series(kind, n, seed)
 
 
-THRESHOLD_CHOICES = ["default", "exact", "exact-ulp", "inside-band", "outside-band"]
+class TestFitSlope:
+    @settings(deadline=None, max_examples=80)
+    @given(kind=st.sampled_from([*SERIES_KINDS, "huge"]),
+           n=st.integers(2, 50_000) | st.integers(2, 50), seed=st.integers(0, 2**32 - 1))
+    def test_matches_exact_fraction(self, kind, n, seed):
+        series = verdict_series(kind, n, seed)
+        assert sim._drift_slope(series) == float(exact_slope(series))
+
+    @pytest.mark.parametrize("n", [sim._SLOPE_BLOCK - 1, sim._SLOPE_BLOCK, sim._SLOPE_BLOCK + 1,
+                                   2 * sim._SLOPE_BLOCK + 3])
+    @pytest.mark.parametrize("kind", ["queue", "block-limit"])
+    def test_exact_at_block_edges(self, n, kind):
+        """Across block edges, also with values whose unblocked sums overflow int64."""
+        series = verdict_series(kind, n, n)
+        slope = float(exact_slope(series))
+        assert sim._drift_slope(series) == slope
+        assert sim._drift_slope(series.astype(np.uint64)) == slope
+
+    def test_float_series_gets_polyfit_slope(self):
+        for kind in ("queue", "increasing", "any"):
+            series = integer_series(kind, 18_000, 3).astype(np.float64)
+            assert repr(sim._drift_slope(series)) == repr(polyfit_slope(series))
+
+    def test_warmup_leaves_two_slots(self):
+        SimConfig(RatePoint(0.1, 0.1), ALL_PARAMS[0], horizon=10, warmup=8)
+        with pytest.raises(InvalidParameterError, match="two slots"):
+            SimConfig(RatePoint(0.1, 0.1), ALL_PARAMS[0], horizon=10, warmup=9)
+        with pytest.raises(InvalidParameterError, match="two slots"):
+            b.classify_stability(np.zeros(20_001), warmup=19_999)
+
+
+@pytest.mark.parametrize("index", range(len(ALL_PARAMS)))
+@pytest.mark.parametrize("mode", ["none", "queue1", "queue2"])
+def test_run_reports_exact_slope(index, mode):
+    cfg = SimConfig(RatePoint(0.4, 0.35), ALL_PARAMS[index], horizon=20_000, seed=41,
+                    dominant_mode=mode)
+    r = b.run(cfg, return_trajectory=True)
+    post = r.trajectory[cfg.warmup:cfg.horizon]
+    assert r.drift_slope == (float(exact_slope(post[:, 0])), float(exact_slope(post[:, 1])))
+
+
+THRESHOLD_CHOICES = ["default", "exact", "ulp-below", "ulp-above"]
 
 
 def threshold_for(choice, slope):
@@ -380,44 +383,32 @@ def threshold_for(choice, slope):
         return sim.SLOPE_THRESHOLD
     if choice == "exact":
         return slope
-    if choice == "exact-ulp":
-        return float(np.nextafter(slope, np.inf))
-    if choice == "inside-band":
-        return slope + 1e-7 * abs(slope)
-    return slope + 1e-5 * max(abs(slope), 1e-3)
+    return float(np.nextafter(slope, -np.inf if choice == "ulp-below" else np.inf))
 
 
 class TestClassifyExactSlope:
     @settings(deadline=None, max_examples=80)
     @given(kind=st.sampled_from([*SERIES_KINDS, "drifting", "huge"]),
            n=st.integers(10_001, 30_000), seed=st.integers(0, 2**32 - 1),
-           choice=st.sampled_from(THRESHOLD_CHOICES), as_float=st.booleans())
-    def test_matches_fitted_verdict(self, kind, n, seed, choice, as_float):
-        """classify_stability gives the verdict of the fitted slope, also when
-        the threshold sits on the exact slope or within the guard band."""
+           choice=st.sampled_from(THRESHOLD_CHOICES))
+    def test_verdict_follows_exact_slope(self, kind, n, seed, choice):
+        """classify_stability judges an integer trajectory by its exact slope,
+        also when the threshold sits on that slope or one ulp from it."""
         traj = verdict_series(kind, n, seed)
-        if as_float:
-            traj = traj.astype(np.float64)
         warmup = n // 10
-        threshold = threshold_for(choice, float(exact_slope(traj[warmup:n - 1].astype(np.int64))))
-        fitted = _fit_slope(traj[warmup:n - 1])
-        expected = sim._verdict(traj, warmup, fitted, threshold)
+        slope = float(exact_slope(traj[warmup:n - 1]))
+        threshold = threshold_for(choice, slope)
+        expected = sim._verdict(traj, warmup, slope, threshold)
         assert b.classify_stability(traj, warmup, threshold) is expected
 
     @pytest.mark.parametrize("kind", ["zeros", "queue", "drifting", "increasing"])
-    def test_fits_only_inside_the_guard_band(self, monkeypatch, kind):
-        fits = []
-        monkeypatch.setattr(sim, "_fit_slope", lambda series: fits.append(1) or _fit_slope(series))
-        traj = verdict_series(kind, 20_001, 5)
-        slope = float(exact_slope(traj[2000:20_000]))
-        for choice, fitted in (("exact", True), ("inside-band", True), ("outside-band", False)):
-            fits.clear()
-            b.classify_stability(traj, 2000, threshold_for(choice, slope))
-            assert len(fits) == fitted
-        fits.clear()
-        b.classify_stability(traj.astype(np.float64), 2000)
-        b.classify_stability(verdict_series("huge", 20_001, 5), 2000)
-        assert len(fits) == 2
+    def test_float_trajectory_judged_by_polyfit(self, kind):
+        traj = verdict_series(kind, 20_001, 5).astype(np.float64)
+        slope = polyfit_slope(traj[2000:20_000])
+        for choice in THRESHOLD_CHOICES:
+            threshold = threshold_for(choice, slope)
+            expected = sim._verdict(traj, 2000, slope, threshold)
+            assert b.classify_stability(traj, 2000, threshold) is expected
 
     @pytest.mark.parametrize("params", ALL_PARAMS)
     @pytest.mark.parametrize("horizon", [5_000, 20_000])
