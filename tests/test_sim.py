@@ -352,9 +352,20 @@ class TestFitSlope:
         assert sim._drift_slope(series) == slope
         assert sim._drift_slope(series.astype(np.uint64)) == slope
 
-    def test_float_series_gets_polyfit_slope(self):
-        for kind in ("queue", "increasing", "any"):
-            series = integer_series(kind, 18_000, 3).astype(np.float64)
+    @settings(deadline=None, max_examples=60)
+    @given(kind=st.sampled_from(SERIES_KINDS), n=st.integers(2, 50_000) | st.integers(2, 50),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_polyfit_bit_for_bit(self, kind, n, seed):
+        """A float series gets np.polyfit's own slope."""
+        series = integer_series(kind, n, seed).astype(np.float64)
+        assert repr(sim._drift_slope(series)) == repr(polyfit_slope(series))
+
+    @pytest.mark.parametrize("n", [18_000, 36_000, 90_000, 1_000_001])
+    def test_matches_polyfit_at_run_lengths(self, n):
+        """Float series of the post-warmup lengths of 20k, 40k and 100k-slot
+        runs, and one longer than a slope block."""
+        for kind in ("zeros", "increasing", "queue"):
+            series = integer_series(kind, n, n).astype(np.float64)
             assert repr(sim._drift_slope(series)) == repr(polyfit_slope(series))
 
     def test_warmup_leaves_two_slots(self):
@@ -390,13 +401,18 @@ class TestClassifyExactSlope:
     @settings(deadline=None, max_examples=80)
     @given(kind=st.sampled_from([*SERIES_KINDS, "drifting", "huge"]),
            n=st.integers(10_001, 30_000), seed=st.integers(0, 2**32 - 1),
-           choice=st.sampled_from(THRESHOLD_CHOICES))
-    def test_verdict_follows_exact_slope(self, kind, n, seed, choice):
-        """classify_stability judges an integer trajectory by its exact slope,
-        also when the threshold sits on that slope or one ulp from it."""
+           choice=st.sampled_from(THRESHOLD_CHOICES), as_float=st.booleans())
+    def test_matches_fitted_verdict(self, kind, n, seed, choice, as_float):
+        """classify_stability judges an integer trajectory by its exact slope
+        and a float one by np.polyfit's, also when the threshold sits on that
+        slope or one ulp from it."""
         traj = verdict_series(kind, n, seed)
         warmup = n // 10
-        slope = float(exact_slope(traj[warmup:n - 1]))
+        if as_float:
+            traj = traj.astype(np.float64)
+            slope = polyfit_slope(traj[warmup:n - 1])
+        else:
+            slope = float(exact_slope(traj[warmup:n - 1]))
         threshold = threshold_for(choice, slope)
         expected = sim._verdict(traj, warmup, slope, threshold)
         assert b.classify_stability(traj, warmup, threshold) is expected
