@@ -265,26 +265,25 @@ def layered_decode_success(
     """Joint success of peel-then-decode at the stronger receiver.
 
     The receiver first decodes the peer layer treating its own as noise,
-    removes it, then decodes its own layer interference-free. Which of the
-    two sub-events binds depends on the power split:
+    removes it, then decodes its own layer interference-free. Both decodes
+    succeed when the fading draw reaches both sub-events' thresholds, so the
+    joint probability is the smaller of the two closed forms:
 
     * ``p_own == 0``: the own layer carries nothing decodable, probability 0
       (a zero per-queue power is legal, as for the solo links).
     * ``p_peer <= gamma_peer * p_own``: the peer layer is never decodable,
       probability 0.
-    * moderate ``p_peer``: the peer-layer SINR event binds.
-    * large ``p_peer`` (above ``p_own * gamma_peer * (1 + gamma_own) / gamma_own``):
-      the own-layer SNR event binds.
-
-    The two closed-form branches agree at the crossover.
+    * otherwise ``min(sinr_success(peer layer), snr_success(own layer))``:
+      the peer-layer SINR event binds at moderate ``p_peer``, the own-layer
+      SNR event above ``p_own * gamma_peer * (1 + gamma_own) / gamma_own``,
+      and the two agree at that crossover.
     """
     if gamma_own <= 0.0:
-        raise InvalidParameterError("gamma_own must be positive (regime split undefined at 0)")
+        raise InvalidParameterError("gamma_own must be positive")
     if p_own <= 0.0 or p_peer <= gamma_peer * p_own:
         return 0.0
-    if p_peer * gamma_own <= p_own * gamma_peer * (1.0 + gamma_own):
-        return sinr_success(gamma_peer, dist, alpha, p_peer, p_own)
-    return snr_success(gamma_own, dist, alpha, p_own)
+    return min(sinr_success(gamma_peer, dist, alpha, p_peer, p_own),
+               snr_success(gamma_own, dist, alpha, p_own))
 
 
 def solo_success(params: SystemParams, user: int, power: float) -> float:

@@ -519,6 +519,10 @@ class TestValidation:
              alpha=2.0, log_p_total=0.3, split=1.0)
     @example(decoding="sc", power="fixed", log_gammas=(10.0, 10.0), log_dists=(0.0, 0.0),
              alpha=2.0, log_p_total=math.log10(2e295), split=0.5)
+    # p_peer * gamma_own underflows to 0 here: a regime split on that product
+    # picked the SINR branch and put p1_both far above p1_solo
+    @example(decoding="sc", power="fixed", log_gammas=(-99.0, -100.0), log_dists=(-124.0, 0.0),
+             alpha=1.0, log_p_total=-225.0, split=0.5)
     def test_accepted_params_build_profile_and_brackets(self, decoding, power, log_gammas,
                                                         log_dists, alpha, log_p_total, split):
         """Every parameter set SystemParams accepts has a closed-form profile and

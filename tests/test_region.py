@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bcstab as b
 from bcstab import (
@@ -18,6 +20,9 @@ from bcstab import (
 
 GENERAL = SuccessProfile(0.9, 0.8, 0.3, 0.5)
 RECT = SuccessProfile(0.5, 0.5, 0.5, 0.5)
+# profiles with zero entries: a queue never served, or no shared-slot service
+DEGENERATE = [SuccessProfile(0.0, 0.8, 0.0, 0.5), SuccessProfile(0.0, 0.0, 0.0, 0.0),
+              SuccessProfile(0.9, 0.0, 0.0, 0.0), SuccessProfile(0.6, 0.5, 0.0, 0.0)]
 
 
 def random_profile(rng, floor=0.02):
@@ -30,12 +35,14 @@ class TestRegionGeneral:
     def test_hand_worked_coefficients(self):
         reg = b.region_general(GENERAL)
         first, second = reg.parts
-        assert first.a1 == pytest.approx(1 / 0.9)
-        assert first.a2 == pytest.approx(0.6 / 0.45)
-        assert (first.cap_axis, first.cap_value) == (1, 0.5)
-        assert second.a2 == pytest.approx(1 / 0.8)
-        assert second.a1 == pytest.approx(0.3 / (0.8 * 0.3))
-        assert (second.cap_axis, second.cap_value) == (0, 0.3)
+        # queue 1 busy, queue 2 capped at p2_both: line l1/0.9 + (0.6/0.45)*l2 = 1
+        assert (first.cap_axis, first.cap_value, first.solo, first.both) == (1, 0.5, 0.9, 0.3)
+        assert first.line_value(RatePoint(1.0, 0.0)) == pytest.approx(1 / 0.9)
+        assert first.line_value(RatePoint(0.0, 1.0)) == pytest.approx(0.6 / 0.45)
+        # queue 2 busy, queue 1 capped at p1_both: line (0.3/(0.8*0.3))*l1 + l2/0.8 = 1
+        assert (second.cap_axis, second.cap_value, second.solo, second.both) == (0, 0.3, 0.8, 0.5)
+        assert second.line_value(RatePoint(0.0, 1.0)) == pytest.approx(1 / 0.8)
+        assert second.line_value(RatePoint(1.0, 0.0)) == pytest.approx(0.3 / (0.8 * 0.3))
 
     def test_hand_worked_membership(self):
         reg = b.region_general(GENERAL)
@@ -45,7 +52,8 @@ class TestRegionGeneral:
     def test_equal_probabilities_give_rectangle(self):
         reg = b.region_general(RECT)
         for part in reg.parts:
-            assert part.a1 * part.a2 == 0.0  # one coefficient vanishes
+            # the busy queue's service does not depend on the capped rate
+            assert part.service(part.cap_value) == part.service(0.0) == 0.5
         assert b.membership(reg, RatePoint(0.2, 0.2)) is Membership.INSIDE
         assert b.membership(reg, RatePoint(0.2, 0.51)) is Membership.OUTSIDE
 
@@ -84,13 +92,16 @@ class TestFixedScDecoupled:
         reg = b.region_fixed_sc_decoupled(self.PROF)
         (part,) = reg.parts
         assert (part.cap_axis, part.cap_value) == (0, 0.3679)
-        assert part.a2 == pytest.approx(1 / 0.6065)
-        assert part.a1 == pytest.approx((0.6065 - 0.3679) / (0.3679 * 0.6065))
+        assert (part.solo, part.both) == (0.6065, 0.3679)
+        assert part.line_value(RatePoint(0.0, 1.0)) == pytest.approx(1 / 0.6065)
+        assert part.line_value(RatePoint(1.0, 0.0)) == pytest.approx(
+            (0.6065 - 0.3679) / (0.3679 * 0.6065))
 
     def test_rectangle_when_fully_decoupled(self):
         reg = b.region_fixed_sc_decoupled(SuccessProfile(0.5, 0.4, 0.5, 0.4))
         (part,) = reg.parts
-        assert part.a1 == 0.0
+        assert part.solo == part.both == 0.4
+        assert part.line_value(RatePoint(1.0, 0.0)) == 0.0
         assert b.membership(reg, RatePoint(0.49, 0.39)) is Membership.INSIDE
 
     def test_single_user_corner(self):
@@ -124,12 +135,17 @@ class TestMembership:
 
     def test_grid_matches_scalar(self):
         rng = np.random.default_rng(29)
-        reg = b.region_general(GENERAL)
-        pts = rng.uniform(0.0, 1.0, size=(500, 2))
-        codes = b.membership_grid(reg, pts[:, 0], pts[:, 1])
         lookup = {1: Membership.INSIDE, 0: Membership.BOUNDARY, -1: Membership.OUTSIDE}
-        for (l1, l2), code in zip(pts, codes):
-            assert b.membership(reg, RatePoint(l1, l2)) is lookup[int(code)]
+        for prof in (GENERAL, *DEGENERATE):
+            reg = b.region_general(prof)
+            # random points, plus the axes, where degenerate parts have their segments
+            pts = np.concatenate([rng.uniform(0.0, 1.0, size=(500, 2)),
+                                  rng.uniform(0.0, 1.0, size=(20, 2)) * [1.0, 0.0],
+                                  rng.uniform(0.0, 1.0, size=(20, 2)) * [0.0, 1.0],
+                                  [[0.0, 0.0]]])
+            codes = b.membership_grid(reg, pts[:, 0], pts[:, 1])
+            for (l1, l2), code in zip(pts, codes):
+                assert b.membership(reg, RatePoint(l1, l2)) is lookup[int(code)], (prof, l1, l2)
 
     def test_nesting(self):
         """Entrywise-larger profiles can only enlarge the region."""
@@ -187,12 +203,21 @@ class TestTraceBoundary:
         with pytest.raises(InvalidParameterError):
             b.trace_boundary(b.region_general(RECT), 1)
 
+    @pytest.mark.parametrize("profile, n_points", [
+        ((0.3, 0.8, 0.1, 0.5), 4), ((0.9, 0.1, 0.45, 0.01), 3), ((0.9, 0.1, 0.45, 0.02), 5),
+    ])
+    def test_sample_near_corner_replaced_by_corner(self, profile, n_points):
+        """A linspace sample within 1e-12 of the corner gives way to the exact corner."""
+        prof = SuccessProfile(*profile)
+        pts = b.trace_boundary(b.region_general(prof), n_points)
+        near = [p.lambda1 for p in pts if abs(p.lambda1 - prof.p1_both) <= 1e-12]
+        assert near == [prof.p1_both], pts
+
     @pytest.mark.parametrize("n_points", [2, 3, 10])
     def test_no_repeated_rows(self, n_points):
         rng = np.random.default_rng(59)
-        profiles = [SuccessProfile(0.0, 0.8, 0.0, 0.5), SuccessProfile(0.0, 0.0, 0.0, 0.0),
-                    SuccessProfile(0.9, 0.0, 0.0, 0.0), SuccessProfile(0.6, 0.5, 0.0, 0.0),
-                    GENERAL, RECT, *(random_profile(rng, floor=0.0) for _ in range(20))]
+        profiles = [*DEGENERATE, GENERAL, RECT,
+                    *(random_profile(rng, floor=0.0) for _ in range(20))]
         for prof in profiles:
             pts = b.trace_boundary(b.region_general(prof), n_points)
             assert all(p != q for p, q in zip(pts, pts[1:])), (prof, pts)
@@ -223,6 +248,24 @@ class TestDominantServiceRates:
         assert mu1 == pytest.approx(0.3)
         assert empty == pytest.approx(0.5)
         assert mu2 == pytest.approx(0.8 - (0.3 / 0.3) * 0.15)
+
+    @settings(deadline=None)
+    @given(which=st.sampled_from(["first", "second"]),
+           solo=st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0)),
+           both_frac=st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0)),
+           load=st.floats(0.0, 0.99))
+    def test_saturated_rate_is_on_the_frontier(self, which, solo, both_frac, load):
+        """The busy queue's dominant-system rate lies on the region's frontier."""
+        prof = SuccessProfile(*solo, solo[0] * both_frac[0], solo[1] * both_frac[1])
+        reg = b.region_general(prof)
+        if which == "first":
+            mu, _, _ = b.dominant_service_rates(prof, which, load * prof.p2_both)
+            point = lambda lam: RatePoint(lam, load * prof.p2_both)
+        else:
+            _, mu, _ = b.dominant_service_rates(prof, which, load * prof.p1_both)
+            point = lambda lam: RatePoint(load * prof.p1_both, lam)
+        assert b.membership(reg, point(mu)) is Membership.BOUNDARY
+        assert b.membership(reg, point(0.999 * mu)) is Membership.INSIDE
 
     def test_infeasible_rate(self):
         with pytest.raises(InfeasibleRateError):
