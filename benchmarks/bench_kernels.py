@@ -31,7 +31,10 @@ The ``mc`` rows split ``mc_estimate_profile`` at 1e7 draws on the fixed
 IAN and SC configs: ``draws`` is the exponential draws alone, ``events``
 the threshold events and their counts, ``events_raw`` the four raw events
 and their counts on as many draws (user 1's blocks stand for both users),
-and ``call`` one whole call.
+and ``call`` one whole call. The split replays the call's loop through its
+private names, so each ``mc`` row's ``identical`` says whether the split's
+threshold-event counts equal ``round(p * MC_DRAWS)`` of the call's
+estimates ``p``: false means the split timed a different loop.
 
 Every column is timed ``--repeat`` times and reported as the median, with
 the best (fastest) time beside it as ``<column>_best``. Every config and
@@ -147,10 +150,12 @@ MC_PARAMS = {
 
 def split_mc(params):
     """mc_estimate_profile's loop with its draws and its events timed apart,
-    and the raw events on the same blocks; returns seconds."""
+    and the raw events on the same blocks; returns the three times in
+    seconds and the four threshold-event counts."""
     rng = np.random.default_rng(SEED)
     buf = np.empty(channel._MC_BLOCK)
     t_draws = t_events = t_raw = 0.0
+    counts = [0, 0, 0, 0]
     for start in range(0, MC_DRAWS, channel._MC_CHUNK):
         n = min(MC_DRAWS - start, channel._MC_CHUNK)
         for user in (1, 2):
@@ -158,8 +163,8 @@ def split_mc(params):
                 t0 = time.perf_counter()
                 gains = rng.standard_exponential(out=buf[:min(channel._MC_BLOCK, n - lo)])
                 t1 = time.perf_counter()
-                for _, success in channel._user_events(params, user, gains):
-                    np.count_nonzero(success)
+                for event, success in channel._user_events(params, user, gains):
+                    counts[event] += int(np.count_nonzero(success))
                 t2 = time.perf_counter()
                 if user == 1:  # all four raw events, each read from one draw
                     for success in channel._raw_events(params, gains, gains):
@@ -167,7 +172,7 @@ def split_mc(params):
                 t_draws += t1 - t0
                 t_events += t2 - t1
                 t_raw += time.perf_counter() - t2
-    return t_draws, t_events, t_raw
+    return t_draws, t_events, t_raw, counts
 
 
 def environment(args):
@@ -209,14 +214,16 @@ def main():
 
     mc_columns = ("call", "draws", "events", "events_raw")
     print(f"\nmc_estimate_profile, {MC_DRAWS} draws, median and best of {args.repeat}, milliseconds")
-    print(f"{'config':<24}" + "".join(f"{c:>11}" for c in mc_columns))
+    print(f"{'config':<24}" + "".join(f"{c:>11}" for c in mc_columns) + "  identical")
     for name, params in MC_PARAMS.items():
-        t_call, _ = repeat_times(channel.mc_estimate_profile, (params, MC_DRAWS, SEED),
-                                 args.repeat)
+        t_call, est = repeat_times(channel.mc_estimate_profile, (params, MC_DRAWS, SEED),
+                                   args.repeat)
         splits = [split_mc(params) for _ in range(args.repeat)]
-        row = summary(mc_columns, [t_call, *zip(*splits)])
+        row = summary(mc_columns, [t_call, *zip(*(split[:3] for split in splits))])
+        counts = [round(p * MC_DRAWS) for p in est.as_tuple()]
+        row["identical"] = all(split[3] == counts for split in splits)
         results["mc"][name] = row
-        print_row(name, "", mc_columns, row)
+        print_row(name, "", mc_columns, row, f"  {row['identical']}")
 
     if args.json:
         with open(args.json, "w") as fh:

@@ -98,6 +98,12 @@ _MAX_GAIN = 745.0
 # Smallest positive normal double.
 _TINY = sys.float_info.min
 
+# Each of the four rounded operations of a shared-slot test
+# ``a*u >= gamma*(1 + b*u)`` errs by at most 2**-53 relative while its result
+# is a normal double, so rounding moves the difference of its sides by at most
+# ``_ROUNDING / 2 * (a + gamma*b) * u + 2**-52 * gamma`` (to first order).
+_ROUNDING = 8.0 * 2.0**-53
+
 
 @dataclass(frozen=True)
 class SuccessProfile:
@@ -188,6 +194,21 @@ class SystemParams:
                 raise InvalidParameterError(
                     f"threshold times received power over {name} overflows at the largest gain"
                 )
+        # A shared-slot test whose rounding error at the largest gain reaches
+        # both its noise term and its margin term is decided by rounding: at
+        # a zero margin it would succeed where the closed form gives 0.
+        if self.decoding is not Decoding.GENERIC:
+            for event in (2, 3):
+                a, gamma, b = _shared_test(self, event)
+                user = _EVENT_USERS[event]
+                u = _MAX_GAIN * (self.d1 if user == 1 else self.d2) ** -self.alpha
+                own, other = a * u, gamma * (b * u)  # finite, as checked above
+                error = _ROUNDING * own + _ROUNDING * other
+                if error >= gamma / 2 and error >= abs(own - other) / 2:
+                    raise InvalidParameterError(
+                        f"the shared-slot test of user {user} loses its noise term to "
+                        "rounding at the largest gain: the powers are too large for the thresholds"
+                    )
         if self.decoding is Decoding.GENERIC:
             if self.generic_profile is None:
                 raise InvalidParameterError("generic decoding requires generic_profile")
@@ -431,7 +452,7 @@ def _band_is_exact(params: SystemParams, event: int, crossing: float) -> bool:
     Each of the four rounded operations errs by at most 2**-53 relative
     while its result is a normal double, so the test ``a*u >= gamma*(1+b*u)``
     decides as the real inequality ``(a - gamma*b)*u >= gamma`` does except
-    within a relative ``8 * 2**-53 * (a + gamma*b) / |a - gamma*b|`` of the
+    within a relative ``_ROUNDING * (a + gamma*b) / |a - gamma*b|`` of the
     root. Where that bound is below ``_MAX_ROUNDING`` and every intermediate
     at the crossing is normal (so ``gamma`` is large enough that subnormal
     intermediates far below the crossing cannot decide), every crossing of
@@ -442,7 +463,7 @@ def _band_is_exact(params: SystemParams, event: int, crossing: float) -> bool:
     margin = a - gamma * b
     if margin == 0.0:
         return False
-    rounding = 8.0 * 2.0**-53 * (a + gamma * b) / abs(margin)
+    rounding = _ROUNDING * (a + gamma * b) / abs(margin)
     dist = params.d1 if _EVENT_USERS[event] == 1 else params.d2
     u = crossing * dist**-params.alpha
     products = (a * u, b * u, gamma * (1.0 + b * u))

@@ -17,9 +17,12 @@ boundary search that cannot bracket the frontier).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
+from dataclasses import asdict
+from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -82,47 +85,43 @@ class UsageError(Exception):
     pass
 
 
-_DEFAULTS = {
-    "scheme": "ian",
-    "power": "fixed",
-    "gamma1": 0.5,
-    "gamma2": 0.5,
-    "d1": 1.0,
-    "d2": 1.0,
-    "alpha": 2.0,
-    "p_total": 2.0,
-    "p1": None,
-    "p2": None,
-    "profile": None,
-    "lambda1": None,
-    "lambda2": None,
-    "horizon": 200_000,
-    "warmup": None,
-    "seed": 1,
-    "dominant": "none",
-    "grid": 50,
-    "points": 100,
-    "format": "csv",
-    "out": None,
-    "draws": 1_000_000,
-    "simulate": False,
-    "angles": [45.0],
-    "steps": 12,
-    "workers": 1,
+# Every option as spec key -> (default, kind, help), in the spec's key order.
+# The kind is a type or the tuple of allowed strings. A key's flag is the key
+# with dashes; the thresholds' flags take dB (``--gamma1-db``) and list flags
+# a comma-separated string, while a config file gives linear thresholds and
+# JSON arrays. Options from ``lambda1`` on are listed under simulation / output.
+_OPTIONS = {
+    "scheme": ("ian", ("generic", "ian", "sc"), None),
+    "power": ("fixed", ("fixed", "adaptive"), None),
+    "gamma1": (0.5, float, "SNR/SINR threshold of user 1, dB"),
+    "gamma2": (0.5, float, "SNR/SINR threshold of user 2, dB"),
+    "d1": (1.0, float, None),
+    "d2": (1.0, float, None),
+    "alpha": (2.0, float, "pathloss exponent"),
+    "p_total": (2.0, float, None),
+    "p1": (None, float, None),
+    "p2": (None, float, None),
+    "profile": (None, list, "generic scheme: p1_solo,p2_solo,p1_both,p2_both"),
+    "lambda1": (None, float, None),
+    "lambda2": (None, float, None),
+    "horizon": (200_000, int, None),
+    "warmup": (None, int, None),
+    "seed": (1, int, None),
+    "dominant": ("none", ("none", "queue1", "queue2"), None),
+    "grid": (50, int, "sweep resolution per axis"),
+    "points": (100, int, "boundary points for region tracing"),
+    "format": ("csv", ("csv", "json"), None),
+    "out": (None, str, "output path (default stdout)"),
+    "draws": (1_000_000, int, "mc-verify: fading draws (>= 10000)"),
+    "simulate": (False, bool, "sweep: run the simulator at each grid point"),
+    "angles": ([45.0], list, "compare-boundary: comma-separated degrees"),
+    "steps": (12, int, "compare-boundary: bisection steps"),
+    "workers": (1, int, "sweep: simulator thread pool size"),
 }
 
 
-_CHOICES = {
-    "scheme": ("generic", "ian", "sc"),
-    "power": ("fixed", "adaptive"),
-    "dominant": ("none", "queue1", "queue2"),
-    "format": ("csv", "json"),
-}
-
-# Config-file values bypass argparse, so resolve_spec checks their types.
-_INT_KEYS = {"horizon", "warmup", "seed", "grid", "points", "draws", "steps", "workers"}
-_STR_KEYS = {"scheme", "power", "dominant", "format", "out"}
-_LIST_KEYS = {"profile", "angles"}
+# The thresholds, whose flags take dB.
+_DB_KEYS = ("gamma1", "gamma2")
 
 
 def _is_number(value) -> bool:
@@ -130,15 +129,17 @@ def _is_number(value) -> bool:
 
 
 def _config_value_ok(key: str, value) -> bool:
+    # Config-file values bypass argparse, so their types are checked here.
+    default, kind, _ = _OPTIONS[key]
     if value is None:
-        return _DEFAULTS[key] is None
-    if key == "simulate":
-        return isinstance(value, bool)
-    if key in _STR_KEYS:
-        return isinstance(value, str) and value in _CHOICES.get(key, (value,))
-    if key in _LIST_KEYS:
+        return default is None
+    if isinstance(kind, tuple):
+        return isinstance(value, str) and value in kind
+    if kind is list:
         return isinstance(value, list) and all(_is_number(v) for v in value)
-    return _is_number(value) and (key not in _INT_KEYS or isinstance(value, int))
+    if kind in (bool, str):
+        return isinstance(value, kind)
+    return _is_number(value) and (kind is float or isinstance(value, int))
 
 
 def db_to_linear(db: float) -> float:
@@ -148,45 +149,22 @@ def db_to_linear(db: float) -> float:
         raise InvalidParameterError(f"{db} dB is out of floating-point range") from None
 
 
-def _parse_float_list(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise UsageError(f"{text!r} is not a comma-separated list of numbers") from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    g = common.add_argument_group("system parameters")
-    g.add_argument("--config", help="JSON file with any of the flag values (linear gammas)")
-    g.add_argument("--scheme", choices=_CHOICES["scheme"])
-    g.add_argument("--power", choices=_CHOICES["power"])
-    g.add_argument("--gamma1-db", type=float, help="SNR/SINR threshold of user 1, dB")
-    g.add_argument("--gamma2-db", type=float, help="SNR/SINR threshold of user 2, dB")
-    g.add_argument("--d1", type=float)
-    g.add_argument("--d2", type=float)
-    g.add_argument("--alpha", type=float, help="pathloss exponent")
-    g.add_argument("--p-total", type=float, dest="p_total")
-    g.add_argument("--p1", type=float)
-    g.add_argument("--p2", type=float)
-    g.add_argument("--profile", help="generic scheme: p1_solo,p2_solo,p1_both,p2_both")
-    s = common.add_argument_group("simulation / output")
-    s.add_argument("--lambda1", type=float)
-    s.add_argument("--lambda2", type=float)
-    s.add_argument("--horizon", type=int)
-    s.add_argument("--warmup", type=int)
-    s.add_argument("--seed", type=int)
-    s.add_argument("--dominant", choices=_CHOICES["dominant"])
-    s.add_argument("--grid", type=int, help="sweep resolution per axis")
-    s.add_argument("--points", type=int, help="boundary points for region tracing")
-    s.add_argument("--out", help="output path (default stdout)")
-    s.add_argument("--format", choices=_CHOICES["format"])
-    s.add_argument("--simulate", action="store_const", const=True, default=None,
-                   help="sweep: run the simulator at each grid point")
-    s.add_argument("--draws", type=int, help="mc-verify: fading draws (>= 10000)")
-    s.add_argument("--angles", help="compare-boundary: comma-separated degrees")
-    s.add_argument("--steps", type=int, help="compare-boundary: bisection steps")
-    s.add_argument("--workers", type=int, help="sweep: simulator thread pool size")
+    group = common.add_argument_group("system parameters")
+    group.add_argument("--config", help="JSON file with any of the flag values (linear gammas)")
+    for key, (_, kind, help_text) in _OPTIONS.items():
+        if key == "lambda1":
+            group = common.add_argument_group("simulation / output")
+        flag = "--" + key.replace("_", "-") + ("-db" if key in _DB_KEYS else "")
+        if isinstance(kind, tuple):
+            how = {"choices": kind}
+        elif kind is bool:
+            how = {"action": "store_const", "const": True}
+        else:  # the metavar stays the flag's own name, GAMMA1_DB included
+            how = {"type": None if kind is list else kind,
+                   "metavar": flag[2:].replace("-", "_").upper()}
+        group.add_argument(flag, dest=key, help=help_text, **how)
 
     parser = argparse.ArgumentParser(
         prog="bcstab",
@@ -212,7 +190,7 @@ _cached_parser = lru_cache(maxsize=1)(build_parser)
 
 def resolve_spec(args: argparse.Namespace) -> dict:
     """Merge defaults, config file, and explicit flags into one spec dict."""
-    spec = dict(_DEFAULTS)
+    spec = {key: default for key, (default, _, _) in _OPTIONS.items()}
     if args.config:
         with open(args.config) as fh:
             try:
@@ -221,28 +199,25 @@ def resolve_spec(args: argparse.Namespace) -> dict:
                 raise UsageError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise UsageError("config file must hold a JSON object")
-        unknown = set(raw) - set(_DEFAULTS)
+        unknown = set(raw) - set(_OPTIONS)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         for key, value in raw.items():
             if not _config_value_ok(key, value):
                 raise UsageError(f"config key {key!r} has an invalid value {value!r}")
         spec.update(raw)
-    for key in ("scheme", "power", "d1", "d2", "alpha", "p_total", "p1", "p2",
-                "lambda1", "lambda2", "horizon", "warmup", "seed", "dominant",
-                "grid", "points", "out", "format", "simulate", "draws", "steps",
-                "workers"):
-        val = getattr(args, key, None)
-        if val is not None:
-            spec[key] = val
-    if args.gamma1_db is not None:
-        spec["gamma1"] = db_to_linear(args.gamma1_db)
-    if args.gamma2_db is not None:
-        spec["gamma2"] = db_to_linear(args.gamma2_db)
-    if args.angles is not None:
-        spec["angles"] = _parse_float_list(args.angles)
-    if args.profile is not None:
-        spec["profile"] = _parse_float_list(args.profile)
+    for key, (_, kind, _) in _OPTIONS.items():
+        value = getattr(args, key)
+        if value is None:
+            continue
+        if kind is list:
+            try:
+                value = [float(tok) for tok in value.split(",") if tok.strip()]
+            except ValueError:
+                raise UsageError(f"{value!r} is not a comma-separated list of numbers") from None
+        elif key in _DB_KEYS:
+            value = db_to_linear(value)
+        spec[key] = value
 
     # Power split bookkeeping: any single missing quantity is derived.
     p1, p2, ptot = spec["p1"], spec["p2"], spec["p_total"]
@@ -280,13 +255,13 @@ def _fmt(value) -> str:
         return "n/a"
     if isinstance(value, float):
         return f"{value:.9g}"
-    if isinstance(value, Verdict) or isinstance(value, Membership):
+    if isinstance(value, Enum):
         return value.value
     return str(value)
 
 
 def _jsonable(value):
-    if isinstance(value, (Verdict, Membership, Decoding, PowerScheme, DominantMode)):
+    if isinstance(value, Enum):
         return value.value
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
@@ -316,15 +291,6 @@ def write_output(rows: list[dict], meta: dict, spec: dict, stream) -> None:
         stream.write(",".join(_fmt(row[f]) for f in fields) + "\n")
 
 
-def _profile_meta(profile: SuccessProfile) -> dict:
-    return {
-        "p1_solo": profile.p1_solo,
-        "p2_solo": profile.p2_solo,
-        "p1_both": profile.p1_both,
-        "p2_both": profile.p2_both,
-    }
-
-
 def _require_rates(spec: dict) -> RatePoint:
     if spec["lambda1"] is None or spec["lambda2"] is None:
         raise UsageError("this command requires --lambda1 and --lambda2")
@@ -339,7 +305,7 @@ def cmd_region(spec: dict) -> tuple[list[dict], dict, int]:
     pts = trace_boundary(reg, spec["points"])
     rows = [{"lambda1": p.lambda1, "lambda2": p.lambda2} for p in pts]
     meta = {
-        "profile": _profile_meta(reg.profile),
+        "profile": asdict(reg.profile),
         "corner": [reg.profile.p1_both, reg.profile.p2_both],
     }
     return rows, meta, EXIT_OK
@@ -351,7 +317,7 @@ def cmd_check(spec: dict) -> tuple[list[dict], dict, int]:
     point = _require_rates(spec)
     verdict = membership(reg, point)
     rows = [{"lambda1": point.lambda1, "lambda2": point.lambda2, "membership": verdict}]
-    return rows, {"profile": _profile_meta(reg.profile)}, EXIT_OK
+    return rows, {"profile": asdict(reg.profile)}, EXIT_OK
 
 
 def cmd_simulate(spec: dict) -> tuple[list[dict], dict, int]:
@@ -394,47 +360,40 @@ def cmd_sweep(spec: dict) -> tuple[list[dict], dict, int]:
     codes = membership_grid(reg, lam1[:, None], lam2[None, :])
     names = {1: Membership.INSIDE, 0: Membership.BOUNDARY, -1: Membership.OUTSIDE}
 
+    axes = (lam1.tolist(), lam2.tolist())
     simulate = bool(spec["simulate"])
-    results = {}
+    results = itertools.repeat(None)
     if simulate:
-        cfgs, keys = [], []
-        for i, l1 in enumerate(lam1):
-            for j, l2 in enumerate(lam2):
-                cfgs.append(SimConfig(
-                    arrivals=RatePoint(float(l1), float(l2)), params=params,
-                    horizon=spec["horizon"], warmup=spec["warmup"],
-                    seed=spec["seed"] + 1009 * (i * len(lam2) + j),
-                ))
-                keys.append((i, j))
-        for key, res in zip(keys, run_batch(cfgs, workers=spec["workers"])):
-            results[key] = res
+        results = run_batch([
+            SimConfig(arrivals=RatePoint(l1, l2), params=params, horizon=spec["horizon"],
+                      warmup=spec["warmup"], seed=spec["seed"] + 1009 * k)
+            for k, (l1, l2) in enumerate(itertools.product(*axes))
+        ], workers=spec["workers"])
 
     rows = []
     disagreements = 0
-    for i, l1 in enumerate(lam1):
-        for j, l2 in enumerate(lam2):
-            m = names[int(codes[i, j])]
-            row = {"lambda1": float(l1), "lambda2": float(l2), "membership": m}
-            if simulate:
-                r = results[(i, j)]
-                sys_v = system_verdict(r.verdict)
-                radius = math.hypot(l1, l2)
-                if radius == 0.0:
-                    in_band = False
-                else:
-                    bscale = boundary_scale(reg, math.degrees(math.atan2(l2, l1)))
-                    in_band = bscale <= 0.0 or abs(radius / bscale - 1.0) <= BAND_HALFWIDTH
-                agree = (m is Membership.INSIDE and sys_v is Verdict.STABLE) or (
-                    m is Membership.OUTSIDE and sys_v is Verdict.UNSTABLE
-                )
-                if not in_band and m is not Membership.BOUNDARY and not agree:
-                    disagreements += 1
-                row.update({
-                    "verdict1": r.verdict[0], "verdict2": r.verdict[1],
-                    "system_verdict": sys_v, "in_band": in_band, "agree": agree,
-                })
-            rows.append(row)
-    meta = {"profile": _profile_meta(reg.profile)}
+    for (l1, l2), code, r in zip(itertools.product(*axes), codes.ravel().tolist(), results):
+        m = names[code]
+        row = {"lambda1": l1, "lambda2": l2, "membership": m}
+        if simulate:
+            sys_v = system_verdict(r.verdict)
+            radius = math.hypot(l1, l2)
+            if radius == 0.0:
+                in_band = False
+            else:
+                bscale = boundary_scale(reg, math.degrees(math.atan2(l2, l1)))
+                in_band = bscale <= 0.0 or abs(radius / bscale - 1.0) <= BAND_HALFWIDTH
+            agree = (m is Membership.INSIDE and sys_v is Verdict.STABLE) or (
+                m is Membership.OUTSIDE and sys_v is Verdict.UNSTABLE
+            )
+            if not in_band and m is not Membership.BOUNDARY and not agree:
+                disagreements += 1
+            row.update({
+                "verdict1": r.verdict[0], "verdict2": r.verdict[1],
+                "system_verdict": sys_v, "in_band": in_band, "agree": agree,
+            })
+        rows.append(row)
+    meta = {"profile": asdict(reg.profile)}
     if simulate:
         meta["disagreements_excluding_band"] = disagreements
         meta["band_halfwidth"] = BAND_HALFWIDTH
@@ -462,7 +421,7 @@ def cmd_compare_boundary(spec: dict) -> tuple[list[dict], dict, int]:
             "delta_lambda1": emp.lambda1 - scale * c,
             "delta_lambda2": emp.lambda2 - scale * s,
         })
-    return rows, {"profile": _profile_meta(reg.profile)}, EXIT_OK
+    return rows, {"profile": asdict(reg.profile)}, EXIT_OK
 
 
 def cmd_mc_verify(spec: dict) -> tuple[list[dict], dict, int]:
@@ -477,7 +436,7 @@ def cmd_mc_verify(spec: dict) -> tuple[list[dict], dict, int]:
              "mc_estimate": None, "stderr": None, "z": None}
             for n in names
         ]
-        return rows, {"profile": _profile_meta(closed), "note": "generic profile: no channel model to sample"}, EXIT_OK
+        return rows, {"profile": asdict(closed), "note": "generic profile: no channel model to sample"}, EXIT_OK
     est = mc_estimate_profile(params, spec["draws"], spec["seed"])
     rows = []
     worst = 0.0
@@ -493,7 +452,7 @@ def cmd_mc_verify(spec: dict) -> tuple[list[dict], dict, int]:
         rows.append({"entry": name, "closed_form": p, "mc_estimate": phat,
                      "stderr": se, "z": z})
     status = EXIT_VERIFICATION if worst > 4.0 else EXIT_OK
-    return rows, {"profile": _profile_meta(closed), "max_abs_z": worst}, status
+    return rows, {"profile": asdict(closed), "max_abs_z": worst}, status
 
 
 _HANDLERS = {

@@ -390,18 +390,18 @@ def estimate_boundary(
     *,
     horizon: int = 200_000,
     seed: int = 0,
-    hi_scale: float | None = None,
-    lo_scale: float = 0.0,
 ) -> RatePoint:
     """Locate the empirical stability frontier along one ray by bisection.
 
-    The scale factor along ``(cos a, sin a)`` is bisected between a stable
-    and an unstable bracket using simulated verdicts; the origin is stable
-    by definition. ``horizon`` must be at least the 10000 slots a verdict
-    needs, and is checked before any run. Each probe gets its own deterministic seed; an
-    inconclusive probe is retried once with a fresh seed and then treated
-    as non-stable (it can only sit next to the frontier, so either
-    assignment keeps the bracket valid to within the probe noise).
+    The scale factor along ``(cos a, sin a)`` is bisected, using simulated
+    verdicts, between the origin, stable by definition, and the ray's end
+    in the unit square of Bernoulli rates, which must be unstable (else
+    ``EstimationFailureError``). ``horizon`` must be at least the 10000
+    slots a verdict needs, and is checked before any run. Each probe gets
+    its own deterministic seed; an inconclusive probe is retried once with
+    a fresh seed and then treated as non-stable (it can only sit next to
+    the frontier, so either assignment keeps the bracket valid to within
+    the probe noise).
 
     A probe's verdict is ``system_verdict(run(config).verdict)``, computed
     without ``run()``'s statistics: it solves the run and hands each queue
@@ -422,8 +422,6 @@ def estimate_boundary(
     cap = min(1.0 / c if c > 0.0 else math.inf, 1.0 / s if s > 0.0 else math.inf)
 
     def probe(scale: float, k: int) -> Verdict:
-        if scale <= 0.0:
-            return Verdict.STABLE
         point = RatePoint(scale * c, scale * s)
         v = _system_verdict_of(SimConfig(point, params, horizon=horizon, seed=seed + 7919 * k))
         if v is Verdict.INCONCLUSIVE:
@@ -432,23 +430,12 @@ def estimate_boundary(
             )
         return v
 
-    hi = min(hi_scale, cap) if hi_scale is not None else cap
-    lo = max(0.0, lo_scale)
+    lo, hi = 0.0, cap
     if probe(hi, 0) is not Verdict.UNSTABLE:
-        wider = min(1.5 * hi, cap)
-        if wider <= hi or probe(wider, 1) is not Verdict.UNSTABLE:
-            raise EstimationFailureError(
-                f"no unstable bracket along {angle_deg} deg (tried scale {hi})"
-            )
-        hi = wider
-    if lo > 0.0 and probe(lo, 2) is not Verdict.STABLE:
-        narrower = 0.5 * lo
-        if probe(narrower, 3) is not Verdict.STABLE:
-            raise EstimationFailureError(
-                f"no stable bracket along {angle_deg} deg (tried scale {lo})"
-            )
-        lo = narrower
-
+        raise EstimationFailureError(
+            f"no unstable bracket along {angle_deg} deg (tried scale {hi})"
+        )
+    # the bisection's probes are numbered from 4, which fixes their seeds
     for i in range(steps):
         mid = 0.5 * (lo + hi)
         if probe(mid, 4 + i) is Verdict.STABLE:

@@ -547,6 +547,37 @@ class TestValidation:
             _raw_events(params, gains, gains[::-1])
         assert [user for user, _, _ in brackets] == [1, 2, 1, 2]
 
+    @settings(deadline=None, max_examples=200)
+    @given(decoding=st.sampled_from(["ian", "sc"]),
+           power=st.sampled_from(["fixed", "adaptive"]), event=st.sampled_from([2, 3]),
+           log_gammas=st.tuples(st.floats(-12, 3), st.floats(-12, 3)),
+           log_dists=st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
+           alpha=st.floats(1.0, 4.0), log_power=st.floats(-6, 17))
+    @example(decoding="ian", power="fixed", event=2, log_gammas=(0.0, 0.0),
+             log_dists=(0.0, 0.0), alpha=2.0, log_power=16.0)
+    def test_zero_margin_shared_event_never_succeeds(self, decoding, power, event, log_gammas,
+                                                     log_dists, alpha, log_power):
+        """With a zero shared-slot margin ``p_own - gamma * p_other`` the closed
+        form is 0, and on accepted parameters the raw test fails on every draw
+        up to the largest gain: its noise term is never lost to rounding."""
+        gammas = [10.0 ** g for g in log_gammas]
+        other = 10.0 ** log_power
+        if event == 3 or decoding == "sc":  # p2 * u >= gamma2 * (1 + p1 * u)
+            p1, p2 = other, gammas[1] * other
+        else:  # p1 * u >= gamma1 * (1 + p2 * u)
+            p1, p2 = gammas[0] * other, other
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # sc with d1 > d2 is only advisory
+                params = SystemParams(*gammas, *(10.0 ** d for d in log_dists), alpha,
+                                      p1 + p2, p1, p2, decoding, power)
+        except InvalidParameterError:
+            return
+        assert b.build_profile(params).as_tuple()[event] == 0.0
+        draws = np.concatenate([np.linspace(0.0, _MAX_GAIN, 100_001),
+                                np.geomspace(1e-300, _MAX_GAIN, 2001)])
+        assert not np.any(_raw_events(params, draws, draws)[event])
+
     def test_inconsistent_profile_rejected(self):
         with pytest.raises(InvalidProfileError):
             SuccessProfile(0.5, 0.8, 0.6, 0.5)

@@ -259,12 +259,14 @@ class TestConfigAndErrors:
     ('{"steps": 65}', ["compare-boundary"], cli.EXIT_USAGE),
     (None, ["compare-boundary", "--horizon", "9999"], cli.EXIT_VALIDATION),
     ('{"horizon": 20}', ["compare-boundary", "--steps", "8"], cli.EXIT_VALIDATION),
+    (None, ["mc-verify", "--scheme", "ian", "--gamma1-db", "0", "--gamma2-db", "0",
+            "--p-total", "2e16", "--draws", "100000", "--format", "json"], cli.EXIT_VALIDATION),
 ], ids=["config-type", "config-json", "pathloss-overflow", "p-total-inf", "d1-inf",
         "gamma-db-overflow", "lambda-inf", "horizon-huge", "config-horizon-huge",
         "grid-huge", "points-huge", "workers-huge", "config-workers-huge",
         "angles-not-numbers", "profile-not-numbers", "warmup-leaves-one-slot",
         "power-overflows-at-largest-gain", "steps-huge", "config-steps-above-max",
-        "horizon-below-verdict", "config-horizon-below-verdict"])
+        "horizon-below-verdict", "config-horizon-below-verdict", "noise-lost-to-rounding"])
 def test_bad_input_exits_with_documented_code(tmp_path, capfd, monkeypatch,
                                               config, argv, status):
     # every row must be rejected before grids or randomness are allocated
@@ -281,6 +283,67 @@ def test_bad_input_exits_with_documented_code(tmp_path, capfd, monkeypatch,
     code, out, err = run_cli(capfd, *argv)
     assert code == status
     assert not any(text in out + err for text in ("DLASCL", "SVD", "Warning", "Traceback"))
+
+
+# One non-default value per option, in the spec's key order: as flag tokens,
+# and as a config file carries it (linear thresholds, JSON arrays).
+OPTION_VALUES = [
+    ("scheme", ["--scheme", "sc"], "sc"),
+    ("power", ["--power", "adaptive"], "adaptive"),
+    ("gamma1", ["--gamma1-db", "3"], 10.0 ** (3 / 10)),
+    ("gamma2", ["--gamma2-db", "-3"], 10.0 ** (-3 / 10)),
+    ("d1", ["--d1", "0.8"], 0.8),
+    ("d2", ["--d2", "1.5"], 1.5),
+    ("alpha", ["--alpha", "3.5"], 3.5),
+    ("p_total", ["--p-total", "4"], 4.0),
+    ("p1", ["--p1", "0.5"], 0.5),
+    ("p2", ["--p2", "1.5"], 1.5),
+    ("profile", ["--profile", "0.9,0.8,0.3,0.5"], [0.9, 0.8, 0.3, 0.5]),
+    ("lambda1", ["--lambda1", "0.3"], 0.3),
+    ("lambda2", ["--lambda2", "0.2"], 0.2),
+    ("horizon", ["--horizon", "50000"], 50000),
+    ("warmup", ["--warmup", "1000"], 1000),
+    ("seed", ["--seed", "7"], 7),
+    ("dominant", ["--dominant", "queue1"], "queue1"),
+    ("grid", ["--grid", "20"], 20),
+    ("points", ["--points", "9"], 9),
+    ("format", ["--format", "json"], "json"),
+    ("out", ["--out", "frontier.csv"], "frontier.csv"),
+    ("draws", ["--draws", "20000"], 20000),
+    ("simulate", ["--simulate"], True),
+    ("angles", ["--angles", "15,45,75"], [15.0, 45.0, 75.0]),
+    ("steps", ["--steps", "8"], 8),
+    ("workers", ["--workers", "2"], 2),
+]
+
+
+@pytest.mark.parametrize("key, flag, value", OPTION_VALUES, ids=[row[0] for row in OPTION_VALUES])
+def test_flag_and_config_value_resolve_alike(tmp_path, key, flag, value):
+    parser = cli.build_parser()
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({key: value}))
+    by_flag = cli.resolve_spec(parser.parse_args(["region", *flag]))
+    by_config = cli.resolve_spec(parser.parse_args(["region", "--config", str(path)]))
+    # the serialised spec also tells an int from a float and pins the key order
+    assert json.dumps(by_flag) == json.dumps(by_config)
+    assert by_flag[key] != cli.resolve_spec(parser.parse_args(["region"]))[key]
+
+
+def test_default_spec_is_pinned(capsys):
+    status, out, _ = run_cli(capsys, "region", "--format", "json")
+    assert status == cli.EXIT_OK
+    spec = json.loads(out)["spec"]
+    assert list(spec)[:26] == [key for key, _, _ in OPTION_VALUES]
+    assert list(spec)[26:] == ["command", "corner"]
+    spec.pop("corner")
+    assert json.dumps(spec) == json.dumps({
+        "scheme": "ian", "power": "fixed", "gamma1": 0.5, "gamma2": 0.5, "d1": 1.0,
+        "d2": 1.0, "alpha": 2.0, "p_total": 2.0, "p1": 1.0, "p2": 1.0, "profile": None,
+        "lambda1": None, "lambda2": None, "horizon": 200000, "warmup": None, "seed": 1,
+        "dominant": "none", "grid": 50, "points": 100, "format": "json", "out": None,
+        "draws": 1000000, "simulate": False, "angles": [45.0], "steps": 12, "workers": 1,
+        "command": "region",
+    })
 
 
 def test_unbracketable_frontier_exits_with_verification_failure(capfd):
