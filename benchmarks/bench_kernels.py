@@ -22,7 +22,7 @@ place of the slopes and the rest: ``classify_stability`` on both queues.
 ``events_raw`` and ``events`` time the four success-event columns of the
 run's draws, from the raw inequalities (``channel._raw_events``) and from
 the per-parameter thresholds that ``success_events`` compares with
-(brackets cached, as in any run after the first). The configs cover
+(thresholds cached, as in any run after the first). The configs cover
 coupled queues inside the region and at 0.98x the analytic frontier, where
 the solver needs the most Picard passes, and both dominant modes; each
 horizon given is timed.
@@ -135,7 +135,7 @@ def event_times(cfg, repeat):
     """Times of the raw and the threshold success events on a run's draws."""
     _, chan = _draw_randomness(cfg)
     columns = (cfg.params, chan[:, 0], chan[:, 1])
-    channel.success_events(*columns)  # the brackets are built once per parameter set
+    channel.success_events(*columns)  # the thresholds are found once per parameter set
     t_raw, _ = repeat_times(channel._raw_events, columns, repeat)
     t_threshold, _ = repeat_times(channel.success_events, columns, repeat)
     return t_raw, t_threshold

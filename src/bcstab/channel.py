@@ -7,36 +7,26 @@ are collected in :class:`SuccessProfile`: per user, the success probability
 when its packet is sent alone and when both users' packets share the slot.
 
 The same four events are decided per fading draw by :func:`_raw_events`,
-the only place the decoding inequalities are written, multiplied out so
-that only multiplications, additions and comparisons touch the draw. The
-simulator and the Monte Carlo oracle (:func:`mc_estimate_profile`) take them
-from :func:`success_events`, which gives the same bits with one comparison
-per event and draw. Every event depends on one user's draw alone, so once
-per parameter set a k-ary search over the bit patterns of the draws in
+the only place the decoding inequalities are written. Each is in margin
+form: the SINR test ``p_own*u / (1 + p_other*u) >= gamma`` becomes
+``(p_own - gamma*p_other)*u >= gamma`` (Tse & Viswanath, *Fundamentals of
+Wireless Communication*, ch. 6), so every test compares a correctly rounded
+product of a constant and the draw with a positive constant, and successive
+decoding's joint event is the conjunction of two such tests. Rounding is
+monotone, so every event is monotone in its user's draw: it fails below one
+threshold and succeeds from it on. The simulator and the Monte Carlo oracle
+(:func:`mc_estimate_profile`) take the events from :func:`success_events`,
+which gives the same bits with one comparison per event and draw. Once per
+parameter set a k-ary search over the bit patterns of the draws in
 ``[0, _MAX_GAIN]`` (non-negative doubles order like their int64 patterns)
-finds where each raw inequality turns true (:func:`_event_brackets`):
-
-* a solo event, and successive decoding's own-layer test, compares a
-  correctly rounded product of non-negative constants and the draw with a
-  constant, so it is monotone in the draw and the crossing is an exact
-  threshold;
-* a shared-slot test ``a*u >= gamma*(1 + b*u)`` is a difference of two
-  rounded increasing terms and may flip back and forth at the ulp level,
-  but only within a relative ``8 * 2**-53 * (a + gamma*b) / |a - gamma*b|``
-  of the real root. Where that bound is below 2**-22 and the intermediates
-  at the crossing are normal doubles, draws within a relative 2**-20 of the
-  crossing are evaluated raw and every other draw is decided by the
-  threshold; otherwise that event is evaluated raw on every draw.
-
-The thresholds are found by evaluating the raw inequalities themselves,
-never from the closed forms, so the oracle stays independent of the
-probabilities it checks.
+finds each threshold exactly (:func:`_thresholds`). The thresholds are
+found by evaluating the raw inequalities themselves, never from the closed
+forms, so the oracle stays independent of the probabilities it checks.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -95,11 +85,8 @@ _PROFILE_TOL = 1e-12
 # positive double is about 744.4.
 _MAX_GAIN = 745.0
 
-# Smallest positive normal double.
-_TINY = sys.float_info.min
-
-# Each of the four rounded operations of a shared-slot test
-# ``a*u >= gamma*(1 + b*u)`` errs by at most 2**-53 relative while its result
+# Each of the four rounded operations of a shared-slot test multiplied out,
+# ``a*u >= gamma*(1 + b*u)``, errs by at most 2**-53 relative while its result
 # is a normal double, so rounding moves the difference of its sides by at most
 # ``_ROUNDING / 2 * (a + gamma*b) * u + 2**-52 * gamma`` (to first order).
 _ROUNDING = 8.0 * 2.0**-53
@@ -194,9 +181,11 @@ class SystemParams:
                 raise InvalidParameterError(
                     f"threshold times received power over {name} overflows at the largest gain"
                 )
-        # A shared-slot test whose rounding error at the largest gain reaches
-        # both its noise term and its margin term is decided by rounding: at
-        # a zero margin it would succeed where the closed form gives 0.
+        # Reject a shared-slot test that, multiplied out, would be decided by
+        # rounding at the largest gain: its rounding error reaches both its
+        # noise term and its margin term. _raw_events writes the test in
+        # margin form, which rounding cannot decide that way, so this check
+        # is redundant; it is kept so that the accepted inputs stay the same.
         if self.decoding is not Decoding.GENERIC:
             for event in (2, 3):
                 a, gamma, b = _shared_test(self, event)
@@ -245,8 +234,9 @@ def _check_user(user: int) -> int:
 
 
 def _exp_term(exponent: float) -> float:
-    # exponent is >= 0 here; past ~700 the result underflows anyway, so
-    # short-circuit to an exact 0.0 instead of relying on libm behaviour.
+    # exponent is >= 0 here. math.exp stays positive up to about 745, but
+    # past 700 this returns an exact 0.0, so every nonzero closed form is a
+    # normal double, at least e**-700.
     if exponent > 700.0:
         return 0.0
     return math.exp(-exponent)
@@ -366,9 +356,10 @@ def _raw_events(params: SystemParams, c1, c2):
     the draws of users 1 and 2, scalars or equal-shape arrays: uniforms for
     the generic scheme, which succeed below the profile's probability, and
     unit-mean exponential gains otherwise, which are tested against the raw
-    SNR/SINR inequalities (multiplied out, so only multiply/add/compare
-    touch the draws). Returns ``(solo1, solo2, both1, both2)``: success when
-    only that user's packet is sent, and when both packets share the slot.
+    SNR/SINR inequalities in margin form, so that each draw meets one
+    multiplication by a constant and one comparison. Returns ``(solo1,
+    solo2, both1, both2)``: success when only that user's packet is sent,
+    and when both packets share the slot.
     """
     if params.decoding is Decoding.GENERIC:
         prof = params.generic_profile
@@ -381,34 +372,29 @@ def _raw_events(params: SystemParams, c1, c2):
     gamma1, gamma2, p1, p2 = params.gamma1, params.gamma2, params.p1, params.p2
     solo1 = params.solo_power(1) * u1 >= gamma1
     solo2 = params.solo_power(2) * u2 >= gamma2
-    own1 = p1 * u1
     if params.decoding is Decoding.SUCCESSIVE_DECODING:
         # peel user 2's layer (its SINR), then decode user 1's interference-free
-        both1 = (p2 * u1 >= gamma2 * (1.0 + own1)) & (own1 >= gamma1)
+        both1 = ((p2 - gamma2 * p1) * u1 >= gamma2) & (p1 * u1 >= gamma1)
     else:
-        both1 = own1 >= gamma1 * (1.0 + p2 * u1)
-    both2 = p2 * u2 >= gamma2 * (1.0 + p1 * u2)
+        both1 = (p1 - gamma1 * p2) * u1 >= gamma1
+    both2 = (p2 - gamma2 * p1) * u2 >= gamma2
     return solo1, solo2, both1, both2
 
 
 # The events of _raw_events, in order, are decided by these users' draws.
 _EVENT_USERS = (1, 2, 1, 2)
 
-# Points per round of the k-ary search for the crossings: eight rounds span
+# Points per round of the k-ary search for the thresholds: eight rounds span
 # the 2**62 bit patterns of [0, _MAX_GAIN].
 _SEARCH_POINTS = 255
 
-# Relative half-width of the band around a shared-slot crossing inside which
-# draws are evaluated raw, and the largest rounding bound (relative distance
-# from the real root within which the raw test may disagree with it) for
-# which the band is used; the band is at least twice that bound wide.
-_BAND = 2.0**-20
-_MAX_ROUNDING = 2.0**-22
 
-
-def _crossings(params: SystemParams) -> list[float]:
-    """Per event, the draw in ``[0, _MAX_GAIN]`` at which _raw_events first
-    reports success after a failure one bit pattern below, or ``inf``.
+@lru_cache(maxsize=16)
+def _thresholds(params: SystemParams) -> tuple[float, ...]:
+    """Per event of _raw_events, the draw in ``[0, _MAX_GAIN]`` of its user
+    (``_EVENT_USERS``) from which on it succeeds, or ``inf`` if it fails
+    there: every event is monotone in that draw, so the draw at which it
+    first succeeds after a failure one bit pattern below is exact.
 
     Non-negative doubles order like their int64 bit patterns, so this is a
     bisection over integers: a k-ary search that keeps, per event, a
@@ -433,67 +419,16 @@ def _crossings(params: SystemParams) -> list[float]:
         below = np.where(first > 0, points[rows, first - 1], lo)
         lo = np.where(active, np.where(found, below, points[:, -1]), lo)
         hi = np.where(active & found, points[rows, first], hi)
-    return [math.inf if h > top else float(np.int64(h).view(np.float64)) for h in hi]
+    return tuple(math.inf if h > top else float(np.int64(h).view(np.float64)) for h in hi)
 
 
 def _shared_test(params: SystemParams, event: int) -> tuple[float, float, float]:
-    """``(a, gamma, b)`` of the test ``a*u >= gamma*(1 + b*u)`` in shared-slot
-    ``event`` (2: both1, 3: both2); under successive decoding, both1's
-    layer-peeling test."""
+    """``(a, gamma, b)`` of shared-slot ``event``'s SINR test multiplied out,
+    ``a*u >= gamma*(1 + b*u)`` (2: both1, 3: both2); under successive
+    decoding, both1's layer-peeling test."""
     if event == 3 or params.decoding is Decoding.SUCCESSIVE_DECODING:
         return params.p2, params.gamma2, params.p1
     return params.p1, params.gamma1, params.p2
-
-
-def _band_is_exact(params: SystemParams, event: int, crossing: float) -> bool:
-    """Whether the raw shared-slot test agrees with the real inequality
-    outside a relative ``_BAND`` of ``crossing`` (``_MAX_GAIN`` for none).
-
-    Each of the four rounded operations errs by at most 2**-53 relative
-    while its result is a normal double, so the test ``a*u >= gamma*(1+b*u)``
-    decides as the real inequality ``(a - gamma*b)*u >= gamma`` does except
-    within a relative ``_ROUNDING * (a + gamma*b) / |a - gamma*b|`` of the
-    root. Where that bound is below ``_MAX_ROUNDING`` and every intermediate
-    at the crossing is normal (so ``gamma`` is large enough that subnormal
-    intermediates far below the crossing cannot decide), every crossing of
-    the raw test lies in the band, the bisected one among them. The margin
-    ``a - gamma*b`` only sizes the band; it never decides an event.
-    """
-    a, gamma, b = _shared_test(params, event)
-    margin = a - gamma * b
-    if margin == 0.0:
-        return False
-    rounding = _ROUNDING * (a + gamma * b) / abs(margin)
-    dist = params.d1 if _EVENT_USERS[event] == 1 else params.d2
-    u = crossing * dist**-params.alpha
-    products = (a * u, b * u, gamma * (1.0 + b * u))
-    return (rounding < _MAX_ROUNDING and _TINY <= u and _TINY <= gamma
-            and all(v == 0.0 or _TINY <= v < math.inf for v in products))
-
-
-@lru_cache(maxsize=16)
-def _event_brackets(params: SystemParams) -> tuple:
-    """Per event of _raw_events, ``(user, lo, hi)``: a draw of ``user`` below
-    ``lo`` fails, one at or above ``hi`` succeeds, and one in between is
-    evaluated raw; ``lo = hi = None`` evaluates the event raw on every draw.
-
-    Solo events are products of non-negative constants and the draw,
-    correctly rounded, compared with a constant: monotone in the draw, so
-    the bisected crossing is exact and ``lo == hi``. Shared-slot events get
-    a band of relative half-width ``_BAND`` around the crossing where
-    ``_band_is_exact`` holds, and are evaluated raw where it does not.
-    """
-    brackets = []
-    for event, crossing in enumerate(_crossings(params)):
-        user = _EVENT_USERS[event]
-        centre = min(crossing, _MAX_GAIN)
-        if event < 2:  # solo1, solo2
-            brackets.append((user, crossing, crossing))
-        elif _band_is_exact(params, event, centre):
-            brackets.append((user, centre * (1.0 - _BAND), crossing * (1.0 + _BAND)))
-        else:
-            brackets.append((user, None, None))
-    return tuple(brackets)
 
 
 def success_events(params: SystemParams, c1, c2):
@@ -508,12 +443,9 @@ def success_events(params: SystemParams, c1, c2):
     The result is that of the raw inequalities (``_raw_events``) on every
     draw in ``[0, _MAX_GAIN]``, the range of any float64 exponential draw.
     For arrays of exponential gains each event is decided by one comparison
-    of its user's draw with a threshold found once per parameter set by
-    bisecting the raw inequality over the draw's bit pattern
-    (``_event_brackets``); only the rare draws inside a shared-slot event's
-    narrow band around its threshold are evaluated raw. The thresholds come
-    from the raw inequalities, never from the closed forms, so the Monte
-    Carlo oracle stays independent of what it checks.
+    of its user's draw with its exact threshold (``_thresholds``), bisected
+    once per parameter set from the raw inequality, never from the closed
+    forms, so the Monte Carlo oracle stays independent of what it checks.
     """
     if params.decoding is Decoding.GENERIC or not _draw_arrays(c1, c2):
         return _raw_events(params, c1, c2)
@@ -528,28 +460,13 @@ def success_events(params: SystemParams, c1, c2):
 
 def _user_events(params: SystemParams, user: int, c: np.ndarray):
     """``(event, success)`` for each event that ``user``'s draws ``c`` decide."""
-    raw = None
-    for event, (owner, lo, hi) in enumerate(_event_brackets(params)):
-        if owner != user:
-            continue
-        if lo is None:
-            # each event reads only its user's draw, so c can stand for both
-            if raw is None:
-                raw = _raw_events(params, c, c)
-            yield event, raw[event]
-            continue
-        success = c >= hi
-        if lo < hi:
-            band = c >= lo
-            band ^= success
-            if band.any():
-                inside = c[band]
-                success[band] = _raw_events(params, inside, inside)[event]
-        yield event, success
+    for event, threshold in enumerate(_thresholds(params)):
+        if _EVENT_USERS[event] == user:
+            yield event, c >= threshold
 
 
 def _draw_arrays(c1, c2) -> bool:
-    """Whether the draws are equal-shape float64 arrays, the inputs the brackets decide."""
+    """Whether the draws are equal-shape float64 arrays, the inputs the thresholds decide."""
     return all(isinstance(c, np.ndarray) and c.dtype == np.float64 and c.ndim > 0
                for c in (c1, c2)) and c1.shape == c2.shape
 
@@ -599,12 +516,11 @@ def mc_estimate_profile(params: SystemParams, draws: int, seed: int) -> MonteCar
     This is the independent cross-check of the closed forms: per draw it
     decides the SNR/SINR/joint inequalities of :func:`_raw_events` on
     exponential gains, never through a closed form. Each user's block of
-    draws goes to :func:`_user_events`, which compares it with the brackets
-    of :func:`_event_brackets` (the thresholds :func:`success_events` uses,
-    bisected from those inequalities themselves) and evaluates
-    :func:`_raw_events` inside a band or where an event has no bracket.
-    Deterministic for a given seed; draws are consumed in fixed-size
-    chunks.
+    draws goes to :func:`_user_events`, which compares it with that user's
+    exact thresholds from :func:`_thresholds`, the ones
+    :func:`success_events` uses, bisected from those inequalities
+    themselves: every event is monotone in its user's draw. Deterministic
+    for a given seed; draws are consumed in fixed-size chunks.
     """
     if draws < 1:
         raise InvalidParameterError("draws must be >= 1")

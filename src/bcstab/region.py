@@ -112,7 +112,12 @@ class SubRegion:
         """
         if self.cap_value == 0.0:
             return self.solo
-        return self.solo - (self.solo - self.both) / self.cap_value * lam_cap
+        slope = (self.solo - self.both) / self.cap_value
+        if slope == math.inf:
+            # a subnormal cap: scale the rate first, since inf * 0 is nan
+            with np.errstate(over="ignore"):
+                return self.solo - (self.solo - self.both) * (lam_cap / self.cap_value)
+        return self.solo - slope * lam_cap
 
     def _residuals(self, lam1, lam2):
         """Line and cap residuals, elementwise; the rates are strictly inside

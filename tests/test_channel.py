@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 import bcstab as b
 from bcstab import (
+    Decoding,
     InvalidParameterError,
     InvalidProfileError,
     SuccessProfile,
     SystemParams,
 )
-from bcstab.channel import _BAND, _MAX_GAIN, _event_brackets, _raw_events
+from bcstab.channel import _EVENT_USERS, _MAX_GAIN, _raw_events, _thresholds
 
 EXP_HALF = 0.6065306597126334  # exp(-0.5)
 EXP_QUARTER = 0.7788007830714049  # exp(-0.25)
@@ -326,14 +327,29 @@ def raw_crossing(params, event):
 
 def probe_draws(params, seed):
     """0, _MAX_GAIN, random gains, and 40 bit patterns either side of every
-    bracket end and of every independently found crossing, within [0, _MAX_GAIN]."""
+    threshold and of every independently found crossing, within [0, _MAX_GAIN]."""
     marks = [raw_crossing(params, event) for event in range(4)]
-    marks += [end for _, lo, hi in _event_brackets(params) for end in (lo, hi)]
+    marks += _thresholds(params)
     bits = [to_bits(m) + k for m in marks if m is not None and m <= _MAX_GAIN
             for k in range(-40, 41)]
     draws = np.concatenate([[0.0, _MAX_GAIN], np.array(bits, dtype=np.int64).view(np.float64),
                             np.random.default_rng(seed).standard_exponential(200)])
     return draws[(draws >= 0.0) & (draws <= _MAX_GAIN)]
+
+
+def subnormal_error(params, event, draw):
+    """Relative error that rounding to a subnormal, at most 2**-1074
+    absolute, can add near ``event``'s root at ``draw``: of each decoding
+    threshold the raw test compares with, of the scaled draw, and of the
+    closed form's ``gamma * d**alpha``. Negligible where all are normal."""
+    user = _EVENT_USERS[event]
+    dist = params.d1 if user == 1 else params.d2
+    gammas = [params.gamma1 if user == 1 else params.gamma2]
+    if event == 2 and params.decoding is Decoding.SUCCESSIVE_DECODING:
+        gammas.append(params.gamma2)  # the peer layer's SINR test
+    values = [draw * dist**-params.alpha]
+    values += [v for gamma in gammas for v in (gamma, gamma * dist**params.alpha)]
+    return sum(2.0**-1074 / v if v > 0.0 else math.inf for v in values)
 
 
 @st.composite
@@ -394,37 +410,43 @@ class TestThresholdEvents:
             assert np.array_equal(got, want)
 
     def test_solo_events_have_exact_thresholds(self):
-        for params in (ian_params(), sc_params(0.5, 1.5), sc_params(0.5, 1.5, power_scheme="adaptive")):
-            for event in (0, 1):
-                user, lo, hi = _event_brackets(params)[event]
-                assert lo == hi == raw_crossing(params, event)
-
-    def test_shared_event_needs_its_band(self):
-        # the raw shared-slot test flips back and forth within a few ulps of
-        # its crossing, so a bare threshold there would be wrong
+        # every event, the shared-slot ones too, is monotone in its user's
+        # draw, so its threshold is the crossing a scalar bisection finds; the
+        # last two rows are shared-slot tests that, multiplied out, flipped
+        # within a few ulps of their root and far from it
         p1, p2 = 0.5176490349354173, 2.7996668711148365
-        params = SystemParams(0.5, 2.3294701747012687, 1, 1, 2, p1 + p2, p1, p2, "ian", "fixed")
-        crossing = raw_crossing(params, 3)
-        draws = np.array([to_draw(to_bits(crossing) + k) for k in range(-40, 41)])
-        raw = _raw_events(params, draws, draws)[3]
-        assert np.any(raw[:-1] & ~raw[1:])  # not monotone
-        _, lo, hi = _event_brackets(params)[3]
-        assert lo < crossing < hi and hi / lo - 1.0 < 4 * _BAND
-        assert np.array_equal(b.success_events(params, draws, draws)[3], raw)
+        gamma2, q1, q2, d2 = 1.7070944094947509, 1.1137987045537419, 1.9013595418479177, 2.2505533697683023e-06
+        rows = (ian_params(), sc_params(0.5, 1.5), sc_params(0.5, 1.5, power_scheme="adaptive"),
+                SystemParams(0.5, 2.3294701747012687, 1, 1, 2, p1 + p2, p1, p2, "ian", "fixed"),
+                SystemParams(0.5, gamma2, 1, d2, 2, q1 + q2, q1, q2, "ian", "fixed"))
+        for params in rows:
+            for event, threshold in enumerate(_thresholds(params)):
+                crossing = raw_crossing(params, event)
+                assert threshold == (math.inf if crossing is None else crossing)
+                centre = to_bits(min(threshold, _MAX_GAIN))
+                draws = np.array([to_draw(centre + k) for k in range(-40, 41)])
+                raw = _raw_events(params, draws, draws)[event]
+                assert np.array_equal(raw, draws >= threshold), (params, event)
 
-    def test_raw_fallback_where_rounding_bound_fails(self):
-        # p2 exceeds gamma2 * p1 by a relative 2**-40: the raw test disagrees
-        # with the real inequality far outside any 2**-20 band, so the event
-        # is evaluated raw on every draw
-        gamma2, p1, p2, d2 = 1.7070944094947509, 1.1137987045537419, 1.9013595418479177, 2.2505533697683023e-06
-        params = SystemParams(0.5, gamma2, 1, d2, 2, p1 + p2, p1, p2, "ian", "fixed")
-        assert _event_brackets(params)[3] == (2, None, None)
-        crossing = raw_crossing(params, 3)
-        draws = np.linspace(crossing * (1 - 2**-10), crossing * (1 + 2**-10), 100_001)
-        raw = _raw_events(params, draws, draws)[3]
-        outside = np.abs(draws / crossing - 1.0) > _BAND
-        assert np.any(raw[outside] != (draws[outside] >= crossing))
-        assert np.array_equal(b.success_events(params, draws, draws)[3], raw)
+    @settings(deadline=None, max_examples=300)
+    @given(params=physical_params())
+    @example(params=SystemParams(0.5, 2.3294701747012687, 1, 1, 2, 0.5176490349354173 + 2.7996668711148365,
+                                 0.5176490349354173, 2.7996668711148365, "ian", "fixed"))
+    @example(params=SystemParams(0.5, 0.5, 1, 1, 2, 2.0, 0.5, 1.5, "sc", "adaptive"))
+    def test_thresholds_match_closed_forms(self, params):
+        """A draw-free check of the closed forms: an event succeeds on Exp(1)
+        draws from its threshold on, so its probability is exp(-threshold).
+        The tolerance is the rounding of the closed form's and the
+        threshold's few operations, relative 2**-53 each, carried through
+        exp, plus what a subnormal quantity near the root adds."""
+        closed = b.build_profile(params).as_tuple()
+        for event, (threshold, p) in enumerate(zip(_thresholds(params), closed)):
+            t = min(threshold, _MAX_GAIN)
+            tol = (t + 1) * (8 * 2.0**-53 + subnormal_error(params, event, t))
+            if p == 0.0:  # _exp_term's cutoff, or an infeasible event
+                assert threshold + tol > 700.0, (event, threshold)
+            else:
+                assert abs(math.exp(-threshold) - p) <= tol * p, (event, threshold, p)
 
     def test_strided_columns_and_scalars(self):
         params = sc_params(0.5, 1.5)
@@ -526,7 +548,7 @@ class TestValidation:
     def test_accepted_params_build_profile_and_brackets(self, decoding, power, log_gammas,
                                                         log_dists, alpha, log_p_total, split):
         """Every parameter set SystemParams accepts has a closed-form profile and
-        event brackets, and raw events up to the largest draw, all computed
+        event thresholds, and raw events up to the largest draw, all computed
         without an exception or a floating-point fault."""
         p_total = 10.0 ** log_p_total
         try:
@@ -541,11 +563,11 @@ class TestValidation:
         gains = np.array([0.0, 1e-300, 1.0, 744.4, _MAX_GAIN])
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             b.build_profile(params)
-            brackets = _event_brackets(params)
-            # the raw inequalities that sim.step, the bands and the fallback
+            thresholds = _thresholds(params)
+            # the raw inequalities that sim.step and the threshold search
             # evaluate stay finite up to the largest draw
             _raw_events(params, gains, gains[::-1])
-        assert [user for user, _, _ in brackets] == [1, 2, 1, 2]
+        assert all(0.0 <= t <= _MAX_GAIN or t == math.inf for t in thresholds)
 
     @settings(deadline=None, max_examples=200)
     @given(decoding=st.sampled_from(["ian", "sc"]),

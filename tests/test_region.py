@@ -1,6 +1,7 @@
 """Region construction, membership, boundary tracing, dominant-system rates."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,12 +18,15 @@ from bcstab import (
     SuccessProfile,
     SystemParams,
 )
+from bcstab.region import BOUNDARY_TOL
 
 GENERAL = SuccessProfile(0.9, 0.8, 0.3, 0.5)
 RECT = SuccessProfile(0.5, 0.5, 0.5, 0.5)
-# profiles with zero entries: a queue never served, or no shared-slot service
+# profiles with zero entries: a queue never served, or no shared-slot service;
+# and with a subnormal shared-slot entry, whose cap overflows a part's slope
 DEGENERATE = [SuccessProfile(0.0, 0.8, 0.0, 0.5), SuccessProfile(0.0, 0.0, 0.0, 0.0),
-              SuccessProfile(0.9, 0.0, 0.0, 0.0), SuccessProfile(0.6, 0.5, 0.0, 0.0)]
+              SuccessProfile(0.9, 0.0, 0.0, 0.0), SuccessProfile(0.6, 0.5, 0.0, 0.0),
+              SuccessProfile(0.9, 0.8, 0.3, 5e-324), SuccessProfile(0.9, 0.8, 5e-324, 0.5)]
 
 
 def random_profile(rng, floor=0.02):
@@ -146,6 +150,30 @@ class TestMembership:
             codes = b.membership_grid(reg, pts[:, 0], pts[:, 1])
             for (l1, l2), code in zip(pts, codes):
                 assert b.membership(reg, RatePoint(l1, l2)) is lookup[int(code)], (prof, l1, l2)
+
+    def test_subnormal_shared_entry_acts_as_zero(self):
+        """A subnormal shared-slot entry caps its queue as a zero entry does:
+        on rates that are 0 or above BOUNDARY_TOL the grid codes, the scalar
+        classes and the ray scales agree, and nothing is nan or warns."""
+        rng = np.random.default_rng(53)
+        rates = np.concatenate([[0.0], rng.uniform(2 * BOUNDARY_TOL, 1.0, 14)])
+        l1, l2 = (grid.ravel() for grid in np.meshgrid(rates, rates))
+        for prof in (GENERAL, *(random_profile(rng) for _ in range(20))):
+            for entry, which in ((2, "second"), (3, "first")):  # the part it caps
+                sub, zero = list(prof.as_tuple()), list(prof.as_tuple())
+                sub[entry], zero[entry] = 5e-324, 0.0
+                regions = [b.region_general(SuccessProfile(*p)) for p in (sub, zero)]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    codes = [b.membership_grid(reg, l1, l2) for reg in regions]
+                    classes = [[b.membership(reg, RatePoint(x, y)) for x, y in zip(l1, l2)]
+                               for reg in regions]
+                    scales = [[b.boundary_scale(reg, a) for a in (0, 30, 45, 60, 90)]
+                              for reg in regions]
+                    service = b.dominant_service_rates(SuccessProfile(*sub), which, 0.0)
+                assert np.array_equal(*codes), (prof, entry)
+                assert classes[0] == classes[1] and scales[0] == scales[1], (prof, entry)
+                assert all(math.isfinite(r) for r in service), (prof, entry)
 
     def test_nesting(self):
         """Entrywise-larger profiles can only enlarge the region."""
