@@ -6,26 +6,31 @@ Usage:
                                        [--json BENCH_label.json]
 
 Runs from a checkout without installing: the checkout's ``src/`` is put
-first on the import path.
+first on the import path, and ``tests/`` after it for the reference draw
+(which needs the test dependencies, pytest and hypothesis).
 
 The slot loop and the solver consume identical pre-drawn arrivals and
 success events and produce a bit-identical trajectory (checked here, with
 the solver's Picard pass count). Each config also splits one whole
 ``run()`` into four parts, each timed directly, one after the other in the
 same iteration, so none can read negative: the draw and the success events
-(``sim._kernel_inputs``), the recursion (the solver), the two exact drift
-slopes (``fit``: ``sim._drift_slope`` on each queue's post-warmup
-trajectory), and the rest of the statistics (``sim._summarise``: counts,
-rates, verdicts). ``run`` is taken over the per-iteration sums of the four.
-``verdicts`` times what a boundary-search probe does after the solve in
-place of the slopes and the rest: ``classify_stability`` on both queues.
-``events_raw`` and ``events`` time the four success-event columns of the
-run's draws, from the raw inequalities (``channel._raw_events``) and from
-the per-parameter thresholds that ``success_events`` compares with
-(thresholds cached, as in any run after the first). The configs cover
-coupled queues inside the region and at 0.98x the analytic frontier, where
-the solver needs the most Picard passes, and both dominant modes; each
-horizon given is timed.
+(``sim._kernel_inputs``, block by block), the recursion (the solver), the
+two exact drift slopes (``fit``: ``sim._drift_slope`` on each queue's
+post-warmup trajectory), and the rest of the statistics
+(``sim._summarise``: counts, rates, verdicts). ``run`` is taken over the
+per-iteration sums of the four. ``verdicts`` times what a boundary-search
+probe does after the solve in place of the slopes and the rest:
+``classify_stability`` on both queues. ``draw_whole`` times the reference
+whole-array draw of the same randomness (``whole_array_draw`` in
+``tests/test_sim.py``: two ``(horizon, 2)`` float64 arrays), which the
+blocked ``inputs`` replaced, so the draw's share stays visible.
+``events_raw`` and ``events`` time the four success-event columns of those
+draws, each user's in a contiguous row as a run has them, from the raw
+inequalities (``channel._raw_events``) and from the per-parameter
+thresholds that ``success_events`` compares with (thresholds cached, as in
+any run after the first). The configs cover coupled queues inside the
+region and at 0.98x the analytic frontier, where the solver needs the most
+Picard passes, and both dominant modes; each horizon given is timed.
 
 The ``mc`` rows split ``mc_estimate_profile`` at 1e7 draws on the fixed
 IAN and SC configs: ``draws`` is the exponential draws alone, ``events``
@@ -55,7 +60,8 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from bcstab import (
     RatePoint,
@@ -67,7 +73,8 @@ from bcstab import (
     region_for_params,
 )
 from bcstab import _kernels, channel
-from bcstab.sim import _draw_randomness, _drift_slope, _kernel_inputs, _summarise
+from bcstab.sim import _drift_slope, _kernel_inputs, _summarise
+from test_sim import whole_array_draw
 
 
 def repeat_times(fn, args, repeat):
@@ -131,14 +138,16 @@ def configs(horizon):
                                               dominant_mode=mode)
 
 
-def event_times(cfg, repeat):
-    """Times of the raw and the threshold success events on a run's draws."""
-    _, chan = _draw_randomness(cfg)
-    columns = (cfg.params, chan[:, 0], chan[:, 1])
+def draw_and_event_times(cfg, repeat):
+    """Times of the whole-array draw, and of the raw and the threshold
+    success events on its channel draws."""
+    t_draw, (_, chan) = repeat_times(whole_array_draw, (cfg,), repeat)
+    # each user's draws in a contiguous row, as a run compares them
+    columns = (cfg.params, *np.ascontiguousarray(chan.T))
     channel.success_events(*columns)  # the thresholds are found once per parameter set
     t_raw, _ = repeat_times(channel._raw_events, columns, repeat)
     t_threshold, _ = repeat_times(channel.success_events, columns, repeat)
-    return t_raw, t_threshold
+    return t_draw, t_raw, t_threshold
 
 
 MC_DRAWS = 10_000_000
@@ -195,7 +204,8 @@ def main():
     ap.add_argument("--json", help="write the medians, the bests and the environment to this file")
     args = ap.parse_args()
 
-    columns = ("loop", "run", "inputs", "solve", "fit", "rest", "verdicts", "events_raw", "events")
+    columns = ("loop", "run", "inputs", "solve", "fit", "rest", "verdicts", "draw_whole",
+               "events_raw", "events")
     results = {"environment": environment(args), "unit": "ms", "runs": {}, "mc": {}}
     for horizon in args.horizon:
         print(f"{horizon} slots, median and best of {args.repeat}, milliseconds")
@@ -206,7 +216,8 @@ def main():
             q, passes = _kernels.simulate_slots(*kernel_args)
             splits = [split_run(cfg) for _ in range(args.repeat)]
             t_run = [sum(split[:4]) for split in splits]
-            row = summary(columns, [t_loop, t_run, *zip(*splits), *event_times(cfg, args.repeat)])
+            row = summary(columns, [t_loop, t_run, *zip(*splits),
+                                     *draw_and_event_times(cfg, args.repeat)])
             passes = "loop" if passes is None else passes
             row.update(passes=passes, identical=bool(np.array_equal(q, q_loop)))
             results["runs"].setdefault(str(horizon), {})[name] = row

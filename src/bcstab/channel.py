@@ -372,12 +372,15 @@ def _raw_events(params: SystemParams, c1, c2):
     gamma1, gamma2, p1, p2 = params.gamma1, params.gamma2, params.p1, params.p2
     solo1 = params.solo_power(1) * u1 >= gamma1
     solo2 = params.solo_power(2) * u2 >= gamma2
+    # A margin at or below zero never succeeds, as gamma > 0; clipping it at
+    # zero keeps an overflowed gamma*p_other (-inf) from meeting a zero draw.
+    margin2 = max(p2 - gamma2 * p1, 0.0)
     if params.decoding is Decoding.SUCCESSIVE_DECODING:
         # peel user 2's layer (its SINR), then decode user 1's interference-free
-        both1 = ((p2 - gamma2 * p1) * u1 >= gamma2) & (p1 * u1 >= gamma1)
+        both1 = (margin2 * u1 >= gamma2) & (p1 * u1 >= gamma1)
     else:
-        both1 = (p1 - gamma1 * p2) * u1 >= gamma1
-    both2 = (p2 - gamma2 * p1) * u2 >= gamma2
+        both1 = max(p1 - gamma1 * p2, 0.0) * u1 >= gamma1
+    both2 = margin2 * u2 >= gamma2
     return solo1, solo2, both1, both2
 
 
@@ -451,9 +454,7 @@ def success_events(params: SystemParams, c1, c2):
         return _raw_events(params, c1, c2)
     events = [None] * 4
     for user, c in ((1, c1), (2, c2)):
-        # a compare reads a contiguous copy of a strided column (one of the
-        # simulator's (horizon, 2) draws) about twice as fast as the column
-        for event, success in _user_events(params, user, np.ascontiguousarray(c)):
+        for event, success in _user_events(params, user, c):
             events[event] = success
     return tuple(events)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -127,6 +128,15 @@ class SubRegion:
         lam_cap, lam_busy = (lam1, lam2) if self.cap_axis == 0 else (lam2, lam1)
         if self.solo == 0.0:  # a queue that is never served: its rate must be exactly 0
             line = np.where(lam_busy > 0.0, math.inf, -1.0)
+        elif self.solo < sys.float_info.min:
+            # a subnormal solo: lam_busy / solo overflows (to the right inf)
+            # and service rounds to 0 or solo, so divide each term by solo
+            # first: service / solo = 1 - (1 - both/solo) * lam_cap/cap_value
+            with np.errstate(over="ignore"):
+                line = np.divide(lam_busy, self.solo) - 1.0
+                if self.cap_value > 0.0:
+                    drop = 1.0 - min(self.both, self.solo) / self.solo
+                    line = line + drop * lam_cap / self.cap_value
         else:
             line = (lam_busy - self.service(lam_cap)) / self.solo
         return line, lam_cap - self.cap_value

@@ -7,10 +7,11 @@ decouples the other queue exactly as in the saturated-queue analysis.
 
 Slot ordering convention: transmissions are decided and resolved on the
 slot-start state, then arrivals join, so a packet arriving in slot t can
-depart in slot t+1 at the earliest. All randomness is pre-drawn from a
-seeded generator (arrival uniforms first, then channel draws), so runs are
-reproducible bit-for-bit and different dominant modes of the same seed
-share identical randomness (common random numbers).
+depart in slot t+1 at the earliest. All randomness comes from one seeded
+stream (arrival uniforms first, then channel draws), turned into flags
+block by block before the queues are solved, so runs are reproducible
+bit-for-bit and different dominant modes of the same seed share identical
+randomness (common random numbers).
 """
 
 from __future__ import annotations
@@ -45,12 +46,18 @@ __all__ = [
 # Growth below one packet per thousand slots is treated as flat.
 SLOPE_THRESHOLD = 1e-3
 
-# Largest accepted horizon. A run peaks at about 45 bytes per slot, most of
-# it the pre-drawn randomness while the success events are formed from it,
-# so this caps one run near 500 MB (a 10M-slot IAN run peaked at 484 MB,
-# coupled or dominant); longer runs are rejected before any allocation. The
-# vectorised queue solver's int32 walk needs it below 2**31.
+# Largest accepted horizon. A run keeps about 6 bytes per slot of arrival
+# flags and success events and 8 of trajectory, and peaks at about 24 while
+# the solver's temporaries are alive, so this caps one run near 250 MB (a
+# 10M-slot dominant IAN run peaked at 241 MB); longer runs are rejected
+# before any allocation. The vectorised queue solver's int32 walk needs it
+# below 2**31.
 MAX_HORIZON = 10_000_000
+
+# Slots per block of a run's draws (_kernel_inputs): the block's two float64
+# buffers, slot-major and transposed, 512 KiB each, stay in a core's L2 cache
+# while they become flags.
+_DRAW_BLOCK = 1 << 15
 
 # Verdicts need enough slots for the drift fit to mean anything.
 _MIN_CLASSIFY_HORIZON = 10_000
@@ -181,22 +188,46 @@ def step(
     return (new_q1, new_q2), events
 
 
-def _draw_randomness(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
-    rng = np.random.default_rng(config.seed)
-    arr_u = rng.random((config.horizon, 2))
-    if config.params.decoding is Decoding.GENERIC:
-        chan = rng.random((config.horizon, 2))
-    else:
-        # the same bits as rng.exponential(1.0, ...), without the scaling pass
-        chan = rng.standard_exponential((config.horizon, 2))
-    return arr_u, chan
-
-
 def _kernel_inputs(config: SimConfig) -> tuple:
-    """Arrival flags, the four success-event columns and the dummy-mode flags."""
-    arr_u, chan = _draw_randomness(config)
-    arrivals = arr_u < np.array([config.arrivals.lambda1, config.arrivals.lambda2])
-    return (arrivals, *success_events(config.params, chan[:, 0], chan[:, 1]), *_forced(config))
+    """Arrival flags, the four success-event columns and the dummy-mode flags.
+
+    The run's stream is ``np.random.default_rng(seed)``: ``2*horizon``
+    arrival uniforms, one per queue and slot, then as many channel draws
+    (uniforms for the generic scheme, unit-mean exponential gains
+    otherwise), both slot-major. Every uniform takes exactly one 64-bit
+    output, so the channel draws start at position ``2*horizon`` of the bit
+    generator, and a second generator advanced there draws them. Both
+    generators fill a ``_DRAW_BLOCK``-slot buffer at a time, and each block
+    becomes flags while it is in cache; only the flags, 6 bytes per slot,
+    outlive it. ``arrivals`` is the ``(horizon, 2)`` transpose of a
+    ``(2, horizon)`` array, so each queue's column is contiguous.
+    """
+    horizon, params = config.horizon, config.params
+    lam = (config.arrivals.lambda1, config.arrivals.lambda2)
+    arrivals = np.empty((2, horizon), dtype=bool)
+    events = np.empty((4, horizon), dtype=bool)
+    arrival_rng = np.random.default_rng(config.seed)
+    channel_bits = np.random.PCG64(config.seed)
+    channel_bits.advance(2 * horizon)
+    channel_rng = np.random.Generator(channel_bits)
+    # the same bits as rng.exponential(1.0, ...), without the scaling pass
+    draw = (channel_rng.random if params.decoding is Decoding.GENERIC
+            else channel_rng.standard_exponential)
+    # a generator fills slot-major blocks; one transposing copy puts each
+    # user's draws in a contiguous row, which compares several times faster
+    # than a strided column
+    drawn = np.empty((min(horizon, _DRAW_BLOCK), 2))
+    rows = np.empty((2, drawn.shape[0]))
+    for lo in range(0, horizon, _DRAW_BLOCK):
+        hi = min(lo + _DRAW_BLOCK, horizon)
+        u = rows[:, :hi - lo]
+        np.copyto(u, arrival_rng.random(out=drawn[:hi - lo]).T)
+        for k in (0, 1):
+            np.less(u[k], lam[k], out=arrivals[k, lo:hi])
+        np.copyto(u, draw(out=drawn[:hi - lo]).T)
+        for row, success in zip(events, success_events(params, u[0], u[1])):
+            row[lo:hi] = success
+    return (arrivals.T, *events, *_forced(config))
 
 
 def _check_fit_window(warmup: int, horizon: int) -> None:

@@ -545,6 +545,9 @@ class TestValidation:
     # picked the SINR branch and put p1_both far above p1_solo
     @example(decoding="sc", power="fixed", log_gammas=(-99.0, -100.0), log_dists=(-124.0, 0.0),
              alpha=1.0, log_p_total=-225.0, split=0.5)
+    # gamma1*p2 overflows: an unclipped margin of -inf met the zero draw as nan
+    @example(decoding="ian", power="fixed", log_gammas=(155.0, 0.0), log_dists=(2.0, 2.0),
+             alpha=2.0, log_p_total=154.0, split=0.0)
     def test_accepted_params_build_profile_and_brackets(self, decoding, power, log_gammas,
                                                         log_dists, alpha, log_p_total, split):
         """Every parameter set SystemParams accepts has a closed-form profile and

@@ -5,6 +5,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -274,7 +277,8 @@ def test_bad_input_exits_with_documented_code(tmp_path, capfd, monkeypatch,
         raise AssertionError("bad input reached an allocation")
 
     monkeypatch.setattr(np, "linspace", unreachable)
-    monkeypatch.setattr(bcstab.sim, "_draw_randomness", unreachable)
+    # _kernel_inputs allocates every array of a run's randomness and events
+    monkeypatch.setattr(bcstab.sim, "_kernel_inputs", unreachable)
     if config is not None:
         path = tmp_path / "run.json"
         path.write_text(config)
@@ -377,6 +381,22 @@ def test_zero_power_split_exits_cleanly(capfd, argv, split):
     assert_clean_cells(rows)
     zero_user = 1 if split[1] == "0" else 2
     assert meta["profile"][f"p{zero_user}_both"] == 0.0
+
+
+def test_overflowing_margin_runs_without_warning():
+    """gamma1*p2 overflows on these accepted inputs; the run warns of nothing.
+
+    It runs in a fresh interpreter, as a user would, because pytest records
+    warnings rather than letting them reach standard error."""
+    argv = ["simulate", "--scheme", "ian", "--gamma1-db", "1550", "--gamma2-db", "0",
+            "--d1", "100", "--d2", "100", "--alpha", "2", "--p-total", "1e154",
+            "--p1", "0", "--p2", "1e154", "--lambda1", "0.1", "--lambda2", "0.1",
+            "--horizon", "1000"]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "bcstab.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert "Warning" not in proc.stderr
 
 
 def test_main_keeps_no_state_between_calls(capsys):

@@ -152,28 +152,51 @@ class TestMembership:
                 assert b.membership(reg, RatePoint(l1, l2)) is lookup[int(code)], (prof, l1, l2)
 
     def test_subnormal_shared_entry_acts_as_zero(self):
-        """A subnormal shared-slot entry caps its queue as a zero entry does:
-        on rates that are 0 or above BOUNDARY_TOL the grid codes, the scalar
-        classes and the ray scales agree, and nothing is nan or warns."""
+        """A subnormal shared-slot entry caps its queue as a zero entry does."""
+        for entry, which in ((2, "second"), (3, "first")):  # the part it caps
+            self.check_subnormal_entry_acts_as_zero((entry,), (), which)
+
+    def test_subnormal_solo_entry_acts_as_zero(self):
+        """A subnormal solo entry, with a zero shared entry, leaves its queue
+        unserved as zero entries do."""
+        # the 90 degree ray leaves the lambda2 axis by cos(90 deg) = 6e-17,
+        # so it meets a subnormal p1_solo's line at a scale near 1e-307 and a
+        # zero one's at 0
+        for solo, shared, which in ((0, 2, "first"), (1, 3, "second")):  # the part it holds busy
+            self.check_subnormal_entry_acts_as_zero((solo,), (shared,), which, tiny_scale=1e-300)
+
+    @staticmethod
+    def check_subnormal_entry_acts_as_zero(subnormal, zeroed, which, tiny_scale=0.0):
+        """With the ``subnormal`` entries at 5e-324 and the ``zeroed`` ones at
+        0, on rates that are 0 or above BOUNDARY_TOL the grid codes, the
+        scalar classes and the ray scales (where either is at least
+        ``tiny_scale``) agree with those of the profile with all of them 0,
+        the grid agrees with the scalar classes, and nothing is nan or
+        warns."""
         rng = np.random.default_rng(53)
         rates = np.concatenate([[0.0], rng.uniform(2 * BOUNDARY_TOL, 1.0, 14)])
         l1, l2 = (grid.ravel() for grid in np.meshgrid(rates, rates))
-        for prof in (GENERAL, *(random_profile(rng) for _ in range(20))):
-            for entry, which in ((2, "second"), (3, "first")):  # the part it caps
-                sub, zero = list(prof.as_tuple()), list(prof.as_tuple())
+        for prof in (GENERAL, *(random_profile(rng) for _ in range(50))):
+            sub, zero = list(prof.as_tuple()), list(prof.as_tuple())
+            for entry in subnormal:
                 sub[entry], zero[entry] = 5e-324, 0.0
-                regions = [b.region_general(SuccessProfile(*p)) for p in (sub, zero)]
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    codes = [b.membership_grid(reg, l1, l2) for reg in regions]
-                    classes = [[b.membership(reg, RatePoint(x, y)) for x, y in zip(l1, l2)]
-                               for reg in regions]
-                    scales = [[b.boundary_scale(reg, a) for a in (0, 30, 45, 60, 90)]
-                              for reg in regions]
-                    service = b.dominant_service_rates(SuccessProfile(*sub), which, 0.0)
-                assert np.array_equal(*codes), (prof, entry)
-                assert classes[0] == classes[1] and scales[0] == scales[1], (prof, entry)
-                assert all(math.isfinite(r) for r in service), (prof, entry)
+            for entry in zeroed:
+                sub[entry] = zero[entry] = 0.0
+            regions = [b.region_general(SuccessProfile(*p)) for p in (sub, zero)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                codes = [b.membership_grid(reg, l1, l2) for reg in regions]
+                classes = [[b.membership(reg, RatePoint(x, y)) for x, y in zip(l1, l2)]
+                           for reg in regions]
+                scales = [[b.boundary_scale(reg, a) for a in (0, 30, 45, 60, 90)]
+                          for reg in regions]
+                service = b.dominant_service_rates(SuccessProfile(*sub), which, 0.0)
+            assert np.array_equal(*codes), prof
+            assert classes[0] == classes[1], prof
+            assert all(x == y or max(x, y) < tiny_scale for x, y in zip(*scales)), prof
+            lookup = {1: Membership.INSIDE, 0: Membership.BOUNDARY, -1: Membership.OUTSIDE}
+            assert [lookup[int(c)] for c in codes[0]] == classes[0], prof
+            assert all(math.isfinite(r) for r in service), prof
 
     def test_nesting(self):
         """Entrywise-larger profiles can only enlarge the region."""

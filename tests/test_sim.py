@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,8 @@ from bcstab import (
     Verdict,
 )
 from bcstab import _kernels, sim
-from bcstab.sim import _draw_randomness, _kernel_inputs
+from bcstab.channel import Decoding, success_events
+from bcstab.sim import _kernel_inputs
 
 GENERAL_PROFILE = SuccessProfile(0.9, 0.8, 0.3, 0.5)
 
@@ -46,6 +48,25 @@ KERNEL_LOADS = [(0.35, 0.3), (0.9, 0.9)]
 def kernel_run(fn, cfg):
     """Per-queue slot-start trajectory of one kernel path on the config's randomness."""
     return fn(*_kernel_inputs(cfg))[0]
+
+
+def whole_array_draw(cfg):
+    """The reference draw of a run's randomness: ``(horizon, 2)`` arrival
+    uniforms, then as many channel draws, from one generator of the seed."""
+    rng = np.random.default_rng(cfg.seed)
+    arr_u = rng.random((cfg.horizon, 2))
+    if cfg.params.decoding is Decoding.GENERIC:
+        chan = rng.random((cfg.horizon, 2))
+    else:
+        chan = rng.standard_exponential((cfg.horizon, 2))
+    return arr_u, chan
+
+
+def whole_array_inputs(cfg):
+    """The kernel inputs formed from whole_array_draw, as _kernel_inputs must form them."""
+    arr_u, chan = whole_array_draw(cfg)
+    arrivals = arr_u < np.array([cfg.arrivals.lambda1, cfg.arrivals.lambda2])
+    return (arrivals, *success_events(cfg.params, chan[:, 0], chan[:, 1]), *sim._forced(cfg))
 
 
 class TestStep:
@@ -96,7 +117,7 @@ class TestStep:
         for lam1, lam2 in KERNEL_LOADS:
             cfg = SimConfig(RatePoint(lam1, lam2), params, horizon=400, seed=97,
                             dominant_mode=mode)
-            arr_u, chan = _draw_randomness(cfg)
+            arr_u, chan = whole_array_draw(cfg)
             qtraj = kernel_run(_kernels.simulate_slots_py, cfg)
             state = (0, 0)
             attempts, successes, departures = np.zeros((3, 2), np.int64)
@@ -114,6 +135,43 @@ class TestStep:
             assert r.success_rate == tuple(
                 s / a if a else 0.0 for s, a in zip(successes.tolist(), attempts.tolist())
             )
+
+
+class TestKernelInputs:
+    @pytest.mark.parametrize("params", [ALL_PARAMS[0], ALL_PARAMS[1], ALL_PARAMS[3]],
+                             ids=["ian", "sc", "generic"])
+    @pytest.mark.parametrize("horizon", [10, sim._DRAW_BLOCK - 1, sim._DRAW_BLOCK,
+                                         sim._DRAW_BLOCK + 1, 2 * sim._DRAW_BLOCK + 1])
+    def test_blocks_match_whole_array_draw(self, params, horizon):
+        """The blocked producer gives the whole-array draw's flags bit for bit,
+        in every dominant mode, also across block edges."""
+        for mode in ("none", "queue1", "queue2"):
+            cfg = SimConfig(RatePoint(0.35, 0.3), params, horizon=horizon, seed=horizon + 3,
+                            dominant_mode=mode)
+            blocked, whole = _kernel_inputs(cfg), whole_array_inputs(cfg)
+            assert len(blocked) == len(whole) == 7
+            for got, want in zip(blocked[:5], whole[:5]):
+                assert got.dtype == want.dtype == np.bool_
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
+            assert blocked[5:] == whole[5:]
+
+    def test_peak_memory_is_the_flags_plus_two_blocks(self):
+        """At 1M slots the producer keeps 6 bytes per slot of flags; the rest
+        of its peak (2.3 blocks) is the two block buffers and one block's
+        temporaries. The whole-array draw peaks at 38 bytes per slot here."""
+        horizon = 1_000_000
+        cfg = SimConfig(RatePoint(0.35, 0.3), ALL_PARAMS[0], horizon=horizon, seed=5)
+        _kernel_inputs(SimConfig(RatePoint(0.35, 0.3), ALL_PARAMS[0], horizon=10))  # thresholds
+        block_bytes = sim._DRAW_BLOCK * 2 * 8
+        tracemalloc.start()
+        try:
+            inputs = _kernel_inputs(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(a.nbytes for a in inputs[:5]) == 6 * horizon
+        assert 6 * horizon <= peak <= 6 * horizon + 3 * block_bytes
 
 
 def vec_matches_loop(kernel_args):
