@@ -27,6 +27,7 @@ forms, so the oracle stays independent of the probabilities it checks.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -85,12 +86,6 @@ _PROFILE_TOL = 1e-12
 # positive double is about 744.4.
 _MAX_GAIN = 745.0
 
-# Each of the four rounded operations of a shared-slot test multiplied out,
-# ``a*u >= gamma*(1 + b*u)``, errs by at most 2**-53 relative while its result
-# is a normal double, so rounding moves the difference of its sides by at most
-# ``_ROUNDING / 2 * (a + gamma*b) * u + 2**-52 * gamma`` (to first order).
-_ROUNDING = 8.0 * 2.0**-53
-
 
 @dataclass(frozen=True)
 class SuccessProfile:
@@ -98,7 +93,9 @@ class SuccessProfile:
 
     ``p1_solo``/``p2_solo`` apply when only that user's packet occupies the
     slot; ``p1_both``/``p2_both`` when both packets are superposed. Sharing
-    the slot can only hurt, so ``p_both <= p_solo`` per user.
+    the slot can only hurt, so ``p_both <= p_solo`` per user. An entry
+    below the smallest normal double is stored as 0, so every entry is 0 or
+    normal and the region's arithmetic needs no subnormal case.
     """
 
     p1_solo: float
@@ -111,7 +108,7 @@ class SuccessProfile:
             v = float(getattr(self, name))
             if math.isnan(v) or not (0.0 <= v <= 1.0):
                 raise InvalidProfileError(f"{name}={v!r} is not a probability")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, v if v >= sys.float_info.min else 0.0)
         if self.p1_both > self.p1_solo + _PROFILE_TOL:
             raise InvalidProfileError(
                 f"p1_both={self.p1_both} exceeds p1_solo={self.p1_solo}"
@@ -181,23 +178,6 @@ class SystemParams:
                 raise InvalidParameterError(
                     f"threshold times received power over {name} overflows at the largest gain"
                 )
-        # Reject a shared-slot test that, multiplied out, would be decided by
-        # rounding at the largest gain: its rounding error reaches both its
-        # noise term and its margin term. _raw_events writes the test in
-        # margin form, which rounding cannot decide that way, so this check
-        # is redundant; it is kept so that the accepted inputs stay the same.
-        if self.decoding is not Decoding.GENERIC:
-            for event in (2, 3):
-                a, gamma, b = _shared_test(self, event)
-                user = _EVENT_USERS[event]
-                u = _MAX_GAIN * (self.d1 if user == 1 else self.d2) ** -self.alpha
-                own, other = a * u, gamma * (b * u)  # finite, as checked above
-                error = _ROUNDING * own + _ROUNDING * other
-                if error >= gamma / 2 and error >= abs(own - other) / 2:
-                    raise InvalidParameterError(
-                        f"the shared-slot test of user {user} loses its noise term to "
-                        "rounding at the largest gain: the powers are too large for the thresholds"
-                    )
         if self.decoding is Decoding.GENERIC:
             if self.generic_profile is None:
                 raise InvalidParameterError("generic decoding requires generic_profile")
@@ -423,15 +403,6 @@ def _thresholds(params: SystemParams) -> tuple[float, ...]:
         lo = np.where(active, np.where(found, below, points[:, -1]), lo)
         hi = np.where(active & found, points[rows, first], hi)
     return tuple(math.inf if h > top else float(np.int64(h).view(np.float64)) for h in hi)
-
-
-def _shared_test(params: SystemParams, event: int) -> tuple[float, float, float]:
-    """``(a, gamma, b)`` of shared-slot ``event``'s SINR test multiplied out,
-    ``a*u >= gamma*(1 + b*u)`` (2: both1, 3: both2); under successive
-    decoding, both1's layer-peeling test."""
-    if event == 3 or params.decoding is Decoding.SUCCESSIVE_DECODING:
-        return params.p2, params.gamma2, params.p1
-    return params.p1, params.gamma1, params.p2
 
 
 def success_events(params: SystemParams, c1, c2):

@@ -88,7 +88,9 @@ class SubRegion:
     rate ``cap_value``; the other queue is held busy and is served at
     ``solo`` in the slots where the capped queue is empty and at ``both`` in
     those where it is busy. A busy queue that is never served
-    (``solo == 0``) must have rate exactly 0.
+    (``solo == 0``) must have rate exactly 0. Each value is 0 or a normal
+    double, as :class:`SuccessProfile` stores them, so ``service``'s slope
+    is finite.
     """
 
     cap_axis: int
@@ -100,8 +102,9 @@ class SubRegion:
         if self.cap_axis not in (0, 1):
             raise InvalidParameterError("cap_axis must be 0 or 1")
         for name in ("cap_value", "solo", "both"):
-            if not (0.0 <= getattr(self, name) <= 1.0):
-                raise InvalidParameterError(f"{name} must be a probability")
+            v = getattr(self, name)
+            if not (v == 0.0 or sys.float_info.min <= v <= 1.0):
+                raise InvalidParameterError(f"{name} must be 0 or a normal probability")
         if self.both > self.solo + _PROFILE_TOL:
             raise InvalidParameterError("both must not exceed solo")
 
@@ -113,12 +116,7 @@ class SubRegion:
         """
         if self.cap_value == 0.0:
             return self.solo
-        slope = (self.solo - self.both) / self.cap_value
-        if slope == math.inf:
-            # a subnormal cap: scale the rate first, since inf * 0 is nan
-            with np.errstate(over="ignore"):
-                return self.solo - (self.solo - self.both) * (lam_cap / self.cap_value)
-        return self.solo - slope * lam_cap
+        return self.solo - (self.solo - self.both) / self.cap_value * lam_cap
 
     def _residuals(self, lam1, lam2):
         """Line and cap residuals, elementwise; the rates are strictly inside
@@ -128,15 +126,6 @@ class SubRegion:
         lam_cap, lam_busy = (lam1, lam2) if self.cap_axis == 0 else (lam2, lam1)
         if self.solo == 0.0:  # a queue that is never served: its rate must be exactly 0
             line = np.where(lam_busy > 0.0, math.inf, -1.0)
-        elif self.solo < sys.float_info.min:
-            # a subnormal solo: lam_busy / solo overflows (to the right inf)
-            # and service rounds to 0 or solo, so divide each term by solo
-            # first: service / solo = 1 - (1 - both/solo) * lam_cap/cap_value
-            with np.errstate(over="ignore"):
-                line = np.divide(lam_busy, self.solo) - 1.0
-                if self.cap_value > 0.0:
-                    drop = 1.0 - min(self.both, self.solo) / self.solo
-                    line = line + drop * lam_cap / self.cap_value
         else:
             line = (lam_busy - self.service(lam_cap)) / self.solo
         return line, lam_cap - self.cap_value
@@ -225,9 +214,12 @@ def membership_grid(region: StabilityRegion, lambda1: np.ndarray, lambda2: np.nd
     l2 = np.asarray(lambda2, dtype=np.float64)
     if np.any(l1 < 0.0) or np.any(l2 < 0.0):
         raise InvalidParameterError("rates must be nonnegative")
-    best = functools.reduce(
-        np.minimum, (np.maximum(*part._residuals(l1, l2)) for part in region.parts)
-    )
+    # far outside a part with a tiny solo or cap its line residual overflows
+    # to +inf, which still classifies the rates as outside
+    with np.errstate(over="ignore"):
+        best = functools.reduce(
+            np.minimum, (np.maximum(*part._residuals(l1, l2)) for part in region.parts)
+        )
     codes = np.where(best < -BOUNDARY_TOL, 1, np.where(best <= BOUNDARY_TOL, 0, -1))
     return codes.astype(np.int8)
 

@@ -181,6 +181,19 @@ class TestMcVerifyCommand:
         _, rows = parse_csv(out)
         assert all(r["mc_estimate"] == "n/a" and r["z"] == "n/a" for r in rows)
 
+    @pytest.mark.parametrize("p_total", ["8e11", "2e16", "1e30"])
+    def test_zero_margin_at_large_power_passes(self, capsys, p_total):
+        """An equal split at gamma 1 has zero shared-slot margins: however
+        large the powers, both shared entries are 0 in closed form and in
+        Monte Carlo, since the events test each SINR in margin form."""
+        status, out, _ = run_cli(capsys, "mc-verify", "--scheme", "ian", "--gamma1-db", "0",
+                                 "--gamma2-db", "0", "--p-total", p_total,
+                                 "--draws", "100000", "--format", "json")
+        assert status == 0
+        rows = {row["entry"]: row for row in json.loads(out)["rows"]}
+        for entry in ("p1_both", "p2_both"):
+            assert rows[entry]["closed_form"] == rows[entry]["mc_estimate"] == 0.0
+
     def test_discrepancy_fails_verification(self, capsys, monkeypatch):
         biased = MonteCarloProfile(0.9, 0.9, 0.9, 0.9, 0.0, 0.0, 0.0, 0.0, 10_000)
         monkeypatch.setattr(cli, "mc_estimate_profile", lambda *a, **k: biased)
@@ -262,14 +275,12 @@ class TestConfigAndErrors:
     ('{"steps": 65}', ["compare-boundary"], cli.EXIT_USAGE),
     (None, ["compare-boundary", "--horizon", "9999"], cli.EXIT_VALIDATION),
     ('{"horizon": 20}', ["compare-boundary", "--steps", "8"], cli.EXIT_VALIDATION),
-    (None, ["mc-verify", "--scheme", "ian", "--gamma1-db", "0", "--gamma2-db", "0",
-            "--p-total", "2e16", "--draws", "100000", "--format", "json"], cli.EXIT_VALIDATION),
 ], ids=["config-type", "config-json", "pathloss-overflow", "p-total-inf", "d1-inf",
         "gamma-db-overflow", "lambda-inf", "horizon-huge", "config-horizon-huge",
         "grid-huge", "points-huge", "workers-huge", "config-workers-huge",
         "angles-not-numbers", "profile-not-numbers", "warmup-leaves-one-slot",
         "power-overflows-at-largest-gain", "steps-huge", "config-steps-above-max",
-        "horizon-below-verdict", "config-horizon-below-verdict", "noise-lost-to-rounding"])
+        "horizon-below-verdict", "config-horizon-below-verdict"])
 def test_bad_input_exits_with_documented_code(tmp_path, capfd, monkeypatch,
                                               config, argv, status):
     # every row must be rejected before grids or randomness are allocated

@@ -1,6 +1,7 @@
 """Region construction, membership, boundary tracing, dominant-system rates."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -23,10 +24,12 @@ from bcstab.region import BOUNDARY_TOL
 GENERAL = SuccessProfile(0.9, 0.8, 0.3, 0.5)
 RECT = SuccessProfile(0.5, 0.5, 0.5, 0.5)
 # profiles with zero entries: a queue never served, or no shared-slot service;
-# and with a subnormal shared-slot entry, whose cap overflows a part's slope
+# and with tiny normal entries: a cap that puts a part's slope near the largest
+# double, and a solo rate whose line residual overflows at rates above 1
 DEGENERATE = [SuccessProfile(0.0, 0.8, 0.0, 0.5), SuccessProfile(0.0, 0.0, 0.0, 0.0),
               SuccessProfile(0.9, 0.0, 0.0, 0.0), SuccessProfile(0.6, 0.5, 0.0, 0.0),
-              SuccessProfile(0.9, 0.8, 0.3, 5e-324), SuccessProfile(0.9, 0.8, 5e-324, 0.5)]
+              SuccessProfile(0.9, 0.8, 0.3, 3e-308), SuccessProfile(0.9, 0.8, 3e-308, 0.5),
+              SuccessProfile(3e-308, 0.5, 0.0, 0.5)]
 
 
 def random_profile(rng, floor=0.02):
@@ -52,6 +55,15 @@ class TestRegionGeneral:
         reg = b.region_general(GENERAL)
         # 0.3/0.9 + (0.6/0.45)*0.2 = 0.6 < 1
         assert b.membership(reg, RatePoint(0.3, 0.2)) is Membership.INSIDE
+
+    @pytest.mark.parametrize("field", ["cap_value", "solo", "both"])
+    def test_subnormal_value_rejected(self, field):
+        """SuccessProfile stores no subnormal entry, so a part built with one
+        is rejected: service's slope and line residual assume none."""
+        values = {"cap_value": 0.5, "solo": 0.5, "both": 0.0, field: 5e-324}
+        with pytest.raises(InvalidParameterError, match=field):
+            b.SubRegion(cap_axis=0, **values)
+        b.SubRegion(cap_axis=0, **{**values, field: sys.float_info.min})
 
     def test_equal_probabilities_give_rectangle(self):
         reg = b.region_general(RECT)
@@ -142,37 +154,44 @@ class TestMembership:
         lookup = {1: Membership.INSIDE, 0: Membership.BOUNDARY, -1: Membership.OUTSIDE}
         for prof in (GENERAL, *DEGENERATE):
             reg = b.region_general(prof)
-            # random points, plus the axes, where degenerate parts have their segments
+            # random points, plus the axes, where degenerate parts have their
+            # segments, plus rates up to 1e12, where tiny entries overflow
             pts = np.concatenate([rng.uniform(0.0, 1.0, size=(500, 2)),
                                   rng.uniform(0.0, 1.0, size=(20, 2)) * [1.0, 0.0],
                                   rng.uniform(0.0, 1.0, size=(20, 2)) * [0.0, 1.0],
+                                  10.0 ** rng.uniform(0.0, 12.0, size=(40, 2)),
+                                  10.0 ** rng.uniform(0.0, 12.0, size=(20, 2)) * [1.0, 0.0],
+                                  10.0 ** rng.uniform(0.0, 12.0, size=(20, 2)) * [0.0, 1.0],
                                   [[0.0, 0.0]]])
             codes = b.membership_grid(reg, pts[:, 0], pts[:, 1])
             for (l1, l2), code in zip(pts, codes):
                 assert b.membership(reg, RatePoint(l1, l2)) is lookup[int(code)], (prof, l1, l2)
 
+    def test_subnormal_entry_stored_as_zero(self):
+        assert SuccessProfile(0.9, 0.8, 0.3, 5e-324).p2_both == 0.0
+        assert SuccessProfile(*[2.2e-308] * 4).as_tuple() == (0.0,) * 4
+        assert SuccessProfile(*[sys.float_info.min] * 4).as_tuple() == (sys.float_info.min,) * 4
+
     def test_subnormal_shared_entry_acts_as_zero(self):
-        """A subnormal shared-slot entry caps its queue as a zero entry does."""
+        """A subnormal shared-slot entry caps its queue as a zero entry does,
+        so no positive rate of that queue is feasible."""
         for entry, which in ((2, "second"), (3, "first")):  # the part it caps
-            self.check_subnormal_entry_acts_as_zero((entry,), (), which)
+            self.check_subnormal_entry_acts_as_zero((entry,), (), which, infeasible=True)
 
     def test_subnormal_solo_entry_acts_as_zero(self):
         """A subnormal solo entry, with a zero shared entry, leaves its queue
         unserved as zero entries do."""
-        # the 90 degree ray leaves the lambda2 axis by cos(90 deg) = 6e-17,
-        # so it meets a subnormal p1_solo's line at a scale near 1e-307 and a
-        # zero one's at 0
         for solo, shared, which in ((0, 2, "first"), (1, 3, "second")):  # the part it holds busy
-            self.check_subnormal_entry_acts_as_zero((solo,), (shared,), which, tiny_scale=1e-300)
+            self.check_subnormal_entry_acts_as_zero((solo,), (shared,), which)
 
     @staticmethod
-    def check_subnormal_entry_acts_as_zero(subnormal, zeroed, which, tiny_scale=0.0):
+    def check_subnormal_entry_acts_as_zero(subnormal, zeroed, which, infeasible=False):
         """With the ``subnormal`` entries at 5e-324 and the ``zeroed`` ones at
-        0, on rates that are 0 or above BOUNDARY_TOL the grid codes, the
-        scalar classes and the ray scales (where either is at least
-        ``tiny_scale``) agree with those of the profile with all of them 0,
-        the grid agrees with the scalar classes, and nothing is nan or
-        warns."""
+        0, the region equals that of the profile with all of them 0: on
+        rates that are 0 or above BOUNDARY_TOL the grid codes, the scalar
+        classes and the ray scales are equal, the grid agrees with the
+        scalar classes, and nothing is nan or warns. ``which``'s saturated
+        system at a zero load is infeasible if ``infeasible``, else finite."""
         rng = np.random.default_rng(53)
         rates = np.concatenate([[0.0], rng.uniform(2 * BOUNDARY_TOL, 1.0, 14)])
         l1, l2 = (grid.ravel() for grid in np.meshgrid(rates, rates))
@@ -183,6 +202,7 @@ class TestMembership:
             for entry in zeroed:
                 sub[entry] = zero[entry] = 0.0
             regions = [b.region_general(SuccessProfile(*p)) for p in (sub, zero)]
+            assert regions[0] == regions[1], prof
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 codes = [b.membership_grid(reg, l1, l2) for reg in regions]
@@ -190,13 +210,17 @@ class TestMembership:
                            for reg in regions]
                 scales = [[b.boundary_scale(reg, a) for a in (0, 30, 45, 60, 90)]
                           for reg in regions]
-                service = b.dominant_service_rates(SuccessProfile(*sub), which, 0.0)
+                if infeasible:
+                    with pytest.raises(InfeasibleRateError):
+                        b.dominant_service_rates(SuccessProfile(*sub), which, 0.0)
+                else:
+                    service = b.dominant_service_rates(SuccessProfile(*sub), which, 0.0)
+                    assert all(math.isfinite(r) for r in service), prof
             assert np.array_equal(*codes), prof
             assert classes[0] == classes[1], prof
-            assert all(x == y or max(x, y) < tiny_scale for x, y in zip(*scales)), prof
+            assert scales[0] == scales[1], prof
             lookup = {1: Membership.INSIDE, 0: Membership.BOUNDARY, -1: Membership.OUTSIDE}
             assert [lookup[int(c)] for c in codes[0]] == classes[0], prof
-            assert all(math.isfinite(r) for r in service), prof
 
     def test_nesting(self):
         """Entrywise-larger profiles can only enlarge the region."""
