@@ -14,15 +14,11 @@ from .channel import (
     PowerScheme,
     SuccessProfile,
     SystemParams,
-    adaptive_solo_success,
     build_profile,
-    ian_both_success,
     layered_decode_success,
     mc_estimate_profile,
-    sc_both_success_user1,
     sinr_success,
     snr_success,
-    solo_success,
     success_events,
 )
 from .region import (

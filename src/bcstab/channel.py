@@ -46,10 +46,6 @@ __all__ = [
     "snr_success",
     "sinr_success",
     "layered_decode_success",
-    "solo_success",
-    "ian_both_success",
-    "sc_both_success_user1",
-    "adaptive_solo_success",
     "build_profile",
     "success_events",
     "mc_estimate_profile",
@@ -191,7 +187,7 @@ class SystemParams:
             warn(
                 "successive decoding models user 1 as the stronger receiver, "
                 f"but d1={self.d1} > d2={self.d2}",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     def solo_power(self, user: int) -> float:
@@ -225,10 +221,13 @@ def _exp_term(exponent: float) -> float:
 def snr_success(gamma: float, dist: float, alpha: float, power: float) -> float:
     """P[power * g * dist**-alpha >= gamma] with g ~ Exp(1).
 
-    This is the interference-free outage complement of a Rayleigh link.
+    This is the interference-free outage complement of a Rayleigh link. A
+    zero power sends nothing, so nothing is decoded: probability 0.0.
     """
-    if power <= 0.0:
-        raise InvalidParameterError(f"transmit power must be positive, got {power!r}")
+    if power < 0.0:
+        raise InvalidParameterError(f"transmit power must be >= 0, got {power!r}")
+    if power == 0.0:
+        return 0.0
     return _exp_term(gamma * dist**alpha / power)
 
 
@@ -260,8 +259,6 @@ def layered_decode_success(
     succeed when the fading draw reaches both sub-events' thresholds, so the
     joint probability is the smaller of the two closed forms:
 
-    * ``p_own == 0``: the own layer carries nothing decodable, probability 0
-      (a zero per-queue power is legal, as for the solo links).
     * ``p_peer <= gamma_peer * p_own``: the peer layer is never decodable,
       probability 0.
     * otherwise ``min(sinr_success(peer layer), snr_success(own layer))``:
@@ -271,62 +268,26 @@ def layered_decode_success(
     """
     if gamma_own <= 0.0:
         raise InvalidParameterError("gamma_own must be positive")
-    if p_own <= 0.0 or p_peer <= gamma_peer * p_own:
+    if p_peer <= gamma_peer * p_own:
         return 0.0
     return min(sinr_success(gamma_peer, dist, alpha, p_peer, p_own),
                snr_success(gamma_own, dist, alpha, p_own))
 
 
-def solo_success(params: SystemParams, user: int, power: float) -> float:
-    """Success probability when only queue ``user`` transmits, at ``power``."""
-    if _check_user(user) == 1:
-        return snr_success(params.gamma1, params.d1, params.alpha, power)
-    return snr_success(params.gamma2, params.d2, params.alpha, power)
-
-
-def ian_both_success(params: SystemParams, user: int) -> float:
-    """Both-queues success for ``user`` when interference is treated as noise."""
-    if _check_user(user) == 1:
-        return sinr_success(params.gamma1, params.d1, params.alpha, params.p1, params.p2)
-    return sinr_success(params.gamma2, params.d2, params.alpha, params.p2, params.p1)
-
-
-def sc_both_success_user1(params: SystemParams) -> float:
-    """Both-queues success for user 1 under superposition + successive decoding."""
-    return layered_decode_success(
-        params.gamma1, params.gamma2, params.d1, params.alpha, params.p1, params.p2
-    )
-
-
-def adaptive_solo_success(params: SystemParams, user: int) -> float:
-    """Solo success under the queue-adaptive scheme: the full budget is used."""
-    if params.power_scheme is not PowerScheme.QUEUE_ADAPTIVE:
-        raise InvalidParameterError("adaptive_solo_success requires the adaptive power scheme")
-    return solo_success(params, user, params.solo_power(user))
-
-
-def _solo_or_zero(params: SystemParams, user: int) -> float:
-    # A zero per-queue power is a degenerate but legal configuration; the
-    # link then never succeeds rather than being a parameter error.
-    power = params.solo_power(user)
-    if power <= 0.0:
-        return 0.0
-    return solo_success(params, user, power)
-
-
 def build_profile(params: SystemParams) -> SuccessProfile:
-    """Assemble the four success probabilities for the configured scheme."""
+    """The four success probabilities of the configured scheme, in closed form,
+    one per event of :func:`_raw_events` and in its order."""
     if params.decoding is Decoding.GENERIC:
         return params.generic_profile
-
-    p1_solo = _solo_or_zero(params, 1)
-    p2_solo = _solo_or_zero(params, 2)
-    p2_both = ian_both_success(params, 2)
-    if params.decoding is Decoding.INTERFERENCE_AS_NOISE:
-        p1_both = ian_both_success(params, 1)
+    gamma1, gamma2, alpha = params.gamma1, params.gamma2, params.alpha
+    d1, d2, p1, p2 = params.d1, params.d2, params.p1, params.p2
+    if params.decoding is Decoding.SUCCESSIVE_DECODING:
+        p1_both = layered_decode_success(gamma1, gamma2, d1, alpha, p1, p2)
     else:
-        p1_both = sc_both_success_user1(params)
-    return SuccessProfile(p1_solo, p2_solo, p1_both, p2_both)
+        p1_both = sinr_success(gamma1, d1, alpha, p1, p2)
+    return SuccessProfile(snr_success(gamma1, d1, alpha, params.solo_power(1)),
+                          snr_success(gamma2, d2, alpha, params.solo_power(2)),
+                          p1_both, sinr_success(gamma2, d2, alpha, p2, p1))
 
 
 def _raw_events(params: SystemParams, c1, c2):
@@ -496,6 +457,8 @@ def mc_estimate_profile(params: SystemParams, draws: int, seed: int) -> MonteCar
     """
     if draws < 1:
         raise InvalidParameterError("draws must be >= 1")
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed!r}")
     if params.decoding is Decoding.GENERIC:
         raise InvalidParameterError("generic profiles have no channel model to sample")
 

@@ -86,7 +86,8 @@ class SimConfig:
     ``warmup`` slots are discarded from all statistics (defaults to a tenth
     of the horizon) and must leave at least two slots for the drift fit;
     ``horizon`` lies in ``[10, MAX_HORIZON]``. Arrivals are independent
-    Bernoulli per queue per slot, so rates must not exceed 1.
+    Bernoulli per queue per slot, so rates must not exceed 1. ``seed`` is
+    non-negative, as numpy's generators require.
     """
 
     arrivals: RatePoint
@@ -102,6 +103,8 @@ class SimConfig:
             raise InvalidParameterError("Bernoulli arrival rates cannot exceed 1")
         if not 10 <= self.horizon <= MAX_HORIZON:
             raise InvalidParameterError(f"horizon must lie in [10, {MAX_HORIZON}] slots")
+        if self.seed < 0:
+            raise InvalidParameterError(f"seed must be >= 0, got {self.seed!r}")
         if self.warmup is None:
             object.__setattr__(self, "warmup", self.horizon // 10)
         _check_fit_window(self.warmup, self.horizon)
@@ -296,6 +299,11 @@ def classify_stability(
     for a float one.
     """
     traj = np.asarray(trajectory)
+    if traj.ndim != 1:
+        raise InvalidParameterError(
+            f"classification takes one queue's trajectory, got shape {traj.shape}: "
+            "pass one column, e.g. trajectory[:, 0]"
+        )
     horizon = traj.shape[0] - 1
     if horizon < _MIN_CLASSIFY_HORIZON:
         raise InvalidParameterError(

@@ -1,6 +1,7 @@
 """Closed-form success probabilities and their Monte Carlo cross-checks."""
 
 import math
+import types
 import warnings
 
 import numpy as np
@@ -48,25 +49,29 @@ def random_params(rng, scheme=None, power=None):
     )
 
 
+def test_public_names_are_the_modules_exports():
+    public = {name for name, value in vars(b).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == {*b.channel.__all__, *b.region.__all__, *b.sim.__all__}
+
+
 class TestSoloSuccess:
     def test_reference_values(self):
-        params = ian_params()
-        assert b.solo_success(params, 1, 1.0) == pytest.approx(EXP_HALF, abs=1e-12)
-        assert b.solo_success(params, 1, 2.0) == pytest.approx(EXP_QUARTER, abs=1e-12)
+        assert b.build_profile(ian_params()).p1_solo == pytest.approx(EXP_HALF, abs=1e-12)
+        assert b.build_profile(ian_params(p1=2.0)).p1_solo == pytest.approx(EXP_QUARTER, abs=1e-12)
 
     def test_zero_threshold_always_succeeds(self):
         assert b.snr_success(0.0, 1.0, 2.0, 1.0) == 1.0
 
     def test_nonpositive_power_rejected(self):
-        params = ian_params()
-        with pytest.raises(InvalidParameterError):
-            b.solo_success(params, 1, 0.0)
+        # nothing sent is nothing decoded; only a negative power is an error
+        assert b.snr_success(0.5, 1.0, 2.0, 0.0) == 0.0
         with pytest.raises(InvalidParameterError):
             b.snr_success(0.5, 1.0, 2.0, -1.0)
 
     def test_bad_user_index(self):
         with pytest.raises(InvalidParameterError):
-            b.solo_success(ian_params(), 3, 1.0)
+            ian_params().solo_power(3)
 
     def test_monotonicity(self):
         """More power helps; higher threshold, distance, or pathloss hurt."""
@@ -88,19 +93,19 @@ class TestSoloSuccess:
 
 class TestIanBothSuccess:
     def test_symmetric_unit_powers(self):
-        params = ian_params()
-        assert b.ian_both_success(params, 1) == pytest.approx(EXP_ONE, abs=1e-12)
-        assert b.ian_both_success(params, 2) == pytest.approx(EXP_ONE, abs=1e-12)
+        prof = b.build_profile(ian_params())
+        assert prof.p1_both == pytest.approx(EXP_ONE, abs=1e-12)
+        assert prof.p2_both == pytest.approx(EXP_ONE, abs=1e-12)
 
     def test_indicator_fails_at_equality(self):
         # gamma2 * p1 == p2 exactly: infeasible, probability is exactly 0
         params = ian_params(gamma1=1.0, gamma2=1.0)
-        assert b.ian_both_success(params, 2) == 0.0
+        assert b.build_profile(params).p2_both == 0.0
 
     def test_no_interference_reduces_to_solo(self):
-        params = ian_params(p1=0.0, p2=2.0)
-        assert b.ian_both_success(params, 2) == b.solo_success(params, 2, 2.0)
-        assert b.ian_both_success(params, 2) == pytest.approx(EXP_QUARTER, abs=1e-12)
+        prof = b.build_profile(ian_params(p1=0.0, p2=2.0))
+        assert prof.p2_both == prof.p2_solo
+        assert prof.p2_both == pytest.approx(EXP_QUARTER, abs=1e-12)
 
     def test_zero_interferer_exact_equality(self):
         rng = np.random.default_rng(11)
@@ -109,7 +114,8 @@ class TestIanBothSuccess:
             params = ian_params(p1=0.0, p2=float(p2),
                                 gamma2=float(rng.uniform(0.1, 2.0)),
                                 d2=float(rng.uniform(0.5, 2.0)))
-            assert b.ian_both_success(params, 2) == b.solo_success(params, 2, float(p2))
+            prof = b.build_profile(params)
+            assert prof.p2_both == prof.p2_solo
 
 
 def sc_params(p1, p2, **kw):
@@ -123,19 +129,23 @@ def sc_params(p1, p2, **kw):
 class TestLayeredDecoding:
     def test_own_layer_binds_at_large_peer_power(self):
         # p2 = 1.5 exceeds p1*gamma2*(1+gamma1)/gamma1 = 0.75
-        assert b.sc_both_success_user1(sc_params(0.5, 1.5)) == pytest.approx(EXP_ONE, abs=1e-12)
+        assert b.build_profile(sc_params(0.5, 1.5)).p1_both == pytest.approx(EXP_ONE, abs=1e-12)
 
     def test_peer_layer_binds_at_moderate_peer_power(self):
         # 0.5 < p2 = 1 <= 1.5: the peel-off event is the bottleneck
-        assert b.sc_both_success_user1(sc_params(1.0, 1.0)) == pytest.approx(EXP_ONE, abs=1e-12)
+        assert b.build_profile(sc_params(1.0, 1.0)).p1_both == pytest.approx(EXP_ONE, abs=1e-12)
 
     def test_peer_layer_undecodable(self):
         params = sc_params(1.0, 1.0, gamma2=2.0)
-        assert b.sc_both_success_user1(params) == 0.0
+        assert b.build_profile(params).p1_both == 0.0
 
     def test_zero_own_threshold_rejected(self):
         with pytest.raises(InvalidParameterError):
             b.layered_decode_success(0.0, 0.5, 1.0, 2.0, 1.0, 1.0)
+
+    def test_negative_own_power_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            b.layered_decode_success(0.5, 0.5, 1.0, 2.0, -1.0, 2.0)
 
     @pytest.mark.parametrize("power_scheme", ["fixed", "adaptive"])
     def test_zero_own_power_never_succeeds(self, power_scheme):
@@ -163,34 +173,32 @@ class TestLayeredDecoding:
             assert b.layered_decode_success(g1, g2, d, alpha, p1, p2) == pytest.approx(hi, abs=1e-9)
 
     def test_weak_user_treats_interference_as_noise(self):
-        params = sc_params(0.5, 1.5)
-        assert b.build_profile(params).p2_both == b.ian_both_success(params, 2)
+        sc, ian = b.build_profile(sc_params(0.5, 1.5)), b.build_profile(ian_params(0.5, 1.5))
+        assert sc.p2_both == ian.p2_both
 
 
 class TestAdaptiveSolo:
     def test_full_budget_used(self):
         params = sc_params(0.5, 1.5, power_scheme="adaptive")
-        assert b.adaptive_solo_success(params, 1) == pytest.approx(EXP_QUARTER, abs=1e-12)
+        assert b.build_profile(params).p1_solo == pytest.approx(EXP_QUARTER, abs=1e-12)
 
     def test_far_receiver(self):
         params = SystemParams(0.5, 0.5, 1.0, 2.0, 2.0, 2.0, 1.0, 1.0,
                               decoding="ian", power_scheme="adaptive")
-        assert b.adaptive_solo_success(params, 2) == pytest.approx(EXP_ONE, abs=1e-12)
-
-    def test_requires_adaptive_scheme(self):
-        with pytest.raises(InvalidParameterError):
-            b.adaptive_solo_success(ian_params(), 1)
+        assert b.build_profile(params).p2_solo == pytest.approx(EXP_ONE, abs=1e-12)
 
     def test_matches_solo_success_at_same_power(self):
         params = sc_params(0.5, 1.5, power_scheme="adaptive")
-        assert b.adaptive_solo_success(params, 1) == b.solo_success(params, 1, params.p_total)
+        # the fixed scheme's lone queue 1 at the adaptive budget
+        fixed = sc_params(params.p_total, 0.0)
+        assert b.build_profile(params).p1_solo == b.build_profile(fixed).p1_solo
 
     def test_never_below_shared_power_within_split_slack(self):
         # p1 + p2 may exceed the budget by 1e-12 of it; a lone queue then
         # transmits at its shared power, as build_profile and success_events do
         params = ian_params(0.0, 1.0, p_total=1.0 - 3e-14, power_scheme="adaptive")
         assert params.solo_power(2) == 1.0
-        assert b.adaptive_solo_success(params, 2) == b.build_profile(params).p2_solo
+        assert b.build_profile(params).p2_solo == b.build_profile(ian_params(0.0, 1.0)).p2_solo
         assert b.build_profile(params).p2_both == b.build_profile(params).p2_solo
 
 
@@ -486,8 +494,10 @@ class TestValidation:
                          generic_profile=SuccessProfile(0.9, 0.8, 0.3, 0.5))
 
     def test_sc_with_farther_strong_receiver_warns(self):
-        with pytest.warns(UserWarning, match="stronger receiver"):
+        with pytest.warns(UserWarning, match="stronger receiver") as record:
             SystemParams(0.5, 0.5, 2.0, 1.0, 2, 2.0, 1.0, 1.0, "sc", "fixed")
+        # the warning names the caller's line, not the generated __init__
+        assert record[0].filename == __file__
 
     def test_power_overflowing_at_largest_gain_rejected(self):
         # a product that overflows to inf in success_events would make
@@ -648,6 +658,10 @@ class TestMonteCarloEstimates:
     def test_draws_must_be_positive(self):
         with pytest.raises(InvalidParameterError):
             b.mc_estimate_profile(ian_params(), 0, seed=1)
+
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(InvalidParameterError, match="seed"):
+            b.mc_estimate_profile(ian_params(), 10, seed=-1)
 
     def test_estimates_converge_to_closed_forms(self):
         """Aggregate error shrinks from 1e4 to 1e6 draws and ends below 4

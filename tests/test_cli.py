@@ -275,12 +275,14 @@ class TestConfigAndErrors:
     ('{"steps": 65}', ["compare-boundary"], cli.EXIT_USAGE),
     (None, ["compare-boundary", "--horizon", "9999"], cli.EXIT_VALIDATION),
     ('{"horizon": 20}', ["compare-boundary", "--steps", "8"], cli.EXIT_VALIDATION),
+    (None, ["simulate", "--lambda1", "0.1", "--lambda2", "0.1", "--seed", "-1"],
+     cli.EXIT_VALIDATION),
 ], ids=["config-type", "config-json", "pathloss-overflow", "p-total-inf", "d1-inf",
         "gamma-db-overflow", "lambda-inf", "horizon-huge", "config-horizon-huge",
         "grid-huge", "points-huge", "workers-huge", "config-workers-huge",
         "angles-not-numbers", "profile-not-numbers", "warmup-leaves-one-slot",
         "power-overflows-at-largest-gain", "steps-huge", "config-steps-above-max",
-        "horizon-below-verdict", "config-horizon-below-verdict"])
+        "horizon-below-verdict", "config-horizon-below-verdict", "seed-negative"])
 def test_bad_input_exits_with_documented_code(tmp_path, capfd, monkeypatch,
                                               config, argv, status):
     # every row must be rejected before grids or randomness are allocated

@@ -344,6 +344,9 @@ class TestRunStatistics:
             SimConfig(RatePoint(1.2, 0.0), ALL_PARAMS[0])
         with pytest.raises(InvalidParameterError):
             SimConfig(RatePoint(0.1, 0.1), ALL_PARAMS[0], horizon=1000, warmup=1000)
+        # numpy's generators take no negative seed
+        with pytest.raises(InvalidParameterError, match="seed"):
+            SimConfig(RatePoint(0.1, 0.1), ALL_PARAMS[0], seed=-1)
 
 
 def polyfit_slope(series):
@@ -509,6 +512,14 @@ class TestClassify:
     def test_short_horizon_rejected(self):
         with pytest.raises(InvalidParameterError):
             b.classify_stability(np.zeros(5001), warmup=500)
+
+    def test_two_queue_trajectory_rejected(self):
+        # run() returns both queues' trajectories; a verdict judges one
+        cfg = SimConfig(RatePoint(0.2, 0.2), ALL_PARAMS[0], horizon=20_000, seed=3)
+        r = b.run(cfg, return_trajectory=True)
+        with pytest.raises(InvalidParameterError, match=r"\(20001, 2\).*trajectory\[:, 0\]"):
+            b.classify_stability(r.trajectory, cfg.warmup)
+        assert b.classify_stability(r.trajectory[:, 0], cfg.warmup) is r.verdict[0]
 
     def test_system_verdict_priority(self):
         assert b.system_verdict((Verdict.STABLE, Verdict.STABLE)) is Verdict.STABLE
