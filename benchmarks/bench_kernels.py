@@ -1,5 +1,6 @@
-"""Time the reference slot loop, split one run() into its layers, and split
-the fading Monte Carlo into its draws and its events.
+"""Time the reference slot loop, split one run() into its layers, split the
+fading Monte Carlo into its draws and its events, and time boundary-search
+rays with their work counted.
 
 Usage:
     python benchmarks/bench_kernels.py [--horizon 200000 ...] [--repeat 5]
@@ -41,6 +42,15 @@ private names, so each ``mc`` row's ``identical`` says whether the split's
 threshold-event counts equal ``round(p * MC_DRAWS)`` of the call's
 estimates ``p``: false means the split timed a different loop.
 
+The ``estimate_boundary`` rows time one 45 degree ray per configuration
+(the three named ones of the acceptance suite and the generic profile) at
+40k slots and 8 steps, as ``compare-boundary`` runs it, in ``ray``. One
+more call with counting wrappers gives the ray's ``probes`` (solver
+calls, retries included), ``channel_draws`` (kernel inputs drawn in full,
+not from the ray's shared success events) and ``lindley`` (single-queue
+Lindley solves). The wrappers take any arguments, so the layer also runs
+against code whose probes draw everything.
+
 Every column is timed ``--repeat`` times and reported as the median, with
 the best (fastest) time beside it as ``<column>_best``. Every config and
 Monte Carlo call uses the seed ``SEED``. ``--json`` writes every median and
@@ -57,6 +67,7 @@ import statistics
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -70,9 +81,10 @@ from bcstab import (
     SystemParams,
     boundary_scale,
     classify_stability,
+    estimate_boundary,
     region_for_params,
 )
-from bcstab import _kernels, channel
+from bcstab import _kernels, channel, sim
 from bcstab.sim import _drift_slope, _kernel_inputs, _summarise
 from test_sim import whole_array_draw
 
@@ -162,6 +174,7 @@ def split_mc(params):
     and the raw events on the same blocks; returns the three times in
     seconds and the four threshold-event counts."""
     rng = np.random.default_rng(SEED)
+    thresholds = channel._thresholds(params)
     buf = np.empty(channel._MC_BLOCK)
     t_draws = t_events = t_raw = 0.0
     counts = [0, 0, 0, 0]
@@ -172,7 +185,7 @@ def split_mc(params):
                 t0 = time.perf_counter()
                 gains = rng.standard_exponential(out=buf[:min(channel._MC_BLOCK, n - lo)])
                 t1 = time.perf_counter()
-                for event, success in channel._user_events(params, user, gains):
+                for event, success in channel._user_events(thresholds, user, gains):
                     counts[event] += int(np.count_nonzero(success))
                 t2 = time.perf_counter()
                 if user == 1:  # all four raw events, each read from one draw
@@ -182,6 +195,30 @@ def split_mc(params):
                 t_events += t2 - t1
                 t_raw += time.perf_counter() - t2
     return t_draws, t_events, t_raw, counts
+
+
+BOUNDARY = dict(angle=45.0, horizon=40_000, steps=8)
+BOUNDARY_PARAMS = {
+    "ian fixed": MC_PARAMS["ian fixed"],
+    "sc fixed": PARAMS,
+    "sc adaptive": SystemParams(0.5, 0.5, 1, 1, 2, 2.0, 0.5, 1.5, "sc", "adaptive"),
+    "generic": NEAR_FRONTIER[1][2],
+}
+
+
+def ray(params):
+    return estimate_boundary(params, BOUNDARY["angle"], steps=BOUNDARY["steps"],
+                             horizon=BOUNDARY["horizon"], seed=SEED)
+
+
+def ray_work(params):
+    """One ray's probes, full kernel-input draws and Lindley solves."""
+    with mock.patch.object(_kernels, "simulate_slots", wraps=_kernels.simulate_slots) as solves, \
+            mock.patch.object(sim, "_kernel_inputs", wraps=sim._kernel_inputs) as inputs, \
+            mock.patch.object(_kernels, "_lindley", wraps=_kernels._lindley) as lindley:
+        ray(params)
+    draws = sum(len(call.args) < 2 or call.args[1] is None for call in inputs.call_args_list)
+    return dict(probes=solves.call_count, channel_draws=draws, lindley=lindley.call_count)
 
 
 def environment(args):
@@ -206,7 +243,8 @@ def main():
 
     columns = ("loop", "run", "inputs", "solve", "fit", "rest", "verdicts", "draw_whole",
                "events_raw", "events")
-    results = {"environment": environment(args), "unit": "ms", "runs": {}, "mc": {}}
+    results = {"environment": environment(args), "unit": "ms", "runs": {}, "mc": {},
+               "estimate_boundary": {}}
     for horizon in args.horizon:
         print(f"{horizon} slots, median and best of {args.repeat}, milliseconds")
         print(f"{'config':<24}{'passes':>8}" + "".join(f"{c:>11}" for c in columns) + "  identical")
@@ -235,6 +273,17 @@ def main():
         row["identical"] = all(split[3] == counts for split in splits)
         results["mc"][name] = row
         print_row(name, "", mc_columns, row, f"  {row['identical']}")
+
+    print(f"\nestimate_boundary, {BOUNDARY['angle']} degrees, {BOUNDARY['horizon']} slots, "
+          f"{BOUNDARY['steps']} steps, median and best of {args.repeat}, milliseconds")
+    print(f"{'config':<24}{'ray':>11}{'probes':>8}{'draws':>8}{'lindley':>8}")
+    for name, params in BOUNDARY_PARAMS.items():
+        row = summary(("ray",), [repeat_times(ray, (params,), args.repeat)[0]])
+        row.update(ray_work(params))
+        results["estimate_boundary"][name] = row
+        print(f"{name:<24}{row['ray']:>11.2f}{row['probes']:>8}{row['channel_draws']:>8}"
+              f"{row['lindley']:>8}")
+        print(f"{'  best':<24}{row['ray_best']:>11.2f}")
 
     if args.json:
         with open(args.json, "w") as fh:

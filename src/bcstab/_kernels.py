@@ -17,16 +17,20 @@ it is integer arithmetic, so the result is exact. A queue's service column
 depends on the other queue only through whether it is transmitting. In a
 dominant mode the forced queue always transmits, so the other queue's
 service is known and two Lindley solves give the trajectory.
-Coupled queues are solved by Picard iteration: assume queue 2 always busy,
-solve queue 1, solve queue 2 from queue 1's busy column, and repeat until
-queue 2's busy column stops changing. The pair is then a fixed point of the
-joint recursion, and because slot ``t + 1`` depends only on slots up to
+Coupled queues are solved by Picard iteration: start from a busy column of
+queue 2, solve queue 1, solve queue 2 from queue 1's busy column, and
+repeat until either busy column repeats the previous pass's. If queue 2's
+repeats, queue 1 was solved from it; if queue 1's repeats, queue 2 was
+solved from it one pass earlier. Either way the pair is a fixed point of
+the joint recursion, and because slot ``t + 1`` depends only on slots up to
 ``t`` that fixed point is unique, so it is the trajectory; each pass also
 fixes at least one more slot from any start, so the iteration converges and
-the start changes only the pass count. The all-busy start is the cheap one:
-a shared-slot success implies the solo one, so the passes descend
-monotonically from it, and next to the frontier, where passes cost, queue 2
-is busy in most slots. A pass cap hands pathological inputs to the
+the start changes only the pass count. The default all-busy start is the
+cheap one: a shared-slot success implies the solo one, so the passes
+descend monotonically from it, and next to the frontier, where passes cost,
+queue 2 is busy in most slots. Any busy column that bounds the trajectory's
+from above descends the same way, which is what a boundary search passes
+(``sim.estimate_boundary``). A pass cap hands pathological inputs to the
 reference loop.
 """
 
@@ -85,14 +89,17 @@ def _lindley(arrivals, service, q):
     walk += arrivals
 
 
-def simulate_slots(arrivals, solo1, solo2, both1, both2, force1, force2):
+def simulate_slots(arrivals, solo1, solo2, both1, both2, force1, force2, start=None):
     """Queue lengths at every slot start plus the final state, exactly as the slot loop.
 
     ``arrivals`` is a ``(horizon, 2)`` boolean array and the four event
-    columns have length ``horizon``. Returns ``(q, passes)``: ``q`` is a
-    ``(2, horizon + 1)`` int32 array with one row per queue, and ``passes``
-    the number of Picard passes (1 in a dominant mode), or None when the
-    coupled solve hit the pass cap and the slot loop produced ``q``.
+    columns have length ``horizon``. ``start`` is the busy column of queue 2
+    that the coupled solve starts from, all-busy if None; a dominant mode
+    ignores it. Returns ``(q, passes)``: ``q`` is a ``(2, horizon + 1)``
+    int32 array with one row per queue, and ``passes`` the number of Picard
+    passes begun (1 in a dominant mode), each of which solves queue 1 and,
+    unless queue 1's busy column repeated, queue 2; or None when the coupled
+    solve hit the pass cap and the slot loop produced ``q``.
     """
     a1 = arrivals[:, 0]
     a2 = arrivals[:, 1]
@@ -110,10 +117,15 @@ def simulate_slots(arrivals, solo1, solo2, both1, both2, force1, force2):
         _lindley(a1, both1, q1)
         _lindley(a2, solo2 ^ ((q1[:-1] > 0) & flip2), q2)
     else:
-        busy2 = np.ones(arrivals.shape[0], dtype=bool)
+        busy2 = np.ones(arrivals.shape[0], dtype=bool) if start is None else start
+        busy1 = None
         for passes in range(1, _MAX_PASSES + 1):
             _lindley(a1, solo1 ^ (busy2 & flip1), q1)
-            _lindley(a2, solo2 ^ ((q1[:-1] > 0) & flip2), q2)
+            new_busy1 = q1[:-1] > 0
+            if busy1 is not None and np.array_equal(new_busy1, busy1):
+                break
+            busy1 = new_busy1
+            _lindley(a2, solo2 ^ (busy1 & flip2), q2)
             new_busy2 = q2[:-1] > 0
             if np.array_equal(new_busy2, busy2):
                 break

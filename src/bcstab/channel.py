@@ -257,19 +257,16 @@ def layered_decode_success(
     The receiver first decodes the peer layer treating its own as noise,
     removes it, then decodes its own layer interference-free. Both decodes
     succeed when the fading draw reaches both sub-events' thresholds, so the
-    joint probability is the smaller of the two closed forms:
-
-    * ``p_peer <= gamma_peer * p_own``: the peer layer is never decodable,
-      probability 0.
-    * otherwise ``min(sinr_success(peer layer), snr_success(own layer))``:
-      the peer-layer SINR event binds at moderate ``p_peer``, the own-layer
-      SNR event above ``p_own * gamma_peer * (1 + gamma_own) / gamma_own``,
-      and the two agree at that crossover.
+    joint probability is the smaller of the two closed forms,
+    ``min(sinr_success(peer layer), snr_success(own layer))``: 0 when
+    ``p_peer <= gamma_peer * p_own``, where the peer layer is never
+    decodable; otherwise the peer-layer SINR event binds at moderate
+    ``p_peer``, the own-layer SNR event above
+    ``p_own * gamma_peer * (1 + gamma_own) / gamma_own``, and the two agree
+    at that crossover.
     """
     if gamma_own <= 0.0:
         raise InvalidParameterError("gamma_own must be positive")
-    if p_peer <= gamma_peer * p_own:
-        return 0.0
     return min(sinr_success(gamma_peer, dist, alpha, p_peer, p_own),
                snr_success(gamma_own, dist, alpha, p_own))
 
@@ -385,15 +382,17 @@ def success_events(params: SystemParams, c1, c2):
     if params.decoding is Decoding.GENERIC or not _draw_arrays(c1, c2):
         return _raw_events(params, c1, c2)
     events = [None] * 4
+    thresholds = _thresholds(params)
     for user, c in ((1, c1), (2, c2)):
-        for event, success in _user_events(params, user, c):
+        for event, success in _user_events(thresholds, user, c):
             events[event] = success
     return tuple(events)
 
 
-def _user_events(params: SystemParams, user: int, c: np.ndarray):
-    """``(event, success)`` for each event that ``user``'s draws ``c`` decide."""
-    for event, threshold in enumerate(_thresholds(params)):
+def _user_events(thresholds: tuple[float, ...], user: int, c: np.ndarray):
+    """``(event, success)`` for each event that ``user``'s draws ``c`` decide,
+    given the thresholds of a parameter set (``_thresholds``)."""
+    for event, threshold in enumerate(thresholds):
         if _EVENT_USERS[event] == user:
             yield event, c >= threshold
 
@@ -450,10 +449,10 @@ def mc_estimate_profile(params: SystemParams, draws: int, seed: int) -> MonteCar
     decides the SNR/SINR/joint inequalities of :func:`_raw_events` on
     exponential gains, never through a closed form. Each user's block of
     draws goes to :func:`_user_events`, which compares it with that user's
-    exact thresholds from :func:`_thresholds`, the ones
-    :func:`success_events` uses, bisected from those inequalities
-    themselves: every event is monotone in its user's draw. Deterministic
-    for a given seed; draws are consumed in fixed-size chunks.
+    exact thresholds from :func:`_thresholds`, looked up once per call: the
+    ones :func:`success_events` uses, bisected from those inequalities
+    themselves, since every event is monotone in its user's draw.
+    Deterministic for a given seed; draws are consumed in fixed-size chunks.
     """
     if draws < 1:
         raise InvalidParameterError("draws must be >= 1")
@@ -463,6 +462,7 @@ def mc_estimate_profile(params: SystemParams, draws: int, seed: int) -> MonteCar
         raise InvalidParameterError("generic profiles have no channel model to sample")
 
     rng = np.random.default_rng(seed)
+    thresholds = _thresholds(params)
     counts = [0, 0, 0, 0]
     buf = np.empty(min(draws, _MC_BLOCK))
     for start in range(0, draws, _MC_CHUNK):
@@ -470,7 +470,7 @@ def mc_estimate_profile(params: SystemParams, draws: int, seed: int) -> MonteCar
         for user in (1, 2):
             for lo in range(0, n, _MC_BLOCK):
                 gains = rng.standard_exponential(out=buf[:min(_MC_BLOCK, n - lo)])
-                for event, success in _user_events(params, user, gains):
+                for event, success in _user_events(thresholds, user, gains):
                     counts[event] += int(np.count_nonzero(success))
 
     est = np.array(counts) / float(draws)

@@ -50,8 +50,10 @@ SLOPE_THRESHOLD = 1e-3
 # flags and success events and 8 of trajectory, and peaks at about 24 while
 # the solver's temporaries are alive, so this caps one run near 250 MB (a
 # 10M-slot dominant IAN run peaked at 241 MB); longer runs are rejected
-# before any allocation. The vectorised queue solver's int32 walk needs it
-# below 2**31.
+# before any allocation. A boundary-search ray also keeps its shared success
+# events (4 bytes per slot) and one busy column of queue 2 (1 byte) between
+# probes, so its probes peak at most about 5 bytes per slot above one run.
+# The vectorised queue solver's int32 walk needs it below 2**31.
 MAX_HORIZON = 10_000_000
 
 # Slots per block of a run's draws (_kernel_inputs): the block's two float64
@@ -191,7 +193,7 @@ def step(
     return (new_q1, new_q2), events
 
 
-def _kernel_inputs(config: SimConfig) -> tuple:
+def _kernel_inputs(config: SimConfig, events=None) -> tuple:
     """Arrival flags, the four success-event columns and the dummy-mode flags.
 
     The run's stream is ``np.random.default_rng(seed)``: ``2*horizon``
@@ -204,18 +206,24 @@ def _kernel_inputs(config: SimConfig) -> tuple:
     becomes flags while it is in cache; only the flags, 6 bytes per slot,
     outlive it. ``arrivals`` is the ``(horizon, 2)`` transpose of a
     ``(2, horizon)`` array, so each queue's column is contiguous.
+
+    ``events``, the four success-event columns of an earlier call with the
+    same seed, horizon and parameters, are returned as they are, and the
+    channel draws are skipped: they do not depend on the arrival rates.
     """
     horizon, params = config.horizon, config.params
     lam = (config.arrivals.lambda1, config.arrivals.lambda2)
     arrivals = np.empty((2, horizon), dtype=bool)
-    events = np.empty((4, horizon), dtype=bool)
     arrival_rng = np.random.default_rng(config.seed)
-    channel_bits = np.random.PCG64(config.seed)
-    channel_bits.advance(2 * horizon)
-    channel_rng = np.random.Generator(channel_bits)
-    # the same bits as rng.exponential(1.0, ...), without the scaling pass
-    draw = (channel_rng.random if params.decoding is Decoding.GENERIC
-            else channel_rng.standard_exponential)
+    shared = events is not None
+    if not shared:
+        events = np.empty((4, horizon), dtype=bool)
+        channel_bits = np.random.PCG64(config.seed)
+        channel_bits.advance(2 * horizon)
+        channel_rng = np.random.Generator(channel_bits)
+        # the same bits as rng.exponential(1.0, ...), without the scaling pass
+        draw = (channel_rng.random if params.decoding is Decoding.GENERIC
+                else channel_rng.standard_exponential)
     # a generator fills slot-major blocks; one transposing copy puts each
     # user's draws in a contiguous row, which compares several times faster
     # than a strided column
@@ -227,9 +235,10 @@ def _kernel_inputs(config: SimConfig) -> tuple:
         np.copyto(u, arrival_rng.random(out=drawn[:hi - lo]).T)
         for k in (0, 1):
             np.less(u[k], lam[k], out=arrivals[k, lo:hi])
-        np.copyto(u, draw(out=drawn[:hi - lo]).T)
-        for row, success in zip(events, success_events(params, u[0], u[1])):
-            row[lo:hi] = success
+        if not shared:
+            np.copyto(u, draw(out=drawn[:hi - lo]).T)
+            for row, success in zip(events, success_events(params, u[0], u[1])):
+                row[lo:hi] = success
     return (arrivals.T, *events, *_forced(config))
 
 
@@ -337,22 +346,25 @@ def system_verdict(verdicts: tuple[Verdict, Verdict]) -> Verdict:
     return Verdict.STABLE
 
 
-def _solve(config: SimConfig) -> tuple[tuple, np.ndarray]:
+def _solve(config: SimConfig, events=None, start=None) -> tuple[tuple, np.ndarray]:
     """Draw a run's randomness, form its success events and solve its queues.
 
-    Returns the kernel inputs and the ``(2, horizon + 1)`` slot-start lengths.
+    ``events`` are passed to ``_kernel_inputs`` and ``start`` to
+    ``_kernels.simulate_slots``. Returns the kernel inputs and the
+    ``(2, horizon + 1)`` slot-start lengths.
     """
-    inputs = _kernel_inputs(config)
-    q, _ = _kernels.simulate_slots(*inputs)
+    inputs = _kernel_inputs(config, events)
+    q, _ = _kernels.simulate_slots(*inputs, start=start)
     return inputs, q
 
 
-def _system_verdict_of(config: SimConfig) -> Verdict:
-    """``system_verdict(run(config).verdict)``, without the statistics."""
+def _probe(config: SimConfig, events=None, start=None) -> tuple[Verdict, tuple, np.ndarray]:
+    """``system_verdict(run(config).verdict)``, without the statistics, and
+    ``_solve``'s kernel inputs and slot-start lengths."""
+    inputs, q = _solve(config, events, start)
     if config.horizon < _MIN_CLASSIFY_HORIZON:
-        return Verdict.INCONCLUSIVE
-    _, q = _solve(config)
-    return system_verdict(tuple(classify_stability(row, config.warmup) for row in q))
+        return Verdict.INCONCLUSIVE, inputs, q
+    return system_verdict(tuple(classify_stability(row, config.warmup) for row in q)), inputs, q
 
 
 def run(config: SimConfig, return_trajectory: bool = False) -> SimResult:
@@ -436,16 +448,30 @@ def estimate_boundary(
     verdicts, between the origin, stable by definition, and the ray's end
     in the unit square of Bernoulli rates, which must be unstable (else
     ``EstimationFailureError``). ``horizon`` must be at least the 10000
-    slots a verdict needs, and is checked before any run. Each probe gets
-    its own deterministic seed; an inconclusive probe is retried once with
-    a fresh seed and then treated as non-stable (it can only sit next to
-    the frontier, so either assignment keeps the bracket valid to within
-    the probe noise).
+    slots a verdict needs, and is checked before any run.
 
-    A probe's verdict is ``system_verdict(run(config).verdict)``, computed
-    without ``run()``'s statistics: it solves the run and hands each queue
-    to ``classify_stability``, which judges it by the same exact drift
-    slope that ``run()`` reports.
+    Every probe is the run at the ray's own ``seed``: one sample path per
+    ray (common random numbers). The first probe draws the channel and its
+    four success-event columns; later probes reuse them and draw only the
+    arrival uniforms, the same for every probe, which they compare with
+    their own rates. A probe's verdict is therefore exactly
+    ``system_verdict(run(SimConfig(point, params, horizon=horizon,
+    seed=seed)).verdict)``, computed without ``run()``'s statistics: each
+    queue goes to ``classify_stability``, which judges it by the same exact
+    drift slope that ``run()`` reports. An inconclusive probe is retried
+    once on fresh randomness, the run at seed ``seed + 7919*k + 13`` for
+    probe ``k`` (0 at the ray's end, 4 onwards in the bisection), and is
+    then treated as non-stable (it can only sit next to the frontier, so
+    either assignment keeps the bracket valid to within the probe noise).
+
+    On one sample path, a higher scale means more arrivals in every slot,
+    and a longer queue only takes service from the other (a shared-slot
+    success implies the solo one), so both queues grow pathwise with the
+    scale. Queue 2's busy column at the nearest non-stable probe above is
+    thus an upper bound for every lower probe's, and each coupled solve
+    starts its Picard passes there; the start changes only the pass count
+    (``_kernels.simulate_slots``). A retry's busy column lies on another
+    path and is never a start.
     """
     if not 0.0 <= angle_deg <= 90.0:
         raise InvalidParameterError("angle must lie in [0, 90] degrees")
@@ -459,14 +485,18 @@ def estimate_boundary(
     c = math.cos(math.radians(angle_deg))
     s = math.sin(math.radians(angle_deg))
     cap = min(1.0 / c if c > 0.0 else math.inf, 1.0 / s if s > 0.0 else math.inf)
+    events = start = None
 
     def probe(scale: float, k: int) -> Verdict:
+        nonlocal events, start
         point = RatePoint(scale * c, scale * s)
-        v = _system_verdict_of(SimConfig(point, params, horizon=horizon, seed=seed + 7919 * k))
+        v, inputs, q = _probe(SimConfig(point, params, horizon=horizon, seed=seed), events, start)
+        events, busy2 = inputs[1:5], q[1, :-1] > 0
+        del inputs, q
         if v is Verdict.INCONCLUSIVE:
-            v = _system_verdict_of(
-                SimConfig(point, params, horizon=horizon, seed=seed + 7919 * k + 13)
-            )
+            v, _, _ = _probe(SimConfig(point, params, horizon=horizon, seed=seed + 7919 * k + 13))
+        if v is not Verdict.STABLE:
+            start = busy2  # it bounds queue 2's busy column at every lower scale
         return v
 
     lo, hi = 0.0, cap
@@ -474,7 +504,7 @@ def estimate_boundary(
         raise EstimationFailureError(
             f"no unstable bracket along {angle_deg} deg (tried scale {hi})"
         )
-    # the bisection's probes are numbered from 4, which fixes their seeds
+    # the bisection's probes are numbered from 4, which fixes their retry seeds
     for i in range(steps):
         mid = 0.5 * (lo + hi)
         if probe(mid, 4 + i) is Verdict.STABLE:

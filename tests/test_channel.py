@@ -136,8 +136,11 @@ class TestLayeredDecoding:
         assert b.build_profile(sc_params(1.0, 1.0)).p1_both == pytest.approx(EXP_ONE, abs=1e-12)
 
     def test_peer_layer_undecodable(self):
-        params = sc_params(1.0, 1.0, gamma2=2.0)
-        assert b.build_profile(params).p1_both == 0.0
+        # at p2 = gamma2 * p1 = 2 the peel-off SINR margin is exactly 0
+        for p2 in (1.0, 2.0):
+            params = sc_params(1.0, p2, gamma2=2.0)
+            assert b.build_profile(params).p1_both == 0.0
+            assert b.layered_decode_success(0.5, 2.0, 1.0, 2.0, 1.0, p2) == 0.0
 
     def test_zero_own_threshold_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -174,10 +174,11 @@ class TestKernelInputs:
         assert 6 * horizon <= peak <= 6 * horizon + 3 * block_bytes
 
 
-def vec_matches_loop(kernel_args):
-    """Run the vectorised solver and the loop on the same inputs; return the solver's passes."""
+def vec_matches_loop(kernel_args, start=None):
+    """Run the vectorised solver from ``start`` and the loop on the same inputs;
+    return the solver's passes."""
     ref, _ = _kernels.simulate_slots_py(*kernel_args)
-    qtraj, passes = _kernels.simulate_slots(*kernel_args)
+    qtraj, passes = _kernels.simulate_slots(*kernel_args, start=start)
     assert qtraj.shape == (2, kernel_args[0].shape[0] + 1)
     assert np.array_equal(qtraj, ref)
     return passes
@@ -188,12 +189,20 @@ class TestVectorisedSolver:
     @given(horizon=st.integers(1, 2000), seed=st.integers(0, 2**32 - 1),
            densities=st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
                               min_size=6, max_size=6),
-           force1=st.booleans(), force2=st.booleans())
-    def test_matches_loop_on_any_columns(self, horizon, seed, densities, force1, force2):
-        """Arbitrary arrival and event columns, each with its own density."""
-        cols = np.random.default_rng(seed).random((horizon, 6)) < np.array(densities)
+           force1=st.booleans(), force2=st.booleans(),
+           start_density=st.none() | st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    def test_matches_loop_on_any_columns(self, horizon, seed, densities, force1, force2,
+                                         start_density):
+        """Arbitrary arrival and event columns, each with its own density, and
+        an arbitrary start column for queue 2; None starts all-busy."""
+        rng = np.random.default_rng(seed)
+        cols = rng.random((horizon, 6)) < np.array(densities)
+        start = None if start_density is None else rng.random(horizon) < start_density
         solo1, solo2, both1, both2 = cols[:, 2:].T
-        vec_matches_loop((cols[:, :2], solo1, solo2, both1, both2, force1, force2))
+        args = (cols[:, :2], solo1, solo2, both1, both2, force1, force2)
+        passes = vec_matches_loop(args, start)
+        if start is None:
+            assert passes == vec_matches_loop(args, np.ones(horizon, dtype=bool))
 
     @pytest.mark.parametrize("params", ALL_PARAMS)
     def test_matches_loop_near_frontier(self, params):
@@ -493,7 +502,7 @@ class TestClassifyExactSlope:
         """The boundary search's verdict-only probe agrees with run()."""
         for lam in ((0.2, 0.2), (0.4, 0.35), (0.6, 0.6), (0.05, 0.7), (0.7, 0.05)):
             cfg = SimConfig(RatePoint(*lam), params, horizon=horizon, seed=17)
-            assert sim._system_verdict_of(cfg) is b.system_verdict(b.run(cfg).verdict)
+            assert sim._probe(cfg)[0] is b.system_verdict(b.run(cfg).verdict)
 
 
 class TestClassify:
@@ -529,25 +538,65 @@ class TestClassify:
 
 
 # repr(estimate_boundary(params, angle, steps=8, horizon=40_000, seed=seed)),
-# recorded before probes skipped run()'s statistics and before the coupled
-# solve started from the all-busy column; rows follow ALL_PARAMS, then the
-# strongly coupled generic profile on two rays.
+# recorded with one sample path per ray: every probe is the run at the ray's
+# seed, on the success events the first probe drew, and its coupled solve
+# starts from queue 2's busy column at the nearest non-stable probe above.
+# Rows follow ALL_PARAMS, then the strongly coupled generic profile on two
+# rays.
 PINNED_BOUNDARIES = [
-    (0, 30.0, 5, "RatePoint(lambda1=0.43945312499999994, lambda2=0.25371838001497216)"),
+    (0, 30.0, 5, "RatePoint(lambda1=0.44335937499999994, lambda2=0.2559736545039941)"),
     (1, 45.0, 6, "RatePoint(lambda1=0.365234375, lambda2=0.36523437499999994)"),
     (2, 60.0, 7, "RatePoint(lambda1=0.3732479279331371, lambda2=0.6464843750000001)"),
-    (3, 45.0, 8, "RatePoint(lambda1=0.41210937500000006, lambda2=0.412109375)"),
-    (None, 45.0, 9, "RatePoint(lambda1=0.052734375, lambda2=0.052734374999999986)"),
-    (None, 20.0, 10, "RatePoint(lambda1=0.115234375, lambda2=0.04194188246426941)"),
+    (3, 45.0, 8, "RatePoint(lambda1=0.408203125, lambda2=0.40820312499999994)"),
+    (None, 45.0, 9, "RatePoint(lambda1=0.05664062499999999, lambda2=0.05664062499999998)"),
+    (None, 20.0, 10, "RatePoint(lambda1=0.130859375, lambda2=0.04762891737467882)"),
 ]
+
+
+def pinned_ray_params(index):
+    return (ALL_PARAMS[index] if index is not None
+            else generic_params(SuccessProfile(0.9, 0.9, 0.05, 0.05)))
 
 
 @pytest.mark.parametrize("index, angle, seed, expected", PINNED_BOUNDARIES)
 def test_estimate_boundary_matches_pinned(index, angle, seed, expected):
-    params = (ALL_PARAMS[index] if index is not None
-              else generic_params(SuccessProfile(0.9, 0.9, 0.05, 0.05)))
-    point = b.estimate_boundary(params, angle, steps=8, horizon=40_000, seed=seed)
+    point = b.estimate_boundary(pinned_ray_params(index), angle, steps=8, horizon=40_000, seed=seed)
     assert repr(point) == expected
+
+
+@pytest.mark.parametrize("index, angle, seed, expected", PINNED_BOUNDARIES)
+def test_probes_equal_runs(monkeypatch, index, angle, seed, expected):
+    """Each probe of a pinned ray gives run()'s system verdict and trajectory
+    at the ray's seed, though only the first draws the channel; each retry
+    gives them at its own seed, on fresh draws."""
+    probes = []
+    probe = sim._probe
+
+    def recorded(config, events=None, start=None):
+        out = probe(config, events, start)
+        probes.append((config, events is None, start is None, out))
+        return out
+
+    monkeypatch.setattr(sim, "_probe", recorded)
+    point = b.estimate_boundary(pinned_ray_params(index), angle, steps=8,
+                                horizon=40_000, seed=seed)
+    assert repr(point) == expected
+    numbers = iter([0, *range(4, 4 + 8)])
+    retries = 0
+    for n, (config, fresh, cold, (verdict, _, q)) in enumerate(probes):
+        if config.seed == seed:
+            k = next(numbers)
+            assert fresh is (n == 0) and cold is (n == 0)
+        else:
+            retries += 1
+            assert config.seed == seed + 7919 * k + 13
+            assert probes[n - 1][3][0] is Verdict.INCONCLUSIVE
+            assert fresh and cold
+        result = b.run(config, return_trajectory=True)
+        assert verdict is b.system_verdict(result.verdict)
+        assert np.array_equal(q.T, result.trajectory)
+    assert next(numbers, None) is None
+    assert len(probes) == 9 + retries
 
 
 class TestEstimateBoundary:
