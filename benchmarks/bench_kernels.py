@@ -13,16 +13,16 @@ first on the import path, and ``tests/`` after it for the reference draw
 The slot loop and the solver consume identical pre-drawn arrivals and
 success events and produce a bit-identical trajectory (checked here, with
 the solver's Picard pass count). Each config also splits one whole
-``run()`` into four parts, each timed directly, one after the other in the
+``run()`` into five parts, each timed directly, one after the other in the
 same iteration, so none can read negative: the draw and the success events
 (``sim._kernel_inputs``, block by block), the recursion (the solver), the
 two exact drift slopes (``fit``: ``sim._drift_slope`` on each queue's
-post-warmup trajectory), and the rest of the statistics
-(``sim._summarise``: counts, rates, verdicts). ``run`` is taken over the
-per-iteration sums of the four. ``verdicts`` times what a boundary-search
-probe does after the solve in place of the slopes and the rest:
-``classify_stability`` on both queues. ``draw_whole`` times the reference
-whole-array draw of the same randomness (``whole_array_draw`` in
+post-warmup trajectory), the two verdicts given those slopes
+(``verdicts``: ``sim._verdict`` on each queue), and the rest of the
+statistics (``rest``: ``sim._summarise``, counts and rates). ``run`` is
+taken over the per-iteration sums of the five. A boundary-search probe is
+``sim._solve``: every part but ``rest``. ``draw_whole`` times the
+reference whole-array draw of the same randomness (``whole_array_draw`` in
 ``tests/test_sim.py``: two ``(horizon, 2)`` float64 arrays), which the
 blocked ``inputs`` replaced, so the draw's share stays visible.
 ``events_raw`` and ``events`` time the four success-event columns of those
@@ -80,12 +80,11 @@ from bcstab import (
     SuccessProfile,
     SystemParams,
     boundary_scale,
-    classify_stability,
     estimate_boundary,
     region_for_params,
 )
 from bcstab import _kernels, channel, sim
-from bcstab.sim import _drift_slope, _kernel_inputs, _summarise
+from bcstab.sim import SLOPE_THRESHOLD, _drift_slope, _kernel_inputs, _summarise, _verdict
 from test_sim import whole_array_draw
 
 
@@ -124,8 +123,9 @@ def split_run(cfg):
     t_inputs, inputs = timed(_kernel_inputs, cfg)
     t_solve, (q, _) = timed(_kernels.simulate_slots, *inputs)
     t_fit, slopes = timed(lambda: [_drift_slope(row[cfg.warmup:cfg.horizon]) for row in q])
-    t_rest, _ = timed(_summarise, cfg, inputs, q, slopes)
-    t_verdicts, _ = timed(lambda: [classify_stability(row, cfg.warmup) for row in q])
+    t_verdicts, verdicts = timed(lambda: [_verdict(row, cfg.warmup, slope, SLOPE_THRESHOLD)
+                                          for row, slope in zip(q, slopes)])
+    t_rest, _ = timed(_summarise, cfg, inputs, q, slopes, verdicts)
     return t_inputs, t_solve, t_fit, t_rest, t_verdicts
 
 
@@ -253,7 +253,7 @@ def main():
             t_loop, (q_loop, _) = repeat_times(_kernels.simulate_slots_py, kernel_args, args.repeat)
             q, passes = _kernels.simulate_slots(*kernel_args)
             splits = [split_run(cfg) for _ in range(args.repeat)]
-            t_run = [sum(split[:4]) for split in splits]
+            t_run = [sum(split) for split in splits]
             row = summary(columns, [t_loop, t_run, *zip(*splits),
                                      *draw_and_event_times(cfg, args.repeat)])
             passes = "loop" if passes is None else passes

@@ -6,50 +6,10 @@ fixed or queue-adaptive power, verified against a slotted Monte Carlo queue
 simulator.
 """
 
-from .channel import (
-    Decoding,
-    InvalidParameterError,
-    InvalidProfileError,
-    MonteCarloProfile,
-    PowerScheme,
-    SuccessProfile,
-    SystemParams,
-    build_profile,
-    layered_decode_success,
-    mc_estimate_profile,
-    sinr_success,
-    snr_success,
-    success_events,
-)
-from .region import (
-    InfeasibleRateError,
-    Membership,
-    RatePoint,
-    SchemeMismatchError,
-    StabilityRegion,
-    SubRegion,
-    boundary_scale,
-    dominant_service_rates,
-    membership,
-    membership_grid,
-    region_fixed_sc_decoupled,
-    region_for_params,
-    region_general,
-    trace_boundary,
-)
-from .sim import (
-    DominantMode,
-    EstimationFailureError,
-    SimConfig,
-    SimResult,
-    SlotEvents,
-    Verdict,
-    classify_stability,
-    estimate_boundary,
-    run,
-    run_batch,
-    step,
-    system_verdict,
-)
+from . import channel, region, sim
+from .channel import *  # noqa: F401,F403
+from .region import *  # noqa: F401,F403
+from .sim import *  # noqa: F401,F403
 
+__all__ = [*channel.__all__, *region.__all__, *sim.__all__]
 __version__ = "0.1.0"

@@ -259,35 +259,27 @@ _cached_index = lru_cache(maxsize=2)(_build_index)
 
 # Points per block of the drift slope's int64 sums. Indices count from the
 # block's start, so each partial is exact while block**2 * max|y| < 2**63:
-# every trajectory qualifies, since it grows by at most one packet per slot
-# and MAX_HORIZON < 2**25.
+# every value in [0, MAX_HORIZON] qualifies, since MAX_HORIZON < 2**25.
 _SLOPE_BLOCK = 2**19
 
 
 def _drift_slope(series: np.ndarray) -> float:
-    """Least-squares slope of ``series`` over its index; needs at least two points.
+    """Exact least-squares slope of an integer ``series`` over its index,
+    rounded once; needs at least two points, each in ``[0, MAX_HORIZON]``.
 
-    An integer series gets the exact slope rounded once: ``num / den`` with
-    ``num = n*sum(t*y) - sum(t)*sum(y)`` and ``den = n*sum(t*t) - sum(t)**2``
-    formed as Python ints. ``sum(y)`` and ``sum(t*y)`` are taken in int64,
-    ``_SLOPE_BLOCK`` points at a time, or as Python ints for values too
-    large for that. A float series gets ``np.polyfit``'s slope.
+    The slope is ``num / den`` with ``num = n*sum(t*y) - sum(t)*sum(y)`` and
+    ``den = n*sum(t*t) - sum(t)**2`` formed as Python ints. ``sum(y)`` and
+    ``sum(t*y)`` are taken in int64, ``_SLOPE_BLOCK`` points at a time.
     """
     n = series.shape[0]
-    if series.dtype.kind not in "iu":
-        return float(np.polyfit(np.arange(n), series, 1)[0])
     block = min(n, _SLOPE_BLOCK)
-    if max(int(series.max()), -int(series.min())) * block * block < 2**63:
-        index = _cached_index(block)
-        sum_y = sum_ty = 0
-        for start in range(0, n, block):
-            part = series[start:start + block].astype(np.int64, copy=False)
-            part_sum = int(part.sum())
-            sum_ty += int(np.dot(part, index[:part.shape[0]])) + start * part_sum
-            sum_y += part_sum
-    else:
-        y = series.tolist()
-        sum_y, sum_ty = sum(y), sum(t * v for t, v in enumerate(y))
+    index = _cached_index(block)
+    sum_y = sum_ty = 0
+    for start in range(0, n, block):
+        part = series[start:start + block].astype(np.int64, copy=False)
+        part_sum = int(part.sum())
+        sum_ty += int(np.dot(part, index[:part.shape[0]])) + start * part_sum
+        sum_y += part_sum
     sum_t = n * (n - 1) // 2
     sum_tt = (n - 1) * n * (2 * n - 1) // 6
     return (n * sum_ty - sum_t * sum_y) / (n * sum_tt - sum_t * sum_t)
@@ -303,9 +295,10 @@ def classify_stability(
     flat slope and at least one return to empty during the final half of the
     run. Everything else is inconclusive.
 
-    The slope is the one ``run()`` reports as ``drift_slope``
-    (``_drift_slope``): exact for an integer trajectory, ``np.polyfit``'s
-    for a float one.
+    The trajectory counts packets: it is 1-D, of an integer dtype, with
+    every value in ``[0, MAX_HORIZON]``, as a column of ``run()``'s
+    trajectory is. Its slope is the exact one ``run()`` reports as
+    ``drift_slope`` (``_drift_slope``).
     """
     traj = np.asarray(trajectory)
     if traj.ndim != 1:
@@ -319,8 +312,9 @@ def classify_stability(
             f"classification needs a horizon of at least {_MIN_CLASSIFY_HORIZON} slots"
         )
     _check_fit_window(warmup, horizon)
-    slope = _drift_slope(traj[warmup:horizon])
-    return _verdict(traj, warmup, slope, slope_threshold)
+    if traj.dtype.kind not in "iu" or traj.min() < 0 or traj.max() > MAX_HORIZON:
+        raise InvalidParameterError(f"queue lengths are integers in [0, {MAX_HORIZON}]")
+    return _verdict(traj, warmup, _drift_slope(traj[warmup:horizon]), slope_threshold)
 
 
 def _verdict(traj: np.ndarray, warmup: int, slope: float, slope_threshold: float) -> Verdict:
@@ -346,37 +340,35 @@ def system_verdict(verdicts: tuple[Verdict, Verdict]) -> Verdict:
     return Verdict.STABLE
 
 
-def _solve(config: SimConfig, events=None, start=None) -> tuple[tuple, np.ndarray]:
-    """Draw a run's randomness, form its success events and solve its queues.
+def _solve(config: SimConfig, events=None, start=None) -> tuple:
+    """Draw a run's randomness, solve its queues and judge each queue.
 
     ``events`` are passed to ``_kernel_inputs`` and ``start`` to
-    ``_kernels.simulate_slots``. Returns the kernel inputs and the
-    ``(2, horizon + 1)`` slot-start lengths.
+    ``_kernels.simulate_slots``. Returns the kernel inputs, the
+    ``(2, horizon + 1)`` slot-start lengths, each queue's exact drift slope
+    over ``[warmup, horizon)`` and its verdict (``classify_stability``'s
+    rule; inconclusive below 10000 slots).
     """
     inputs = _kernel_inputs(config, events)
     q, _ = _kernels.simulate_slots(*inputs, start=start)
-    return inputs, q
-
-
-def _probe(config: SimConfig, events=None, start=None) -> tuple[Verdict, tuple, np.ndarray]:
-    """``system_verdict(run(config).verdict)``, without the statistics, and
-    ``_solve``'s kernel inputs and slot-start lengths."""
-    inputs, q = _solve(config, events, start)
-    if config.horizon < _MIN_CLASSIFY_HORIZON:
-        return Verdict.INCONCLUSIVE, inputs, q
-    return system_verdict(tuple(classify_stability(row, config.warmup) for row in q)), inputs, q
+    warmup, horizon = config.warmup, config.horizon
+    slopes = tuple(_drift_slope(row[warmup:horizon]) for row in q)
+    if horizon < _MIN_CLASSIFY_HORIZON:
+        verdicts = (Verdict.INCONCLUSIVE, Verdict.INCONCLUSIVE)
+    else:
+        verdicts = tuple(_verdict(row, warmup, slope, SLOPE_THRESHOLD)
+                         for row, slope in zip(q, slopes))
+    return inputs, q, slopes, verdicts
 
 
 def run(config: SimConfig, return_trajectory: bool = False) -> SimResult:
     """Simulate one configuration; deterministic for a given config."""
-    inputs, q = _solve(config)
-    slopes = [_drift_slope(row[config.warmup:config.horizon]) for row in q]
-    return _summarise(config, inputs, q, slopes, return_trajectory)
+    return _summarise(config, *_solve(config), return_trajectory)
 
 
-def _summarise(config: SimConfig, inputs: tuple, q: np.ndarray, slopes,
+def _summarise(config: SimConfig, inputs: tuple, q: np.ndarray, slopes, verdicts,
                return_trajectory: bool = False) -> SimResult:
-    """run()'s statistics of a solved run, given each queue's drift slope."""
+    """run()'s statistics of a solved run, given each queue's drift slope and verdict."""
     horizon, warmup = config.horizon, config.warmup
     arrivals, solo1, solo2, both1, both2, force1, force2 = inputs
 
@@ -384,7 +376,7 @@ def _summarise(config: SimConfig, inputs: tuple, q: np.ndarray, slopes,
     real = q[:, :horizon] > 0
     attempt = (real[0] | force1, real[1] | force2)
     stats = []
-    for k, solo, both, slope in ((0, solo1, both1, slopes[0]), (1, solo2, both2, slopes[1])):
+    for k, solo, both in ((0, solo1, both1), (1, solo2, both2)):
         # np.where(other queue transmits, both, solo) as in the solver
         service = solo ^ (attempt[1 - k] & (solo ^ both))
         departed = real[k] & service
@@ -397,14 +389,11 @@ def _summarise(config: SimConfig, inputs: tuple, q: np.ndarray, slopes,
             successes / attempts if attempts else 0.0,
             departed_post / n,
             (n - int(np.count_nonzero(real[k, warmup:]))) / n,
-            slope,
-            _verdict(q[k], warmup, slope, SLOPE_THRESHOLD)
-            if horizon >= _MIN_CLASSIFY_HORIZON else Verdict.INCONCLUSIVE,
             int(np.count_nonzero(arrivals[:, k])),
             int(np.count_nonzero(departed)),
         ))
     (mean_queue, final_queue, success_rate, departure_rate, empty_fraction,
-     drift_slope, verdict, arrivals_total, departures_total) = zip(*stats)
+     arrivals_total, departures_total) = zip(*stats)
     return SimResult(
         config=config,
         mean_queue=mean_queue,
@@ -412,8 +401,8 @@ def _summarise(config: SimConfig, inputs: tuple, q: np.ndarray, slopes,
         success_rate=success_rate,
         departure_rate=departure_rate,
         empty_fraction=empty_fraction,
-        drift_slope=drift_slope,
-        verdict=verdict,
+        drift_slope=slopes,
+        verdict=verdicts,
         arrivals_total=arrivals_total,
         departures_total=departures_total,
         trajectory=np.ascontiguousarray(q.T, dtype=np.int64) if return_trajectory else None,
@@ -454,11 +443,10 @@ def estimate_boundary(
     ray (common random numbers). The first probe draws the channel and its
     four success-event columns; later probes reuse them and draw only the
     arrival uniforms, the same for every probe, which they compare with
-    their own rates. A probe's verdict is therefore exactly
-    ``system_verdict(run(SimConfig(point, params, horizon=horizon,
-    seed=seed)).verdict)``, computed without ``run()``'s statistics: each
-    queue goes to ``classify_stability``, which judges it by the same exact
-    drift slope that ``run()`` reports. An inconclusive probe is retried
+    their own rates. A probe is ``run()`` without its statistics: it is
+    ``_solve``, which fits and judges each queue as ``run()`` does, so its
+    verdict is exactly ``system_verdict(run(SimConfig(point, params,
+    horizon=horizon, seed=seed)).verdict)``. An inconclusive probe is retried
     once on fresh randomness, the run at seed ``seed + 7919*k + 13`` for
     probe ``k`` (0 at the ray's end, 4 onwards in the bisection), and is
     then treated as non-stable (it can only sit next to the frontier, so
@@ -490,11 +478,14 @@ def estimate_boundary(
     def probe(scale: float, k: int) -> Verdict:
         nonlocal events, start
         point = RatePoint(scale * c, scale * s)
-        v, inputs, q = _probe(SimConfig(point, params, horizon=horizon, seed=seed), events, start)
+        inputs, q, _, verdicts = _solve(SimConfig(point, params, horizon=horizon, seed=seed),
+                                        events, start)
         events, busy2 = inputs[1:5], q[1, :-1] > 0
         del inputs, q
+        v = system_verdict(verdicts)
         if v is Verdict.INCONCLUSIVE:
-            v, _, _ = _probe(SimConfig(point, params, horizon=horizon, seed=seed + 7919 * k + 13))
+            retry = SimConfig(point, params, horizon=horizon, seed=seed + 7919 * k + 13)
+            v = system_verdict(_solve(retry)[3])
         if v is not Verdict.STABLE:
             start = busy2  # it bounds queue 2's busy column at every lower scale
         return v

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -511,16 +512,30 @@ def _config_value(text):
         return text
 
 
+SC_ADVISORY = "successive decoding models user 1 as the stronger receiver"
+# the example hypothesis found for it: the default d1 = 1 exceeds d2
+SC_ADVISORY_EXAMPLE = (["region", "--points", "0"], {"d2": 0.5, "scheme": "sc"})
+
+
+def show_on_stderr(message, category, filename, lineno, file=None, line=None):
+    """Print a warning to the current standard error, as an interpreter
+    outside pytest does."""
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
 @settings(max_examples=150, deadline=None)
 @given(argv_config=cli_argv())
 @example(argv_config=(["region", "--points", "3", "--scheme", "generic",
                        "--profile", "0,0.8,0,0.5"], None))
 @example(argv_config=(["compare-boundary", "--angles", "45", "--steps", "8", *SIM_ARGS],
                       {"scheme": "generic", "profile": [1.0, 1.0, 1.0, 1.0]}))
+@example(argv_config=SC_ADVISORY_EXAMPLE)
 def test_any_system_flags_exit_cleanly(argv_config):
     """Any mix of system flag values, on the command line or in a config
     file, ends in a documented exit code without a traceback, and a
-    successful run prints only finite, non-artefact numbers."""
+    successful run prints only finite, non-artefact numbers. The one
+    advisory warning (successive decoding with d1 > d2) is printed to
+    standard error, as a real run prints it; any other warning fails."""
     argv, config = argv_config
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
@@ -528,12 +543,17 @@ def test_any_system_flags_exit_cleanly(argv_config):
             path = Path(tmp) / "system.json"
             path.write_text(json.dumps(config))
             argv = [*argv, "--config", str(path)]
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.filterwarnings("always", message=SC_ADVISORY, category=UserWarning)
+            warnings.showwarning = show_on_stderr
             try:
                 status = cli.main(argv)
             except SystemExit as exc:  # argparse rejecting a flag value
                 status = exc.code
     assert status in {0, 2, 3, 4, 5}
     assert "Traceback" not in err.getvalue()
+    if argv_config == SC_ADVISORY_EXAMPLE:
+        assert f"UserWarning: {SC_ADVISORY}" in err.getvalue()
     if status == 0:
         assert_clean_cells(parse_csv(out.getvalue())[1])
