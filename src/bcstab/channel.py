@@ -14,9 +14,9 @@ Wireless Communication*, ch. 6), so every test compares a correctly rounded
 product of a constant and the draw with a positive constant, and successive
 decoding's joint event is the conjunction of two such tests. Rounding is
 monotone, so every event is monotone in its user's draw: it fails below one
-threshold and succeeds from it on. The simulator and the Monte Carlo oracle
-(:func:`mc_estimate_profile`) take the events from :func:`success_events`,
-which gives the same bits with one comparison per event and draw. Once per
+threshold and succeeds from it on. The simulator takes the events from
+:func:`success_events`, and the Monte Carlo oracle (:func:`mc_estimate_profile`)
+makes its comparisons: the same bits, one comparison per event and draw. Once per
 parameter set a k-ary search over the bit patterns of the draws in
 ``[0, _MAX_GAIN]`` (non-negative doubles order like their int64 patterns)
 finds each threshold exactly (:func:`_thresholds`). The thresholds are
@@ -27,6 +27,7 @@ forms, so the oracle stays independent of the probabilities it checks.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -40,7 +41,6 @@ __all__ = [
     "PowerScheme",
     "SuccessProfile",
     "SystemParams",
-    "MonteCarloProfile",
     "InvalidParameterError",
     "InvalidProfileError",
     "snr_success",
@@ -105,14 +105,10 @@ class SuccessProfile:
             if math.isnan(v) or not (0.0 <= v <= 1.0):
                 raise InvalidProfileError(f"{name}={v!r} is not a probability")
             object.__setattr__(self, name, v if v >= sys.float_info.min else 0.0)
-        if self.p1_both > self.p1_solo + _PROFILE_TOL:
-            raise InvalidProfileError(
-                f"p1_both={self.p1_both} exceeds p1_solo={self.p1_solo}"
-            )
-        if self.p2_both > self.p2_solo + _PROFILE_TOL:
-            raise InvalidProfileError(
-                f"p2_both={self.p2_both} exceeds p2_solo={self.p2_solo}"
-            )
+        for k in (1, 2):
+            both, solo = getattr(self, f"p{k}_both"), getattr(self, f"p{k}_solo")
+            if both > solo + _PROFILE_TOL:
+                raise InvalidProfileError(f"p{k}_both={both} exceeds p{k}_solo={solo}")
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.p1_solo, self.p2_solo, self.p1_both, self.p2_both)
@@ -207,6 +203,14 @@ def _check_user(user: int) -> int:
     if user not in (1, 2):
         raise InvalidParameterError(f"user must be 1 or 2, got {user!r}")
     return user
+
+
+def _as_count(name: str, value) -> int:
+    """``value``, a count or seed of any integer type, as a Python int."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _exp_term(exponent: float) -> float:
@@ -322,9 +326,6 @@ def _raw_events(params: SystemParams, c1, c2):
     return solo1, solo2, both1, both2
 
 
-# The events of _raw_events, in order, are decided by these users' draws.
-_EVENT_USERS = (1, 2, 1, 2)
-
 # Points per round of the k-ary search for the thresholds: eight rounds span
 # the 2**62 bit patterns of [0, _MAX_GAIN].
 _SEARCH_POINTS = 255
@@ -333,9 +334,10 @@ _SEARCH_POINTS = 255
 @lru_cache(maxsize=16)
 def _thresholds(params: SystemParams) -> tuple[float, ...]:
     """Per event of _raw_events, the draw in ``[0, _MAX_GAIN]`` of its user
-    (``_EVENT_USERS``) from which on it succeeds, or ``inf`` if it fails
-    there: every event is monotone in that draw, so the draw at which it
-    first succeeds after a failure one bit pattern below is exact.
+    (events 0 and 2 are user 1's, 1 and 3 user 2's) from which on it
+    succeeds, or ``inf`` if it fails there: every event is monotone in that
+    draw, so the draw at which it first succeeds after a failure one bit
+    pattern below is exact.
 
     Non-negative doubles order like their int64 bit patterns, so this is a
     bisection over integers: a k-ary search that keeps, per event, a
@@ -381,52 +383,13 @@ def success_events(params: SystemParams, c1, c2):
     """
     if params.decoding is Decoding.GENERIC or not _draw_arrays(c1, c2):
         return _raw_events(params, c1, c2)
-    events = [None] * 4
-    thresholds = _thresholds(params)
-    for user, c in ((1, c1), (2, c2)):
-        for event, success in _user_events(thresholds, user, c):
-            events[event] = success
-    return tuple(events)
-
-
-def _user_events(thresholds: tuple[float, ...], user: int, c: np.ndarray):
-    """``(event, success)`` for each event that ``user``'s draws ``c`` decide,
-    given the thresholds of a parameter set (``_thresholds``)."""
-    for event, threshold in enumerate(thresholds):
-        if _EVENT_USERS[event] == user:
-            yield event, c >= threshold
+    return tuple(c >= t for c, t in zip((c1, c2, c1, c2), _thresholds(params)))
 
 
 def _draw_arrays(c1, c2) -> bool:
     """Whether the draws are equal-shape float64 arrays, the inputs the thresholds decide."""
     return all(isinstance(c, np.ndarray) and c.dtype == np.float64 and c.ndim > 0
                for c in (c1, c2)) and c1.shape == c2.shape
-
-
-@dataclass(frozen=True)
-class MonteCarloProfile:
-    """Sampled estimates of the four success probabilities.
-
-    Unlike :class:`SuccessProfile` the estimates carry sampling noise, so no
-    cross-field ordering is enforced. ``se_*`` are binomial standard errors
-    ``sqrt(p*(1-p)/draws)`` evaluated at the estimates.
-    """
-
-    p1_solo: float
-    p2_solo: float
-    p1_both: float
-    p2_both: float
-    se_p1_solo: float
-    se_p2_solo: float
-    se_p1_both: float
-    se_p2_both: float
-    draws: int
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.p1_solo, self.p2_solo, self.p1_both, self.p2_both)
-
-    def se_tuple(self) -> tuple[float, float, float, float]:
-        return (self.se_p1_solo, self.se_p2_solo, self.se_p1_both, self.se_p2_both)
 
 
 # A chunk's draws are user 1's gains followed by user 2's, so the chunk size
@@ -442,18 +405,21 @@ _MC_CHUNK = 1_000_000
 _MC_BLOCK = 1 << 15
 
 
-def mc_estimate_profile(params: SystemParams, draws: int, seed: int) -> MonteCarloProfile:
+def mc_estimate_profile(params: SystemParams, draws: int, seed: int) -> SuccessProfile:
     """Estimate the success profile by sampling fading and testing raw events.
 
     This is the independent cross-check of the closed forms: per draw it
     decides the SNR/SINR/joint inequalities of :func:`_raw_events` on
     exponential gains, never through a closed form. Each user's block of
-    draws goes to :func:`_user_events`, which compares it with that user's
-    exact thresholds from :func:`_thresholds`, looked up once per call: the
-    ones :func:`success_events` uses, bisected from those inequalities
-    themselves, since every event is monotone in its user's draw.
-    Deterministic for a given seed; draws are consumed in fixed-size chunks.
+    draws is compared with that user's exact thresholds from
+    :func:`_thresholds`, looked up once per call: the ones
+    :func:`success_events` uses, bisected from those inequalities
+    themselves, since every event is monotone in its user's draw. Returns
+    the event frequencies, a valid :class:`SuccessProfile` since on one draw
+    a shared-slot success implies the solo one. Deterministic for a given
+    seed; draws are consumed in fixed-size chunks.
     """
+    draws, seed = _as_count("draws", draws), _as_count("seed", seed)
     if draws < 1:
         raise InvalidParameterError("draws must be >= 1")
     if seed < 0:
@@ -467,12 +433,9 @@ def mc_estimate_profile(params: SystemParams, draws: int, seed: int) -> MonteCar
     buf = np.empty(min(draws, _MC_BLOCK))
     for start in range(0, draws, _MC_CHUNK):
         n = min(draws - start, _MC_CHUNK)
-        for user in (1, 2):
+        for user in (0, 1):
             for lo in range(0, n, _MC_BLOCK):
                 gains = rng.standard_exponential(out=buf[:min(_MC_BLOCK, n - lo)])
-                for event, success in _user_events(thresholds, user, gains):
-                    counts[event] += int(np.count_nonzero(success))
-
-    est = np.array(counts) / float(draws)
-    se = np.sqrt(est * (1.0 - est) / draws)
-    return MonteCarloProfile(*est.tolist(), *se.tolist(), draws)
+                for event in (user, user + 2):
+                    counts[event] += int(np.count_nonzero(gains >= thresholds[event]))
+    return SuccessProfile(*(count / draws for count in counts))

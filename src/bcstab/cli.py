@@ -21,7 +21,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from enum import Enum
 from functools import lru_cache
 
@@ -49,6 +49,7 @@ from .sim import (
     DominantMode,
     EstimationFailureError,
     SimConfig,
+    SimResult,
     Verdict,
     estimate_boundary,
     run,
@@ -328,18 +329,11 @@ def cmd_simulate(spec: dict) -> tuple[list[dict], dict, int]:
         dominant_mode=DominantMode(spec["dominant"]),
     )
     r = run(cfg)
-    row = {
-        "lambda1": cfg.arrivals.lambda1, "lambda2": cfg.arrivals.lambda2,
-        "mean_queue1": r.mean_queue[0], "mean_queue2": r.mean_queue[1],
-        "final_queue1": r.final_queue[0], "final_queue2": r.final_queue[1],
-        "success_rate1": r.success_rate[0], "success_rate2": r.success_rate[1],
-        "departure_rate1": r.departure_rate[0], "departure_rate2": r.departure_rate[1],
-        "empty_fraction1": r.empty_fraction[0], "empty_fraction2": r.empty_fraction[1],
-        "drift_slope1": r.drift_slope[0], "drift_slope2": r.drift_slope[1],
-        "verdict1": r.verdict[0], "verdict2": r.verdict[1],
-        "arrivals1": r.arrivals_total[0], "arrivals2": r.arrivals_total[1],
-        "departures1": r.departures_total[0], "departures2": r.departures_total[1],
-    }
+    row = {"lambda1": cfg.arrivals.lambda1, "lambda2": cfg.arrivals.lambda2}
+    for f in fields(SimResult):
+        if f.name not in ("config", "trajectory"):
+            for k, value in enumerate(getattr(r, f.name), 1):
+                row[f"{f.name.removesuffix('_total')}{k}"] = value
     return [row], {}, EXIT_OK
 
 
@@ -428,21 +422,15 @@ def cmd_mc_verify(spec: dict) -> tuple[list[dict], dict, int]:
     if spec["draws"] < 10_000:
         raise UsageError("mc-verify needs --draws >= 10000")
     params = params_from_spec(spec)
-    closed = build_profile(params)
-    names = ("p1_solo", "p2_solo", "p1_both", "p2_both")
+    closed = asdict(build_profile(params))
     if params.decoding is Decoding.GENERIC:
-        rows = [
-            {"entry": n, "closed_form": getattr(closed, n),
-             "mc_estimate": None, "stderr": None, "z": None}
-            for n in names
-        ]
-        return rows, {"profile": asdict(closed), "note": "generic profile: no channel model to sample"}, EXIT_OK
+        rows = [{"entry": name, "closed_form": p, "mc_estimate": None, "stderr": None, "z": None}
+                for name, p in closed.items()]
+        return rows, {"profile": closed, "note": "generic profile: no channel model to sample"}, EXIT_OK
     est = mc_estimate_profile(params, spec["draws"], spec["seed"])
     rows = []
     worst = 0.0
-    for name in names:
-        p = getattr(closed, name)
-        phat = getattr(est, name)
+    for (name, p), phat in zip(closed.items(), asdict(est).values()):
         se = math.sqrt(p * (1.0 - p) / spec["draws"])
         if se == 0.0:
             z = 0.0 if phat == p else math.inf
@@ -452,7 +440,7 @@ def cmd_mc_verify(spec: dict) -> tuple[list[dict], dict, int]:
         rows.append({"entry": name, "closed_form": p, "mc_estimate": phat,
                      "stderr": se, "z": z})
     status = EXIT_VERIFICATION if worst > 4.0 else EXIT_OK
-    return rows, {"profile": asdict(closed), "max_abs_z": worst}, status
+    return rows, {"profile": closed, "max_abs_z": worst}, status
 
 
 _HANDLERS = {

@@ -27,6 +27,7 @@ from .channel import (
     InvalidParameterError,
     SuccessProfile,
     SystemParams,
+    _as_count,
     build_profile,
 )
 
@@ -249,6 +250,7 @@ def trace_boundary(region: StabilityRegion, n_points: int) -> list[RatePoint]:
     can be drawn directly. For each lambda1 the reported lambda2 is the
     supremum over both parts.
     """
+    n_points = _as_count("n_points", n_points)
     if n_points < 2:
         raise InvalidParameterError("n_points must be >= 2")
     lam1_max = max(p.cap_value if p.cap_axis == 0 else p.solo for p in region.parts)

@@ -25,7 +25,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .channel import Decoding, InvalidParameterError, SystemParams, _raw_events, success_events
+from .channel import (Decoding, InvalidParameterError, SystemParams, _as_count, _raw_events,
+                      success_events)
 from .region import RatePoint
 
 __all__ = [
@@ -89,7 +90,8 @@ class SimConfig:
     of the horizon) and must leave at least two slots for the drift fit;
     ``horizon`` lies in ``[10, MAX_HORIZON]``. Arrivals are independent
     Bernoulli per queue per slot, so rates must not exceed 1. ``seed`` is
-    non-negative, as numpy's generators require.
+    non-negative, as numpy's generators require. The counts may be of any
+    integer type and are stored as Python ints.
     """
 
     arrivals: RatePoint
@@ -103,6 +105,9 @@ class SimConfig:
         object.__setattr__(self, "dominant_mode", DominantMode(self.dominant_mode))
         if self.arrivals.lambda1 > 1.0 or self.arrivals.lambda2 > 1.0:
             raise InvalidParameterError("Bernoulli arrival rates cannot exceed 1")
+        for name in ("horizon", "warmup", "seed"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _as_count(name, getattr(self, name)))
         if not 10 <= self.horizon <= MAX_HORIZON:
             raise InvalidParameterError(f"horizon must lie in [10, {MAX_HORIZON}] slots")
         if self.seed < 0:
@@ -311,6 +316,7 @@ def classify_stability(
         raise InvalidParameterError(
             f"classification needs a horizon of at least {_MIN_CLASSIFY_HORIZON} slots"
         )
+    warmup = _as_count("warmup", warmup)
     _check_fit_window(warmup, horizon)
     if traj.dtype.kind not in "iu" or traj.min() < 0 or traj.max() > MAX_HORIZON:
         raise InvalidParameterError(f"queue lengths are integers in [0, {MAX_HORIZON}]")
@@ -463,6 +469,7 @@ def estimate_boundary(
     """
     if not 0.0 <= angle_deg <= 90.0:
         raise InvalidParameterError("angle must lie in [0, 90] degrees")
+    steps = _as_count("steps", steps)
     if steps < 8:
         raise InvalidParameterError("at least 8 bisection steps are required")
     if horizon < _MIN_CLASSIFY_HORIZON:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import bcstab.cli as cli
 import bcstab.sim
-from bcstab import MonteCarloProfile
+from bcstab import SuccessProfile
 
 
 def run_cli(capsys, *argv):
@@ -112,6 +112,18 @@ class TestSimulateCommand:
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
 
+    def test_csv_header(self, capsys):
+        status, out, _ = run_cli(capsys, "simulate", "--lambda1", "0.1", "--lambda2", "0.1",
+                                 "--horizon", "100")
+        assert status == 0
+        header = [line for line in out.splitlines() if not line.startswith("# ")][0]
+        assert header.split(",") == [
+            "lambda1", "lambda2", "mean_queue1", "mean_queue2", "final_queue1", "final_queue2",
+            "success_rate1", "success_rate2", "departure_rate1", "departure_rate2",
+            "empty_fraction1", "empty_fraction2", "drift_slope1", "drift_slope2",
+            "verdict1", "verdict2", "arrivals1", "arrivals2", "departures1", "departures2",
+        ]
+
 
 class TestSweepCommand:
     def test_analytic_grid_shape_and_monotonicity(self, capsys):
@@ -196,7 +208,7 @@ class TestMcVerifyCommand:
             assert rows[entry]["closed_form"] == rows[entry]["mc_estimate"] == 0.0
 
     def test_discrepancy_fails_verification(self, capsys, monkeypatch):
-        biased = MonteCarloProfile(0.9, 0.9, 0.9, 0.9, 0.0, 0.0, 0.0, 0.0, 10_000)
+        biased = SuccessProfile(0.9, 0.9, 0.9, 0.9)
         monkeypatch.setattr(cli, "mc_estimate_profile", lambda *a, **k: biased)
         status, out, _ = run_cli(capsys, "mc-verify", "--draws", "10000")
         assert status == cli.EXIT_VERIFICATION

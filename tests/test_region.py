@@ -278,6 +278,12 @@ class TestTraceBoundary:
         with pytest.raises(InvalidParameterError):
             b.trace_boundary(b.region_general(RECT), 1)
 
+    def test_point_count_is_an_integer(self):
+        with pytest.raises(InvalidParameterError, match="n_points"):
+            b.trace_boundary(b.region_general(RECT), 3.0)
+        assert b.trace_boundary(b.region_general(RECT), np.int64(3)) == \
+            b.trace_boundary(b.region_general(RECT), 3)
+
     @pytest.mark.parametrize("profile, n_points", [
         ((0.3, 0.8, 0.1, 0.5), 4), ((0.9, 0.1, 0.45, 0.01), 3), ((0.9, 0.1, 0.45, 0.02), 5),
     ])

@@ -357,6 +357,20 @@ class TestRunStatistics:
         with pytest.raises(InvalidParameterError, match="seed"):
             SimConfig(RatePoint(0.1, 0.1), ALL_PARAMS[0], seed=-1)
 
+    def test_numpy_integer_counts(self):
+        """A count of any integer type is stored as a Python int: the run is
+        the same as with Python ints, not an overflow in the channel stream."""
+        cfg = SimConfig(RatePoint(0.3, 0.2), ALL_PARAMS[0], horizon=np.int64(20_000),
+                        warmup=np.int32(1_000), seed=np.uint8(7))
+        assert all(type(v) is int for v in (cfg.horizon, cfg.warmup, cfg.seed))
+        assert b.run(cfg) == b.run(SimConfig(RatePoint(0.3, 0.2), ALL_PARAMS[0],
+                                             horizon=20_000, warmup=1_000, seed=7))
+
+    @pytest.mark.parametrize("name", ["horizon", "warmup", "seed"])
+    def test_float_counts_rejected(self, name):
+        with pytest.raises(InvalidParameterError, match=name):
+            SimConfig(RatePoint(0.1, 0.1), ALL_PARAMS[0], **{name: 100.0})
+
 
 def polyfit_slope(series):
     """The reference drift slope: numpy's own degree-1 fit over the slot index."""
@@ -532,6 +546,10 @@ class TestClassify:
         with pytest.raises(InvalidParameterError):
             b.classify_stability(np.zeros(5001), warmup=500)
 
+    def test_float_warmup_rejected(self):
+        with pytest.raises(InvalidParameterError, match="warmup"):
+            b.classify_stability(np.zeros(20_001, dtype=np.int64), warmup=100.0)
+
     def test_two_queue_trajectory_rejected(self):
         # run() returns both queues' trajectories; a verdict judges one
         cfg = SimConfig(RatePoint(0.2, 0.2), ALL_PARAMS[0], horizon=20_000, seed=3)
@@ -640,3 +658,11 @@ class TestEstimateBoundary:
             b.estimate_boundary(generic_params(), 95.0, steps=12)
         with pytest.raises(InvalidParameterError):
             b.estimate_boundary(generic_params(), 45.0, steps=4)
+        with pytest.raises(InvalidParameterError, match="steps"):
+            b.estimate_boundary(generic_params(), 45.0, steps=8.0)
+
+    def test_numpy_integer_counts(self):
+        params = generic_params()
+        assert (b.estimate_boundary(params, 30.0, np.int64(8), horizon=np.int64(20_000),
+                                    seed=np.int64(3))
+                == b.estimate_boundary(params, 30.0, 8, horizon=20_000, seed=3))
