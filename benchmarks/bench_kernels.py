@@ -1,6 +1,6 @@
 """Time the reference slot loop, split one run() into its layers, split the
 fading Monte Carlo into its draws and its events, and time boundary-search
-rays with their work counted.
+rays and simulated sweeps with their work counted.
 
 Usage:
     python benchmarks/bench_kernels.py [--horizon 200000 ...] [--repeat 5]
@@ -15,7 +15,8 @@ success events and produce a bit-identical trajectory (checked here, with
 the solver's Picard pass count). Each config also splits one whole
 ``run()`` into five parts, each timed directly, one after the other in the
 same iteration, so none can read negative: the draw and the success events
-(``sim._kernel_inputs``, block by block), the recursion (the solver), the
+(``sim._kernel_inputs``, block by block, from an emptied cache of channel
+events, so the channel is drawn every time), the recursion (the solver), the
 two exact drift slopes (``fit``: ``sim._drift_slope`` on each queue's
 post-warmup trajectory), the two verdicts given those slopes
 (``verdicts``: ``sim._verdict`` on each queue), and the rest of the
@@ -44,12 +45,18 @@ estimates ``p``: false means the split timed a different loop.
 
 The ``estimate_boundary`` rows time one 45 degree ray per configuration
 (the three named ones of the acceptance suite and the generic profile) at
-40k slots and 8 steps, as ``compare-boundary`` runs it, in ``ray``. One
-more call with counting wrappers gives the ray's ``probes`` (solver
-calls, retries included), ``channel_draws`` (kernel inputs drawn in full,
-not from the ray's shared success events) and ``lindley`` (single-queue
-Lindley solves). The wrappers take any arguments, so the layer also runs
-against code whose probes draw everything.
+40k slots and 8 steps, as ``compare-boundary`` runs it, in ``ray``, each
+from an emptied cache of channel events, as a CLI call starts. One more
+call with counting wrappers gives the ray's ``probes`` (solver calls,
+retries included), ``channel_draws`` (misses of ``sim._channel_events``'s
+cache: one for the ray's path and one per retry, so ``probes - 8``) and
+``lindley`` (single-queue Lindley solves).
+
+The ``sweep`` rows time one in-process ``bcstab sweep --simulate --grid 7
+--horizon 20000 --workers 2`` per configuration of the ``estimate_boundary``
+rows, output discarded, from an emptied cache, in ``ms``; ``channel_draws``
+is the last call's cache misses: every cell is the run at the sweep's seed,
+so 1, or 2 when both workers start cold together.
 
 Every column is timed ``--repeat`` times and reported as the median, with
 the best (fastest) time beside it as ``<column>_best``. Every config and
@@ -59,6 +66,8 @@ the horizons, the seed and the backend.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -83,7 +92,7 @@ from bcstab import (
     estimate_boundary,
     region_for_params,
 )
-from bcstab import _kernels, channel, sim
+from bcstab import _kernels, channel, cli, sim
 from bcstab.sim import SLOPE_THRESHOLD, _drift_slope, _kernel_inputs, _summarise, _verdict
 from test_sim import whole_array_draw
 
@@ -119,7 +128,10 @@ def timed(fn, *args):
 
 
 def split_run(cfg):
-    """One run() made phase by phase, each phase timed; returns the times in seconds."""
+    """One run() made phase by phase, each phase timed; returns the times in
+    seconds. The path's cached events are dropped first, so ``inputs`` times
+    a cold draw of the channel."""
+    sim._channel_events.cache_clear()
     t_inputs, inputs = timed(_kernel_inputs, cfg)
     t_solve, (q, _) = timed(_kernels.simulate_slots, *inputs)
     t_fit, slopes = timed(lambda: [_drift_slope(row[cfg.warmup:cfg.horizon]) for row in q])
@@ -207,18 +219,47 @@ BOUNDARY_PARAMS = {
 
 
 def ray(params):
+    """One ray from a cold cache of channel events, as a CLI call makes it."""
+    sim._channel_events.cache_clear()
     return estimate_boundary(params, BOUNDARY["angle"], steps=BOUNDARY["steps"],
                              horizon=BOUNDARY["horizon"], seed=SEED)
 
 
 def ray_work(params):
-    """One ray's probes, full kernel-input draws and Lindley solves."""
+    """One ray's probes, channel draws and Lindley solves."""
     with mock.patch.object(_kernels, "simulate_slots", wraps=_kernels.simulate_slots) as solves, \
-            mock.patch.object(sim, "_kernel_inputs", wraps=sim._kernel_inputs) as inputs, \
             mock.patch.object(_kernels, "_lindley", wraps=_kernels._lindley) as lindley:
         ray(params)
-    draws = sum(len(call.args) < 2 or call.args[1] is None for call in inputs.call_args_list)
-    return dict(probes=solves.call_count, channel_draws=draws, lindley=lindley.call_count)
+    return dict(probes=solves.call_count, channel_draws=sim._channel_events.cache_info().misses,
+                lindley=lindley.call_count)
+
+
+SWEEP = ["sweep", "--simulate", "--grid", "7", "--horizon", "20000", "--workers", "2",
+         "--seed", str(SEED)]
+
+
+def cli_flags(params):
+    """The ``bcstab`` flags that select ``params``."""
+    if params.decoding is channel.Decoding.GENERIC:
+        return ["--scheme", "generic",
+                "--profile", ",".join(map(repr, params.generic_profile.as_tuple()))]
+    flags = ["--scheme", params.decoding.value, "--power", params.power_scheme.value,
+             "--gamma1-db", repr(10 * math.log10(params.gamma1)),
+             "--gamma2-db", repr(10 * math.log10(params.gamma2))]
+    for name in ("d1", "d2", "alpha", "p_total", "p1", "p2"):
+        flags += ["--" + name.replace("_", "-"), repr(getattr(params, name))]
+    return flags
+
+
+def sweep(argv):
+    """One in-process CLI sweep from a cold cache of channel events; returns
+    its channel draws."""
+    sim._channel_events.cache_clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = cli.main(argv)
+    if status != 0:
+        raise SystemExit(f"bcstab {' '.join(argv)} exited {status}")
+    return sim._channel_events.cache_info().misses
 
 
 def environment(args):
@@ -244,7 +285,7 @@ def main():
     columns = ("loop", "run", "inputs", "solve", "fit", "rest", "verdicts", "draw_whole",
                "events_raw", "events")
     results = {"environment": environment(args), "unit": "ms", "runs": {}, "mc": {},
-               "estimate_boundary": {}}
+               "estimate_boundary": {}, "sweep": {}}
     for horizon in args.horizon:
         print(f"{horizon} slots, median and best of {args.repeat}, milliseconds")
         print(f"{'config':<24}{'passes':>8}" + "".join(f"{c:>11}" for c in columns) + "  identical")
@@ -284,6 +325,16 @@ def main():
         print(f"{name:<24}{row['ray']:>11.2f}{row['probes']:>8}{row['channel_draws']:>8}"
               f"{row['lindley']:>8}")
         print(f"{'  best':<24}{row['ray_best']:>11.2f}")
+
+    print(f"\nbcstab {' '.join(SWEEP)}, median and best of {args.repeat}, milliseconds")
+    print(f"{'config':<24}{'ms':>11}{'draws':>8}")
+    for name, params in BOUNDARY_PARAMS.items():
+        times, draws = repeat_times(sweep, ([*SWEEP, *cli_flags(params)],), args.repeat)
+        row = summary(("ms",), [times])
+        row["channel_draws"] = draws
+        results["sweep"][name] = row
+        print(f"{name:<24}{row['ms']:>11.2f}{draws:>8}")
+        print(f"{'  best':<24}{row['ms_best']:>11.2f}")
 
     if args.json:
         with open(args.json, "w") as fh:

@@ -360,8 +360,8 @@ def cmd_sweep(spec: dict) -> tuple[list[dict], dict, int]:
     if simulate:
         results = run_batch([
             SimConfig(arrivals=RatePoint(l1, l2), params=params, horizon=spec["horizon"],
-                      warmup=spec["warmup"], seed=spec["seed"] + 1009 * k)
-            for k, (l1, l2) in enumerate(itertools.product(*axes))
+                      warmup=spec["warmup"], seed=spec["seed"])
+            for l1, l2 in itertools.product(*axes)
         ], workers=spec["workers"])
 
     rows = []

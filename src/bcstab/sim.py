@@ -10,8 +10,8 @@ slot-start state, then arrivals join, so a packet arriving in slot t can
 depart in slot t+1 at the earliest. All randomness comes from one seeded
 stream (arrival uniforms first, then channel draws), turned into flags
 block by block before the queues are solved, so runs are reproducible
-bit-for-bit and different dominant modes of the same seed share identical
-randomness (common random numbers).
+bit-for-bit, and all runs of one seed share their channel's success events
+(common random numbers), which are cached.
 """
 
 from __future__ import annotations
@@ -51,13 +51,13 @@ SLOPE_THRESHOLD = 1e-3
 # flags and success events and 8 of trajectory, and peaks at about 24 while
 # the solver's temporaries are alive, so this caps one run near 250 MB (a
 # 10M-slot dominant IAN run peaked at 241 MB); longer runs are rejected
-# before any allocation. A boundary-search ray also keeps its shared success
-# events (4 bytes per slot) and one busy column of queue 2 (1 byte) between
-# probes, so its probes peak at most about 5 bytes per slot above one run.
-# The vectorised queue solver's int32 walk needs it below 2**31.
+# before any allocation. The process keeps at most two paths' success
+# events (_channel_events), 4 bytes per slot each; a W-thread sweep holds
+# one set, not W. A boundary-search ray keeps one busy column of queue 2 (1
+# byte per slot) between probes. The solver's int32 walk needs it < 2**31.
 MAX_HORIZON = 10_000_000
 
-# Slots per block of a run's draws (_kernel_inputs): the block's two float64
+# Slots per block of a run's draws (_blocks): the block's two float64
 # buffers, slot-major and transposed, 512 KiB each, stay in a core's L2 cache
 # while they become flags.
 _DRAW_BLOCK = 1 << 15
@@ -198,52 +198,49 @@ def step(
     return (new_q1, new_q2), events
 
 
-def _kernel_inputs(config: SimConfig, events=None) -> tuple:
-    """Arrival flags, the four success-event columns and the dummy-mode flags.
-
-    The run's stream is ``np.random.default_rng(seed)``: ``2*horizon``
-    arrival uniforms, one per queue and slot, then as many channel draws
-    (uniforms for the generic scheme, unit-mean exponential gains
-    otherwise), both slot-major. Every uniform takes exactly one 64-bit
-    output, so the channel draws start at position ``2*horizon`` of the bit
-    generator, and a second generator advanced there draws them. Both
-    generators fill a ``_DRAW_BLOCK``-slot buffer at a time, and each block
-    becomes flags while it is in cache; only the flags, 6 bytes per slot,
-    outlive it. ``arrivals`` is the ``(horizon, 2)`` transpose of a
-    ``(2, horizon)`` array, so each queue's column is contiguous.
-
-    ``events``, the four success-event columns of an earlier call with the
-    same seed, horizon and parameters, are returned as they are, and the
-    channel draws are skipped: they do not depend on the arrival rates.
-    """
-    horizon, params = config.horizon, config.params
-    lam = (config.arrivals.lambda1, config.arrivals.lambda2)
-    arrivals = np.empty((2, horizon), dtype=bool)
-    arrival_rng = np.random.default_rng(config.seed)
-    shared = events is not None
-    if not shared:
-        events = np.empty((4, horizon), dtype=bool)
-        channel_bits = np.random.PCG64(config.seed)
-        channel_bits.advance(2 * horizon)
-        channel_rng = np.random.Generator(channel_bits)
-        # the same bits as rng.exponential(1.0, ...), without the scaling pass
-        draw = (channel_rng.random if params.decoding is Decoding.GENERIC
-                else channel_rng.standard_exponential)
-    # a generator fills slot-major blocks; one transposing copy puts each
-    # user's draws in a contiguous row, which compares several times faster
-    # than a strided column
+def _blocks(draw, horizon: int):
+    """Yield ``(lo, hi, rows)`` per ``_DRAW_BLOCK`` slots of ``draw``'s
+    slot-major output, one transposing copy putting each user's draws in a
+    contiguous row, which compares several times faster than a column."""
     drawn = np.empty((min(horizon, _DRAW_BLOCK), 2))
     rows = np.empty((2, drawn.shape[0]))
     for lo in range(0, horizon, _DRAW_BLOCK):
         hi = min(lo + _DRAW_BLOCK, horizon)
-        u = rows[:, :hi - lo]
-        np.copyto(u, arrival_rng.random(out=drawn[:hi - lo]).T)
-        for k in (0, 1):
-            np.less(u[k], lam[k], out=arrivals[k, lo:hi])
-        if not shared:
-            np.copyto(u, draw(out=drawn[:hi - lo]).T)
-            for row, success in zip(events, success_events(params, u[0], u[1])):
-                row[lo:hi] = success
+        np.copyto(rows[:, :hi - lo], draw(out=drawn[:hi - lo]).T)
+        yield lo, hi, rows[:, :hi - lo]
+
+
+# Two paths, so that a boundary probe's retry on another seed keeps its ray's
+# path; a CLI call needs no more, and more would only serve repeated calls.
+@lru_cache(maxsize=2)
+def _channel_events(params: SystemParams, horizon: int, seed: int) -> np.ndarray:
+    """The read-only ``(4, horizon)`` success-event columns of every run at
+    ``seed``, whatever its rates or dominant mode. A run's stream is
+    ``np.random.default_rng(seed)``: ``2*horizon`` arrival uniforms, then as
+    many channel draws (uniforms for the generic scheme, unit-mean
+    exponential gains otherwise), both slot-major; each uniform takes one
+    64-bit output, so a generator advanced by ``2*horizon`` draws the channel."""
+    rng = np.random.Generator(np.random.PCG64(seed).advance(2 * horizon))
+    # the same bits as rng.exponential(1.0, ...), without the scaling pass
+    draw = rng.random if params.decoding is Decoding.GENERIC else rng.standard_exponential
+    events = np.empty((4, horizon), dtype=bool)
+    for lo, hi, u in _blocks(draw, horizon):
+        events[:, lo:hi] = success_events(params, u[0], u[1])
+    events.flags.writeable = False
+    return events
+
+
+def _kernel_inputs(config: SimConfig) -> tuple:
+    """Arrival flags, the four success-event columns and the dummy-mode flags.
+
+    The events are drawn first, freeing their block buffers before the
+    ``(2, horizon)`` arrival flags are allocated; ``arrivals`` is their
+    transpose, so each queue's column is contiguous."""
+    events = _channel_events(config.params, config.horizon, config.seed)
+    lam = np.array([[config.arrivals.lambda1], [config.arrivals.lambda2]])
+    arrivals = np.empty((2, config.horizon), dtype=bool)
+    for lo, hi, u in _blocks(np.random.default_rng(config.seed).random, config.horizon):
+        np.less(u, lam, out=arrivals[:, lo:hi])
     return (arrivals.T, *events, *_forced(config))
 
 
@@ -346,16 +343,15 @@ def system_verdict(verdicts: tuple[Verdict, Verdict]) -> Verdict:
     return Verdict.STABLE
 
 
-def _solve(config: SimConfig, events=None, start=None) -> tuple:
+def _solve(config: SimConfig, start=None) -> tuple:
     """Draw a run's randomness, solve its queues and judge each queue.
 
-    ``events`` are passed to ``_kernel_inputs`` and ``start`` to
-    ``_kernels.simulate_slots``. Returns the kernel inputs, the
-    ``(2, horizon + 1)`` slot-start lengths, each queue's exact drift slope
-    over ``[warmup, horizon)`` and its verdict (``classify_stability``'s
-    rule; inconclusive below 10000 slots).
+    ``start`` is passed to ``_kernels.simulate_slots``. Returns the kernel
+    inputs, the ``(2, horizon + 1)`` slot-start lengths, each queue's exact
+    drift slope over ``[warmup, horizon)`` and its verdict
+    (``classify_stability``'s rule; inconclusive below 10000 slots).
     """
-    inputs = _kernel_inputs(config, events)
+    inputs = _kernel_inputs(config)
     q, _ = _kernels.simulate_slots(*inputs, start=start)
     warmup, horizon = config.warmup, config.horizon
     slopes = tuple(_drift_slope(row[warmup:horizon]) for row in q)
@@ -420,7 +416,8 @@ def run_batch(configs, workers: int | None = None) -> list[SimResult]:
 
     With ``workers`` the runs are dispatched to a thread pool. A run spends
     most of its time in numpy calls, which release the GIL, so the workers
-    run in parallel.
+    run in parallel. Runs of one path, such as a sweep's cells, share its
+    cached success events; two cold threads may both draw the same bits.
     """
     configs = list(configs)
     if workers is None or workers <= 1:
@@ -446,17 +443,17 @@ def estimate_boundary(
     slots a verdict needs, and is checked before any run.
 
     Every probe is the run at the ray's own ``seed``: one sample path per
-    ray (common random numbers). The first probe draws the channel and its
-    four success-event columns; later probes reuse them and draw only the
-    arrival uniforms, the same for every probe, which they compare with
-    their own rates. A probe is ``run()`` without its statistics: it is
-    ``_solve``, which fits and judges each queue as ``run()`` does, so its
-    verdict is exactly ``system_verdict(run(SimConfig(point, params,
-    horizon=horizon, seed=seed)).verdict)``. An inconclusive probe is retried
-    once on fresh randomness, the run at seed ``seed + 7919*k + 13`` for
-    probe ``k`` (0 at the ray's end, 4 onwards in the bisection), and is
-    then treated as non-stable (it can only sit next to the frontier, so
-    either assignment keeps the bracket valid to within the probe noise).
+    ray (common random numbers). The first probe draws the channel's four
+    success-event columns, which stay cached (``_channel_events``); later
+    probes draw only the arrival uniforms, the same for every probe, and
+    compare them with their own rates. A probe is ``run()`` without its
+    statistics, ``_solve``, so its verdict is exactly ``system_verdict(run(
+    SimConfig(point, params, horizon=horizon, seed=seed)).verdict)``. An
+    inconclusive probe is retried once on fresh randomness, the run at seed
+    ``seed + 7919*k + 13`` for probe ``k`` (0 at the ray's end, 4 onwards in
+    the bisection), and is then treated as non-stable (it can only sit next
+    to the frontier, so either assignment keeps the bracket valid to within
+    the probe noise).
 
     On one sample path, a higher scale means more arrivals in every slot,
     and a longer queue only takes service from the other (a shared-slot
@@ -480,14 +477,14 @@ def estimate_boundary(
     c = math.cos(math.radians(angle_deg))
     s = math.sin(math.radians(angle_deg))
     cap = min(1.0 / c if c > 0.0 else math.inf, 1.0 / s if s > 0.0 else math.inf)
-    events = start = None
+    start = None
 
     def probe(scale: float, k: int) -> Verdict:
-        nonlocal events, start
+        nonlocal start
         point = RatePoint(scale * c, scale * s)
         inputs, q, _, verdicts = _solve(SimConfig(point, params, horizon=horizon, seed=seed),
-                                        events, start)
-        events, busy2 = inputs[1:5], q[1, :-1] > 0
+                                        start)
+        busy2 = q[1, :-1] > 0
         del inputs, q
         v = system_verdict(verdicts)
         if v is Verdict.INCONCLUSIVE:

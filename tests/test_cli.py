@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import bcstab.cli as cli
 import bcstab.sim
-from bcstab import SuccessProfile
+from bcstab import RatePoint, SuccessProfile
 
 
 def run_cli(capsys, *argv):
@@ -157,6 +157,28 @@ class TestSweepCommand:
         meta, rows = parse_csv(out)
         assert meta["disagreements_excluding_band"] == 0
         assert {"verdict1", "verdict2", "system_verdict", "in_band", "agree"} <= set(rows[0])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_simulated_cells_are_runs_at_the_seed(self, capsys, workers):
+        """Every cell of a simulated sweep gets the verdicts of the run at
+        --seed. At one worker the sweep draws the channel once; two workers
+        that start together may each draw it."""
+        argv = ["sweep", "--simulate", "--grid", "4", "--horizon", "20000", "--seed", "5",
+                "--workers", str(workers), "--format", "json"]
+        bcstab.sim._channel_events.cache_clear()
+        status, out, _ = run_cli(capsys, *argv)
+        misses = bcstab.sim._channel_events.cache_info().misses
+        assert status == 0
+        assert misses == 1 if workers == 1 else 1 <= misses <= workers
+        spec = cli.resolve_spec(cli.build_parser().parse_args(argv))
+        params = cli.params_from_spec(spec)
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 16
+        assert {"stable", "unstable"} <= {row["system_verdict"] for row in rows}
+        for row in rows:
+            cfg = bcstab.sim.SimConfig(RatePoint(row["lambda1"], row["lambda2"]), params,
+                                       horizon=20_000, warmup=spec["warmup"], seed=5)
+            assert (row["verdict1"], row["verdict2"]) == bcstab.sim.run(cfg).verdict
 
 
 class TestCompareBoundaryCommand:

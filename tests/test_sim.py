@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -158,11 +159,12 @@ class TestKernelInputs:
 
     def test_peak_memory_is_the_flags_plus_two_blocks(self):
         """At 1M slots the producer keeps 6 bytes per slot of flags; the rest
-        of its peak (2.3 blocks) is the two block buffers and one block's
+        of its peak (2.0 blocks) is the two block buffers and one block's
         temporaries. The whole-array draw peaks at 38 bytes per slot here."""
         horizon = 1_000_000
         cfg = SimConfig(RatePoint(0.35, 0.3), ALL_PARAMS[0], horizon=horizon, seed=5)
         _kernel_inputs(SimConfig(RatePoint(0.35, 0.3), ALL_PARAMS[0], horizon=10))  # thresholds
+        sim._channel_events.cache_clear()  # a cached path would skip the events' draw
         block_bytes = sim._DRAW_BLOCK * 2 * 8
         tracemalloc.start()
         try:
@@ -172,6 +174,32 @@ class TestKernelInputs:
             tracemalloc.stop()
         assert sum(a.nbytes for a in inputs[:5]) == 6 * horizon
         assert 6 * horizon <= peak <= 6 * horizon + 3 * block_bytes
+
+    def test_events_are_cached_read_only(self):
+        """A run's four event columns are views of its path's cached,
+        read-only events."""
+        cfg = SimConfig(RatePoint(0.35, 0.3), ALL_PARAMS[1], horizon=1_000, seed=4)
+        events = sim._channel_events(cfg.params, cfg.horizon, cfg.seed)
+        assert events.shape == (4, cfg.horizon) and events.dtype == np.bool_
+        assert not events.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            events[0, 0] = not events[0, 0]
+        assert all(np.shares_memory(column, events) for column in _kernel_inputs(cfg)[1:5])
+
+    def test_runs_of_one_path_draw_once(self):
+        """Runs that differ only in their rates or dominant mode share one
+        draw of the channel; another seed, horizon or parameter set draws
+        its own."""
+        sim._channel_events.cache_clear()
+        for lam in ((0.1, 0.2), (0.5, 0.45)):
+            for mode in ("none", "queue1", "queue2"):
+                b.run(SimConfig(RatePoint(*lam), ALL_PARAMS[1], horizon=20_000, seed=8,
+                                dominant_mode=mode))
+        assert sim._channel_events.cache_info()[:2] == (5, 1)  # hits, misses
+        for change in (dict(seed=9), dict(horizon=20_001), dict(params=ALL_PARAMS[2])):
+            b.run(SimConfig(**{"arrivals": RatePoint(0.1, 0.2), "params": ALL_PARAMS[1],
+                               "horizon": 20_000, "seed": 8, **change}))
+        assert sim._channel_events.cache_info()[:2] == (5, 4)
 
 
 def vec_matches_loop(kernel_args, start=None):
@@ -346,6 +374,23 @@ class TestRunStatistics:
                           horizon=15_000, seed=i) for i in range(6)]
         seq = b.run_batch(cfgs)
         par = b.run_batch(cfgs, workers=3)
+        assert seq == par
+
+    def test_threads_share_the_event_cache(self):
+        """Runs on three paths, one more than the event cache holds, in more
+        threads than cores and with frequent thread switches, give the
+        sequential results."""
+        cfgs = [SimConfig(RatePoint(0.1 + 0.05 * (i % 8), 0.3), ALL_PARAMS[1],
+                          horizon=10_000, seed=i % 3) for i in range(24)]
+        sim._channel_events.cache_clear()
+        seq = b.run_batch(cfgs)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sim._channel_events.cache_clear()
+            par = b.run_batch(cfgs, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
         assert seq == par
 
     def test_config_validation(self):
@@ -595,37 +640,43 @@ def test_estimate_boundary_matches_pinned(index, angle, seed, expected):
 @pytest.mark.parametrize("index, angle, seed, expected", PINNED_BOUNDARIES)
 def test_probes_equal_runs(monkeypatch, index, angle, seed, expected):
     """Each probe of a pinned ray gives run()'s slopes, verdicts and
-    trajectory at the ray's seed, though only the first draws the channel;
-    each retry gives them at its own seed, on fresh draws."""
+    trajectory at the ray's seed, though only the first draws the channel
+    (misses the cache) and the others find its events cached; each retry
+    gives them at its own seed, on its own draw. So a ray draws the channel
+    1 + retries times."""
     probes = []
-    solve = sim._solve
+    solve, cache_info = sim._solve, sim._channel_events.cache_info
 
-    def recorded(config, events=None, start=None):
-        out = solve(config, events, start)
-        probes.append((config, events is None, start is None, out))
+    def recorded(config, start=None):
+        misses = cache_info().misses
+        out = solve(config, start)
+        probes.append((config, cache_info().misses > misses, start is None, out))
         return out
 
+    sim._channel_events.cache_clear()
     monkeypatch.setattr(sim, "_solve", recorded)
     point = b.estimate_boundary(pinned_ray_params(index), angle, steps=8,
                                 horizon=40_000, seed=seed)
     monkeypatch.undo()  # run() below solves through the real _solve
+    draws = cache_info().misses
     assert repr(point) == expected
     numbers = iter([0, *range(4, 4 + 8)])
     retries = 0
-    for n, (config, fresh, cold, (_, q, slopes, verdicts)) in enumerate(probes):
+    for n, (config, drew, cold, (_, q, slopes, verdicts)) in enumerate(probes):
         if config.seed == seed:
             k = next(numbers)
-            assert fresh is (n == 0) and cold is (n == 0)
+            assert drew is (n == 0) and cold is (n == 0)
         else:
             retries += 1
             assert config.seed == seed + 7919 * k + 13
             assert b.system_verdict(probes[n - 1][3][3]) is Verdict.INCONCLUSIVE
-            assert fresh and cold
+            assert drew and cold
         result = b.run(config, return_trajectory=True)
         assert (slopes, verdicts) == (result.drift_slope, result.verdict)
         assert np.array_equal(q.T, result.trajectory)
     assert next(numbers, None) is None
     assert len(probes) == 9 + retries
+    assert draws == 1 + retries
 
 
 class TestEstimateBoundary:
