@@ -49,14 +49,18 @@ The ``estimate_boundary`` rows time one 45 degree ray per configuration
 from an emptied cache of channel events, as a CLI call starts. One more
 call with counting wrappers gives the ray's ``probes`` (solver calls,
 retries included), ``channel_draws`` (misses of ``sim._channel_events``'s
-cache: one for the ray's path and one per retry, so ``probes - 8``) and
-``lindley`` (single-queue Lindley solves).
+cache: one for the ray's path and one per retry, so ``probes - 8``),
+``arrival_draws`` (the ray's one held draw of its path's arrival uniforms,
+``sim._arrival_uniforms``, plus each retry's lone draw, ``sim._kernel_inputs``
+without uniforms: equal to ``channel_draws``) and ``lindley``
+(single-queue Lindley solves).
 
 The ``sweep`` rows time one in-process ``bcstab sweep --simulate --grid 7
 --horizon 20000 --workers 2`` per configuration of the ``estimate_boundary``
-rows, output discarded, from an emptied cache, in ``ms``; ``channel_draws``
-is the last call's cache misses: every cell is the run at the sweep's seed,
-so 1, or 2 when both workers start cold together.
+rows, output discarded, from an emptied cache, in ``ms``. One more call,
+with the counting wrappers, gives its ``channel_draws`` and
+``arrival_draws``: every cell is the run at the sweep's seed, so its path's
+events and arrival uniforms are each drawn once, before the workers start.
 
 Every column is timed ``--repeat`` times and reported as the median, with
 the best (fastest) time beside it as ``<column>_best``. Every config and
@@ -225,13 +229,37 @@ def ray(params):
                              horizon=BOUNDARY["horizon"], seed=SEED)
 
 
+@contextlib.contextmanager
+def counted_arrival_draws():
+    """Append one entry to the yielded list per arrival draw made inside: a
+    held draw of a path's uniforms (``sim._arrival_uniforms``) or a lone
+    run's own (``sim._kernel_inputs`` without uniforms). Worker threads may
+    draw; a list append is atomic."""
+    draws = []
+    held, inputs = sim._arrival_uniforms, sim._kernel_inputs
+
+    def counted_held(horizon, seed):
+        draws.append("held")
+        return held(horizon, seed)
+
+    def counted_inputs(config, uniforms=None):
+        if uniforms is None:
+            draws.append("lone")
+        return inputs(config, uniforms)
+
+    with mock.patch.object(sim, "_arrival_uniforms", counted_held), \
+            mock.patch.object(sim, "_kernel_inputs", counted_inputs):
+        yield draws
+
+
 def ray_work(params):
-    """One ray's probes, channel draws and Lindley solves."""
+    """One ray's probes, channel and arrival draws and Lindley solves."""
     with mock.patch.object(_kernels, "simulate_slots", wraps=_kernels.simulate_slots) as solves, \
-            mock.patch.object(_kernels, "_lindley", wraps=_kernels._lindley) as lindley:
+            mock.patch.object(_kernels, "_lindley", wraps=_kernels._lindley) as lindley, \
+            counted_arrival_draws() as arrivals:
         ray(params)
     return dict(probes=solves.call_count, channel_draws=sim._channel_events.cache_info().misses,
-                lindley=lindley.call_count)
+                arrival_draws=len(arrivals), lindley=lindley.call_count)
 
 
 SWEEP = ["sweep", "--simulate", "--grid", "7", "--horizon", "20000", "--workers", "2",
@@ -260,6 +288,13 @@ def sweep(argv):
     if status != 0:
         raise SystemExit(f"bcstab {' '.join(argv)} exited {status}")
     return sim._channel_events.cache_info().misses
+
+
+def sweep_work(argv):
+    """One sweep's channel and arrival draws."""
+    with counted_arrival_draws() as arrivals:
+        channel_draws = sweep(argv)
+    return dict(channel_draws=channel_draws, arrival_draws=len(arrivals))
 
 
 def environment(args):
@@ -317,23 +352,23 @@ def main():
 
     print(f"\nestimate_boundary, {BOUNDARY['angle']} degrees, {BOUNDARY['horizon']} slots, "
           f"{BOUNDARY['steps']} steps, median and best of {args.repeat}, milliseconds")
-    print(f"{'config':<24}{'ray':>11}{'probes':>8}{'draws':>8}{'lindley':>8}")
+    print(f"{'config':<24}{'ray':>11}{'probes':>8}{'channel':>8}{'arrival':>8}{'lindley':>8}")
     for name, params in BOUNDARY_PARAMS.items():
         row = summary(("ray",), [repeat_times(ray, (params,), args.repeat)[0]])
         row.update(ray_work(params))
         results["estimate_boundary"][name] = row
         print(f"{name:<24}{row['ray']:>11.2f}{row['probes']:>8}{row['channel_draws']:>8}"
-              f"{row['lindley']:>8}")
+              f"{row['arrival_draws']:>8}{row['lindley']:>8}")
         print(f"{'  best':<24}{row['ray_best']:>11.2f}")
 
     print(f"\nbcstab {' '.join(SWEEP)}, median and best of {args.repeat}, milliseconds")
-    print(f"{'config':<24}{'ms':>11}{'draws':>8}")
+    print(f"{'config':<24}{'ms':>11}{'channel':>8}{'arrival':>8}")
     for name, params in BOUNDARY_PARAMS.items():
-        times, draws = repeat_times(sweep, ([*SWEEP, *cli_flags(params)],), args.repeat)
-        row = summary(("ms",), [times])
-        row["channel_draws"] = draws
+        argv = [*SWEEP, *cli_flags(params)]
+        row = summary(("ms",), [repeat_times(sweep, (argv,), args.repeat)[0]])
+        row.update(sweep_work(argv))
         results["sweep"][name] = row
-        print(f"{name:<24}{row['ms']:>11.2f}{draws:>8}")
+        print(f"{name:<24}{row['ms']:>11.2f}{row['channel_draws']:>8}{row['arrival_draws']:>8}")
         print(f"{'  best':<24}{row['ms_best']:>11.2f}")
 
     if args.json:

@@ -69,8 +69,8 @@ BAND_HALFWIDTH = 0.05
 
 # Largest sweep resolution per axis (a million grid cells), largest number
 # of traced frontier points, and largest simulator thread pool (each thread
-# holds horizon-sized arrays); larger requests are usage errors, rejected
-# before anything is allocated. The simulation horizon is bounded by
+# holds horizon-sized arrays); larger requests, and fewer than one worker,
+# are usage errors, rejected before anything is allocated. The simulation horizon is bounded by
 # ``sim.MAX_HORIZON``.
 MAX_GRID = 1000
 MAX_POINTS = 100_000
@@ -345,8 +345,8 @@ def _axis_range(intercept: float) -> float:
 def cmd_sweep(spec: dict) -> tuple[list[dict], dict, int]:
     if not 2 <= spec["grid"] <= MAX_GRID:
         raise UsageError(f"grid resolution must lie in [2, {MAX_GRID}]")
-    if spec["workers"] > MAX_WORKERS:
-        raise UsageError(f"workers must be <= {MAX_WORKERS}")
+    if not 1 <= spec["workers"] <= MAX_WORKERS:
+        raise UsageError(f"workers must lie in [1, {MAX_WORKERS}]")
     params = params_from_spec(spec)
     reg = region_for_params(params)
     lam1 = np.linspace(0.0, _axis_range(reg.profile.p1_solo), spec["grid"])

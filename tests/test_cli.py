@@ -159,17 +159,36 @@ class TestSweepCommand:
         assert {"verdict1", "verdict2", "system_verdict", "in_band", "agree"} <= set(rows[0])
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_simulated_cells_are_runs_at_the_seed(self, capsys, workers):
+    def test_simulated_cells_are_runs_at_the_seed(self, capsys, monkeypatch, workers):
         """Every cell of a simulated sweep gets the verdicts of the run at
-        --seed. At one worker the sweep draws the channel once; two workers
-        that start together may each draw it."""
+        --seed. At any worker count the sweep draws the channel once, before
+        its runs start, and the arrival uniforms once, which every cell
+        compares with its own rates; no cell draws its own."""
+        draws = []
+        misses_at_start = set()
+        uniforms, kernel_inputs = bcstab.sim._arrival_uniforms, bcstab.sim._kernel_inputs
+
+        def held(horizon, seed):
+            draws.append("held")
+            return uniforms(horizon, seed)
+
+        def inputs(config, uniforms=None):
+            misses_at_start.add(bcstab.sim._channel_events.cache_info().misses)
+            if uniforms is None:
+                draws.append("lone")
+            return kernel_inputs(config, uniforms)
+
         argv = ["sweep", "--simulate", "--grid", "4", "--horizon", "20000", "--seed", "5",
                 "--workers", str(workers), "--format", "json"]
         bcstab.sim._channel_events.cache_clear()
+        monkeypatch.setattr(bcstab.sim, "_arrival_uniforms", held)
+        monkeypatch.setattr(bcstab.sim, "_kernel_inputs", inputs)
         status, out, _ = run_cli(capsys, *argv)
-        misses = bcstab.sim._channel_events.cache_info().misses
+        monkeypatch.undo()
         assert status == 0
-        assert misses == 1 if workers == 1 else 1 <= misses <= workers
+        assert bcstab.sim._channel_events.cache_info().misses == 1
+        assert misses_at_start == {1}  # every run found the events drawn
+        assert draws == ["held"]
         spec = cli.resolve_spec(cli.build_parser().parse_args(argv))
         params = cli.params_from_spec(spec)
         rows = json.loads(out)["rows"]
@@ -300,6 +319,8 @@ class TestConfigAndErrors:
     (None, ["region", "--points", "1000000000"], cli.EXIT_USAGE),
     (None, ["sweep", "--simulate", "--grid", "100", "--workers", "100000"], cli.EXIT_USAGE),
     ('{"workers": 100000}', ["sweep", "--simulate", "--grid", "100"], cli.EXIT_USAGE),
+    (None, ["sweep", "--simulate", "--grid", "4", "--workers", "0"], cli.EXIT_USAGE),
+    (None, ["sweep", "--simulate", "--grid", "4", "--workers", "-3"], cli.EXIT_USAGE),
     (None, ["compare-boundary", "--angles", "abc"], cli.EXIT_USAGE),
     (None, ["region", "--scheme", "generic", "--profile", "a,b,c,d"], cli.EXIT_USAGE),
     (None, ["simulate", "--lambda1", "0.1", "--lambda2", "0.1",
@@ -315,6 +336,7 @@ class TestConfigAndErrors:
 ], ids=["config-type", "config-json", "pathloss-overflow", "p-total-inf", "d1-inf",
         "gamma-db-overflow", "lambda-inf", "horizon-huge", "config-horizon-huge",
         "grid-huge", "points-huge", "workers-huge", "config-workers-huge",
+        "workers-zero", "workers-negative",
         "angles-not-numbers", "profile-not-numbers", "warmup-leaves-one-slot",
         "power-overflows-at-largest-gain", "steps-huge", "config-steps-above-max",
         "horizon-below-verdict", "config-horizon-below-verdict", "seed-negative"])
@@ -325,8 +347,11 @@ def test_bad_input_exits_with_documented_code(tmp_path, capfd, monkeypatch,
         raise AssertionError("bad input reached an allocation")
 
     monkeypatch.setattr(np, "linspace", unreachable)
-    # _kernel_inputs allocates every array of a run's randomness and events
+    # _kernel_inputs allocates every array of a lone run's randomness and
+    # events, and _arrival_uniforms the arrival uniforms that runs of one path
+    # (a ray's probes, a sweep's cells) share
     monkeypatch.setattr(bcstab.sim, "_kernel_inputs", unreachable)
+    monkeypatch.setattr(bcstab.sim, "_arrival_uniforms", unreachable)
     if config is not None:
         path = tmp_path / "run.json"
         path.write_text(config)

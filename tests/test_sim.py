@@ -144,18 +144,25 @@ class TestKernelInputs:
     @pytest.mark.parametrize("horizon", [10, sim._DRAW_BLOCK - 1, sim._DRAW_BLOCK,
                                          sim._DRAW_BLOCK + 1, 2 * sim._DRAW_BLOCK + 1])
     def test_blocks_match_whole_array_draw(self, params, horizon):
-        """The blocked producer gives the whole-array draw's flags bit for bit,
-        in every dominant mode, also across block edges."""
+        """The blocked producer and the held arrival uniforms both give the
+        whole-array draw's flags bit for bit, in every dominant mode, also
+        across block edges; the held uniforms are read-only."""
+        uniforms = sim._arrival_uniforms(horizon, horizon + 3)
+        assert uniforms.shape == (2, horizon) and uniforms.dtype == np.float64
+        assert not uniforms.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            uniforms[0, 0] = 0.5
         for mode in ("none", "queue1", "queue2"):
             cfg = SimConfig(RatePoint(0.35, 0.3), params, horizon=horizon, seed=horizon + 3,
                             dominant_mode=mode)
-            blocked, whole = _kernel_inputs(cfg), whole_array_inputs(cfg)
-            assert len(blocked) == len(whole) == 7
-            for got, want in zip(blocked[:5], whole[:5]):
-                assert got.dtype == want.dtype == np.bool_
-                assert got.shape == want.shape
-                assert np.array_equal(got, want)
-            assert blocked[5:] == whole[5:]
+            whole = whole_array_inputs(cfg)
+            for inputs in (_kernel_inputs(cfg), _kernel_inputs(cfg, uniforms)):
+                assert len(inputs) == len(whole) == 7
+                for got, want in zip(inputs[:5], whole[:5]):
+                    assert got.dtype == want.dtype == np.bool_
+                    assert got.shape == want.shape
+                    assert np.array_equal(got, want)
+                assert inputs[5:] == whole[5:]
 
     def test_peak_memory_is_the_flags_plus_two_blocks(self):
         """At 1M slots the producer keeps 6 bytes per slot of flags; the rest
@@ -174,6 +181,31 @@ class TestKernelInputs:
             tracemalloc.stop()
         assert sum(a.nbytes for a in inputs[:5]) == 6 * horizon
         assert 6 * horizon <= peak <= 6 * horizon + 3 * block_bytes
+
+    def test_peak_memory_of_a_ray_holds_its_uniforms(self):
+        """A 1M-slot ray holds, between probes, 16 bytes per slot of arrival
+        uniforms, 4 of its path's success events and 1 of queue 2's busy
+        column (21). A probe adds 2 of arrival flags, 8 of trajectory and
+        the coupled solver's temporaries: 2 of flip columns, 3 of busy and
+        service columns and 4 of the running minimum (19), so the ray peaks
+        at 40 bytes per slot, 16 above the same probes run alone. (A cold
+        process adds the drift slope's cached 4 MiB index, made here before
+        measuring.) When the ray returns only the cached events are left."""
+        horizon = 1_000_000
+        params = ALL_PARAMS[1]
+        b.estimate_boundary(params, 45.0, steps=8, horizon=10_000, seed=3)  # thresholds
+        sim._cached_index(sim._SLOPE_BLOCK)
+        sim._channel_events.cache_clear()
+        tracemalloc.start()
+        try:
+            b.estimate_boundary(params, 45.0, steps=8, horizon=horizon, seed=3)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sim._channel_events.cache_info().misses == 1  # one path: no probe was retried
+        block_bytes = sim._DRAW_BLOCK * 2 * 8
+        assert 40 * horizon <= peak <= 40 * horizon + 3 * block_bytes
+        assert current <= 4 * horizon + block_bytes
 
     def test_events_are_cached_read_only(self):
         """A run's four event columns are views of its path's cached,
@@ -375,6 +407,29 @@ class TestRunStatistics:
         seq = b.run_batch(cfgs)
         par = b.run_batch(cfgs, workers=3)
         assert seq == par
+
+    @pytest.mark.parametrize("workers", [None, 3])
+    def test_shared_paths_hold_one_draw(self, monkeypatch, workers):
+        """A batch mixing lone configs with a path shared by two parameter
+        sets and every dominant mode gives run()'s results in input order,
+        and draws the shared path's arrival uniforms once."""
+        shared = [SimConfig(RatePoint(0.1 + 0.1 * i, 0.3), ALL_PARAMS[1 + i % 2], horizon=20_000,
+                            seed=8, dominant_mode=("none", "queue1", "queue2")[i % 3])
+                  for i in range(6)]
+        lone = [SimConfig(RatePoint(0.2, 0.2), ALL_PARAMS[1], horizon=20_000, seed=9),
+                SimConfig(RatePoint(0.2, 0.2), ALL_PARAMS[1], horizon=20_001, seed=8)]
+        cfgs = [lone[0], *shared[:3], lone[1], *shared[3:]]
+        expected = [b.run(c) for c in cfgs]
+        draws = []
+        draw = sim._arrival_uniforms
+
+        def counted(horizon, seed):
+            draws.append((horizon, seed))
+            return draw(horizon, seed)
+
+        monkeypatch.setattr(sim, "_arrival_uniforms", counted)
+        assert b.run_batch(cfgs, workers=workers) == expected
+        assert draws == [(20_000, 8)]
 
     def test_threads_share_the_event_cache(self):
         """Runs on three paths, one more than the event cache holds, in more
@@ -641,36 +696,47 @@ def test_estimate_boundary_matches_pinned(index, angle, seed, expected):
 def test_probes_equal_runs(monkeypatch, index, angle, seed, expected):
     """Each probe of a pinned ray gives run()'s slopes, verdicts and
     trajectory at the ray's seed, though only the first draws the channel
-    (misses the cache) and the others find its events cached; each retry
-    gives them at its own seed, on its own draw. So a ray draws the channel
-    1 + retries times."""
+    (misses the cache) and the others find its events cached, and every one
+    compares the ray's one held draw of arrival uniforms; each retry gives
+    them at its own seed, as a lone run with its own draws. So a ray draws
+    the channel 1 + retries times, and its arrivals once plus once per
+    retry."""
     probes = []
-    solve, cache_info = sim._solve, sim._channel_events.cache_info
+    held = []
+    solve, cache_info, draw = sim._solve, sim._channel_events.cache_info, sim._arrival_uniforms
 
-    def recorded(config, start=None):
+    def recorded(config, start=None, uniforms=None):
         misses = cache_info().misses
-        out = solve(config, start)
-        probes.append((config, cache_info().misses > misses, start is None, out))
+        out = solve(config, start, uniforms)
+        probes.append((config, cache_info().misses > misses, start is None, uniforms, out))
         return out
+
+    def drawn(horizon, seed):
+        held.append(draw(horizon, seed))
+        return held[-1]
 
     sim._channel_events.cache_clear()
     monkeypatch.setattr(sim, "_solve", recorded)
+    monkeypatch.setattr(sim, "_arrival_uniforms", drawn)
     point = b.estimate_boundary(pinned_ray_params(index), angle, steps=8,
                                 horizon=40_000, seed=seed)
     monkeypatch.undo()  # run() below solves through the real _solve
     draws = cache_info().misses
     assert repr(point) == expected
+    assert len(held) == 1 and held[0].shape == (2, 40_000)
     numbers = iter([0, *range(4, 4 + 8)])
     retries = 0
-    for n, (config, drew, cold, (_, q, slopes, verdicts)) in enumerate(probes):
+    for n, (config, drew, cold, uniforms, (_, q, slopes, verdicts)) in enumerate(probes):
         if config.seed == seed:
             k = next(numbers)
             assert drew is (n == 0) and cold is (n == 0)
+            assert uniforms is held[0]
         else:
             retries += 1
             assert config.seed == seed + 7919 * k + 13
-            assert b.system_verdict(probes[n - 1][3][3]) is Verdict.INCONCLUSIVE
+            assert b.system_verdict(probes[n - 1][4][3]) is Verdict.INCONCLUSIVE
             assert drew and cold
+            assert uniforms is None  # a lone run draws its own arrivals
         result = b.run(config, return_trajectory=True)
         assert (slopes, verdicts) == (result.drift_slope, result.verdict)
         assert np.array_equal(q.T, result.trajectory)
