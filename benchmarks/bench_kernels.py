@@ -15,17 +15,17 @@ success events and produce a bit-identical trajectory (checked here, with
 the solver's Picard pass count). Each config also splits one whole
 ``run()`` into five parts, each timed directly, one after the other in the
 same iteration, so none can read negative: the draw and the success events
-(``sim._kernel_inputs``, block by block, from an emptied cache of channel
-events, so the channel is drawn every time), the recursion (the solver), the
-two exact drift slopes (``fit``: ``sim._drift_slope`` on each queue's
-post-warmup trajectory), the two verdicts given those slopes
-(``verdicts``: ``sim._verdict`` on each queue), and the rest of the
-statistics (``rest``: ``sim._summarise``, counts and rates). ``run`` is
-taken over the per-iteration sums of the five. A boundary-search probe is
-``sim._solve``: every part but ``rest``. ``draw_whole`` times the
-reference whole-array draw of the same randomness (``whole_array_draw`` in
-``tests/test_sim.py``: two ``(horizon, 2)`` float64 arrays), which the
-blocked ``inputs`` replaced, so the draw's share stays visible.
+(``sim._kernel_inputs``, block by block, as a lone run draws its path),
+the recursion (the solver), the two exact drift slopes (``fit``:
+``sim._drift_slope`` on each queue's post-warmup trajectory), the two
+verdicts given those slopes (``verdicts``: ``sim._verdict`` on each
+queue), and the rest of the statistics (``rest``: ``sim._summarise``,
+counts and rates). ``run`` is taken over the per-iteration sums of the
+five. A boundary-search probe is ``sim._solve``: every part but ``rest``.
+``draw_whole`` times the reference whole-array draw of the same randomness
+(``whole_array_draw`` in ``tests/test_sim.py``: two ``(horizon, 2)``
+float64 arrays), which the blocked ``inputs`` replaced, so the draw's
+share stays visible.
 ``events_raw`` and ``events`` time the four success-event columns of those
 draws, each user's in a contiguous row as a run has them, from the raw
 inequalities (``channel._raw_events``) and from the per-parameter
@@ -45,22 +45,21 @@ estimates ``p``: false means the split timed a different loop.
 
 The ``estimate_boundary`` rows time one 45 degree ray per configuration
 (the three named ones of the acceptance suite and the generic profile) at
-40k slots and 8 steps, as ``compare-boundary`` runs it, in ``ray``, each
-from an emptied cache of channel events, as a CLI call starts. One more
-call with counting wrappers gives the ray's ``probes`` (solver calls,
-retries included), ``channel_draws`` (misses of ``sim._channel_events``'s
-cache: one for the ray's path and one per retry, so ``probes - 8``),
+40k slots and 8 steps, as ``compare-boundary`` runs it, in ``ray``. One
+more call with counting wrappers gives the ray's ``probes`` (solver calls,
+retries included), ``channel_draws`` (calls of ``sim._channel_events``: one
+for the ray's held path and one per retry, so ``probes - 8``),
 ``arrival_draws`` (the ray's one held draw of its path's arrival uniforms,
 ``sim._arrival_uniforms``, plus each retry's lone draw, ``sim._kernel_inputs``
-without uniforms: equal to ``channel_draws``) and ``lindley``
-(single-queue Lindley solves).
+without a path: equal to ``channel_draws``) and ``lindley`` (single-queue
+Lindley solves).
 
 The ``sweep`` rows time one in-process ``bcstab sweep --simulate --grid 7
 --horizon 20000 --workers 2`` per configuration of the ``estimate_boundary``
-rows, output discarded, from an emptied cache, in ``ms``. One more call,
-with the counting wrappers, gives its ``channel_draws`` and
-``arrival_draws``: every cell is the run at the sweep's seed, so its path's
-events and arrival uniforms are each drawn once, before the workers start.
+rows, output discarded, in ``ms``. One more call, with the counting
+wrappers, gives its ``channel_draws`` and ``arrival_draws``: every cell is
+the run at the sweep's seed, so its path's events and arrival uniforms are
+each drawn once, before the workers start.
 
 Every column is timed ``--repeat`` times and reported as the median, with
 the best (fastest) time beside it as ``<column>_best``. Every config and
@@ -133,9 +132,7 @@ def timed(fn, *args):
 
 def split_run(cfg):
     """One run() made phase by phase, each phase timed; returns the times in
-    seconds. The path's cached events are dropped first, so ``inputs`` times
-    a cold draw of the channel."""
-    sim._channel_events.cache_clear()
+    seconds."""
     t_inputs, inputs = timed(_kernel_inputs, cfg)
     t_solve, (q, _) = timed(_kernels.simulate_slots, *inputs)
     t_fit, slopes = timed(lambda: [_drift_slope(row[cfg.warmup:cfg.horizon]) for row in q])
@@ -223,43 +220,48 @@ BOUNDARY_PARAMS = {
 
 
 def ray(params):
-    """One ray from a cold cache of channel events, as a CLI call makes it."""
-    sim._channel_events.cache_clear()
+    """One ray, as ``compare-boundary`` makes it."""
     return estimate_boundary(params, BOUNDARY["angle"], steps=BOUNDARY["steps"],
                              horizon=BOUNDARY["horizon"], seed=SEED)
 
 
 @contextlib.contextmanager
-def counted_arrival_draws():
-    """Append one entry to the yielded list per arrival draw made inside: a
-    held draw of a path's uniforms (``sim._arrival_uniforms``) or a lone
-    run's own (``sim._kernel_inputs`` without uniforms). Worker threads may
-    draw; a list append is atomic."""
-    draws = []
-    held, inputs = sim._arrival_uniforms, sim._kernel_inputs
+def counted_draws():
+    """Yield two lists, appended to per draw made inside: the first per draw
+    of a path's success events (``sim._channel_events``), the second per
+    arrival draw, a held draw of a path's uniforms (``sim._arrival_uniforms``)
+    or a lone run's own (``sim._kernel_inputs`` without a path). Worker
+    threads may draw; a list append is atomic."""
+    channel_draws, arrival_draws = [], []
+    events, held, inputs = sim._channel_events, sim._arrival_uniforms, sim._kernel_inputs
+
+    def counted_events(params, horizon, seed):
+        channel_draws.append(seed)
+        return events(params, horizon, seed)
 
     def counted_held(horizon, seed):
-        draws.append("held")
+        arrival_draws.append("held")
         return held(horizon, seed)
 
-    def counted_inputs(config, uniforms=None):
-        if uniforms is None:
-            draws.append("lone")
-        return inputs(config, uniforms)
+    def counted_inputs(config, path=None):
+        if path is None:
+            arrival_draws.append("lone")
+        return inputs(config, path)
 
-    with mock.patch.object(sim, "_arrival_uniforms", counted_held), \
+    with mock.patch.object(sim, "_channel_events", counted_events), \
+            mock.patch.object(sim, "_arrival_uniforms", counted_held), \
             mock.patch.object(sim, "_kernel_inputs", counted_inputs):
-        yield draws
+        yield channel_draws, arrival_draws
 
 
 def ray_work(params):
     """One ray's probes, channel and arrival draws and Lindley solves."""
     with mock.patch.object(_kernels, "simulate_slots", wraps=_kernels.simulate_slots) as solves, \
             mock.patch.object(_kernels, "_lindley", wraps=_kernels._lindley) as lindley, \
-            counted_arrival_draws() as arrivals:
+            counted_draws() as (channel_draws, arrival_draws):
         ray(params)
-    return dict(probes=solves.call_count, channel_draws=sim._channel_events.cache_info().misses,
-                arrival_draws=len(arrivals), lindley=lindley.call_count)
+    return dict(probes=solves.call_count, channel_draws=len(channel_draws),
+                arrival_draws=len(arrival_draws), lindley=lindley.call_count)
 
 
 SWEEP = ["sweep", "--simulate", "--grid", "7", "--horizon", "20000", "--workers", "2",
@@ -280,21 +282,18 @@ def cli_flags(params):
 
 
 def sweep(argv):
-    """One in-process CLI sweep from a cold cache of channel events; returns
-    its channel draws."""
-    sim._channel_events.cache_clear()
+    """One in-process CLI sweep, output discarded."""
     with contextlib.redirect_stdout(io.StringIO()):
         status = cli.main(argv)
     if status != 0:
         raise SystemExit(f"bcstab {' '.join(argv)} exited {status}")
-    return sim._channel_events.cache_info().misses
 
 
 def sweep_work(argv):
     """One sweep's channel and arrival draws."""
-    with counted_arrival_draws() as arrivals:
-        channel_draws = sweep(argv)
-    return dict(channel_draws=channel_draws, arrival_draws=len(arrivals))
+    with counted_draws() as (channel_draws, arrival_draws):
+        sweep(argv)
+    return dict(channel_draws=len(channel_draws), arrival_draws=len(arrival_draws))
 
 
 def environment(args):

@@ -399,9 +399,10 @@ def cmd_compare_boundary(spec: dict) -> tuple[list[dict], dict, int]:
         raise UsageError(f"steps must be <= {MAX_STEPS}")
     params = params_from_spec(spec)
     reg = region_for_params(params)
+    # boundary_scale checks every angle before the first ray draws its path
+    scales = [boundary_scale(reg, angle) for angle in spec["angles"]]
     rows = []
-    for k, angle in enumerate(spec["angles"]):
-        scale = boundary_scale(reg, angle)
+    for k, (angle, scale) in enumerate(zip(spec["angles"], scales)):
         c = math.cos(math.radians(angle))
         s = math.sin(math.radians(angle))
         emp = estimate_boundary(

@@ -10,10 +10,10 @@ slot-start state, then arrivals join, so a packet arriving in slot t can
 depart in slot t+1 at the earliest. All randomness comes from one seeded
 stream (arrival uniforms first, then channel draws), so runs are
 reproducible bit-for-bit, and all runs of one seed share one sample path
-(common random numbers). Its channel's success events are cached. A lone
-run turns its arrival uniforms into flags block by block; runs that share a
-path (a boundary-search ray's probes, a batch's cells) compare one held
-draw of them with their own rates.
+(common random numbers). A lone run draws its path's success events and
+its arrival flags block by block and keeps nothing after it returns; runs
+that share a path (a boundary-search ray's probes, a batch's cells) hold
+one draw of its events and arrival uniforms.
 """
 
 from __future__ import annotations
@@ -54,14 +54,14 @@ SLOPE_THRESHOLD = 1e-3
 # flags and success events and 8 of trajectory, and peaks at about 24 while
 # the solver's temporaries are alive, so this caps one run near 250 MB (a
 # 10M-slot dominant IAN run peaked at 241 MB); longer runs are rejected
-# before any allocation. The process keeps at most two paths' success
-# events (_channel_events), 4 bytes per slot each; a W-thread sweep holds
-# one set, not W. Runs that share a path also hold its arrival uniforms
-# (_arrival_uniforms), 16 bytes per slot, while they are made: a
-# boundary-search ray holds them and one busy column of queue 2 (1 byte per
-# slot) between probes, and its probes peak near 40 bytes per slot (44 at 1M
-# slots with the drift slope's 4 MiB index; near 400 MB at this cap). The
-# solver's int32 walk needs it < 2**31.
+# before any allocation. Runs that share a path hold its success events
+# (_channel_events, 4 bytes per slot) and arrival uniforms
+# (_arrival_uniforms, 16 bytes per slot) while they are made, and nothing of
+# it after; a W-thread sweep holds one path, not W. A boundary-search ray
+# holds them and one busy column of queue 2 (1 byte per slot) between
+# probes, and its probes peak near 40 bytes per slot (44 at 1M slots with
+# the drift slope's 4 MiB index; near 400 MB at this cap). The solver's
+# int32 walk needs it < 2**31.
 MAX_HORIZON = 10_000_000
 
 # Slots per block of a run's draws (_blocks): the block's two float64
@@ -217,9 +217,6 @@ def _blocks(draw, horizon: int):
         yield lo, hi, rows[:, :hi - lo]
 
 
-# Two paths, so that a boundary probe's retry on another seed keeps its ray's
-# path; a CLI call needs no more, and more would only serve repeated calls.
-@lru_cache(maxsize=2)
 def _channel_events(params: SystemParams, horizon: int, seed: int) -> np.ndarray:
     """The read-only ``(4, horizon)`` success-event columns of every run at
     ``seed``, whatever its rates or dominant mode. A run's stream is
@@ -250,22 +247,24 @@ def _arrival_uniforms(horizon: int, seed: int) -> np.ndarray:
     return uniforms
 
 
-def _kernel_inputs(config: SimConfig, uniforms: np.ndarray | None = None) -> tuple:
+def _kernel_inputs(config: SimConfig, path: tuple | None = None) -> tuple:
     """Arrival flags, the four success-event columns and the dummy-mode flags.
 
-    ``uniforms`` are the run's held arrival uniforms (``_arrival_uniforms``
-    of its horizon and seed), compared with its rates in one pass. Without
-    them a lone run draws its own block by block, keeping 6 bytes per slot
-    of flags and events. The events are drawn first, freeing their block
-    buffers before the ``(2, horizon)`` arrival flags are allocated;
-    ``arrivals`` is their transpose, so each queue's column is contiguous."""
-    events = _channel_events(config.params, config.horizon, config.seed)
-    lam = np.array([[config.arrivals.lambda1], [config.arrivals.lambda2]])
-    arrivals = np.empty((2, config.horizon), dtype=bool)
-    if uniforms is None:
+    ``path`` is the run's held sample path ``(events, uniforms)``, its
+    ``_channel_events`` and ``_arrival_uniforms``; the uniforms are compared
+    with its rates in one pass. Without it a lone run draws both, the
+    uniforms block by block, keeping 6 bytes per slot of flags and events.
+    The events are drawn first, freeing their block buffers before the
+    ``(2, horizon)`` arrival flags are allocated; ``arrivals`` is their
+    transpose, so each queue's column is contiguous."""
+    if path is None:
+        events = _channel_events(config.params, config.horizon, config.seed)
         blocks = _blocks(np.random.default_rng(config.seed).random, config.horizon)
     else:
+        events, uniforms = path
         blocks = [(0, config.horizon, uniforms)]
+    lam = np.array([[config.arrivals.lambda1], [config.arrivals.lambda2]])
+    arrivals = np.empty((2, config.horizon), dtype=bool)
     for lo, hi, u in blocks:
         np.less(u, lam, out=arrivals[:, lo:hi])
     return (arrivals.T, *events, *_forced(config))
@@ -370,16 +369,16 @@ def system_verdict(verdicts: tuple[Verdict, Verdict]) -> Verdict:
     return Verdict.STABLE
 
 
-def _solve(config: SimConfig, start=None, uniforms=None) -> tuple:
+def _solve(config: SimConfig, start=None, path=None) -> tuple:
     """Draw a run's randomness, solve its queues and judge each queue.
 
-    ``start`` is passed to ``_kernels.simulate_slots`` and ``uniforms`` to
-    ``_kernel_inputs``. Returns the kernel inputs, the ``(2, horizon + 1)``
-    slot-start lengths, each queue's exact drift slope over
-    ``[warmup, horizon)`` and its verdict (``classify_stability``'s rule;
-    inconclusive below 10000 slots).
+    ``start`` is passed to ``_kernels.simulate_slots`` and ``path``, a held
+    sample path, to ``_kernel_inputs``. Returns the kernel inputs, the
+    ``(2, horizon + 1)`` slot-start lengths, each queue's exact drift slope
+    over ``[warmup, horizon)`` and its verdict (``classify_stability``'s
+    rule; inconclusive below 10000 slots).
     """
-    inputs = _kernel_inputs(config, uniforms)
+    inputs = _kernel_inputs(config, path)
     q, _ = _kernels.simulate_slots(*inputs, start=start)
     warmup, horizon = config.warmup, config.horizon
     slopes = tuple(_drift_slope(row[warmup:horizon]) for row in q)
@@ -445,38 +444,35 @@ def run_batch(configs, workers: int | None = None) -> list[SimResult]:
     With ``workers`` the runs are dispatched to a thread pool. A run spends
     most of its time in numpy calls, which release the GIL, so the workers
     run in parallel. Configs that share a sample path ``(horizon, seed)``,
-    such as a sweep's cells, share its arrival uniforms: they are drawn once
-    (``_arrival_uniforms``) and held only while that path's runs are made,
-    one path at a time, every worker reading the same read-only array. Each
-    parameter set's success events on a shared path are drawn
-    (``_channel_events``) before its runs are dispatched, so worker threads
-    that start together find them cached. A config alone on its path is a
-    lone run, as ``run()`` makes it.
+    such as a sweep's cells, share its randomness, drawn before their runs
+    are dispatched and held only while they are made, one path at a time,
+    every worker reading the same read-only arrays: its arrival uniforms
+    (``_arrival_uniforms``) are drawn once, and its success events
+    (``_channel_events``) once per parameter set. A config alone on its path
+    is a lone run, as ``run()`` makes it.
     """
     configs = list(configs)
-    paths: dict[tuple[int, int], list[int]] = {}
+    by_path: dict[tuple[int, int], list[int]] = {}
     for i, config in enumerate(configs):
-        paths.setdefault((config.horizon, config.seed), []).append(i)
+        by_path.setdefault((config.horizon, config.seed), []).append(i)
     results: list[SimResult | None] = [None] * len(configs)
     parallel = workers is not None and workers > 1
     with ThreadPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
 
-        def make(indices, uniforms=None):
+        def make(indices, path=None):
             def one(i):
-                return _summarise(configs[i], *_solve(configs[i], uniforms=uniforms))
+                return _summarise(configs[i], *_solve(configs[i], path=path))
             for i, result in zip(indices, (pool.map if pool else map)(one, indices)):
                 results[i] = result
 
-        make([path[0] for path in paths.values() if len(path) == 1])
-        for (horizon, seed), path in paths.items():
-            if len(path) == 1:
+        make([members[0] for members in by_path.values() if len(members) == 1])
+        for (horizon, seed), members in by_path.items():
+            if len(members) == 1:
                 continue
             uniforms = _arrival_uniforms(horizon, seed)
-            for params in dict.fromkeys(configs[i].params for i in path):
-                indices = [i for i in path if configs[i].params == params]
-                if len(indices) > 1:
-                    _channel_events(params, horizon, seed)
-                make(indices, uniforms)
+            for params in dict.fromkeys(configs[i].params for i in members):
+                make([i for i in members if configs[i].params == params],
+                     (_channel_events(params, horizon, seed), uniforms))
             del uniforms  # before the next path's are drawn
     return results
 
@@ -498,13 +494,13 @@ def estimate_boundary(
     slots a verdict needs, and is checked before any run.
 
     Every probe is the run at the ray's own ``seed``: one sample path per
-    ray (common random numbers). The ray draws the path's arrival uniforms
-    once (``_arrival_uniforms``), after its horizon and seed are checked,
-    and holds them until it returns; every probe at its seed compares them
-    with its own rates. The first probe draws the channel's four
-    success-event columns, which stay cached (``_channel_events``). A probe
-    is ``run()`` without its statistics, ``_solve``, so its verdict is
-    exactly ``system_verdict(run(SimConfig(point, params, horizon=horizon,
+    ray (common random numbers). After its checks and before its first
+    probe, the ray draws the path's four success-event columns
+    (``_channel_events``) and arrival uniforms (``_arrival_uniforms``) once,
+    and holds them until it returns; every probe at its seed compares the
+    uniforms with its own rates. A probe is ``run()`` without its
+    statistics, ``_solve``, so its verdict is exactly
+    ``system_verdict(run(SimConfig(point, params, horizon=horizon,
     seed=seed)).verdict)``. An inconclusive probe is retried once on fresh
     randomness, as a lone run at seed ``seed + 7919*k + 13`` for probe
     ``k`` (0 at the ray's end, 4 onwards in the bisection) that draws its
@@ -531,9 +527,10 @@ def estimate_boundary(
         raise InvalidParameterError(
             f"boundary search needs a horizon of at least {_MIN_CLASSIFY_HORIZON} slots"
         )
-    # SimConfig checks the horizon and seed before the path's uniforms are drawn
-    path = SimConfig(RatePoint(0.0, 0.0), params, horizon=horizon, seed=seed)
-    uniforms = _arrival_uniforms(path.horizon, path.seed)
+    # SimConfig checks the horizon and seed before the path is drawn
+    origin = SimConfig(RatePoint(0.0, 0.0), params, horizon=horizon, seed=seed)
+    path = (_channel_events(params, origin.horizon, origin.seed),
+            _arrival_uniforms(origin.horizon, origin.seed))
     c = math.cos(math.radians(angle_deg))
     s = math.sin(math.radians(angle_deg))
     cap = min(1.0 / c if c > 0.0 else math.inf, 1.0 / s if s > 0.0 else math.inf)
@@ -543,7 +540,7 @@ def estimate_boundary(
         nonlocal start
         point = RatePoint(scale * c, scale * s)
         inputs, q, _, verdicts = _solve(SimConfig(point, params, horizon=horizon, seed=seed),
-                                        start, uniforms)
+                                        start, path)
         busy2 = q[1, :-1] > 0
         del inputs, q
         v = system_verdict(verdicts)

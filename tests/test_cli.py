@@ -161,34 +161,37 @@ class TestSweepCommand:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_simulated_cells_are_runs_at_the_seed(self, capsys, monkeypatch, workers):
         """Every cell of a simulated sweep gets the verdicts of the run at
-        --seed. At any worker count the sweep draws the channel once, before
-        its runs start, and the arrival uniforms once, which every cell
-        compares with its own rates; no cell draws its own."""
-        draws = []
-        misses_at_start = set()
-        uniforms, kernel_inputs = bcstab.sim._arrival_uniforms, bcstab.sim._kernel_inputs
+        --seed. At any worker count the sweep draws the channel's events
+        once and the arrival uniforms once, before its runs start, and every
+        cell is made on that held path, comparing the uniforms with its own
+        rates; no cell draws its own."""
+        events, uniforms, received = [], [], []
+        draw_events, draw_uniforms = bcstab.sim._channel_events, bcstab.sim._arrival_uniforms
+        kernel_inputs = bcstab.sim._kernel_inputs
+
+        def drawn_events(params, horizon, seed):
+            events.append(draw_events(params, horizon, seed))
+            return events[-1]
 
         def held(horizon, seed):
-            draws.append("held")
-            return uniforms(horizon, seed)
+            uniforms.append(draw_uniforms(horizon, seed))
+            return uniforms[-1]
 
-        def inputs(config, uniforms=None):
-            misses_at_start.add(bcstab.sim._channel_events.cache_info().misses)
-            if uniforms is None:
-                draws.append("lone")
-            return kernel_inputs(config, uniforms)
+        def inputs(config, path=None):
+            received.append(path)
+            return kernel_inputs(config, path)
 
         argv = ["sweep", "--simulate", "--grid", "4", "--horizon", "20000", "--seed", "5",
                 "--workers", str(workers), "--format", "json"]
-        bcstab.sim._channel_events.cache_clear()
+        monkeypatch.setattr(bcstab.sim, "_channel_events", drawn_events)
         monkeypatch.setattr(bcstab.sim, "_arrival_uniforms", held)
         monkeypatch.setattr(bcstab.sim, "_kernel_inputs", inputs)
         status, out, _ = run_cli(capsys, *argv)
         monkeypatch.undo()
         assert status == 0
-        assert bcstab.sim._channel_events.cache_info().misses == 1
-        assert misses_at_start == {1}  # every run found the events drawn
-        assert draws == ["held"]
+        assert len(events) == len(uniforms) == 1
+        assert len(received) == 16
+        assert all(path[0] is events[0] and path[1] is uniforms[0] for path in received)
         spec = cli.resolve_spec(cli.build_parser().parse_args(argv))
         params = cli.params_from_spec(spec)
         rows = json.loads(out)["rows"]
@@ -322,6 +325,7 @@ class TestConfigAndErrors:
     (None, ["sweep", "--simulate", "--grid", "4", "--workers", "0"], cli.EXIT_USAGE),
     (None, ["sweep", "--simulate", "--grid", "4", "--workers", "-3"], cli.EXIT_USAGE),
     (None, ["compare-boundary", "--angles", "abc"], cli.EXIT_USAGE),
+    (None, ["compare-boundary", "--angles", "45,100"], cli.EXIT_VALIDATION),
     (None, ["region", "--scheme", "generic", "--profile", "a,b,c,d"], cli.EXIT_USAGE),
     (None, ["simulate", "--lambda1", "0.1", "--lambda2", "0.1",
             "--horizon", "10", "--warmup", "9"], cli.EXIT_VALIDATION),
@@ -337,7 +341,8 @@ class TestConfigAndErrors:
         "gamma-db-overflow", "lambda-inf", "horizon-huge", "config-horizon-huge",
         "grid-huge", "points-huge", "workers-huge", "config-workers-huge",
         "workers-zero", "workers-negative",
-        "angles-not-numbers", "profile-not-numbers", "warmup-leaves-one-slot",
+        "angles-not-numbers", "angle-out-of-range-after-first",
+        "profile-not-numbers", "warmup-leaves-one-slot",
         "power-overflows-at-largest-gain", "steps-huge", "config-steps-above-max",
         "horizon-below-verdict", "config-horizon-below-verdict", "seed-negative"])
 def test_bad_input_exits_with_documented_code(tmp_path, capfd, monkeypatch,
@@ -348,9 +353,11 @@ def test_bad_input_exits_with_documented_code(tmp_path, capfd, monkeypatch,
 
     monkeypatch.setattr(np, "linspace", unreachable)
     # _kernel_inputs allocates every array of a lone run's randomness and
-    # events, and _arrival_uniforms the arrival uniforms that runs of one path
-    # (a ray's probes, a sweep's cells) share
+    # events; runs of one path (a ray's probes, a sweep's cells) share a held
+    # draw of its events (_channel_events) and arrival uniforms
+    # (_arrival_uniforms), made before their first run
     monkeypatch.setattr(bcstab.sim, "_kernel_inputs", unreachable)
+    monkeypatch.setattr(bcstab.sim, "_channel_events", unreachable)
     monkeypatch.setattr(bcstab.sim, "_arrival_uniforms", unreachable)
     if config is not None:
         path = tmp_path / "run.json"

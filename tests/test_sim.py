@@ -70,6 +70,21 @@ def whole_array_inputs(cfg):
     return (arrivals, *success_events(cfg.params, chan[:, 0], chan[:, 1]), *sim._forced(cfg))
 
 
+@pytest.fixture
+def event_draws(monkeypatch):
+    """The ``(params, horizon, seed)`` of every draw of a path's success
+    events (``sim._channel_events``) made while the test runs."""
+    draws = []
+    draw = sim._channel_events
+
+    def counted(params, horizon, seed):
+        draws.append((params, horizon, seed))
+        return draw(params, horizon, seed)
+
+    monkeypatch.setattr(sim, "_channel_events", counted)
+    return draws
+
+
 class TestStep:
     def test_silent_when_both_empty(self):
         cfg = SimConfig(RatePoint(0.0, 0.0), generic_params(), horizon=100)
@@ -144,19 +159,20 @@ class TestKernelInputs:
     @pytest.mark.parametrize("horizon", [10, sim._DRAW_BLOCK - 1, sim._DRAW_BLOCK,
                                          sim._DRAW_BLOCK + 1, 2 * sim._DRAW_BLOCK + 1])
     def test_blocks_match_whole_array_draw(self, params, horizon):
-        """The blocked producer and the held arrival uniforms both give the
-        whole-array draw's flags bit for bit, in every dominant mode, also
-        across block edges; the held uniforms are read-only."""
+        """The blocked producer and the held path both give the whole-array
+        draw's flags bit for bit, in every dominant mode, also across block
+        edges; the held uniforms are read-only."""
         uniforms = sim._arrival_uniforms(horizon, horizon + 3)
         assert uniforms.shape == (2, horizon) and uniforms.dtype == np.float64
         assert not uniforms.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             uniforms[0, 0] = 0.5
+        path = (sim._channel_events(params, horizon, horizon + 3), uniforms)
         for mode in ("none", "queue1", "queue2"):
             cfg = SimConfig(RatePoint(0.35, 0.3), params, horizon=horizon, seed=horizon + 3,
                             dominant_mode=mode)
             whole = whole_array_inputs(cfg)
-            for inputs in (_kernel_inputs(cfg), _kernel_inputs(cfg, uniforms)):
+            for inputs in (_kernel_inputs(cfg), _kernel_inputs(cfg, path)):
                 assert len(inputs) == len(whole) == 7
                 for got, want in zip(inputs[:5], whole[:5]):
                     assert got.dtype == want.dtype == np.bool_
@@ -171,7 +187,6 @@ class TestKernelInputs:
         horizon = 1_000_000
         cfg = SimConfig(RatePoint(0.35, 0.3), ALL_PARAMS[0], horizon=horizon, seed=5)
         _kernel_inputs(SimConfig(RatePoint(0.35, 0.3), ALL_PARAMS[0], horizon=10))  # thresholds
-        sim._channel_events.cache_clear()  # a cached path would skip the events' draw
         block_bytes = sim._DRAW_BLOCK * 2 * 8
         tracemalloc.start()
         try:
@@ -182,7 +197,7 @@ class TestKernelInputs:
         assert sum(a.nbytes for a in inputs[:5]) == 6 * horizon
         assert 6 * horizon <= peak <= 6 * horizon + 3 * block_bytes
 
-    def test_peak_memory_of_a_ray_holds_its_uniforms(self):
+    def test_peak_memory_of_a_ray_holds_its_uniforms(self, event_draws):
         """A 1M-slot ray holds, between probes, 16 bytes per slot of arrival
         uniforms, 4 of its path's success events and 1 of queue 2's busy
         column (21). A probe adds 2 of arrival flags, 8 of trajectory and
@@ -190,48 +205,35 @@ class TestKernelInputs:
         service columns and 4 of the running minimum (19), so the ray peaks
         at 40 bytes per slot, 16 above the same probes run alone. (A cold
         process adds the drift slope's cached 4 MiB index, made here before
-        measuring.) When the ray returns only the cached events are left."""
+        measuring.) When the ray returns nothing of its path is left."""
         horizon = 1_000_000
         params = ALL_PARAMS[1]
         b.estimate_boundary(params, 45.0, steps=8, horizon=10_000, seed=3)  # thresholds
         sim._cached_index(sim._SLOPE_BLOCK)
-        sim._channel_events.cache_clear()
+        event_draws.clear()
         tracemalloc.start()
         try:
             b.estimate_boundary(params, 45.0, steps=8, horizon=horizon, seed=3)
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert sim._channel_events.cache_info().misses == 1  # one path: no probe was retried
+        assert event_draws == [(params, horizon, 3)]  # one path: no probe was retried
         block_bytes = sim._DRAW_BLOCK * 2 * 8
         assert 40 * horizon <= peak <= 40 * horizon + 3 * block_bytes
-        assert current <= 4 * horizon + block_bytes
+        assert current <= block_bytes
 
-    def test_events_are_cached_read_only(self):
-        """A run's four event columns are views of its path's cached,
-        read-only events."""
+    def test_held_events_are_read_only(self):
+        """A held path's four event columns are read-only, and a run on the
+        path uses views of them."""
         cfg = SimConfig(RatePoint(0.35, 0.3), ALL_PARAMS[1], horizon=1_000, seed=4)
-        events = sim._channel_events(cfg.params, cfg.horizon, cfg.seed)
+        path = (sim._channel_events(cfg.params, cfg.horizon, cfg.seed),
+                sim._arrival_uniforms(cfg.horizon, cfg.seed))
+        events = path[0]
         assert events.shape == (4, cfg.horizon) and events.dtype == np.bool_
         assert not events.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             events[0, 0] = not events[0, 0]
-        assert all(np.shares_memory(column, events) for column in _kernel_inputs(cfg)[1:5])
-
-    def test_runs_of_one_path_draw_once(self):
-        """Runs that differ only in their rates or dominant mode share one
-        draw of the channel; another seed, horizon or parameter set draws
-        its own."""
-        sim._channel_events.cache_clear()
-        for lam in ((0.1, 0.2), (0.5, 0.45)):
-            for mode in ("none", "queue1", "queue2"):
-                b.run(SimConfig(RatePoint(*lam), ALL_PARAMS[1], horizon=20_000, seed=8,
-                                dominant_mode=mode))
-        assert sim._channel_events.cache_info()[:2] == (5, 1)  # hits, misses
-        for change in (dict(seed=9), dict(horizon=20_001), dict(params=ALL_PARAMS[2])):
-            b.run(SimConfig(**{"arrivals": RatePoint(0.1, 0.2), "params": ALL_PARAMS[1],
-                               "horizon": 20_000, "seed": 8, **change}))
-        assert sim._channel_events.cache_info()[:2] == (5, 4)
+        assert all(np.shares_memory(column, events) for column in _kernel_inputs(cfg, path)[1:5])
 
 
 def vec_matches_loop(kernel_args, start=None):
@@ -409,10 +411,11 @@ class TestRunStatistics:
         assert seq == par
 
     @pytest.mark.parametrize("workers", [None, 3])
-    def test_shared_paths_hold_one_draw(self, monkeypatch, workers):
+    def test_shared_paths_hold_one_draw(self, monkeypatch, event_draws, workers):
         """A batch mixing lone configs with a path shared by two parameter
         sets and every dominant mode gives run()'s results in input order,
-        and draws the shared path's arrival uniforms once."""
+        and draws the shared path's arrival uniforms once and its success
+        events once per parameter set; each lone config draws its own."""
         shared = [SimConfig(RatePoint(0.1 + 0.1 * i, 0.3), ALL_PARAMS[1 + i % 2], horizon=20_000,
                             seed=8, dominant_mode=("none", "queue1", "queue2")[i % 3])
                   for i in range(6)]
@@ -420,6 +423,7 @@ class TestRunStatistics:
                 SimConfig(RatePoint(0.2, 0.2), ALL_PARAMS[1], horizon=20_001, seed=8)]
         cfgs = [lone[0], *shared[:3], lone[1], *shared[3:]]
         expected = [b.run(c) for c in cfgs]
+        event_draws.clear()
         draws = []
         draw = sim._arrival_uniforms
 
@@ -430,19 +434,19 @@ class TestRunStatistics:
         monkeypatch.setattr(sim, "_arrival_uniforms", counted)
         assert b.run_batch(cfgs, workers=workers) == expected
         assert draws == [(20_000, 8)]
+        # the lone configs run first, each drawing its own events
+        assert {draw[1:] for draw in event_draws[:2]} == {(20_000, 9), (20_001, 8)}
+        assert event_draws[2:] == [(ALL_PARAMS[1], 20_000, 8), (ALL_PARAMS[2], 20_000, 8)]
 
-    def test_threads_share_the_event_cache(self):
-        """Runs on three paths, one more than the event cache holds, in more
-        threads than cores and with frequent thread switches, give the
-        sequential results."""
+    def test_threads_share_held_paths(self):
+        """Runs on three shared paths, in more threads than cores and with
+        frequent thread switches, give the sequential results."""
         cfgs = [SimConfig(RatePoint(0.1 + 0.05 * (i % 8), 0.3), ALL_PARAMS[1],
                           horizon=10_000, seed=i % 3) for i in range(24)]
-        sim._channel_events.cache_clear()
         seq = b.run_batch(cfgs)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            sim._channel_events.cache_clear()
             par = b.run_batch(cfgs, workers=8)
         finally:
             sys.setswitchinterval(interval)
@@ -693,50 +697,49 @@ def test_estimate_boundary_matches_pinned(index, angle, seed, expected):
 
 
 @pytest.mark.parametrize("index, angle, seed, expected", PINNED_BOUNDARIES)
-def test_probes_equal_runs(monkeypatch, index, angle, seed, expected):
+def test_probes_equal_runs(monkeypatch, event_draws, index, angle, seed, expected):
     """Each probe of a pinned ray gives run()'s slopes, verdicts and
-    trajectory at the ray's seed, though only the first draws the channel
-    (misses the cache) and the others find its events cached, and every one
-    compares the ray's one held draw of arrival uniforms; each retry gives
-    them at its own seed, as a lone run with its own draws. So a ray draws
-    the channel 1 + retries times, and its arrivals once plus once per
-    retry."""
+    trajectory at the ray's seed, and every one is made on the ray's held
+    path: one draw of its success events and arrival uniforms, made before
+    the first probe, so no probe draws. Each retry gives them at its own
+    seed, as a lone run with its own draws. So a ray draws the channel
+    1 + retries times, and its arrivals as often."""
     probes = []
     held = []
-    solve, cache_info, draw = sim._solve, sim._channel_events.cache_info, sim._arrival_uniforms
+    solve, draw = sim._solve, sim._arrival_uniforms
 
-    def recorded(config, start=None, uniforms=None):
-        misses = cache_info().misses
-        out = solve(config, start, uniforms)
-        probes.append((config, cache_info().misses > misses, start is None, uniforms, out))
+    def recorded(config, start=None, path=None):
+        drawn_before = len(event_draws)
+        out = solve(config, start, path)
+        probes.append((config, len(event_draws) > drawn_before, start is None, path, out))
         return out
 
     def drawn(horizon, seed):
         held.append(draw(horizon, seed))
         return held[-1]
 
-    sim._channel_events.cache_clear()
     monkeypatch.setattr(sim, "_solve", recorded)
     monkeypatch.setattr(sim, "_arrival_uniforms", drawn)
-    point = b.estimate_boundary(pinned_ray_params(index), angle, steps=8,
-                                horizon=40_000, seed=seed)
+    params = pinned_ray_params(index)
+    point = b.estimate_boundary(params, angle, steps=8, horizon=40_000, seed=seed)
     monkeypatch.undo()  # run() below solves through the real _solve
-    draws = cache_info().misses
+    draws = len(event_draws)
     assert repr(point) == expected
     assert len(held) == 1 and held[0].shape == (2, 40_000)
+    assert event_draws[0] == (params, 40_000, seed)
     numbers = iter([0, *range(4, 4 + 8)])
     retries = 0
-    for n, (config, drew, cold, uniforms, (_, q, slopes, verdicts)) in enumerate(probes):
+    for n, (config, drew, cold, path, (_, q, slopes, verdicts)) in enumerate(probes):
         if config.seed == seed:
             k = next(numbers)
-            assert drew is (n == 0) and cold is (n == 0)
-            assert uniforms is held[0]
+            assert not drew and cold is (n == 0)
+            assert path is probes[0][3] and path[1] is held[0]
         else:
             retries += 1
             assert config.seed == seed + 7919 * k + 13
             assert b.system_verdict(probes[n - 1][4][3]) is Verdict.INCONCLUSIVE
             assert drew and cold
-            assert uniforms is None  # a lone run draws its own arrivals
+            assert path is None  # a lone run draws its own path
         result = b.run(config, return_trajectory=True)
         assert (slopes, verdicts) == (result.drift_slope, result.verdict)
         assert np.array_equal(q.T, result.trajectory)
