@@ -32,7 +32,11 @@ inequalities (``channel._raw_events``) and from the per-parameter
 thresholds that ``success_events`` compares with (thresholds cached, as in
 any run after the first). The configs cover coupled queues inside the
 region and at 0.98x the analytic frontier, where the solver needs the most
-Picard passes, and both dominant modes; each horizon given is timed.
+Picard passes, and both dominant modes; each horizon given is timed. The
+``sc coupled (0.3, 0.6)`` row keeps its name so BENCH files stay
+comparable, but fixed SC is a decoupled profile: queue 1's shared-slot
+events equal its solo ones (an empty flip column), so the solver takes
+two Lindley solves and one pass there, as in a dominant mode.
 
 The ``mc`` rows split ``mc_estimate_profile`` at 1e7 draws on the fixed
 IAN and SC configs: ``draws`` is the exponential draws alone, ``events``
@@ -52,7 +56,7 @@ for the ray's held path and one per retry, so ``probes - 8``),
 ``arrival_draws`` (the ray's one held draw of its path's arrival uniforms,
 ``sim._arrival_uniforms``, plus each retry's lone draw, ``sim._kernel_inputs``
 without a path: equal to ``channel_draws``) and ``lindley`` (single-queue
-Lindley solves).
+Lindley solves; ``2 * probes`` on the decoupled ``sc fixed`` ray).
 
 The ``sweep`` rows time one in-process ``bcstab sweep --simulate --grid 7
 --horizon 20000 --workers 2`` per configuration of the ``estimate_boundary``

@@ -14,9 +14,9 @@ with ``r[-1] + a[-1] = 0`` is a random walk reflected at zero, so
 ``r = S - min(minimum.accumulate(S), 0)`` for the cumulative sum ``S`` of the
 increments, and the slot-start length is ``r + a`` one slot later. All of
 it is integer arithmetic, so the result is exact. A queue's service column
-depends on the other queue only through whether it is transmitting. In a
-dominant mode the forced queue always transmits, so the other queue's
-service is known and two Lindley solves give the trajectory.
+depends on the other queue only through whether it is transmitting, in the
+slots of its flip column ``solo ^ both``. When a flip column is empty, that
+queue is solved first and the other from its busy column: two solves.
 Coupled queues are solved by Picard iteration: start from a busy column of
 queue 2, solve queue 1, solve queue 2 from queue 1's busy column, and
 repeat until either busy column repeats the previous pass's. If queue 2's
@@ -44,14 +44,13 @@ import numpy as np
 _MAX_PASSES = 64
 
 
-def simulate_slots_py(arrivals, solo1, solo2, both1, both2, force1, force2):
+def simulate_slots_py(arrivals, solo1, solo2, both1, both2):
     """Reference slot loop with the solver's signature; returns ``(q, None)``.
 
-    Per slot: read queue state, form the transmission set (``force1``/
-    ``force2`` put a dummy-mode queue in even when empty), let a real
-    head-of-line packet depart when its user's event for that set occurred
-    (``both*`` when both queues transmit, ``solo*`` otherwise), then append
-    the slot's arrivals (``arrivals[t, 0]``/``arrivals[t, 1]``).
+    Per slot: read queue state, form the transmission set (the nonempty
+    queues), let a head-of-line packet depart when its user's event for that
+    set occurred (``both*`` when both queues transmit, ``solo*`` otherwise),
+    then append the slot's arrivals (``arrivals[t, 0]``/``arrivals[t, 1]``).
     """
     a1, a2 = arrivals[:, 0].tolist(), arrivals[:, 1].tolist()
     s1, s2, b1, b2 = solo1.tolist(), solo2.tolist(), both1.tolist(), both2.tolist()
@@ -60,11 +59,10 @@ def simulate_slots_py(arrivals, solo1, solo2, both1, both2, force1, force2):
     for t in range(len(a1)):
         starts1.append(q1)
         starts2.append(q2)
-        t1 = q1 > 0 or force1
-        t2 = q2 > 0 or force2
-        if q1 > 0 and (b1[t] if t2 else s1[t]):
+        t1, t2 = q1 > 0, q2 > 0
+        if t1 and (b1[t] if t2 else s1[t]):
             q1 -= 1
-        if q2 > 0 and (b2[t] if t1 else s2[t]):
+        if t2 and (b2[t] if t1 else s2[t]):
             q2 -= 1
         q1 += a1[t]
         q2 += a2[t]
@@ -89,20 +87,19 @@ def _lindley(arrivals, service, q):
     walk += arrivals
 
 
-def simulate_slots(arrivals, solo1, solo2, both1, both2, force1, force2, start=None):
+def simulate_slots(arrivals, solo1, solo2, both1, both2, start=None):
     """Queue lengths at every slot start plus the final state, exactly as the slot loop.
 
     ``arrivals`` is a ``(horizon, 2)`` boolean array and the four event
     columns have length ``horizon``. ``start`` is the busy column of queue 2
-    that the coupled solve starts from, all-busy if None; a dominant mode
-    ignores it. Returns ``(q, passes)``: ``q`` is a ``(2, horizon + 1)``
+    that the coupled solve starts from, all-busy if None; an empty flip
+    column ignores it. Returns ``(q, passes)``: ``q`` is a ``(2, horizon + 1)``
     int32 array with one row per queue, and ``passes`` the number of Picard
-    passes begun (1 in a dominant mode), each of which solves queue 1 and,
-    unless queue 1's busy column repeated, queue 2; or None when the coupled
-    solve hit the pass cap and the slot loop produced ``q``.
+    passes begun (1 if a flip column is empty), each of which solves queue 1
+    and, unless queue 1's busy column repeated, queue 2; or None when the
+    coupled solve hit the pass cap and the slot loop produced ``q``.
     """
-    a1 = arrivals[:, 0]
-    a2 = arrivals[:, 1]
+    a1, a2 = arrivals.T
     # The service column np.where(busy, both, solo), written as solo ^ (busy & flip):
     # the same bits, far cheaper on boolean arrays.
     flip1 = solo1 ^ both1
@@ -110,11 +107,11 @@ def simulate_slots(arrivals, solo1, solo2, both1, both2, force1, force2, start=N
     q = np.zeros((2, arrivals.shape[0] + 1), dtype=np.int32)
     q1, q2 = q
     passes = 1
-    if force1:
-        _lindley(a2, both2, q2)
-        _lindley(a1, both1 if force2 else solo1 ^ ((q2[:-1] > 0) & flip1), q1)
-    elif force2:
-        _lindley(a1, both1, q1)
+    if not flip2.any():
+        _lindley(a2, solo2, q2)
+        _lindley(a1, solo1 ^ ((q2[:-1] > 0) & flip1), q1)
+    elif not flip1.any():
+        _lindley(a1, solo1, q1)
         _lindley(a2, solo2 ^ ((q1[:-1] > 0) & flip2), q2)
     else:
         busy2 = np.ones(arrivals.shape[0], dtype=bool) if start is None else start
@@ -131,5 +128,5 @@ def simulate_slots(arrivals, solo1, solo2, both1, both2, force1, force2, start=N
                 break
             busy2 = new_busy2
         else:
-            return simulate_slots_py(arrivals, solo1, solo2, both1, both2, force1, force2)
+            return simulate_slots_py(arrivals, solo1, solo2, both1, both2)
     return q, passes

@@ -193,11 +193,11 @@ def resolve_spec(args: argparse.Namespace) -> dict:
     """Merge defaults, config file, and explicit flags into one spec dict."""
     spec = {key: default for key, (default, _, _) in _OPTIONS.items()}
     if args.config:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise UsageError(f"config file is not valid JSON: {exc}") from None
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise UsageError(f"config file is not valid UTF-8 JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise UsageError("config file must hold a JSON object")
         unknown = set(raw) - set(_OPTIONS)

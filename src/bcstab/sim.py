@@ -3,7 +3,8 @@
 This is the independent oracle for everything the closed forms claim:
 service rates, empty-queue probabilities, and stability verdicts. Dominant
 modes make one queue transmit dummy packets whenever it is empty, which
-decouples the other queue exactly as in the saturated-queue analysis.
+decouples the other queue exactly as in the saturated-queue analysis: that
+queue's solo event is its shared-slot one (``_kernel_inputs``).
 
 Slot ordering convention: transmissions are decided and resolved on the
 slot-start state, then arrivals join, so a packet arriving in slot t can
@@ -248,7 +249,8 @@ def _arrival_uniforms(horizon: int, seed: int) -> np.ndarray:
 
 
 def _kernel_inputs(config: SimConfig, path: tuple | None = None) -> tuple:
-    """Arrival flags, the four success-event columns and the dummy-mode flags.
+    """Arrival flags and the four success-event columns (views of the events);
+    a dummy queue always transmits, so its partner gets ``both`` as ``solo``.
 
     ``path`` is the run's held sample path ``(events, uniforms)``, its
     ``_channel_events`` and ``_arrival_uniforms``; the uniforms are compared
@@ -267,7 +269,8 @@ def _kernel_inputs(config: SimConfig, path: tuple | None = None) -> tuple:
     arrivals = np.empty((2, config.horizon), dtype=bool)
     for lo, hi, u in blocks:
         np.less(u, lam, out=arrivals[:, lo:hi])
-    return (arrivals.T, *events, *_forced(config))
+    force1, force2 = _forced(config)
+    return arrivals.T, events[2 if force2 else 0], events[3 if force1 else 1], *events[2:]
 
 
 def _check_fit_window(warmup: int, horizon: int) -> None:
@@ -399,11 +402,11 @@ def _summarise(config: SimConfig, inputs: tuple, q: np.ndarray, slopes, verdicts
                return_trajectory: bool = False) -> SimResult:
     """run()'s statistics of a solved run, given each queue's drift slope and verdict."""
     horizon, warmup = config.horizon, config.warmup
-    arrivals, solo1, solo2, both1, both2, force1, force2 = inputs
+    arrivals, solo1, solo2, both1, both2 = inputs
 
     n = horizon - warmup
     real = q[:, :horizon] > 0
-    attempt = (real[0] | force1, real[1] | force2)
+    attempt = real | np.array(_forced(config))[:, None]  # a dummy queue attempts every slot
     stats = []
     for k, solo, both in ((0, solo1, both1), (1, solo2, both2)):
         # np.where(other queue transmits, both, solo) as in the solver

@@ -310,6 +310,7 @@ class TestConfigAndErrors:
 @pytest.mark.parametrize("config, argv, status", [
     ('{"grid": "50"}', ["sweep"], cli.EXIT_USAGE),
     ('{"grid": ', ["region"], cli.EXIT_USAGE),
+    (b'\xff\xfe{"seed": 1}', ["region"], cli.EXIT_USAGE),
     (None, ["region", "--alpha", "1e308", "--d1", "2"], cli.EXIT_VALIDATION),
     (None, ["region", "--p-total", "inf"], cli.EXIT_VALIDATION),
     (None, ["region", "--d1", "inf"], cli.EXIT_VALIDATION),
@@ -337,8 +338,8 @@ class TestConfigAndErrors:
     ('{"horizon": 20}', ["compare-boundary", "--steps", "8"], cli.EXIT_VALIDATION),
     (None, ["simulate", "--lambda1", "0.1", "--lambda2", "0.1", "--seed", "-1"],
      cli.EXIT_VALIDATION),
-], ids=["config-type", "config-json", "pathloss-overflow", "p-total-inf", "d1-inf",
-        "gamma-db-overflow", "lambda-inf", "horizon-huge", "config-horizon-huge",
+], ids=["config-type", "config-json", "config-not-utf8", "pathloss-overflow", "p-total-inf",
+        "d1-inf", "gamma-db-overflow", "lambda-inf", "horizon-huge", "config-horizon-huge",
         "grid-huge", "points-huge", "workers-huge", "config-workers-huge",
         "workers-zero", "workers-negative",
         "angles-not-numbers", "angle-out-of-range-after-first",
@@ -361,7 +362,8 @@ def test_bad_input_exits_with_documented_code(tmp_path, capfd, monkeypatch,
     monkeypatch.setattr(bcstab.sim, "_arrival_uniforms", unreachable)
     if config is not None:
         path = tmp_path / "run.json"
-        path.write_text(config)
+        # JSON is UTF-8 text; a bytes row is a file in another encoding
+        path.write_bytes(config if isinstance(config, bytes) else config.encode())
         argv = [*argv, "--config", str(path)]
     # capfd also sees what native code (LAPACK) writes to the file descriptors
     code, out, err = run_cli(capfd, *argv)

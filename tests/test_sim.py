@@ -64,10 +64,16 @@ def whole_array_draw(cfg):
 
 
 def whole_array_inputs(cfg):
-    """The kernel inputs formed from whole_array_draw, as _kernel_inputs must form them."""
+    """The kernel inputs formed from whole_array_draw, as _kernel_inputs must form them:
+    a dummy queue always transmits, so its partner's solo column is its shared-slot one."""
     arr_u, chan = whole_array_draw(cfg)
     arrivals = arr_u < np.array([cfg.arrivals.lambda1, cfg.arrivals.lambda2])
-    return (arrivals, *success_events(cfg.params, chan[:, 0], chan[:, 1]), *sim._forced(cfg))
+    solo1, solo2, both1, both2 = success_events(cfg.params, chan[:, 0], chan[:, 1])
+    if cfg.dominant_mode is DominantMode.QUEUE1_DUMMY:
+        solo2 = both2
+    elif cfg.dominant_mode is DominantMode.QUEUE2_DUMMY:
+        solo1 = both1
+    return arrivals, solo1, solo2, both1, both2
 
 
 @pytest.fixture
@@ -173,12 +179,11 @@ class TestKernelInputs:
                             dominant_mode=mode)
             whole = whole_array_inputs(cfg)
             for inputs in (_kernel_inputs(cfg), _kernel_inputs(cfg, path)):
-                assert len(inputs) == len(whole) == 7
-                for got, want in zip(inputs[:5], whole[:5]):
+                assert len(inputs) == len(whole) == 5
+                for got, want in zip(inputs, whole):
                     assert got.dtype == want.dtype == np.bool_
                     assert got.shape == want.shape
                     assert np.array_equal(got, want)
-                assert inputs[5:] == whole[5:]
 
     def test_peak_memory_is_the_flags_plus_two_blocks(self):
         """At 1M slots the producer keeps 6 bytes per slot of flags; the rest
@@ -200,14 +205,15 @@ class TestKernelInputs:
     def test_peak_memory_of_a_ray_holds_its_uniforms(self, event_draws):
         """A 1M-slot ray holds, between probes, 16 bytes per slot of arrival
         uniforms, 4 of its path's success events and 1 of queue 2's busy
-        column (21). A probe adds 2 of arrival flags, 8 of trajectory and
-        the coupled solver's temporaries: 2 of flip columns, 3 of busy and
-        service columns and 4 of the running minimum (19), so the ray peaks
-        at 40 bytes per slot, 16 above the same probes run alone. (A cold
-        process adds the drift slope's cached 4 MiB index, made here before
-        measuring.) When the ray returns nothing of its path is left."""
+        column (21). A probe on a coupled profile (adaptive SC) adds 2 of
+        arrival flags, 8 of trajectory and the coupled solver's temporaries:
+        2 of flip columns, 3 of busy and service columns and 4 of the running
+        minimum (19), so the ray peaks at 40 bytes per slot, 16 above the
+        same probes run alone. (A cold process adds the drift slope's cached
+        4 MiB index, made here before measuring.) When the ray returns
+        nothing of its path is left."""
         horizon = 1_000_000
-        params = ALL_PARAMS[1]
+        params = ALL_PARAMS[2]
         b.estimate_boundary(params, 45.0, steps=8, horizon=10_000, seed=3)  # thresholds
         sim._cached_index(sim._SLOPE_BLOCK)
         event_draws.clear()
@@ -251,20 +257,26 @@ class TestVectorisedSolver:
     @given(horizon=st.integers(1, 2000), seed=st.integers(0, 2**32 - 1),
            densities=st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
                               min_size=6, max_size=6),
-           force1=st.booleans(), force2=st.booleans(),
+           decoupled=st.sampled_from([(), (1,), (2,), (1, 2)]),
            start_density=st.none() | st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
-    def test_matches_loop_on_any_columns(self, horizon, seed, densities, force1, force2,
+    def test_matches_loop_on_any_columns(self, horizon, seed, densities, decoupled,
                                          start_density):
         """Arbitrary arrival and event columns, each with its own density, and
-        an arbitrary start column for queue 2; None starts all-busy."""
+        an arbitrary start column for queue 2; None starts all-busy. Each
+        queue in ``decoupled`` has its solo column copied into its shared-slot
+        one, which empties its flip column: then one pass solves the run."""
         rng = np.random.default_rng(seed)
         cols = rng.random((horizon, 6)) < np.array(densities)
         start = None if start_density is None else rng.random(horizon) < start_density
+        for queue in decoupled:
+            cols[:, 3 + queue] = cols[:, 1 + queue]
         solo1, solo2, both1, both2 = cols[:, 2:].T
-        args = (cols[:, :2], solo1, solo2, both1, both2, force1, force2)
+        args = (cols[:, :2], solo1, solo2, both1, both2)
         passes = vec_matches_loop(args, start)
         if start is None:
             assert passes == vec_matches_loop(args, np.ones(horizon, dtype=bool))
+        if not (solo1 ^ both1).any() or not (solo2 ^ both2).any():
+            assert passes == 1
 
     @pytest.mark.parametrize("params", ALL_PARAMS)
     def test_matches_loop_near_frontier(self, params):
@@ -297,9 +309,34 @@ class TestVectorisedSolver:
             for lam1, lam2 in KERNEL_LOADS:
                 cfg = SimConfig(RatePoint(lam1, lam2), params, horizon=5_000, seed=61,
                                 dominant_mode=mode)
-                passes = vec_matches_loop(_kernel_inputs(cfg))
-                # coupled busy queues need a second pass to confirm the fixed point
-                assert passes == (None if mode == "none" else 1)
+                inputs = _kernel_inputs(cfg)
+                passes = vec_matches_loop(inputs)
+                # coupled busy queues need a second pass to confirm the fixed point;
+                # an empty flip column (a dummy queue's partner, fixed SC) needs one
+                _, solo1, solo2, both1, both2 = inputs
+                coupled = (solo1 ^ both1).any() and (solo2 ^ both2).any()
+                assert passes == (None if coupled else 1)
+
+    @pytest.mark.parametrize("index, mode", [
+        *((i, mode) for i in range(len(ALL_PARAMS)) for mode in ("queue1", "queue2")),
+        (1, "none"),
+    ])
+    def test_decoupled_runs_take_two_solves(self, monkeypatch, index, mode):
+        """A dominant run, and a run of fixed SC, whose shared-slot events
+        equal its solo ones for queue 1, solves each queue once."""
+        solves = []
+        lindley = _kernels._lindley
+
+        def counted(*args):
+            solves.append(args)
+            return lindley(*args)
+
+        monkeypatch.setattr(_kernels, "_lindley", counted)
+        for lam1, lam2 in KERNEL_LOADS:
+            solves.clear()
+            b.run(SimConfig(RatePoint(lam1, lam2), ALL_PARAMS[index], horizon=5_000,
+                            seed=61, dominant_mode=mode))
+            assert len(solves) == 2
 
 
 # sha256 of run()'s trajectory and SimResult fields at RatePoint(0.4, 0.35),
