@@ -22,6 +22,10 @@ verdicts given those slopes (``verdicts``: ``sim._verdict`` on each
 queue), and the rest of the statistics (``rest``: ``sim._summarise``,
 counts and rates). ``run`` is taken over the per-iteration sums of the
 five. A boundary-search probe is ``sim._solve``: every part but ``rest``.
+``lindley`` times one single-queue Lindley solve (``_kernels._lindley``) on
+queue 1's service column at the solved trajectory, the column the solver's
+last pass solves, so it is the queue-recursion layer on its own; a row is
+``identical`` when that solve also reproduces queue 1's trajectory.
 ``draw_whole`` times the reference whole-array draw of the same randomness
 (``whole_array_draw`` in ``tests/test_sim.py``: two ``(horizon, 2)``
 float64 arrays), which the blocked ``inputs`` replaced, so the draw's
@@ -63,7 +67,9 @@ The ``sweep`` rows time one in-process ``bcstab sweep --simulate --grid 7
 rows, output discarded, in ``ms``. One more call, with the counting
 wrappers, gives its ``channel_draws`` and ``arrival_draws``: every cell is
 the run at the sweep's seed, so its path's events and arrival uniforms are
-each drawn once, before the workers start.
+each drawn once, before the workers start. Its 20k-slot runs are shorter
+than ``sim._POOL_HORIZON``, so they run in the calling thread; the flag
+stays so that the rows compare with earlier BENCH files.
 
 Every column is timed ``--repeat`` times and reported as the median, with
 the best (fastest) time beside it as ``<column>_best``. Every config and
@@ -132,6 +138,12 @@ def timed(fn, *args):
     t0 = time.perf_counter()
     out = fn(*args)
     return time.perf_counter() - t0, out
+
+
+def queue1_service(kernel_args, q):
+    """Queue 1's service column given queue 2's solved busy column."""
+    _, solo1, _, both1, _ = kernel_args
+    return solo1 ^ ((q[1, :-1] > 0) & (solo1 ^ both1))
 
 
 def split_run(cfg):
@@ -320,8 +332,8 @@ def main():
     ap.add_argument("--json", help="write the medians, the bests and the environment to this file")
     args = ap.parse_args()
 
-    columns = ("loop", "run", "inputs", "solve", "fit", "rest", "verdicts", "draw_whole",
-               "events_raw", "events")
+    columns = ("loop", "run", "inputs", "solve", "fit", "rest", "verdicts", "lindley",
+               "draw_whole", "events_raw", "events")
     results = {"environment": environment(args), "unit": "ms", "runs": {}, "mc": {},
                "estimate_boundary": {}, "sweep": {}}
     for horizon in args.horizon:
@@ -333,10 +345,15 @@ def main():
             q, passes = _kernels.simulate_slots(*kernel_args)
             splits = [split_run(cfg) for _ in range(args.repeat)]
             t_run = [sum(split) for split in splits]
-            row = summary(columns, [t_loop, t_run, *zip(*splits),
+            q1 = np.zeros(horizon + 1, dtype=np.int32)
+            t_lindley, _ = repeat_times(
+                _kernels._lindley, (kernel_args[0].T[0], queue1_service(kernel_args, q), q1),
+                args.repeat)
+            row = summary(columns, [t_loop, t_run, *zip(*splits), t_lindley,
                                      *draw_and_event_times(cfg, args.repeat)])
             passes = "loop" if passes is None else passes
-            row.update(passes=passes, identical=bool(np.array_equal(q, q_loop)))
+            row.update(passes=passes, identical=bool(np.array_equal(q, q_loop)
+                                                     and np.array_equal(q1, q[0])))
             results["runs"].setdefault(str(horizon), {})[name] = row
             print_row(name, f"{passes:>8}", columns, row, f"  {row['identical']}")
 

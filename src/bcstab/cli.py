@@ -51,6 +51,7 @@ from .sim import (
     SimConfig,
     SimResult,
     Verdict,
+    _POOL_HORIZON,
     estimate_boundary,
     run,
     run_batch,
@@ -117,7 +118,8 @@ _OPTIONS = {
     "simulate": (False, bool, "sweep: run the simulator at each grid point"),
     "angles": ([45.0], list, "compare-boundary: comma-separated degrees"),
     "steps": (12, int, "compare-boundary: bisection steps"),
-    "workers": (1, int, "sweep: simulator thread pool size"),
+    "workers": (1, int,
+                f"sweep: most simulator threads; runs under {_POOL_HORIZON} slots use one"),
 }
 
 

@@ -61,14 +61,22 @@ SLOPE_THRESHOLD = 1e-3
 # it after; a W-thread sweep holds one path, not W. A boundary-search ray
 # holds them and one busy column of queue 2 (1 byte per slot) between
 # probes, and its probes peak near 40 bytes per slot (44 at 1M slots with
-# the drift slope's 4 MiB index; near 400 MB at this cap). The solver's
-# int32 walk needs it < 2**31.
+# the drift slope's 4 MiB index; near 400 MB at this cap). Of the solver's
+# temporaries, 4 bytes per slot are the Lindley scan's int8 buffers
+# (_kernels._lindley); its int32 carries and trajectory need this < 2**31.
 MAX_HORIZON = 10_000_000
 
 # Slots per block of a run's draws (_blocks): the block's two float64
 # buffers, slot-major and transposed, 512 KiB each, stay in a core's L2 cache
 # while they become flags.
 _DRAW_BLOCK = 1 << 15
+
+# Shortest run that run_batch hands to its thread pool. A run's numpy calls
+# hold the GIL between their passes, so two threads on short runs take turns
+# with it: on 2 vCPUs a grid-7 sweep's 49 runs took 50 ms in one thread and
+# 83 ms in two at 20k slots, were even at 70k, and two threads were 1.3x
+# faster at 100k and 1.5x at 200k.
+_POOL_HORIZON = 100_000
 
 # Verdicts need enough slots for the drift fit to mean anything.
 _MIN_CLASSIFY_HORIZON = 10_000
@@ -444,22 +452,25 @@ def _summarise(config: SimConfig, inputs: tuple, q: np.ndarray, slopes, verdicts
 def run_batch(configs, workers: int | None = None) -> list[SimResult]:
     """Run independent configs; results follow input order regardless of scheduling.
 
-    With ``workers`` the runs are dispatched to a thread pool. A run spends
-    most of its time in numpy calls, which release the GIL, so the workers
-    run in parallel. Configs that share a sample path ``(horizon, seed)``,
-    such as a sweep's cells, share its randomness, drawn before their runs
-    are dispatched and held only while they are made, one path at a time,
-    every worker reading the same read-only arrays: its arrival uniforms
-    (``_arrival_uniforms``) are drawn once, and its success events
-    (``_channel_events``) once per parameter set. A config alone on its path
-    is a lone run, as ``run()`` makes it.
+    With ``workers`` above 1, and some run of at least ``_POOL_HORIZON``
+    slots, the runs are dispatched to a thread pool of that many threads. A
+    run spends most of its time in numpy calls, which release the GIL, so
+    the workers run in parallel; shorter batches run in the calling thread,
+    where the threads would only take turns with the GIL. Configs that share
+    a sample path ``(horizon, seed)``, such as a sweep's cells, share its
+    randomness, drawn before their runs are dispatched and held only while
+    they are made, one path at a time, every worker reading the same
+    read-only arrays: its arrival uniforms (``_arrival_uniforms``) are drawn
+    once, and its success events (``_channel_events``) once per parameter
+    set. A config alone on its path is a lone run, as ``run()`` makes it.
     """
     configs = list(configs)
     by_path: dict[tuple[int, int], list[int]] = {}
     for i, config in enumerate(configs):
         by_path.setdefault((config.horizon, config.seed), []).append(i)
     results: list[SimResult | None] = [None] * len(configs)
-    parallel = workers is not None and workers > 1
+    parallel = (workers is not None and workers > 1
+                and any(config.horizon >= _POOL_HORIZON for config in configs))
     with ThreadPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
 
         def make(indices, path=None):

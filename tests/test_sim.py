@@ -207,11 +207,11 @@ class TestKernelInputs:
         uniforms, 4 of its path's success events and 1 of queue 2's busy
         column (21). A probe on a coupled profile (adaptive SC) adds 2 of
         arrival flags, 8 of trajectory and the coupled solver's temporaries:
-        2 of flip columns, 3 of busy and service columns and 4 of the running
-        minimum (19), so the ray peaks at 40 bytes per slot, 16 above the
-        same probes run alone. (A cold process adds the drift slope's cached
-        4 MiB index, made here before measuring.) When the ray returns
-        nothing of its path is left."""
+        2 of flip columns, 3 of busy and service columns and 4 of the Lindley
+        scan's int8 buffers (19), so the ray peaks at 40 bytes per slot, 16
+        above the same probes run alone. (A cold process adds the drift
+        slope's cached 4 MiB index, made here before measuring.) When the ray
+        returns nothing of its path is left."""
         horizon = 1_000_000
         params = ALL_PARAMS[2]
         b.estimate_boundary(params, 45.0, steps=8, horizon=10_000, seed=3)  # thresholds
@@ -250,6 +250,49 @@ def vec_matches_loop(kernel_args, start=None):
     assert qtraj.shape == (2, kernel_args[0].shape[0] + 1)
     assert np.array_equal(qtraj, ref)
     return passes
+
+
+def lindley_oracle(arrivals, service):
+    """One queue's slot-start lengths plus its final state, given its service
+    column: the post-departure length is the reflected walk
+    ``S - min(minimum.accumulate(S), 0)`` for the cumulative sum ``S`` of the
+    increments ``a[t-1] - s[t]``, serially in int64, and a slot starts with
+    the previous slot's length plus its arrival."""
+    steps = -service.astype(np.int64)
+    steps[1:] += arrivals[:-1]
+    walk = np.cumsum(steps)
+    return np.concatenate(([0], walk - np.minimum(np.minimum.accumulate(walk), 0) + arrivals))
+
+
+# Block edges of the Lindley scan (16 slots) and a long tail-bearing horizon
+SCAN_HORIZONS = [1, 15, 16, 17, 31, 32, 33, 16 * 625 - 1, 16 * 625, 16 * 625 + 1]
+SCAN_COLUMNS = {
+    # near-critical: queues cross the int8-clipped entry length both ways
+    "random": lambda rng, n: (rng.random(n) < 0.48, rng.random(n) < 0.5),
+    # the queue climbs to the horizon, carried between blocks in int32
+    "arrive every slot": lambda rng, n: (np.ones(n, dtype=bool), np.zeros(n, dtype=bool)),
+    "serve every slot": lambda rng, n: (rng.random(n) < 0.5, np.ones(n, dtype=bool)),
+    "burst then drain": lambda rng, n: (np.arange(n) < n // 2, np.arange(n) >= n // 4),
+}
+
+
+class TestLindleyScan:
+    @pytest.mark.parametrize("columns", SCAN_COLUMNS)
+    @pytest.mark.parametrize("horizon", SCAN_HORIZONS)
+    def test_matches_serial_walk(self, horizon, columns):
+        arrivals, service = SCAN_COLUMNS[columns](np.random.default_rng(horizon), horizon)
+        q = np.zeros(horizon + 1, dtype=np.int32)
+        _kernels._lindley(arrivals, service, q)
+        assert np.array_equal(q, lindley_oracle(arrivals, service))
+
+    def test_a_million_arrivals_in_a_row(self):
+        """A queue that grows by one every slot reaches 10**6, far past int8."""
+        horizon = 1_000_000
+        arrivals, service = np.ones(horizon, dtype=bool), np.zeros(horizon, dtype=bool)
+        q = np.zeros(horizon + 1, dtype=np.int32)
+        _kernels._lindley(arrivals, service, q)
+        assert q[-1] == horizon
+        assert np.array_equal(q, lindley_oracle(arrivals, service))
 
 
 class TestVectorisedSolver:
@@ -440,19 +483,42 @@ class TestRunStatistics:
         assert r.drift_slope[0] == pytest.approx(0.33 - 0.3, abs=0.02)
         assert r.drift_slope[1] == pytest.approx(0.55 - 0.5, abs=0.02)
 
-    def test_run_batch_matches_sequential(self):
+    def test_run_batch_matches_sequential(self, monkeypatch):
+        monkeypatch.setattr(sim, "_POOL_HORIZON", 0)  # short runs through the pool
+        pools = []
+        pool = sim.ThreadPoolExecutor
+        monkeypatch.setattr(sim, "ThreadPoolExecutor",
+                            lambda **kwargs: pools.append(kwargs) or pool(**kwargs))
         cfgs = [SimConfig(RatePoint(0.2 + 0.05 * i, 0.2), ALL_PARAMS[0],
                           horizon=15_000, seed=i) for i in range(6)]
         seq = b.run_batch(cfgs)
         par = b.run_batch(cfgs, workers=3)
         assert seq == par
+        assert pools == [{"max_workers": 3}]
+
+    def test_short_batches_run_in_the_calling_thread(self, monkeypatch):
+        """Below _POOL_HORIZON slots a batch builds no pool at any
+        ``workers``, and still gives run()'s results in input order."""
+        cfgs = [SimConfig(RatePoint(0.1 + 0.05 * i, 0.3), ALL_PARAMS[i % 4],
+                          horizon=20_000, seed=2) for i in range(4)]
+        cfgs.insert(2, SimConfig(RatePoint(0.3, 0.3), ALL_PARAMS[0],
+                                 horizon=sim._POOL_HORIZON - 1, seed=2))
+        expected = [b.run(c) for c in cfgs]
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was built for a short batch")
+
+        monkeypatch.setattr(sim, "ThreadPoolExecutor", no_pool)
+        assert b.run_batch(cfgs, workers=2) == expected
 
     @pytest.mark.parametrize("workers", [None, 3])
     def test_shared_paths_hold_one_draw(self, monkeypatch, event_draws, workers):
         """A batch mixing lone configs with a path shared by two parameter
         sets and every dominant mode gives run()'s results in input order,
         and draws the shared path's arrival uniforms once and its success
-        events once per parameter set; each lone config draws its own."""
+        events once per parameter set; each lone config draws its own. Its
+        short runs go through the pool at ``workers=3``."""
+        monkeypatch.setattr(sim, "_POOL_HORIZON", 0)
         shared = [SimConfig(RatePoint(0.1 + 0.1 * i, 0.3), ALL_PARAMS[1 + i % 2], horizon=20_000,
                             seed=8, dominant_mode=("none", "queue1", "queue2")[i % 3])
                   for i in range(6)]
@@ -475,9 +541,10 @@ class TestRunStatistics:
         assert {draw[1:] for draw in event_draws[:2]} == {(20_000, 9), (20_001, 8)}
         assert event_draws[2:] == [(ALL_PARAMS[1], 20_000, 8), (ALL_PARAMS[2], 20_000, 8)]
 
-    def test_threads_share_held_paths(self):
+    def test_threads_share_held_paths(self, monkeypatch):
         """Runs on three shared paths, in more threads than cores and with
         frequent thread switches, give the sequential results."""
+        monkeypatch.setattr(sim, "_POOL_HORIZON", 0)  # short runs through the pool
         cfgs = [SimConfig(RatePoint(0.1 + 0.05 * (i % 8), 0.3), ALL_PARAMS[1],
                           horizon=10_000, seed=i % 3) for i in range(24)]
         seq = b.run_batch(cfgs)
