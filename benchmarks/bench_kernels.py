@@ -54,12 +54,11 @@ estimates ``p``: false means the split timed a different loop.
 The ``estimate_boundary`` rows time one 45 degree ray per configuration
 (the three named ones of the acceptance suite and the generic profile) at
 40k slots and 8 steps, as ``compare-boundary`` runs it, in ``ray``. One
-more call with counting wrappers gives the ray's ``probes`` (solver calls,
-retries included), ``channel_draws`` (calls of ``sim._channel_events``: one
-for the ray's held path and one per retry, so ``probes - 8``),
-``arrival_draws`` (the ray's one held draw of its path's arrival uniforms,
-``sim._arrival_uniforms``, plus each retry's lone draw, ``sim._kernel_inputs``
-without a path: equal to ``channel_draws``) and ``lindley`` (single-queue
+more call with counting wrappers gives the ray's ``probes`` (solver calls:
+``1 + steps``, so 9), ``channel_draws`` (calls of ``sim._channel_events``:
+1, the ray's held path), ``arrival_draws`` (held draws of a path's arrival
+uniforms, ``sim._arrival_uniforms``, plus lone draws, ``sim._kernel_inputs``
+without a path: 1, the ray's held draw) and ``lindley`` (single-queue
 Lindley solves; ``2 * probes`` on the decoupled ``sc fixed`` ray).
 
 The ``sweep`` rows time one in-process ``bcstab sweep --simulate --grid 7

@@ -515,21 +515,16 @@ def estimate_boundary(
     uniforms with its own rates. A probe is ``run()`` without its
     statistics, ``_solve``, so its verdict is exactly
     ``system_verdict(run(SimConfig(point, params, horizon=horizon,
-    seed=seed)).verdict)``. An inconclusive probe is retried once on fresh
-    randomness, as a lone run at seed ``seed + 7919*k + 13`` for probe
-    ``k`` (0 at the ray's end, 4 onwards in the bisection) that draws its
-    own, and is then treated as non-stable (it can only sit next to the
-    frontier, so either assignment keeps the bracket valid to within the
-    probe noise).
+    seed=seed)).verdict)``. An inconclusive probe counts as non-stable, so
+    a ray makes ``1 + steps`` solves and its end must be judged unstable.
 
     On one sample path, a higher scale means more arrivals in every slot,
     and a longer queue only takes service from the other (a shared-slot
     success implies the solo one), so both queues grow pathwise with the
-    scale. Queue 2's busy column at the nearest non-stable probe above is
-    thus an upper bound for every lower probe's, and each coupled solve
-    starts its Picard passes there; the start changes only the pass count
-    (``_kernels.simulate_slots``). A retry's busy column lies on another
-    path and is never a start.
+    scale and a verdict is monotone along the ray. Queue 2's busy column at
+    the nearest non-stable probe above is thus an upper bound for every
+    lower probe's, and each coupled solve starts its Picard passes there;
+    the start changes only the pass count (``_kernels.simulate_slots``).
     """
     if not 0.0 <= angle_deg <= 90.0:
         raise InvalidParameterError("angle must lie in [0, 90] degrees")
@@ -550,30 +545,25 @@ def estimate_boundary(
     cap = min(1.0 / c if c > 0.0 else math.inf, 1.0 / s if s > 0.0 else math.inf)
     start = None
 
-    def probe(scale: float, k: int) -> Verdict:
+    def probe(scale: float) -> Verdict:
         nonlocal start
         point = RatePoint(scale * c, scale * s)
-        inputs, q, _, verdicts = _solve(SimConfig(point, params, horizon=horizon, seed=seed),
-                                        start, path)
-        busy2 = q[1, :-1] > 0
-        del inputs, q
+        _, q, _, verdicts = _solve(SimConfig(point, params, horizon=horizon, seed=seed),
+                                   start, path)
         v = system_verdict(verdicts)
-        if v is Verdict.INCONCLUSIVE:
-            retry = SimConfig(point, params, horizon=horizon, seed=seed + 7919 * k + 13)
-            v = system_verdict(_solve(retry)[3])
         if v is not Verdict.STABLE:
-            start = busy2  # it bounds queue 2's busy column at every lower scale
+            start = q[1, :-1] > 0  # it bounds queue 2's busy column at every lower scale
         return v
 
     lo, hi = 0.0, cap
-    if probe(hi, 0) is not Verdict.UNSTABLE:
+    v = probe(hi)
+    if v is not Verdict.UNSTABLE:
         raise EstimationFailureError(
-            f"no unstable bracket along {angle_deg} deg (tried scale {hi})"
+            f"no unstable bracket along {angle_deg} deg (tried scale {hi:.4g}: {v.value})"
         )
-    # the bisection's probes are numbered from 4, which fixes their retry seeds
-    for i in range(steps):
+    for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        if probe(mid, 4 + i) is Verdict.STABLE:
+        if probe(mid) is Verdict.STABLE:
             lo = mid
         else:
             hi = mid
