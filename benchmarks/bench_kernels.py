@@ -11,21 +11,22 @@ first on the import path, and ``tests/`` after it for the reference draw
 (which needs the test dependencies, pytest and hypothesis).
 
 The slot loop and the solver consume identical pre-drawn arrivals and
-success events and produce a bit-identical trajectory (checked here, with
-the solver's Picard pass count). Each config also splits one whole
-``run()`` into five parts, each timed directly, one after the other in the
-same iteration, so none can read negative: the draw and the success events
-(``sim._kernel_inputs``, block by block, as a lone run draws its path),
-the recursion (the solver), the two exact drift slopes (``fit``:
-``sim._drift_slope`` on each queue's post-warmup trajectory), the two
-verdicts given those slopes (``verdicts``: ``sim._verdict`` on each
-queue), and the rest of the statistics (``rest``: ``sim._summarise``,
-counts and rates). ``run`` is taken over the per-iteration sums of the
-five. A boundary-search probe is ``sim._solve``: every part but ``rest``.
-``lindley`` times one single-queue Lindley solve (``_kernels._lindley``) on
-queue 1's service column at the solved trajectory, the column the solver's
-last pass solves, so it is the queue-recursion layer on its own; a row is
-``identical`` when that solve also reproduces queue 1's trajectory.
+success events, as a batch of one run, and produce a bit-identical
+trajectory (checked here, with the solver's Picard pass count). Each
+config also splits one whole ``run()`` into five parts, each timed
+directly, one after the other in the same iteration, so none can read
+negative: the draw and the success events (``sim._kernel_inputs``, block
+by block, as a lone run draws its path), the recursion (the solver), the
+two exact drift slopes (``fit``: ``sim._drift_slopes`` on both queues'
+post-warmup trajectories), the two verdicts given those slopes
+(``verdicts``: ``sim._verdicts``), and the rest of the statistics
+(``rest``: ``sim._summarise``, counts and rates). ``run`` is taken over the
+per-iteration sums of the five. A boundary-search probe is ``sim._solve``:
+every part but ``rest``. ``lindley`` times one Lindley row-solve
+(``_kernels._lindley`` on one row) of queue 1's service column at the
+solved trajectory, the column the solver's last pass solves, so it is the
+queue-recursion layer on its own; a row is ``identical`` when that solve
+also reproduces queue 1's trajectory.
 ``draw_whole`` times the reference whole-array draw of the same randomness
 (``whole_array_draw`` in ``tests/test_sim.py``: two ``(horizon, 2)``
 float64 arrays), which the blocked ``inputs`` replaced, so the draw's
@@ -58,17 +59,28 @@ more call with counting wrappers gives the ray's ``probes`` (solver calls:
 ``1 + steps``, so 9), ``channel_draws`` (calls of ``sim._channel_events``:
 1, the ray's held path), ``arrival_draws`` (held draws of a path's arrival
 uniforms, ``sim._arrival_uniforms``, plus lone draws, ``sim._kernel_inputs``
-without a path: 1, the ray's held draw) and ``lindley`` (single-queue
-Lindley solves; ``2 * probes`` on the decoupled ``sc fixed`` ray).
+without a path: 1, the ray's held draw) and ``lindley`` (Lindley
+row-solves, one per queue solved; ``2 * probes`` on the decoupled ``sc
+fixed`` ray).
 
 The ``sweep`` rows time one in-process ``bcstab sweep --simulate --grid 7
 --horizon 20000 --workers 2`` per configuration of the ``estimate_boundary``
-rows, output discarded, in ``ms``. One more call, with the counting
+rows, output discarded, in ``ms``. As many more calls, with timing
+wrappers, split the time its runs spend into ``inputs``
+(``sim._kernel_inputs``), ``solve`` (the queue solver,
+``_kernels.simulate_slots``) and ``stats`` (the slopes and verdicts in
+``sim._solve``, and ``sim._summarise``). One more call, with the counting
 wrappers, gives its ``channel_draws`` and ``arrival_draws``: every cell is
 the run at the sweep's seed, so its path's events and arrival uniforms are
-each drawn once, before the workers start. Its 20k-slot runs are shorter
-than ``sim._POOL_HORIZON``, so they run in the calling thread; the flag
-stays so that the rows compare with earlier BENCH files.
+each drawn once, before the workers start. It also gives the sweep's
+``batches`` (solver calls) and ``lindley`` (Lindley row-solves), next to
+``lindley_cold``, the row-solves of the same cells made one by one by
+``run()``, each starting its Picard passes from the all-busy column: a
+sweep solves its cells in batches of a strip's columns, each cell starting
+from the cell above it (``sim.run_batch``), so it makes fewer row-solves
+wherever the queues are coupled. Its 20k-slot runs are shorter than
+``sim._POOL_HORIZON``, so they run in the calling thread; the flag stays
+so that the rows compare with earlier BENCH files.
 
 Every column is timed ``--repeat`` times and reported as the median, with
 the best (fastest) time beside it as ``<column>_best``. Every config and
@@ -105,7 +117,7 @@ from bcstab import (
     region_for_params,
 )
 from bcstab import _kernels, channel, cli, sim
-from bcstab.sim import SLOPE_THRESHOLD, _drift_slope, _kernel_inputs, _summarise, _verdict
+from bcstab.sim import SLOPE_THRESHOLD, _drift_slopes, _kernel_inputs, _summarise, _verdicts
 from test_sim import whole_array_draw
 
 
@@ -142,18 +154,19 @@ def timed(fn, *args):
 def queue1_service(kernel_args, q):
     """Queue 1's service column given queue 2's solved busy column."""
     _, solo1, _, both1, _ = kernel_args
-    return solo1 ^ ((q[1, :-1] > 0) & (solo1 ^ both1))
+    return solo1 ^ ((q[:, 1, :-1] > 0) & (solo1 ^ both1))
 
 
 def split_run(cfg):
     """One run() made phase by phase, each phase timed; returns the times in
     seconds."""
-    t_inputs, inputs = timed(_kernel_inputs, cfg)
+    t_inputs, inputs = timed(_kernel_inputs, [cfg])
     t_solve, (q, _) = timed(_kernels.simulate_slots, *inputs)
-    t_fit, slopes = timed(lambda: [_drift_slope(row[cfg.warmup:cfg.horizon]) for row in q])
-    t_verdicts, verdicts = timed(lambda: [_verdict(row, cfg.warmup, slope, SLOPE_THRESHOLD)
-                                          for row, slope in zip(q, slopes)])
-    t_rest, _ = timed(_summarise, cfg, inputs, q, slopes, verdicts)
+    lines = q.reshape(2, -1)
+    t_fit, (slopes, sums) = timed(_drift_slopes, lines[:, cfg.warmup:cfg.horizon])
+    t_verdicts, verdicts = timed(_verdicts, lines, cfg.warmup, slopes, SLOPE_THRESHOLD)
+    t_rest, _ = timed(_summarise, [cfg], inputs, q, [tuple(slopes)], [tuple(verdicts)],
+                      [tuple(sums)])
     return t_inputs, t_solve, t_fit, t_rest, t_verdicts
 
 
@@ -269,14 +282,34 @@ def counted_draws():
         yield channel_draws, arrival_draws
 
 
+@contextlib.contextmanager
+def counted_solves():
+    """Yield a dict counting the solver's ``batches`` (calls of
+    ``_kernels.simulate_slots``) made inside and its Lindley row-solves
+    (``lindley``: one per run and queue solved, the rows of each
+    ``_kernels._lindley`` call)."""
+    counts = dict(batches=0, lindley=0)
+    solve, lindley = _kernels.simulate_slots, _kernels._lindley
+
+    def counted_solve(*args, **kwargs):
+        counts["batches"] += 1
+        return solve(*args, **kwargs)
+
+    def counted_lindley(arrivals, service, q):
+        counts["lindley"] += arrivals.size // arrivals.shape[-1]  # rows, of any leading shape
+        return lindley(arrivals, service, q)
+
+    with mock.patch.object(_kernels, "simulate_slots", counted_solve), \
+            mock.patch.object(_kernels, "_lindley", counted_lindley):
+        yield counts
+
+
 def ray_work(params):
     """One ray's probes, channel and arrival draws and Lindley solves."""
-    with mock.patch.object(_kernels, "simulate_slots", wraps=_kernels.simulate_slots) as solves, \
-            mock.patch.object(_kernels, "_lindley", wraps=_kernels._lindley) as lindley, \
-            counted_draws() as (channel_draws, arrival_draws):
+    with counted_solves() as counts, counted_draws() as (channel_draws, arrival_draws):
         ray(params)
-    return dict(probes=solves.call_count, channel_draws=len(channel_draws),
-                arrival_draws=len(arrival_draws), lindley=lindley.call_count)
+    return dict(probes=counts["batches"], channel_draws=len(channel_draws),
+                arrival_draws=len(arrival_draws), lindley=counts["lindley"])
 
 
 SWEEP = ["sweep", "--simulate", "--grid", "7", "--horizon", "20000", "--workers", "2",
@@ -305,10 +338,43 @@ def sweep(argv):
 
 
 def sweep_work(argv):
-    """One sweep's channel and arrival draws."""
-    with counted_draws() as (channel_draws, arrival_draws):
+    """One sweep's channel and arrival draws, its batches and Lindley
+    row-solves, and the row-solves of its cells made one by one as
+    ``run()`` makes them, each from the all-busy column (``lindley_cold``)."""
+    with counted_draws() as (channel_draws, arrival_draws), counted_solves() as counts, \
+            mock.patch.object(cli, "run_batch", wraps=cli.run_batch) as batch:
         sweep(argv)
-    return dict(channel_draws=len(channel_draws), arrival_draws=len(arrival_draws))
+    with counted_solves() as cold:
+        for config in batch.call_args.args[0]:
+            sim.run(config)
+    return dict(channel_draws=len(channel_draws), arrival_draws=len(arrival_draws), **counts,
+                lindley_cold=cold["lindley"])
+
+
+def sweep_layers(argv):
+    """The time one sweep's runs spent in three layers, in seconds:
+    ``inputs`` (``sim._kernel_inputs``), ``solve`` (the queue solver,
+    ``_kernels.simulate_slots``) and ``stats`` (the rest of ``sim._solve``,
+    the slopes and verdicts, and ``sim._summarise``)."""
+    spent = dict(inputs=0.0, solve=0.0, stats=0.0)
+
+    def timer(fn, *layers):
+        def timed_call(*args, **kwargs):
+            t0 = time.perf_counter()
+            out = fn(*args, **kwargs)
+            for layer, sign in layers:
+                spent[layer] += sign * (time.perf_counter() - t0)
+            return out
+        return timed_call
+
+    with mock.patch.object(sim, "_kernel_inputs",
+                           timer(sim._kernel_inputs, ("inputs", 1), ("stats", -1))), \
+            mock.patch.object(_kernels, "simulate_slots",
+                              timer(_kernels.simulate_slots, ("solve", 1), ("stats", -1))), \
+            mock.patch.object(sim, "_solve", timer(sim._solve, ("stats", 1))), \
+            mock.patch.object(sim, "_summarise", timer(sim._summarise, ("stats", 1))):
+        sweep(argv)
+    return spent["inputs"], spent["solve"], spent["stats"]
 
 
 def environment(args):
@@ -339,20 +405,20 @@ def main():
         print(f"{horizon} slots, median and best of {args.repeat}, milliseconds")
         print(f"{'config':<24}{'passes':>8}" + "".join(f"{c:>11}" for c in columns) + "  identical")
         for name, cfg in configs(horizon):
-            kernel_args = _kernel_inputs(cfg)
+            kernel_args = _kernel_inputs([cfg])
             t_loop, (q_loop, _) = repeat_times(_kernels.simulate_slots_py, kernel_args, args.repeat)
-            q, passes = _kernels.simulate_slots(*kernel_args)
+            q, [passes] = _kernels.simulate_slots(*kernel_args)
             splits = [split_run(cfg) for _ in range(args.repeat)]
             t_run = [sum(split) for split in splits]
-            q1 = np.zeros(horizon + 1, dtype=np.int32)
+            q1 = np.zeros((1, horizon + 1), dtype=np.int32)
             t_lindley, _ = repeat_times(
-                _kernels._lindley, (kernel_args[0].T[0], queue1_service(kernel_args, q), q1),
+                _kernels._lindley, (kernel_args[0][:, 0], queue1_service(kernel_args, q), q1),
                 args.repeat)
             row = summary(columns, [t_loop, t_run, *zip(*splits), t_lindley,
                                      *draw_and_event_times(cfg, args.repeat)])
             passes = "loop" if passes is None else passes
             row.update(passes=passes, identical=bool(np.array_equal(q, q_loop)
-                                                     and np.array_equal(q1, q[0])))
+                                                     and np.array_equal(q1, q[:, 0])))
             results["runs"].setdefault(str(horizon), {})[name] = row
             print_row(name, f"{passes:>8}", columns, row, f"  {row['identical']}")
 
@@ -380,15 +446,21 @@ def main():
               f"{row['arrival_draws']:>8}{row['lindley']:>8}")
         print(f"{'  best':<24}{row['ray_best']:>11.2f}")
 
+    sweep_columns = ("ms", "inputs", "solve", "stats")
+    counts = ("channel_draws", "arrival_draws", "batches", "lindley", "lindley_cold")
     print(f"\nbcstab {' '.join(SWEEP)}, median and best of {args.repeat}, milliseconds")
-    print(f"{'config':<24}{'ms':>11}{'channel':>8}{'arrival':>8}")
+    print(f"{'config':<24}" + "".join(f"{c:>11}" for c in sweep_columns)
+          + "".join(f"{c.split('_')[0]:>9}" for c in counts[:2])
+          + "".join(f"{c:>13}" for c in counts[2:]))
     for name, params in BOUNDARY_PARAMS.items():
         argv = [*SWEEP, *cli_flags(params)]
-        row = summary(("ms",), [repeat_times(sweep, (argv,), args.repeat)[0]])
+        t_sweep = repeat_times(sweep, (argv,), args.repeat)[0]
+        layers = [sweep_layers(argv) for _ in range(args.repeat)]
+        row = summary(sweep_columns, [t_sweep, *zip(*layers)])
         row.update(sweep_work(argv))
         results["sweep"][name] = row
-        print(f"{name:<24}{row['ms']:>11.2f}{row['channel_draws']:>8}{row['arrival_draws']:>8}")
-        print(f"{'  best':<24}{row['ms_best']:>11.2f}")
+        print_row(name, "", sweep_columns, row, "".join(f"{row[c]:>9}" for c in counts[:2])
+                  + "".join(f"{row[c]:>13}" for c in counts[2:]))
 
     if args.json:
         with open(args.json, "w") as fh:

@@ -119,7 +119,8 @@ _OPTIONS = {
     "angles": ([45.0], list, "compare-boundary: comma-separated degrees"),
     "steps": (12, int, "compare-boundary: bisection steps"),
     "workers": (1, int,
-                f"sweep: most simulator threads; runs under {_POOL_HORIZON} slots use one"),
+                f"sweep: most simulator threads, each taking strips of cells; "
+                f"runs under {_POOL_HORIZON} slots use one"),
 }
 
 

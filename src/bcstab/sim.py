@@ -15,6 +15,16 @@ reproducible bit-for-bit, and all runs of one seed share one sample path
 its arrival flags block by block and keeps nothing after it returns; runs
 that share a path (a boundary-search ray's probes, a batch's cells) hold
 one draw of its events and arrival uniforms.
+
+Runs are solved and judged in batches that share a path, params, dominant
+mode and warmup: one call of the queue solver, the slopes, the verdicts and
+the statistics (``_solve``, ``_summarise``) covers every run of a batch,
+one row each, and a lone run or a probe is a batch of one. ``run_batch``
+makes a sweep's cells in strips: each ``lambda2`` is a column sorted by
+``lambda1`` descending, a strip of ``_BATCH_SLOTS // horizon`` columns is
+solved top-down, one batch per rank, and each cell starts its Picard
+passes from queue 2's busy column at the cell above it, which bounds its
+own on one path.
 """
 
 from __future__ import annotations
@@ -58,12 +68,14 @@ SLOPE_THRESHOLD = 1e-3
 # before any allocation. Runs that share a path hold its success events
 # (_channel_events, 4 bytes per slot) and arrival uniforms
 # (_arrival_uniforms, 16 bytes per slot) while they are made, and nothing of
-# it after; a W-thread sweep holds one path, not W. A boundary-search ray
-# holds them and one busy column of queue 2 (1 byte per slot) between
-# probes, and its probes peak near 40 bytes per slot (44 at 1M slots with
-# the drift slope's 4 MiB index; near 400 MB at this cap). Of the solver's
-# temporaries, 4 bytes per slot are the Lindley scan's int8 buffers
-# (_kernels._lindley); its int32 carries and trajectory need this < 2**31.
+# it after; a W-thread sweep holds one path, not W. Its batches (run_batch)
+# hold up to 32 bytes per slot and run, at most _BATCH_SLOTS slot-rows of
+# runs or one run, per thread. A boundary-search ray holds its path and one
+# busy column of queue 2 (1 byte per slot) between probes, and its probes
+# peak near 40 bytes per slot (44 at 1M slots with the drift slope's 4 MiB
+# index; near 400 MB at this cap). Of the solver's temporaries, 4 bytes per
+# slot are the Lindley scan's int8 buffers (_kernels._lindley); its int32
+# carries and trajectory need this < 2**31.
 MAX_HORIZON = 10_000_000
 
 # Slots per block of a run's draws (_blocks): the block's two float64
@@ -77,6 +89,16 @@ _DRAW_BLOCK = 1 << 15
 # 83 ms in two at 20k slots, were even at 70k, and two threads were 1.3x
 # faster at 100k and 1.5x at 200k.
 _POOL_HORIZON = 100_000
+
+# Slot-rows per batch of run_batch's solves: a strip of runs on one path is
+# max(1, _BATCH_SLOTS // horizon) columns wide, 3 at 20k slots. A batch peaks
+# under 32 bytes per slot-row, so near 2 MB, and a strip holds one busy
+# column per column between its ranks, at most this many bytes unless one
+# run is longer. On 2 vCPUs a grid-7 sweep at 20k slots took 13.4 ms at this
+# width, 12.3 at 1 << 17 and 11.9 at 1 << 18 (7 columns), against 15.6 cell by
+# cell, while the peak resident memory of a process running such sweeps
+# rose by 0.4-1.4 MB here and by 3.9 MB at 1 << 17.
+_BATCH_SLOTS = 1 << 16
 
 # Verdicts need enough slots for the drift fit to mean anything.
 _MIN_CLASSIFY_HORIZON = 10_000
@@ -256,29 +278,31 @@ def _arrival_uniforms(horizon: int, seed: int) -> np.ndarray:
     return uniforms
 
 
-def _kernel_inputs(config: SimConfig, path: tuple | None = None) -> tuple:
-    """Arrival flags and the four success-event columns (views of the events);
+def _kernel_inputs(configs, path: tuple | None = None) -> tuple:
+    """Arrival flags of a batch of runs that share a sample path, params and
+    dominant mode, and the four success-event columns (views of the events);
     a dummy queue always transmits, so its partner gets ``both`` as ``solo``.
 
-    ``path`` is the run's held sample path ``(events, uniforms)``, its
+    ``path`` is the runs' held sample path ``(events, uniforms)``, its
     ``_channel_events`` and ``_arrival_uniforms``; the uniforms are compared
-    with its rates in one pass. Without it a lone run draws both, the
-    uniforms block by block, keeping 6 bytes per slot of flags and events.
-    The events are drawn first, freeing their block buffers before the
-    ``(2, horizon)`` arrival flags are allocated; ``arrivals`` is their
-    transpose, so each queue's column is contiguous."""
+    with every run's rates in one pass. Without it the runs draw both, the
+    uniforms block by block, keeping 2 bytes per slot and run of flags and 4
+    per slot of events. The events are drawn first, freeing their block
+    buffers before the ``(runs, 2, horizon)`` arrival flags are allocated, so
+    each queue's flags are contiguous."""
+    config = configs[0]
     if path is None:
         events = _channel_events(config.params, config.horizon, config.seed)
         blocks = _blocks(np.random.default_rng(config.seed).random, config.horizon)
     else:
         events, uniforms = path
         blocks = [(0, config.horizon, uniforms)]
-    lam = np.array([[config.arrivals.lambda1], [config.arrivals.lambda2]])
-    arrivals = np.empty((2, config.horizon), dtype=bool)
+    lam = np.array([[[c.arrivals.lambda1], [c.arrivals.lambda2]] for c in configs])
+    arrivals = np.empty((len(configs), 2, config.horizon), dtype=bool)
     for lo, hi, u in blocks:
-        np.less(u, lam, out=arrivals[:, lo:hi])
+        np.less(u, lam, out=arrivals[:, :, lo:hi])
     force1, force2 = _forced(config)
-    return arrivals.T, events[2 if force2 else 0], events[3 if force1 else 1], *events[2:]
+    return arrivals, events[2 if force2 else 0], events[3 if force1 else 1], *events[2:]
 
 
 def _check_fit_window(warmup: int, horizon: int) -> None:
@@ -302,26 +326,37 @@ _cached_index = lru_cache(maxsize=2)(_build_index)
 _SLOPE_BLOCK = 2**19
 
 
-def _drift_slope(series: np.ndarray) -> float:
-    """Exact least-squares slope of an integer ``series`` over its index,
-    rounded once; needs at least two points, each in ``[0, MAX_HORIZON]``.
+def _drift_slopes(lines: np.ndarray) -> tuple[list[float], list[int]]:
+    """Exact least-squares slope of each row of an integer ``(rows, n)``
+    array over its index, rounded once, and the row's exact sum; needs at
+    least two points, each in ``[0, MAX_HORIZON]``.
 
-    The slope is ``num / den`` with ``num = n*sum(t*y) - sum(t)*sum(y)`` and
+    A slope is ``num / den`` with ``num = n*sum(t*y) - sum(t)*sum(y)`` and
     ``den = n*sum(t*t) - sum(t)**2`` formed as Python ints. ``sum(y)`` and
-    ``sum(t*y)`` are taken in int64, ``_SLOPE_BLOCK`` points at a time.
+    ``sum(t*y)`` are taken in int64, ``_SLOPE_BLOCK`` points at a time, by
+    ``einsum``, which casts the rows in buffers rather than copying them.
     """
-    n = series.shape[0]
+    rows, n = lines.shape
     block = min(n, _SLOPE_BLOCK)
     index = _cached_index(block)
-    sum_y = sum_ty = 0
+    sum_y, sum_ty = [0] * rows, [0] * rows
     for start in range(0, n, block):
-        part = series[start:start + block].astype(np.int64, copy=False)
-        part_sum = int(part.sum())
-        sum_ty += int(np.dot(part, index[:part.shape[0]])) + start * part_sum
-        sum_y += part_sum
+        part = lines[:, start:start + block]
+        part_sums = np.einsum("ij->i", part, dtype=np.int64, casting="unsafe").tolist()
+        dots = np.einsum("ij,j->i", part, index[:part.shape[1]], dtype=np.int64,
+                         casting="unsafe").tolist()
+        for row, (part_sum, dot) in enumerate(zip(part_sums, dots)):
+            sum_ty[row] += dot + start * part_sum
+            sum_y[row] += part_sum
     sum_t = n * (n - 1) // 2
     sum_tt = (n - 1) * n * (2 * n - 1) // 6
-    return (n * sum_ty - sum_t * sum_y) / (n * sum_tt - sum_t * sum_t)
+    den = n * sum_tt - sum_t * sum_t
+    return [(n * ty - sum_t * y) / den for y, ty in zip(sum_y, sum_ty)], sum_y
+
+
+def _drift_slope(series: np.ndarray) -> float:
+    """The exact drift slope (``_drift_slopes``) of one 1-D ``series``."""
+    return _drift_slopes(series[None])[0][0]
 
 
 def classify_stability(
@@ -357,18 +392,30 @@ def classify_stability(
     return _verdict(traj, warmup, _drift_slope(traj[warmup:horizon]), slope_threshold)
 
 
+def _verdicts(lines: np.ndarray, warmup: int, slopes, slope_threshold: float) -> list[Verdict]:
+    """classify_stability's rule for each row of a ``(rows, horizon + 1)``
+    array of trajectories, given the drift slope of each row's
+    ``[warmup, horizon)`` slice."""
+    horizon = lines.shape[1] - 1
+    post = lines[:, warmup:horizon]
+    finals = lines[:, horizon].tolist()
+    early_means = post[:, : max(1, post.shape[1] // 10)].mean(axis=1).tolist()
+    # a queue is never negative, so it returned to empty where its minimum is 0
+    returned = (lines[:, horizon // 2 :].min(axis=1) == 0).tolist()
+    verdicts = []
+    for slope, final, early_mean, returned_to_zero in zip(slopes, finals, early_means, returned):
+        if slope > slope_threshold and float(final) > early_mean:
+            verdicts.append(Verdict.UNSTABLE)
+        elif slope < slope_threshold and returned_to_zero:
+            verdicts.append(Verdict.STABLE)
+        else:
+            verdicts.append(Verdict.INCONCLUSIVE)
+    return verdicts
+
+
 def _verdict(traj: np.ndarray, warmup: int, slope: float, slope_threshold: float) -> Verdict:
-    """classify_stability's rule, given the drift slope of ``traj[warmup:-1]``."""
-    horizon = traj.shape[0] - 1
-    post = traj[warmup:horizon]
-    final = float(traj[horizon])
-    early_mean = float(post[: max(1, post.shape[0] // 10)].mean())
-    returned_to_zero = bool(np.any(traj[horizon // 2 :] == 0))
-    if slope > slope_threshold and final > early_mean:
-        return Verdict.UNSTABLE
-    if slope < slope_threshold and returned_to_zero:
-        return Verdict.STABLE
-    return Verdict.INCONCLUSIVE
+    """classify_stability's rule (``_verdicts``) for one 1-D trajectory."""
+    return _verdicts(traj[None], warmup, [slope], slope_threshold)[0]
 
 
 def system_verdict(verdicts: tuple[Verdict, Verdict]) -> Verdict:
@@ -380,89 +427,160 @@ def system_verdict(verdicts: tuple[Verdict, Verdict]) -> Verdict:
     return Verdict.STABLE
 
 
-def _solve(config: SimConfig, start=None, path=None) -> tuple:
-    """Draw a run's randomness, solve its queues and judge each queue.
+def _solve(configs, start=None, path=None) -> tuple:
+    """Draw a batch's randomness, solve its queues and judge each queue.
 
+    ``configs`` share their horizon, seed, params, dominant mode and warmup.
     ``start`` is passed to ``_kernels.simulate_slots`` and ``path``, a held
     sample path, to ``_kernel_inputs``. Returns the kernel inputs, the
-    ``(2, horizon + 1)`` slot-start lengths, each queue's exact drift slope
-    over ``[warmup, horizon)`` and its verdict (``classify_stability``'s
-    rule; inconclusive below 10000 slots).
+    ``(runs, 2, horizon + 1)`` slot-start lengths, and per run three pairs,
+    one entry per queue: its exact drift slope over ``[warmup, horizon)``,
+    its verdict (``classify_stability``'s rule; inconclusive below 10000
+    slots) and its exact sum over that window, which the slope also needs.
     """
-    inputs = _kernel_inputs(config, path)
+    inputs = _kernel_inputs(configs, path)
     q, _ = _kernels.simulate_slots(*inputs, start=start)
-    warmup, horizon = config.warmup, config.horizon
-    slopes = tuple(_drift_slope(row[warmup:horizon]) for row in q)
+    warmup, horizon = configs[0].warmup, configs[0].horizon
+    lines = q.reshape(-1, horizon + 1)  # each run's queue 1, then its queue 2
+    slopes, sums = _drift_slopes(lines[:, warmup:horizon])
     if horizon < _MIN_CLASSIFY_HORIZON:
-        verdicts = (Verdict.INCONCLUSIVE, Verdict.INCONCLUSIVE)
+        verdicts = [Verdict.INCONCLUSIVE] * len(slopes)
     else:
-        verdicts = tuple(_verdict(row, warmup, slope, SLOPE_THRESHOLD)
-                         for row, slope in zip(q, slopes))
-    return inputs, q, slopes, verdicts
+        verdicts = _verdicts(lines, warmup, slopes, SLOPE_THRESHOLD)
+    return inputs, q, _pairs(slopes), _pairs(verdicts), _pairs(sums)
+
+
+def _pairs(values: list) -> list[tuple]:
+    """Per-queue values of a batch, queue 1 then queue 2 of each run, as one
+    ``(queue 1, queue 2)`` pair per run."""
+    return list(zip(values[::2], values[1::2]))
 
 
 def run(config: SimConfig, return_trajectory: bool = False) -> SimResult:
     """Simulate one configuration; deterministic for a given config."""
-    return _summarise(config, *_solve(config), return_trajectory)
+    return _summarise([config], *_solve([config]), return_trajectory)[0]
 
 
-def _summarise(config: SimConfig, inputs: tuple, q: np.ndarray, slopes, verdicts,
-               return_trajectory: bool = False) -> SimResult:
-    """run()'s statistics of a solved run, given each queue's drift slope and verdict."""
-    horizon, warmup = config.horizon, config.warmup
+def _counts(flags: np.ndarray) -> list[int]:
+    """The nonzero count of each line along the last axis of ``flags``, in
+    order; one ``count_nonzero`` per line, which is several times faster
+    than ``count_nonzero`` along an axis, a sum through a cast."""
+    return [int(np.count_nonzero(line)) for line in flags.reshape(-1, flags.shape[-1])]
+
+
+def _summarise(configs, inputs: tuple, q: np.ndarray, slopes, verdicts, sums,
+               return_trajectory: bool = False) -> list[SimResult]:
+    """run()'s statistics of each solved run of a batch, given each queue's
+    drift slope, verdict and post-warmup sum (``_solve``)."""
+    horizon, warmup = configs[0].horizon, configs[0].warmup
     arrivals, solo1, solo2, both1, both2 = inputs
 
     n = horizon - warmup
-    real = q[:, :horizon] > 0
-    attempt = real | np.array(_forced(config))[:, None]  # a dummy queue attempts every slot
-    stats = []
+    real = q[:, :, :horizon] > 0
+    forced = np.array(_forced(configs[0]))
+    attempt = real | forced[:, None] if forced.any() else real  # a dummy queue attempts every slot
+    service = np.empty_like(real)
     for k, solo, both in ((0, solo1, both1), (1, solo2, both2)):
         # np.where(other queue transmits, both, solo) as in the solver
-        service = solo ^ (attempt[1 - k] & (solo ^ both))
-        departed = real[k] & service
-        attempts = int(np.count_nonzero(attempt[k][warmup:]))
-        successes = int(np.count_nonzero(attempt[k][warmup:] & service[warmup:]))
-        departed_post = int(np.count_nonzero(departed[warmup:]))
-        stats.append((
-            int(q[k, warmup:horizon].sum()) / n,
-            int(q[k, horizon]),
-            successes / attempts if attempts else 0.0,
-            departed_post / n,
-            (n - int(np.count_nonzero(real[k, warmup:]))) / n,
-            int(np.count_nonzero(arrivals[:, k])),
-            int(np.count_nonzero(departed)),
+        np.bitwise_xor(solo, attempt[:, 1 - k] & (solo ^ both), out=service[:, k])
+    departed = real & service
+    post = np.s_[..., warmup:]
+    attempts = _counts(attempt[post])
+    successes = _counts(attempt[post] & service[post])
+    departed_post = _counts(departed[post])
+    busy_post = _counts(real[post])
+    arrivals_total = _counts(arrivals)
+    departures_total = _counts(departed)
+    finals = q[:, :, horizon].ravel().tolist()
+    results = []
+    for run_index, config in enumerate(configs):
+        pair = (2 * run_index, 2 * run_index + 1)
+        results.append(SimResult(
+            config=config,
+            mean_queue=tuple(total / n for total in sums[run_index]),
+            final_queue=tuple(finals[line] for line in pair),
+            success_rate=tuple(successes[line] / attempts[line] if attempts[line] else 0.0
+                               for line in pair),
+            departure_rate=tuple(departed_post[line] / n for line in pair),
+            empty_fraction=tuple((n - busy_post[line]) / n for line in pair),
+            drift_slope=slopes[run_index],
+            verdict=verdicts[run_index],
+            arrivals_total=tuple(arrivals_total[line] for line in pair),
+            departures_total=tuple(departures_total[line] for line in pair),
+            trajectory=(np.ascontiguousarray(q[run_index].T, dtype=np.int64)
+                        if return_trajectory else None),
         ))
-    (mean_queue, final_queue, success_rate, departure_rate, empty_fraction,
-     arrivals_total, departures_total) = zip(*stats)
-    return SimResult(
-        config=config,
-        mean_queue=mean_queue,
-        final_queue=final_queue,
-        success_rate=success_rate,
-        departure_rate=departure_rate,
-        empty_fraction=empty_fraction,
-        drift_slope=slopes,
-        verdict=verdicts,
-        arrivals_total=arrivals_total,
-        departures_total=departures_total,
-        trajectory=np.ascontiguousarray(q.T, dtype=np.int64) if return_trajectory else None,
-    )
+    return results
+
+
+def _strips(configs: list[SimConfig], members: list[int]) -> list[list[list[int]]]:
+    """run_batch's strips of the runs ``members`` (indices into ``configs``)
+    on one sample path and parameter set.
+
+    Runs of one dominant mode and warmup with one ``lambda2`` form a column,
+    sorted by ``lambda1`` descending; a group's columns, longest first, are
+    cut into strips of ``max(1, _BATCH_SLOTS // horizon)`` columns.
+    """
+    columns: dict[tuple, list[int]] = {}
+    for i in members:
+        config = configs[i]
+        key = (config.dominant_mode, config.warmup, config.arrivals.lambda2)
+        columns.setdefault(key, []).append(i)
+    groups: dict[tuple, list[list[int]]] = {}
+    for (mode, warmup, _), column in columns.items():
+        column.sort(key=lambda i: configs[i].arrivals.lambda1, reverse=True)
+        groups.setdefault((mode, warmup), []).append(column)
+    width = max(1, _BATCH_SLOTS // configs[members[0]].horizon)
+    strips = []
+    for group in groups.values():
+        group.sort(key=len, reverse=True)
+        strips += [group[lo:lo + width] for lo in range(0, len(group), width)]
+    return strips
+
+
+def _solve_strip(configs: list[SimConfig], strip: list[list[int]], path=None) -> list[tuple]:
+    """Solve a strip top-down, one batch per rank in ``lambda1``, and return
+    ``(index, result)`` per run. Every run but a column's first starts its
+    Picard passes from queue 2's busy column at the run above it: the same
+    ``lambda2`` and a higher ``lambda1``, so an upper bound on its own."""
+    made = []
+    start = None
+    for rank in range(len(strip[0])):
+        batch = [column[rank] for column in strip if rank < len(column)]
+        runs = [configs[i] for i in batch]
+        if start is not None:
+            start = start[:len(batch)]  # the strip's columns are longest first
+        solved = _solve(runs, start, path)
+        made += zip(batch, _summarise(runs, *solved))
+        start = solved[1][:, 1, :-1] > 0
+        del solved  # the next batch is solved without this one's trajectories
+    return made
 
 
 def run_batch(configs, workers: int | None = None) -> list[SimResult]:
     """Run independent configs; results follow input order regardless of scheduling.
 
+    Configs that share a sample path ``(horizon, seed)``, such as a sweep's
+    cells, share its randomness, drawn before their runs are solved and held
+    only while they are made, one path at a time, every worker reading the
+    same read-only arrays: its arrival uniforms (``_arrival_uniforms``) are
+    drawn once, and its success events (``_channel_events``) once per
+    parameter set. They are solved in strips (``_strips``): the runs of one
+    parameter set, dominant mode and warmup form a column per ``lambda2``,
+    and each strip of up to ``_BATCH_SLOTS // horizon`` columns is solved
+    top-down, one batch of runs per rank in ``lambda1`` (``_solve_strip``).
+    On one path a higher ``lambda1`` leaves both queues at least as long in
+    every slot, so each run starts its Picard passes from queue 2's busy
+    column at the run above it in its column; the start changes only the
+    pass count, and every result is the one ``run()`` gives. A config alone
+    on its path is a lone run, as ``run()`` makes it.
+
     With ``workers`` above 1, and some run of at least ``_POOL_HORIZON``
-    slots, the runs are dispatched to a thread pool of that many threads. A
-    run spends most of its time in numpy calls, which release the GIL, so
-    the workers run in parallel; shorter batches run in the calling thread,
-    where the threads would only take turns with the GIL. Configs that share
-    a sample path ``(horizon, seed)``, such as a sweep's cells, share its
-    randomness, drawn before their runs are dispatched and held only while
-    they are made, one path at a time, every worker reading the same
-    read-only arrays: its arrival uniforms (``_arrival_uniforms``) are drawn
-    once, and its success events (``_channel_events``) once per parameter
-    set. A config alone on its path is a lone run, as ``run()`` makes it.
+    slots, the strips, which are independent of each other, are dispatched
+    to a thread pool of that many threads. A run spends most of its time in
+    numpy calls, which release the GIL, so the workers run in parallel;
+    shorter batches run in the calling thread, where the threads would only
+    take turns with the GIL.
     """
     configs = list(configs)
     by_path: dict[tuple[int, int], list[int]] = {}
@@ -473,19 +591,20 @@ def run_batch(configs, workers: int | None = None) -> list[SimResult]:
                 and any(config.horizon >= _POOL_HORIZON for config in configs))
     with ThreadPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
 
-        def make(indices, path=None):
-            def one(i):
-                return _summarise(configs[i], *_solve(configs[i], path=path))
-            for i, result in zip(indices, (pool.map if pool else map)(one, indices)):
-                results[i] = result
+        def make(strips, path=None):
+            solved = (pool.map if pool else map)(
+                lambda strip: _solve_strip(configs, strip, path), strips)
+            for made in solved:
+                for i, result in made:
+                    results[i] = result
 
-        make([members[0] for members in by_path.values() if len(members) == 1])
+        make([[[members[0]]] for members in by_path.values() if len(members) == 1])
         for (horizon, seed), members in by_path.items():
             if len(members) == 1:
                 continue
             uniforms = _arrival_uniforms(horizon, seed)
             for params in dict.fromkeys(configs[i].params for i in members):
-                make([i for i in members if configs[i].params == params],
+                make(_strips(configs, [i for i in members if configs[i].params == params]),
                      (_channel_events(params, horizon, seed), uniforms))
             del uniforms  # before the next path's are drawn
     return results
@@ -548,11 +667,11 @@ def estimate_boundary(
     def probe(scale: float) -> Verdict:
         nonlocal start
         point = RatePoint(scale * c, scale * s)
-        _, q, _, verdicts = _solve(SimConfig(point, params, horizon=horizon, seed=seed),
-                                   start, path)
-        v = system_verdict(verdicts)
+        _, q, _, verdicts, _ = _solve([SimConfig(point, params, horizon=horizon, seed=seed)],
+                                      start, path)
+        v = system_verdict(verdicts[0])
         if v is not Verdict.STABLE:
-            start = q[1, :-1] > 0  # it bounds queue 2's busy column at every lower scale
+            start = q[:, 1, :-1] > 0  # it bounds queue 2's busy column at every lower scale
         return v
 
     lo, hi = 0.0, cap

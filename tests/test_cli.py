@@ -177,9 +177,9 @@ class TestSweepCommand:
             uniforms.append(draw_uniforms(horizon, seed))
             return uniforms[-1]
 
-        def inputs(config, path=None):
-            received.append(path)
-            return kernel_inputs(config, path)
+        def inputs(configs, path=None):
+            received.extend(path for _ in configs)
+            return kernel_inputs(configs, path)
 
         argv = ["sweep", "--simulate", "--grid", "4", "--horizon", "20000", "--seed", "5",
                 "--workers", str(workers), "--format", "json"]

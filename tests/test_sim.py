@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import random
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -49,7 +50,7 @@ KERNEL_LOADS = [(0.35, 0.3), (0.9, 0.9)]
 
 def kernel_run(fn, cfg):
     """Per-queue slot-start trajectory of one kernel path on the config's randomness."""
-    return fn(*_kernel_inputs(cfg))[0]
+    return fn(*_kernel_inputs([cfg]))[0][0]
 
 
 def whole_array_draw(cfg):
@@ -65,8 +66,9 @@ def whole_array_draw(cfg):
 
 
 def whole_array_inputs(cfg):
-    """The kernel inputs formed from whole_array_draw, as _kernel_inputs must form them:
-    a dummy queue always transmits, so its partner's solo column is its shared-slot one."""
+    """The kernel inputs formed from whole_array_draw, as _kernel_inputs must form them
+    for a batch of one run: a dummy queue always transmits, so its partner's
+    solo column is its shared-slot one."""
     arr_u, chan = whole_array_draw(cfg)
     arrivals = arr_u < np.array([cfg.arrivals.lambda1, cfg.arrivals.lambda2])
     solo1, solo2, both1, both2 = success_events(cfg.params, chan[:, 0], chan[:, 1])
@@ -74,7 +76,7 @@ def whole_array_inputs(cfg):
         solo2 = both2
     elif cfg.dominant_mode is DominantMode.QUEUE2_DUMMY:
         solo1 = both1
-    return arrivals, solo1, solo2, both1, both2
+    return arrivals.T[None], solo1, solo2, both1, both2
 
 
 @pytest.fixture
@@ -179,7 +181,7 @@ class TestKernelInputs:
             cfg = SimConfig(RatePoint(0.35, 0.3), params, horizon=horizon, seed=horizon + 3,
                             dominant_mode=mode)
             whole = whole_array_inputs(cfg)
-            for inputs in (_kernel_inputs(cfg), _kernel_inputs(cfg, path)):
+            for inputs in (_kernel_inputs([cfg]), _kernel_inputs([cfg], path)):
                 assert len(inputs) == len(whole) == 5
                 for got, want in zip(inputs, whole):
                     assert got.dtype == want.dtype == np.bool_
@@ -192,11 +194,11 @@ class TestKernelInputs:
         temporaries. The whole-array draw peaks at 38 bytes per slot here."""
         horizon = 1_000_000
         cfg = SimConfig(RatePoint(0.35, 0.3), ALL_PARAMS[0], horizon=horizon, seed=5)
-        _kernel_inputs(SimConfig(RatePoint(0.35, 0.3), ALL_PARAMS[0], horizon=10))  # thresholds
+        _kernel_inputs([SimConfig(RatePoint(0.35, 0.3), ALL_PARAMS[0], horizon=10)])  # thresholds
         block_bytes = sim._DRAW_BLOCK * 2 * 8
         tracemalloc.start()
         try:
-            inputs = _kernel_inputs(cfg)
+            inputs = _kernel_inputs([cfg])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -229,6 +231,27 @@ class TestKernelInputs:
         assert 40 * horizon <= peak <= 40 * horizon + 3 * block_bytes
         assert current <= block_bytes
 
+    def test_peak_memory_of_a_sweep_is_its_path_and_a_batch(self):
+        """A 7x7 grid of 20k-slot runs on one path holds its path, 20 bytes
+        per slot (16 of arrival uniforms, 4 of success events), and solves
+        its cells ``_BATCH_SLOTS // horizon`` at a time, 3 here. A batch
+        stays under 32 bytes per slot-row: 2 of arrival flags, 8 of
+        trajectory, 1 of the busy column its strip holds for the next rank,
+        9 of the solver's busy, service and comparison columns and Lindley
+        buffers, and up to 12 while the rows still working are copied out of
+        a batch whose other rows converged."""
+        horizon = 20_000
+        cfgs = [SimConfig(RatePoint(l1, l2), ALL_PARAMS[3], horizon=horizon, seed=6)
+                for l1 in np.linspace(0.0, 0.6, 7) for l2 in np.linspace(0.0, 0.6, 7)]
+        b.run_batch(cfgs[:2])  # thresholds and the drift slope's index
+        tracemalloc.start()
+        try:
+            b.run_batch(cfgs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 20 * horizon <= peak <= 20 * horizon + 32 * sim._BATCH_SLOTS
+
     def test_held_events_are_read_only(self):
         """A held path's four event columns are read-only, and a run on the
         path uses views of them."""
@@ -240,15 +263,16 @@ class TestKernelInputs:
         assert not events.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             events[0, 0] = not events[0, 0]
-        assert all(np.shares_memory(column, events) for column in _kernel_inputs(cfg, path)[1:5])
+        assert all(np.shares_memory(column, events) for column in _kernel_inputs([cfg], path)[1:5])
 
 
 def vec_matches_loop(kernel_args, start=None):
     """Run the vectorised solver from ``start`` and the loop on the same inputs;
-    return the solver's passes."""
+    return the solver's passes, one per row."""
     ref, _ = _kernels.simulate_slots_py(*kernel_args)
     qtraj, passes = _kernels.simulate_slots(*kernel_args, start=start)
-    assert qtraj.shape == (2, kernel_args[0].shape[0] + 1)
+    rows, _, horizon = kernel_args[0].shape
+    assert qtraj.shape == (rows, 2, horizon + 1) and len(passes) == rows
     assert np.array_equal(qtraj, ref)
     return passes
 
@@ -282,18 +306,18 @@ class TestLindleyScan:
     @pytest.mark.parametrize("horizon", SCAN_HORIZONS)
     def test_matches_serial_walk(self, horizon, columns):
         arrivals, service = SCAN_COLUMNS[columns](np.random.default_rng(horizon), horizon)
-        q = np.zeros(horizon + 1, dtype=np.int32)
-        _kernels._lindley(arrivals, service, q)
-        assert np.array_equal(q, lindley_oracle(arrivals, service))
+        q = np.zeros((1, horizon + 1), dtype=np.int32)
+        _kernels._lindley(arrivals[None], service[None], q)
+        assert np.array_equal(q[0], lindley_oracle(arrivals, service))
 
     def test_a_million_arrivals_in_a_row(self):
         """A queue that grows by one every slot reaches 10**6, far past int8."""
         horizon = 1_000_000
         arrivals, service = np.ones(horizon, dtype=bool), np.zeros(horizon, dtype=bool)
-        q = np.zeros(horizon + 1, dtype=np.int32)
-        _kernels._lindley(arrivals, service, q)
-        assert q[-1] == horizon
-        assert np.array_equal(q, lindley_oracle(arrivals, service))
+        q = np.zeros((1, horizon + 1), dtype=np.int32)
+        _kernels._lindley(arrivals[None], service[None], q)
+        assert q[0, -1] == horizon
+        assert np.array_equal(q[0], lindley_oracle(arrivals, service))
 
 
 class TestVectorisedSolver:
@@ -311,16 +335,16 @@ class TestVectorisedSolver:
         one, which empties its flip column: then one pass solves the run."""
         rng = np.random.default_rng(seed)
         cols = rng.random((horizon, 6)) < np.array(densities)
-        start = None if start_density is None else rng.random(horizon) < start_density
+        start = None if start_density is None else rng.random((1, horizon)) < start_density
         for queue in decoupled:
             cols[:, 3 + queue] = cols[:, 1 + queue]
         solo1, solo2, both1, both2 = cols[:, 2:].T
-        args = (cols[:, :2], solo1, solo2, both1, both2)
+        args = (cols[:, :2].T[None], solo1, solo2, both1, both2)
         passes = vec_matches_loop(args, start)
         if start is None:
-            assert passes == vec_matches_loop(args, np.ones(horizon, dtype=bool))
+            assert passes == vec_matches_loop(args, np.ones((1, horizon), dtype=bool))
         if not (solo1 ^ both1).any() or not (solo2 ^ both2).any():
-            assert passes == 1
+            assert passes == [1]
 
     @pytest.mark.parametrize("params", ALL_PARAMS)
     def test_matches_loop_near_frontier(self, params):
@@ -333,7 +357,7 @@ class TestVectorisedSolver:
                 point = RatePoint(factor * bscale * np.cos(np.radians(angle)),
                                   factor * bscale * np.sin(np.radians(angle)))
                 cfg = SimConfig(point, params, horizon=20_000, seed=29)
-                assert vec_matches_loop(_kernel_inputs(cfg)) is not None
+                assert vec_matches_loop(_kernel_inputs([cfg])) != [None]
 
     def test_converges_next_to_a_strongly_coupled_frontier(self):
         """Started from the all-busy column, the coupled solve converges in a
@@ -343,7 +367,7 @@ class TestVectorisedSolver:
         scale = 0.98 * b.boundary_scale(b.region_for_params(params), 45.0)
         point = RatePoint(scale * np.cos(np.radians(45.0)), scale * np.sin(np.radians(45.0)))
         cfg = SimConfig(point, params, horizon=200_000, seed=1)
-        passes = vec_matches_loop(_kernel_inputs(cfg))
+        [passes] = vec_matches_loop(_kernel_inputs([cfg]))
         assert passes is not None and passes <= 32
 
     @pytest.mark.parametrize("mode", ["none", "queue1", "queue2"])
@@ -353,13 +377,13 @@ class TestVectorisedSolver:
             for lam1, lam2 in KERNEL_LOADS:
                 cfg = SimConfig(RatePoint(lam1, lam2), params, horizon=5_000, seed=61,
                                 dominant_mode=mode)
-                inputs = _kernel_inputs(cfg)
+                inputs = _kernel_inputs([cfg])
                 passes = vec_matches_loop(inputs)
                 # coupled busy queues need a second pass to confirm the fixed point;
                 # an empty flip column (a dummy queue's partner, fixed SC) needs one
                 _, solo1, solo2, both1, both2 = inputs
                 coupled = (solo1 ^ both1).any() and (solo2 ^ both2).any()
-                assert passes == (None if coupled else 1)
+                assert passes == [None if coupled else 1]
 
     @pytest.mark.parametrize("index, mode", [
         *((i, mode) for i in range(len(ALL_PARAMS)) for mode in ("queue1", "queue2")),
@@ -381,6 +405,71 @@ class TestVectorisedSolver:
             b.run(SimConfig(RatePoint(lam1, lam2), ALL_PARAMS[index], horizon=5_000,
                             seed=61, dominant_mode=mode))
             assert len(solves) == 2
+
+
+def batch_inputs(rows, horizon, seed, empty_flip=None):
+    """Solver inputs for a batch of ``rows`` runs sharing four event columns,
+    each run with its own arrival load (0.1 to 0.6, so rows converge on
+    different passes); a shared-slot success implies the solo one, and
+    ``empty_flip`` (1 or 2) copies that queue's solo column into its
+    shared-slot one."""
+    rng = np.random.default_rng(seed)
+    events = rng.random((4, horizon)) < np.array([[0.7], [0.6], [0.5], [0.4]])
+    events[2:] &= events[:2]
+    if empty_flip is not None:
+        events[1 + empty_flip] = events[empty_flip - 1]
+    loads = np.linspace(0.1, 0.6, rows)
+    return (rng.random((rows, 2, horizon)) < loads[:, None, None], *events)
+
+
+class TestBatchSolver:
+    @pytest.mark.parametrize("horizon", [1, 15, 16, 17, 20001])
+    @pytest.mark.parametrize("rows", [1, 3, 8])
+    def test_rows_match_the_loop(self, rows, horizon):
+        """Each row of a batch is the slot loop's trajectory of that run, and
+        takes the passes it takes when solved alone; also from a start of
+        its own per row, with coupled queues and with either flip column
+        empty, and across the scan's 16-slot blocks and its tail."""
+        for empty_flip in (None, 1, 2):
+            inputs = batch_inputs(rows, horizon, rows * horizon, empty_flip)
+            arrivals, events = inputs[0], inputs[1:]
+            ref, loop_passes = _kernels.simulate_slots_py(*inputs)
+            assert loop_passes == [None] * rows
+            starts = np.random.default_rng(horizon).random((rows, horizon)) < 0.5
+            for start in (None, starts):
+                q, passes = _kernels.simulate_slots(*inputs, start=start)
+                assert q.shape == (rows, 2, horizon + 1) and q.dtype == np.int32
+                assert np.array_equal(q, ref)
+                assert len(passes) == rows
+                for row in range(rows):
+                    alone = None if start is None else start[row:row + 1]
+                    assert passes[row] == _kernels.simulate_slots(
+                        arrivals[row:row + 1], *events, start=alone)[1][0]
+                if empty_flip is not None:
+                    assert passes == [1] * rows
+                elif rows > 1 and horizon > 10_000:
+                    assert len(set(passes)) > 1  # rows left the working set on different passes
+
+    def test_a_row_past_the_pass_cap_falls_back_alone(self, monkeypatch):
+        """A row that hits the pass cap goes to the slot loop alone; the
+        rows that converged keep the solver's trajectories and pass counts."""
+        inputs = batch_inputs(4, 20_001, 0)
+        arrivals = inputs[0]
+        q, passes = _kernels.simulate_slots(*inputs)
+        assert passes == [4, 5, 2, 2]
+        loops = []
+        loop = _kernels.simulate_slots_py
+
+        def counted(arrivals, *args):
+            loops.append(arrivals)
+            return loop(arrivals, *args)
+
+        monkeypatch.setattr(_kernels, "simulate_slots_py", counted)
+        monkeypatch.setattr(_kernels, "_MAX_PASSES", 4)
+        capped, capped_passes = _kernels.simulate_slots(*inputs)
+        assert capped_passes == [4, None, 2, 2]
+        assert len(loops) == 1 and np.array_equal(loops[0], arrivals[1:2])
+        assert np.array_equal(capped, q)
 
 
 # sha256 of run()'s trajectory and SimResult fields at RatePoint(0.4, 0.35),
@@ -557,6 +646,48 @@ class TestRunStatistics:
             sys.setswitchinterval(interval)
         assert seq == par
 
+    @pytest.mark.parametrize("workers", [None, 3])
+    def test_batches_equal_runs(self, monkeypatch, workers):
+        """run_batch gives run()'s results on a shuffled grid with duplicate
+        rates, with mixed params, dominant modes and warmups on its path, and
+        with lone configs, also through the pool at ``workers=3``. Each solve
+        is one rank of a strip: runs of one path, params, mode and warmup, at
+        most ``_BATCH_SLOTS // horizon`` of them, each started from a busy
+        column that bounds its own."""
+        monkeypatch.setattr(sim, "_POOL_HORIZON", 0)  # short runs through the pool
+        horizon = 20_000
+        grid = [RatePoint(l1, l2) for l1 in (0.05, 0.2, 0.35, 0.5) for l2 in (0.1, 0.3, 0.45)]
+        cfgs = [SimConfig(point, ALL_PARAMS[3], horizon=horizon, seed=4)
+                for point in grid + grid[::3]]
+        cfgs += [SimConfig(RatePoint(0.1 + 0.05 * i, 0.2 + 0.1 * (i % 2)), ALL_PARAMS[i % 3],
+                           horizon=horizon, seed=4, warmup=(None, 500)[i % 2],
+                           dominant_mode=("none", "queue1", "queue2")[i % 3])
+                 for i in range(12)]
+        cfgs += [SimConfig(RatePoint(0.3, 0.3), ALL_PARAMS[2], horizon=horizon, seed=5),
+                 SimConfig(RatePoint(0.3, 0.3), ALL_PARAMS[2], horizon=horizon + 1, seed=4)]
+        random.Random(0).shuffle(cfgs)
+        expected = [b.run(c) for c in cfgs]
+        solves = []
+        solve = sim._solve
+
+        def recorded(configs, start=None, path=None):
+            out = solve(configs, start, path)
+            solves.append((configs, start, out[1]))
+            return out
+
+        monkeypatch.setattr(sim, "_solve", recorded)
+        assert b.run_batch(cfgs, workers=workers) == expected
+        assert sum(len(configs) for configs, _, _ in solves) == len(cfgs)
+        width = sim._BATCH_SLOTS // horizon
+        assert max(len(configs) for configs, _, _ in solves) == width
+        assert any(start is not None for _, start, _ in solves)
+        for configs, start, q in solves:
+            assert len(configs) <= width
+            assert len({(c.horizon, c.seed, c.params, c.dominant_mode, c.warmup)
+                        for c in configs}) == 1
+            if start is not None:
+                assert np.all(start >= (q[:, 1, :-1] > 0))
+
     def test_config_validation(self):
         with pytest.raises(InvalidParameterError):
             SimConfig(RatePoint(1.2, 0.0), ALL_PARAMS[0])
@@ -719,7 +850,7 @@ class TestClassifyExactSlope:
         inconclusive below the 10000 slots classify_stability needs."""
         for lam in ((0.2, 0.2), (0.4, 0.35), (0.6, 0.6), (0.05, 0.7), (0.7, 0.05)):
             cfg = SimConfig(RatePoint(*lam), params, horizon=horizon, seed=17)
-            verdicts = sim._solve(cfg)[3]
+            [verdicts] = sim._solve([cfg])[3]
             if horizon < 10_000:
                 assert verdicts == (Verdict.INCONCLUSIVE, Verdict.INCONCLUSIVE)
             else:
@@ -814,9 +945,10 @@ def test_probes_equal_runs(monkeypatch, event_draws, index, angle, seed, expecte
     held = []
     solve, draw = sim._solve, sim._arrival_uniforms
 
-    def recorded(config, start=None, path=None):
+    def recorded(configs, start=None, path=None):
         drawn_before = len(event_draws)
-        out = solve(config, start, path)
+        out = solve(configs, start, path)
+        [config] = configs
         probes.append((config, len(event_draws) > drawn_before, start is None, path, out))
         return out
 
@@ -833,13 +965,13 @@ def test_probes_equal_runs(monkeypatch, event_draws, index, angle, seed, expecte
     assert len(held) == 1 and held[0].shape == (2, 40_000)
     assert event_draws == [(params, 40_000, seed)]  # the ray's one draw of its events
     assert len(probes) == 9
-    for n, (config, drew, cold, path, (_, q, slopes, verdicts)) in enumerate(probes):
+    for n, (config, drew, cold, path, (_, q, slopes, verdicts, _)) in enumerate(probes):
         assert config.seed == seed
         assert not drew and cold is (n == 0)
         assert path is probes[0][3] and path[1] is held[0]
         result = b.run(config, return_trajectory=True)
-        assert (slopes, verdicts) == (result.drift_slope, result.verdict)
-        assert np.array_equal(q.T, result.trajectory)
+        assert (slopes, verdicts) == ([result.drift_slope], [result.verdict])
+        assert np.array_equal(q[0].T, result.trajectory)
 
 
 class TestEstimateBoundary:
@@ -890,6 +1022,28 @@ class TestEstimateBoundary:
             return b.run(config, return_trajectory=True).trajectory
 
         assert np.all(trajectory(scales[0]) <= trajectory(scales[1]))
+
+    @settings(deadline=None)
+    @given(solo=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+           shared=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+           rates=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+           raised=st.sampled_from([0, 1]), rise=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1), horizon=st.integers(10, 2000))
+    def test_queues_grow_pathwise_with_either_rate(self, solo, shared, rates, raised, rise,
+                                                   seed, horizon):
+        """The premise of a sweep's column starts: on one path, raising
+        ``lambda1`` alone, or ``lambda2`` alone, leaves both queues at least
+        as long in every slot, so the cell above a sweep's cell, with the
+        same ``lambda2`` and a higher ``lambda1``, bounds its busy columns."""
+        profile = SuccessProfile(*solo, solo[0] * shared[0], solo[1] * shared[1])
+        higher = list(rates)
+        higher[raised] = min(1.0, rates[raised] + rise * (1.0 - rates[raised]))
+
+        def trajectory(point):
+            config = SimConfig(point, generic_params(profile), horizon=horizon, seed=seed)
+            return b.run(config, return_trajectory=True).trajectory
+
+        assert np.all(trajectory(RatePoint(*rates)) <= trajectory(RatePoint(*higher)))
 
     def test_argument_validation(self):
         with pytest.raises(InvalidParameterError):
