@@ -14,7 +14,11 @@ reproducible bit-for-bit, and all runs of one seed share one sample path
 (common random numbers). A lone run draws its path's success events and
 its arrival flags block by block and keeps nothing after it returns; runs
 that share a path (a boundary-search ray's probes, a batch's cells) hold
-one draw of its events and arrival uniforms.
+one draw of its events and arrival uniforms. A path's two halves are drawn
+at once (``_beside``), one on a helper thread and one in the calling thread:
+the channel half from a generator of the seed advanced past the arrival
+uniforms, the arrival half from its own. Neither generator reads the
+other's state, so the bits are those of one sequential draw.
 
 Runs are solved and judged in batches that share a path, params, dominant
 mode and warmup: one call of the queue solver, the slopes, the verdicts and
@@ -30,8 +34,9 @@ own on one path.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -65,17 +70,19 @@ SLOPE_THRESHOLD = 1e-3
 # flags and success events and 8 of trajectory, and peaks at about 24 while
 # the solver's temporaries are alive, so this caps one run near 250 MB (a
 # 10M-slot dominant IAN run peaked at 241 MB); longer runs are rejected
-# before any allocation. Runs that share a path hold its success events
-# (_channel_events, 4 bytes per slot) and arrival uniforms
-# (_arrival_uniforms, 16 bytes per slot) while they are made, and nothing of
-# it after; a W-thread sweep holds one path, not W. Its batches (run_batch)
-# hold up to 32 bytes per slot and run, at most _BATCH_SLOTS slot-rows of
-# runs or one run, per thread. A boundary-search ray holds its path and one
-# busy column of queue 2 (1 byte per slot) between probes, and its probes
-# peak near 40 bytes per slot (44 at 1M slots with the drift slope's 4 MiB
-# index; near 400 MB at this cap). Of the solver's temporaries, 4 bytes per
-# slot are the Lindley scan's int8 buffers (_kernels._lindley); its int32
-# carries and trajectory need this < 2**31.
+# before any allocation. A path's two streams are drawn at once (_beside),
+# so while it is drawn both streams' block buffers, four of 512 KiB, are
+# alive. Runs that share a path hold its success events (_channel_events, 4
+# bytes per slot) and arrival uniforms (_arrival_uniforms, 16 bytes per
+# slot) while they are made, and nothing of it after; a W-thread sweep holds
+# one path, not W. Its batches (run_batch) hold up to 32 bytes per slot and
+# run, at most _BATCH_SLOTS slot-rows of runs or one run, per thread. A
+# boundary-search ray holds its path and one busy column of queue 2 (1 byte
+# per slot) between probes, and its probes peak near 40 bytes per slot (44
+# at 1M slots with the drift slope's 4 MiB index; near 400 MB at this cap).
+# Of the solver's temporaries, 4 bytes per slot are the Lindley scan's int8
+# buffers (_kernels._lindley); its int32 carries and trajectory need this
+# < 2**31.
 MAX_HORIZON = 10_000_000
 
 # Slots per block of a run's draws (_blocks): the block's two float64
@@ -278,6 +285,44 @@ def _arrival_uniforms(horizon: int, seed: int) -> np.ndarray:
     return uniforms
 
 
+def _start_helper() -> None:
+    """(Re)make the helper thread that draws one half of a path
+    (``_beside``); it starts on demand and stays. Concurrent callers, such
+    as run_batch's workers, do not queue behind it, since a caller takes
+    back a draw the helper has not started; a second thread only added its
+    own malloc arena, about 2 MB, to a process's peak resident memory."""
+    global _helper
+    _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="bcstab-draw")
+
+
+_start_helper()
+if hasattr(os, "register_at_fork"):
+    # A forked child has none of its parent's threads, yet an executor copied
+    # from the parent counts the idle one and starts no new thread: no call
+    # given to it would ever run.
+    os.register_at_fork(after_in_child=_start_helper)
+
+
+@contextmanager
+def _beside(fn, *args):
+    """Start ``fn(*args)`` on a helper thread while the ``with`` block runs
+    in the caller, and yield a function that returns its result, raising
+    what ``fn`` raised. A call the helper has not started by then is taken
+    back and made by the caller, which is free: after a 25 ms sweep batch
+    an idle helper took 0.2-0.5 ms to start on 2 vCPUs, longer than a
+    20k-slot draw. The block's exit waits for a started ``fn``, whether
+    the block returns or raises, so no draw outlives the call that started
+    it."""
+    future = _helper.submit(fn, *args)
+    try:
+        yield lambda: fn(*args) if future.cancel() else future.result()
+    finally:
+        # a call taken back, or not needed once the block has raised, is
+        # cancelled and never runs; a started one is waited for
+        if not future.cancel():
+            wait([future])
+
+
 def _kernel_inputs(configs, path: tuple | None = None) -> tuple:
     """Arrival flags of a batch of runs that share a sample path, params and
     dominant mode, and the four success-event columns (views of the events);
@@ -285,22 +330,23 @@ def _kernel_inputs(configs, path: tuple | None = None) -> tuple:
 
     ``path`` is the runs' held sample path ``(events, uniforms)``, its
     ``_channel_events`` and ``_arrival_uniforms``; the uniforms are compared
-    with every run's rates in one pass. Without it the runs draw both, the
-    uniforms block by block, keeping 2 bytes per slot and run of flags and 4
-    per slot of events. The events are drawn first, freeing their block
-    buffers before the ``(runs, 2, horizon)`` arrival flags are allocated, so
-    each queue's flags are contiguous."""
+    with every run's rates in one pass. Without it the runs draw both at
+    once, keeping 2 bytes per slot and run of flags and 4 per slot of
+    events: a helper thread draws the events (``_beside``) while this thread
+    makes the flags block by block. The two draws read two generators of
+    the seed, the channel's advanced past the arrival uniforms, so the bits
+    are those of one sequential draw."""
     config = configs[0]
-    if path is None:
-        events = _channel_events(config.params, config.horizon, config.seed)
-        blocks = _blocks(np.random.default_rng(config.seed).random, config.horizon)
-    else:
-        events, uniforms = path
-        blocks = [(0, config.horizon, uniforms)]
     lam = np.array([[[c.arrivals.lambda1], [c.arrivals.lambda2]] for c in configs])
     arrivals = np.empty((len(configs), 2, config.horizon), dtype=bool)
-    for lo, hi, u in blocks:
-        np.less(u, lam, out=arrivals[:, :, lo:hi])
+    if path is None:
+        with _beside(_channel_events, config.params, config.horizon, config.seed) as drawn:
+            for lo, hi, u in _blocks(np.random.default_rng(config.seed).random, config.horizon):
+                np.less(u, lam, out=arrivals[:, :, lo:hi])
+            events = drawn()
+    else:
+        events, uniforms = path
+        np.less(uniforms, lam, out=arrivals)
     force1, force2 = _forced(config)
     return arrivals, events[2 if force2 else 0], events[3 if force1 else 1], *events[2:]
 
@@ -564,11 +610,13 @@ def run_batch(configs, workers: int | None = None) -> list[SimResult]:
     cells, share its randomness, drawn before their runs are solved and held
     only while they are made, one path at a time, every worker reading the
     same read-only arrays: its arrival uniforms (``_arrival_uniforms``) are
-    drawn once, and its success events (``_channel_events``) once per
-    parameter set. They are solved in strips (``_strips``): the runs of one
-    parameter set, dominant mode and warmup form a column per ``lambda2``,
-    and each strip of up to ``_BATCH_SLOTS // horizon`` columns is solved
-    top-down, one batch of runs per rank in ``lambda1`` (``_solve_strip``).
+    drawn once, on a helper thread while the first parameter set's success
+    events are drawn (``_beside``), and its success events
+    (``_channel_events``) once per parameter set. They are solved in strips
+    (``_strips``): the runs of one parameter set, dominant mode and warmup
+    form a column per ``lambda2``, and each strip of up to ``_BATCH_SLOTS
+    // horizon`` columns is solved top-down, one batch of runs per rank in
+    ``lambda1`` (``_solve_strip``).
     On one path a higher ``lambda1`` leaves both queues at least as long in
     every slot, so each run starts its Picard passes from queue 2's busy
     column at the run above it in its column; the start changes only the
@@ -602,10 +650,21 @@ def run_batch(configs, workers: int | None = None) -> list[SimResult]:
         for (horizon, seed), members in by_path.items():
             if len(members) == 1:
                 continue
-            uniforms = _arrival_uniforms(horizon, seed)
-            for params in dict.fromkeys(configs[i].params for i in members):
+            param_sets = list(dict.fromkeys(configs[i].params for i in members))
+            # The uniforms go to the helper: this way round perfbench
+            # sweep-coupled read 9-13% more grid points per second than
+            # drawing in turn on 2 vCPUs, and 5% fewer with the events there.
+            # Where the path's arrays land in the allocator decides it; the
+            # draw's own time moved by under 0.4 ms of 15 per sweep.
+            with _beside(_arrival_uniforms, horizon, seed) as drawn:
+                events = _channel_events(param_sets[0], horizon, seed)
+                uniforms = drawn()
+            for params in param_sets:
+                if events is None:
+                    events = _channel_events(params, horizon, seed)
                 make(_strips(configs, [i for i in members if configs[i].params == params]),
-                     (_channel_events(params, horizon, seed), uniforms))
+                     (events, uniforms))
+                events = None  # before the next parameter set's are drawn
             del uniforms  # before the next path's are drawn
     return results
 
@@ -629,10 +688,11 @@ def estimate_boundary(
     Every probe is the run at the ray's own ``seed``: one sample path per
     ray (common random numbers). After its checks and before its first
     probe, the ray draws the path's four success-event columns
-    (``_channel_events``) and arrival uniforms (``_arrival_uniforms``) once,
-    and holds them until it returns; every probe at its seed compares the
-    uniforms with its own rates. A probe is ``run()`` without its
-    statistics, ``_solve``, so its verdict is exactly
+    (``_channel_events``, on a helper thread, ``_beside``) and, at the same
+    time, its arrival uniforms (``_arrival_uniforms``) once, and holds them
+    until it returns; every probe at its seed compares the uniforms with
+    its own rates. A probe is ``run()`` without its statistics,
+    ``_solve``, so its verdict is exactly
     ``system_verdict(run(SimConfig(point, params, horizon=horizon,
     seed=seed)).verdict)``. An inconclusive probe counts as non-stable, so
     a ray makes ``1 + steps`` solves and its end must be judged unstable.
@@ -657,8 +717,9 @@ def estimate_boundary(
         )
     # SimConfig checks the horizon and seed before the path is drawn
     origin = SimConfig(RatePoint(0.0, 0.0), params, horizon=horizon, seed=seed)
-    path = (_channel_events(params, origin.horizon, origin.seed),
-            _arrival_uniforms(origin.horizon, origin.seed))
+    with _beside(_channel_events, params, origin.horizon, origin.seed) as drawn:
+        uniforms = _arrival_uniforms(origin.horizon, origin.seed)
+        path = (drawn(), uniforms)
     c = math.cos(math.radians(angle_deg))
     s = math.sin(math.radians(angle_deg))
     cap = min(1.0 / c if c > 0.0 else math.inf, 1.0 / s if s > 0.0 else math.inf)

@@ -3,8 +3,12 @@
 import dataclasses
 import hashlib
 import math
+import multiprocessing
+import os
 import random
 import sys
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -188,10 +192,12 @@ class TestKernelInputs:
                     assert got.shape == want.shape
                     assert np.array_equal(got, want)
 
-    def test_peak_memory_is_the_flags_plus_two_blocks(self):
-        """At 1M slots the producer keeps 6 bytes per slot of flags; the rest
-        of its peak (2.0 blocks) is the two block buffers and one block's
-        temporaries. The whole-array draw peaks at 38 bytes per slot here."""
+    def test_peak_memory_is_the_flags_plus_four_blocks(self):
+        """At 1M slots the producer keeps 6 bytes per slot of flags and
+        events; the rest of its peak (4.3 blocks) is four block buffers, two
+        per stream since a helper thread draws the events while this thread
+        makes the flags, and one block's event temporaries. The whole-array
+        draw peaks at 38 bytes per slot here."""
         horizon = 1_000_000
         cfg = SimConfig(RatePoint(0.35, 0.3), ALL_PARAMS[0], horizon=horizon, seed=5)
         _kernel_inputs([SimConfig(RatePoint(0.35, 0.3), ALL_PARAMS[0], horizon=10)])  # thresholds
@@ -203,7 +209,7 @@ class TestKernelInputs:
         finally:
             tracemalloc.stop()
         assert sum(a.nbytes for a in inputs[:5]) == 6 * horizon
-        assert 6 * horizon <= peak <= 6 * horizon + 3 * block_bytes
+        assert 6 * horizon <= peak <= 6 * horizon + 5 * block_bytes
 
     def test_peak_memory_of_a_ray_holds_its_uniforms(self, event_draws):
         """A 1M-slot ray holds, between probes, 16 bytes per slot of arrival
@@ -264,6 +270,115 @@ class TestKernelInputs:
         with pytest.raises(ValueError, match="read-only"):
             events[0, 0] = not events[0, 0]
         assert all(np.shares_memory(column, events) for column in _kernel_inputs([cfg], path)[1:5])
+
+
+def run_in_child(cfg, connection):
+    """Send whether a call given to the helper in this forked child starts
+    on a helper thread, which a helper copied from the parent never does,
+    and then ``run(cfg)``."""
+    started = threading.Event()
+    with sim._beside(started.set) as drawn:
+        helped = started.wait(10)
+        drawn()
+    connection.send((helped, b.run(cfg)))
+    connection.close()
+
+
+class DrawFailed(Exception):
+    pass
+
+
+class TestDrawHelper:
+    """One stream of a path is drawn on a helper thread while the caller
+    draws the other (``sim._beside``)."""
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_a_forked_child_runs(self):
+        """A child forked after the helper has drawn here draws on a helper
+        thread of its own, not on its parent's copied one, which it does not
+        have, and gets the same result."""
+        cfg = SimConfig(RatePoint(0.3, 0.2), ALL_PARAMS[1], horizon=20_000, seed=3,
+                        dominant_mode="queue1")
+        expected = b.run(cfg)  # the helper has a thread, idle, in this process
+        context = multiprocessing.get_context("fork")
+        received, sent = context.Pipe(duplex=False)
+        child = context.Process(target=run_in_child, args=(cfg, sent))
+        child.start()
+        try:
+            assert received.poll(30), "run() in a forked child did not return"
+            assert received.recv() == (True, expected)
+        finally:
+            child.kill()
+            child.join()
+
+    def test_a_busy_helper_does_not_hold_up_a_draw(self):
+        """With every helper thread busy, a run takes its event draw back
+        and makes it itself: it returns while they are still busy."""
+        cfg = SimConfig(RatePoint(0.3, 0.2), ALL_PARAMS[0], horizon=20_000, seed=5)
+        expected = b.run(cfg)
+        release = threading.Event()
+        busy = [sim._helper.submit(release.wait, 5) for _ in range(sim._helper._max_workers)]
+        try:
+            assert b.run(cfg) == expected
+            assert not any(future.done() for future in busy)
+        finally:
+            release.set()
+            assert all(future.result() for future in busy)
+
+    @staticmethod
+    def path_draws(cfg):
+        """Each call that draws a path, with the draw its helper makes and
+        the one it makes itself: a lone run's and a ray's helper draws the
+        events, while a batch's draws the arrival uniforms of the path its
+        configs share."""
+        def ray():
+            return b.estimate_boundary(cfg.params, 45.0, steps=8, horizon=cfg.horizon,
+                                       seed=cfg.seed)
+
+        return [(lambda: b.run(cfg), "_channel_events", "_blocks"),
+                (lambda: b.run_batch([cfg]), "_channel_events", "_blocks"),
+                (ray, "_channel_events", "_arrival_uniforms"),
+                (lambda: b.run_batch([cfg, cfg]), "_arrival_uniforms", "_channel_events")]
+
+    def test_a_failed_helper_draw_raises_in_the_caller(self, monkeypatch):
+        """What the helper's draw raises, each call that draws a path raises."""
+        def failing(*args):
+            raise DrawFailed(args[-1])
+
+        cfg = SimConfig(RatePoint(0.3, 0.2), ALL_PARAMS[1], horizon=10_000, seed=4)
+        for call, helped, _ in self.path_draws(cfg):
+            with monkeypatch.context() as patched:
+                patched.setattr(sim, helped, failing)
+                with pytest.raises(DrawFailed, match="4"):
+                    call()
+
+    def test_no_helper_draw_outlives_a_failed_call(self, monkeypatch):
+        """When the caller's own draw raises after the helper's draw has
+        started, the call raises only once that draw has finished."""
+        started = threading.Event()
+        running = []
+
+        def slow(*args):
+            running.append(args)
+            started.set()
+            time.sleep(0.05)
+            running.remove(args)
+            return np.zeros((4, args[-2]))
+
+        def failing(*args):
+            assert started.wait(10)
+            raise DrawFailed("own draw")
+
+        cfg = SimConfig(RatePoint(0.3, 0.2), ALL_PARAMS[1], horizon=10_000, seed=4)
+        for call, helped, own in self.path_draws(cfg):
+            started.clear()
+            with monkeypatch.context() as patched:
+                patched.setattr(sim, helped, slow)
+                patched.setattr(sim, own, failing)
+                with pytest.raises(DrawFailed):
+                    call()
+            assert started.is_set() and running == []
 
 
 def vec_matches_loop(kernel_args, start=None):
@@ -579,12 +694,14 @@ class TestRunStatistics:
         pool = sim.ThreadPoolExecutor
         monkeypatch.setattr(sim, "ThreadPoolExecutor",
                             lambda **kwargs: pools.append(kwargs) or pool(**kwargs))
-        cfgs = [SimConfig(RatePoint(0.2 + 0.05 * i, 0.2), ALL_PARAMS[0],
-                          horizon=15_000, seed=i) for i in range(6)]
-        seq = b.run_batch(cfgs)
-        par = b.run_batch(cfgs, workers=3)
-        assert seq == par
-        assert pools == [{"max_workers": 3}]
+        # each config alone on its path: every worker draws through the helper
+        cfgs = [SimConfig(RatePoint(0.2 + 0.05 * i, 0.2), ALL_PARAMS[i % 4],
+                          horizon=15_000, seed=i) for i in range(8)]
+        expected = [b.run(c) for c in cfgs]
+        assert b.run_batch(cfgs) == expected
+        for workers in (3, 4):
+            assert b.run_batch(cfgs, workers=workers) == expected
+        assert pools == [{"max_workers": 3}, {"max_workers": 4}]
 
     def test_short_batches_run_in_the_calling_thread(self, monkeypatch):
         """Below _POOL_HORIZON slots a batch builds no pool at any
