@@ -15,10 +15,10 @@ success events, as a batch of one run, and produce a bit-identical
 trajectory (checked here, with the solver's Picard pass count). Each
 config also splits one whole ``run()`` into five parts, each timed
 directly, one after the other in the same iteration, so none can read
-negative: the draw and the success events (``sim._kernel_inputs``, block
-by block, as a lone run draws its path), the recursion (the solver), the
-two exact drift slopes (``fit``: ``sim._drift_slopes`` on both queues'
-post-warmup trajectories), the two verdicts given those slopes
+negative: the draw and the success events (``sim._kernel_inputs``: the
+path's draw, ``sim._path``, and the arrival flags), the recursion (the
+solver), the two exact drift slopes (``fit``: ``sim._drift_slopes`` on both
+queues' post-warmup trajectories), the two verdicts given those slopes
 (``verdicts``: ``sim._verdicts``), and the rest of the statistics
 (``rest``: ``sim._summarise``, counts and rates). ``run`` is taken over the
 per-iteration sums of the five. A boundary-search probe is ``sim._solve``:
@@ -29,7 +29,7 @@ queue-recursion layer on its own; a row is ``identical`` when that solve
 also reproduces queue 1's trajectory.
 ``draw_whole`` times the reference whole-array draw of the same randomness
 (``whole_array_draw`` in ``tests/test_sim.py``: two ``(horizon, 2)``
-float64 arrays), which the blocked ``inputs`` replaced, so the draw's
+float64 arrays), which the blocked draw replaced, so the draw's
 share stays visible.
 ``events_raw`` and ``events`` time the four success-event columns of those
 draws, each user's in a contiguous row as a run has them, from the raw
@@ -57,11 +57,10 @@ The ``estimate_boundary`` rows time one 45 degree ray per configuration
 40k slots and 8 steps, as ``compare-boundary`` runs it, in ``ray``. One
 more call with counting wrappers gives the ray's ``probes`` (solver calls:
 ``1 + steps``, so 9), ``channel_draws`` (calls of ``sim._channel_events``:
-1, the ray's held path), ``arrival_draws`` (held draws of a path's arrival
-uniforms, ``sim._arrival_uniforms``, plus lone draws, ``sim._kernel_inputs``
-without a path: 1, the ray's held draw) and ``lindley`` (Lindley
-row-solves, one per queue solved; ``2 * probes`` on the decoupled ``sc
-fixed`` ray).
+1, the ray's held path), ``arrival_draws`` (draws of a path's arrival
+uniforms, ``sim._arrival_uniforms``: 1, the ray's held draw) and
+``lindley`` (Lindley row-solves, one per queue solved; ``2 * probes`` on the
+decoupled ``sc fixed`` ray).
 
 The ``sweep`` rows time one in-process ``bcstab sweep --simulate --grid 7
 --horizon 20000 --workers 2`` per configuration of the ``estimate_boundary``
@@ -257,28 +256,21 @@ def ray(params):
 def counted_draws():
     """Yield two lists, appended to per draw made inside: the first per draw
     of a path's success events (``sim._channel_events``), the second per
-    arrival draw, a held draw of a path's uniforms (``sim._arrival_uniforms``)
-    or a lone run's own (``sim._kernel_inputs`` without a path). Worker
-    threads may draw; a list append is atomic."""
+    draw of its arrival uniforms (``sim._arrival_uniforms``). The helper and
+    worker threads may draw; a list append is atomic."""
     channel_draws, arrival_draws = [], []
-    events, held, inputs = sim._channel_events, sim._arrival_uniforms, sim._kernel_inputs
+    events, uniforms = sim._channel_events, sim._arrival_uniforms
 
     def counted_events(params, horizon, seed):
         channel_draws.append(seed)
         return events(params, horizon, seed)
 
-    def counted_held(horizon, seed):
-        arrival_draws.append("held")
-        return held(horizon, seed)
-
-    def counted_inputs(config, path=None):
-        if path is None:
-            arrival_draws.append("lone")
-        return inputs(config, path)
+    def counted_uniforms(horizon, seed):
+        arrival_draws.append(seed)
+        return uniforms(horizon, seed)
 
     with mock.patch.object(sim, "_channel_events", counted_events), \
-            mock.patch.object(sim, "_arrival_uniforms", counted_held), \
-            mock.patch.object(sim, "_kernel_inputs", counted_inputs):
+            mock.patch.object(sim, "_arrival_uniforms", counted_uniforms):
         yield channel_draws, arrival_draws
 
 

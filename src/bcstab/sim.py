@@ -11,14 +11,13 @@ slot-start state, then arrivals join, so a packet arriving in slot t can
 depart in slot t+1 at the earliest. All randomness comes from one seeded
 stream (arrival uniforms first, then channel draws), so runs are
 reproducible bit-for-bit, and all runs of one seed share one sample path
-(common random numbers). A lone run draws its path's success events and
-its arrival flags block by block and keeps nothing after it returns; runs
-that share a path (a boundary-search ray's probes, a batch's cells) hold
-one draw of its events and arrival uniforms. A path's two halves are drawn
-at once (``_beside``), one on a helper thread and one in the calling thread:
-the channel half from a generator of the seed advanced past the arrival
-uniforms, the arrival half from its own. Neither generator reads the
-other's state, so the bits are those of one sequential draw.
+(common random numbers). Every run's path is drawn by ``_path``: a helper
+thread draws its success events from a generator of the seed advanced past
+the arrival uniforms, while the calling thread draws the uniforms from its
+own. Neither generator reads the other's state, so the bits are those of
+one sequential draw. A lone run drops its uniforms once it has its arrival
+flags, before it is solved; runs that share a path (a boundary-search
+ray's probes, a batch's cells) hold one draw of it while they are made.
 
 Runs are solved and judged in batches that share a path, params, dominant
 mode and warmup: one call of the queue solver, the slopes, the verdicts and
@@ -36,7 +35,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -66,28 +65,28 @@ __all__ = [
 # Growth below one packet per thousand slots is treated as flat.
 SLOPE_THRESHOLD = 1e-3
 
-# Largest accepted horizon. A run keeps about 6 bytes per slot of arrival
-# flags and success events and 8 of trajectory, and peaks at about 24 while
-# the solver's temporaries are alive, so this caps one run near 250 MB (a
-# 10M-slot dominant IAN run peaked at 241 MB); longer runs are rejected
-# before any allocation. A path's two streams are drawn at once (_beside),
-# so while it is drawn both streams' block buffers, four of 512 KiB, are
-# alive. Runs that share a path hold its success events (_channel_events, 4
-# bytes per slot) and arrival uniforms (_arrival_uniforms, 16 bytes per
-# slot) while they are made, and nothing of it after; a W-thread sweep holds
-# one path, not W. Its batches (run_batch) hold up to 32 bytes per slot and
-# run, at most _BATCH_SLOTS slot-rows of runs or one run, per thread. A
-# boundary-search ray holds its path and one busy column of queue 2 (1 byte
-# per slot) between probes, and its probes peak near 40 bytes per slot (44
-# at 1M slots with the drift slope's 4 MiB index; near 400 MB at this cap).
-# Of the solver's temporaries, 4 bytes per slot are the Lindley scan's int8
-# buffers (_kernels._lindley); its int32 carries and trajectory need this
-# < 2**31.
+# Largest accepted horizon. A run's path (_path) takes 16 bytes per slot of
+# arrival uniforms (_arrival_uniforms) and 4 of success events
+# (_channel_events), and while it is drawn four 512 KiB block buffers, two
+# per stream. A run keeps about 6 bytes per slot of arrival flags and success
+# events and 8 of trajectory; a lone run drops its uniforms before it is
+# solved and peaks at about 23 bytes per slot, so this caps one run near 250
+# MB (a 10M-slot dominant IAN run peaked at 268 MB resident, 286 under the
+# command line's pinned heap); longer runs are rejected before any
+# allocation. Runs that share a path hold it while they are made,
+# and nothing of it after; a W-thread sweep holds one path, not W. Its
+# batches (run_batch) hold up to 32 bytes per slot and run, at most
+# _BATCH_SLOTS slot-rows of runs or one run, per thread. A boundary-search
+# ray holds its path and one busy column of queue 2 (1 byte per slot)
+# between probes, and its probes peak near 40 bytes per slot (44 at 1M slots
+# with the drift slope's 4 MiB index; near 400 MB at this cap). Of the
+# solver's temporaries, 4 bytes per slot are the Lindley scan's int8 buffers
+# (_kernels._lindley); its int32 carries and trajectory need this < 2**31.
 MAX_HORIZON = 10_000_000
 
-# Slots per block of a run's draws (_blocks): the block's two float64
+# Slots per block of a path's draws (_blocks): the block's two float64
 # buffers, slot-major and transposed, 512 KiB each, stay in a core's L2 cache
-# while they become flags.
+# while they become success events or rows of uniforms.
 _DRAW_BLOCK = 1 << 15
 
 # Shortest run that run_batch hands to its thread pool. A run's numpy calls
@@ -275,9 +274,8 @@ def _channel_events(params: SystemParams, horizon: int, seed: int) -> np.ndarray
 def _arrival_uniforms(horizon: int, seed: int) -> np.ndarray:
     """The read-only ``(2, horizon)`` arrival uniforms of every run at
     ``seed``, one row per queue: the first ``2*horizon`` draws of
-    ``np.random.default_rng(seed)``, filled block by block (``_blocks``), so
-    they are the bits a lone run compares. Runs that share the path hold
-    them only while they are being made; they take 16 bytes per slot."""
+    ``np.random.default_rng(seed)``, filled block by block (``_blocks``).
+    They take 16 bytes per slot."""
     uniforms = np.empty((2, horizon))
     for lo, hi, u in _blocks(np.random.default_rng(seed).random, horizon):
         uniforms[:, lo:hi] = u
@@ -286,11 +284,11 @@ def _arrival_uniforms(horizon: int, seed: int) -> np.ndarray:
 
 
 def _start_helper() -> None:
-    """(Re)make the helper thread that draws one half of a path
-    (``_beside``); it starts on demand and stays. Concurrent callers, such
-    as run_batch's workers, do not queue behind it, since a caller takes
-    back a draw the helper has not started; a second thread only added its
-    own malloc arena, about 2 MB, to a process's peak resident memory."""
+    """(Re)make the helper thread that draws a path's success events
+    (``_path``); it starts on demand and stays. Concurrent callers, such as
+    run_batch's workers, do not queue behind it, since a caller takes back a
+    draw the helper has not started; a second thread only added its own
+    malloc arena, about 2 MB, to a process's peak resident memory."""
     global _helper
     _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="bcstab-draw")
 
@@ -303,24 +301,26 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_start_helper)
 
 
-@contextmanager
-def _beside(fn, *args):
-    """Start ``fn(*args)`` on a helper thread while the ``with`` block runs
-    in the caller, and yield a function that returns its result, raising
-    what ``fn`` raised. A call the helper has not started by then is taken
-    back and made by the caller, which is free: after a 25 ms sweep batch
-    an idle helper took 0.2-0.5 ms to start on 2 vCPUs, longer than a
-    20k-slot draw. The block's exit waits for a started ``fn``, whether
-    the block returns or raises, so no draw outlives the call that started
-    it."""
-    future = _helper.submit(fn, *args)
+def _path(params: SystemParams, horizon: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sample path ``(events, uniforms)`` of every run at ``seed``, its
+    ``_channel_events`` and ``_arrival_uniforms``: the one place a run's
+    randomness is drawn. The helper thread draws the events while this
+    thread draws the uniforms. An event draw the helper has not started by
+    then is taken back and made here, which is free: after a 25 ms sweep
+    batch an idle helper took 0.2-0.5 ms to start on 2 vCPUs, longer than a
+    20k-slot draw. A started one is waited for, also when the uniforms'
+    draw raises, so no draw outlives the call that started it."""
+    future = _helper.submit(_channel_events, params, horizon, seed)
     try:
-        yield lambda: fn(*args) if future.cancel() else future.result()
+        uniforms = _arrival_uniforms(horizon, seed)
     finally:
-        # a call taken back, or not needed once the block has raised, is
-        # cancelled and never runs; a started one is waited for
-        if not future.cancel():
+        # a draw taken back is cancelled, and made below only if the
+        # uniforms were drawn; a started one is waited for
+        taken_back = future.cancel()
+        if not taken_back:
             wait([future])
+    events = _channel_events(params, horizon, seed) if taken_back else future.result()
+    return events, uniforms
 
 
 def _kernel_inputs(configs, path: tuple | None = None) -> tuple:
@@ -328,25 +328,15 @@ def _kernel_inputs(configs, path: tuple | None = None) -> tuple:
     dominant mode, and the four success-event columns (views of the events);
     a dummy queue always transmits, so its partner gets ``both`` as ``solo``.
 
-    ``path`` is the runs' held sample path ``(events, uniforms)``, its
-    ``_channel_events`` and ``_arrival_uniforms``; the uniforms are compared
-    with every run's rates in one pass. Without it the runs draw both at
-    once, keeping 2 bytes per slot and run of flags and 4 per slot of
-    events: a helper thread draws the events (``_beside``) while this thread
-    makes the flags block by block. The two draws read two generators of
-    the seed, the channel's advanced past the arrival uniforms, so the bits
-    are those of one sequential draw."""
+    ``path`` is the runs' held sample path ``(events, uniforms)``; without
+    it they draw their own (``_path``) and drop its uniforms when this
+    returns, so a lone run keeps 2 bytes per slot of flags and 4 of events
+    while it is solved. The uniforms are compared with every run's rates in
+    one pass."""
     config = configs[0]
+    events, uniforms = path or _path(config.params, config.horizon, config.seed)
     lam = np.array([[[c.arrivals.lambda1], [c.arrivals.lambda2]] for c in configs])
-    arrivals = np.empty((len(configs), 2, config.horizon), dtype=bool)
-    if path is None:
-        with _beside(_channel_events, config.params, config.horizon, config.seed) as drawn:
-            for lo, hi, u in _blocks(np.random.default_rng(config.seed).random, config.horizon):
-                np.less(u, lam, out=arrivals[:, :, lo:hi])
-            events = drawn()
-    else:
-        events, uniforms = path
-        np.less(uniforms, lam, out=arrivals)
+    arrivals = np.less(uniforms, lam)
     force1, force2 = _forced(config)
     return arrivals, events[2 if force2 else 0], events[3 if force1 else 1], *events[2:]
 
@@ -358,13 +348,12 @@ def _check_fit_window(warmup: int, horizon: int) -> None:
         )
 
 
-def _build_index(n: int) -> np.ndarray:
+@lru_cache(maxsize=2)
+def _cached_index(n: int) -> np.ndarray:
     index = np.arange(n, dtype=np.int64)
     index.flags.writeable = False
     return index
 
-
-_cached_index = lru_cache(maxsize=2)(_build_index)
 
 # Points per block of the drift slope's int64 sums. Indices count from the
 # block's start, so each partial is exact while block**2 * max|y| < 2**63:
@@ -400,11 +389,6 @@ def _drift_slopes(lines: np.ndarray) -> tuple[list[float], list[int]]:
     return [(n * ty - sum_t * y) / den for y, ty in zip(sum_y, sum_ty)], sum_y
 
 
-def _drift_slope(series: np.ndarray) -> float:
-    """The exact drift slope (``_drift_slopes``) of one 1-D ``series``."""
-    return _drift_slopes(series[None])[0][0]
-
-
 def classify_stability(
     trajectory: np.ndarray, warmup: int, slope_threshold: float = SLOPE_THRESHOLD
 ) -> Verdict:
@@ -418,7 +402,7 @@ def classify_stability(
     The trajectory counts packets: it is 1-D, of an integer dtype, with
     every value in ``[0, MAX_HORIZON]``, as a column of ``run()``'s
     trajectory is. Its slope is the exact one ``run()`` reports as
-    ``drift_slope`` (``_drift_slope``).
+    ``drift_slope`` (``_drift_slopes``).
     """
     traj = np.asarray(trajectory)
     if traj.ndim != 1:
@@ -435,7 +419,8 @@ def classify_stability(
     _check_fit_window(warmup, horizon)
     if traj.dtype.kind not in "iu" or traj.min() < 0 or traj.max() > MAX_HORIZON:
         raise InvalidParameterError(f"queue lengths are integers in [0, {MAX_HORIZON}]")
-    return _verdict(traj, warmup, _drift_slope(traj[warmup:horizon]), slope_threshold)
+    slopes, _ = _drift_slopes(traj[None, warmup:horizon])
+    return _verdicts(traj[None], warmup, slopes, slope_threshold)[0]
 
 
 def _verdicts(lines: np.ndarray, warmup: int, slopes, slope_threshold: float) -> list[Verdict]:
@@ -457,11 +442,6 @@ def _verdicts(lines: np.ndarray, warmup: int, slopes, slope_threshold: float) ->
         else:
             verdicts.append(Verdict.INCONCLUSIVE)
     return verdicts
-
-
-def _verdict(traj: np.ndarray, warmup: int, slope: float, slope_threshold: float) -> Verdict:
-    """classify_stability's rule (``_verdicts``) for one 1-D trajectory."""
-    return _verdicts(traj[None], warmup, [slope], slope_threshold)[0]
 
 
 def system_verdict(verdicts: tuple[Verdict, Verdict]) -> Verdict:
@@ -561,27 +541,17 @@ def _summarise(configs, inputs: tuple, q: np.ndarray, slopes, verdicts, sums,
 
 def _strips(configs: list[SimConfig], members: list[int]) -> list[list[list[int]]]:
     """run_batch's strips of the runs ``members`` (indices into ``configs``)
-    on one sample path and parameter set.
-
-    Runs of one dominant mode and warmup with one ``lambda2`` form a column,
-    sorted by ``lambda1`` descending; a group's columns, longest first, are
-    cut into strips of ``max(1, _BATCH_SLOTS // horizon)`` columns.
-    """
-    columns: dict[tuple, list[int]] = {}
+    of one batch key: the runs with one ``lambda2`` form a column, sorted by
+    ``lambda1`` descending, and the columns, longest first, are cut into
+    strips of ``max(1, _BATCH_SLOTS // horizon)`` columns."""
+    columns: dict[float, list[int]] = {}
     for i in members:
-        config = configs[i]
-        key = (config.dominant_mode, config.warmup, config.arrivals.lambda2)
-        columns.setdefault(key, []).append(i)
-    groups: dict[tuple, list[list[int]]] = {}
-    for (mode, warmup, _), column in columns.items():
+        columns.setdefault(configs[i].arrivals.lambda2, []).append(i)
+    for column in columns.values():
         column.sort(key=lambda i: configs[i].arrivals.lambda1, reverse=True)
-        groups.setdefault((mode, warmup), []).append(column)
+    ordered = sorted(columns.values(), key=len, reverse=True)
     width = max(1, _BATCH_SLOTS // configs[members[0]].horizon)
-    strips = []
-    for group in groups.values():
-        group.sort(key=len, reverse=True)
-        strips += [group[lo:lo + width] for lo in range(0, len(group), width)]
-    return strips
+    return [ordered[lo:lo + width] for lo in range(0, len(ordered), width)]
 
 
 def _solve_strip(configs: list[SimConfig], strip: list[list[int]], path=None) -> list[tuple]:
@@ -606,22 +576,19 @@ def _solve_strip(configs: list[SimConfig], strip: list[list[int]], path=None) ->
 def run_batch(configs, workers: int | None = None) -> list[SimResult]:
     """Run independent configs; results follow input order regardless of scheduling.
 
-    Configs that share a sample path ``(horizon, seed)``, such as a sweep's
-    cells, share its randomness, drawn before their runs are solved and held
-    only while they are made, one path at a time, every worker reading the
-    same read-only arrays: its arrival uniforms (``_arrival_uniforms``) are
-    drawn once, on a helper thread while the first parameter set's success
-    events are drawn (``_beside``), and its success events
-    (``_channel_events``) once per parameter set. They are solved in strips
-    (``_strips``): the runs of one parameter set, dominant mode and warmup
-    form a column per ``lambda2``, and each strip of up to ``_BATCH_SLOTS
-    // horizon`` columns is solved top-down, one batch of runs per rank in
+    Configs that share a batch key, their horizon, seed, params, dominant
+    mode and warmup, such as a sweep's cells, share one draw of their sample
+    path (``_path``), made before their runs are solved and held only while
+    they are made, one path at a time, every worker reading the same
+    read-only arrays. They are solved in strips (``_strips``): the runs with
+    one ``lambda2`` form a column, and each strip of up to ``_BATCH_SLOTS //
+    horizon`` columns is solved top-down, one batch of runs per rank in
     ``lambda1`` (``_solve_strip``).
     On one path a higher ``lambda1`` leaves both queues at least as long in
     every slot, so each run starts its Picard passes from queue 2's busy
     column at the run above it in its column; the start changes only the
     pass count, and every result is the one ``run()`` gives. A config alone
-    on its path is a lone run, as ``run()`` makes it.
+    on its batch key is a lone run, as ``run()`` makes it.
 
     With ``workers`` above 1, and some run of at least ``_POOL_HORIZON``
     slots, the strips, which are independent of each other, are dispatched
@@ -631,9 +598,10 @@ def run_batch(configs, workers: int | None = None) -> list[SimResult]:
     take turns with the GIL.
     """
     configs = list(configs)
-    by_path: dict[tuple[int, int], list[int]] = {}
+    batches: dict[tuple, list[int]] = {}
     for i, config in enumerate(configs):
-        by_path.setdefault((config.horizon, config.seed), []).append(i)
+        key = (config.horizon, config.seed, config.params, config.dominant_mode, config.warmup)
+        batches.setdefault(key, []).append(i)
     results: list[SimResult | None] = [None] * len(configs)
     parallel = (workers is not None and workers > 1
                 and any(config.horizon >= _POOL_HORIZON for config in configs))
@@ -646,26 +614,10 @@ def run_batch(configs, workers: int | None = None) -> list[SimResult]:
                 for i, result in made:
                     results[i] = result
 
-        make([[[members[0]]] for members in by_path.values() if len(members) == 1])
-        for (horizon, seed), members in by_path.items():
-            if len(members) == 1:
-                continue
-            param_sets = list(dict.fromkeys(configs[i].params for i in members))
-            # The uniforms go to the helper: this way round perfbench
-            # sweep-coupled read 9-13% more grid points per second than
-            # drawing in turn on 2 vCPUs, and 5% fewer with the events there.
-            # Where the path's arrays land in the allocator decides it; the
-            # draw's own time moved by under 0.4 ms of 15 per sweep.
-            with _beside(_arrival_uniforms, horizon, seed) as drawn:
-                events = _channel_events(param_sets[0], horizon, seed)
-                uniforms = drawn()
-            for params in param_sets:
-                if events is None:
-                    events = _channel_events(params, horizon, seed)
-                make(_strips(configs, [i for i in members if configs[i].params == params]),
-                     (events, uniforms))
-                events = None  # before the next parameter set's are drawn
-            del uniforms  # before the next path's are drawn
+        make([[members] for members in batches.values() if len(members) == 1])
+        for (horizon, seed, params, _, _), members in batches.items():
+            if len(members) > 1:
+                make(_strips(configs, members), _path(params, horizon, seed))
     return results
 
 
@@ -687,23 +639,24 @@ def estimate_boundary(
 
     Every probe is the run at the ray's own ``seed``: one sample path per
     ray (common random numbers). After its checks and before its first
-    probe, the ray draws the path's four success-event columns
-    (``_channel_events``, on a helper thread, ``_beside``) and, at the same
-    time, its arrival uniforms (``_arrival_uniforms``) once, and holds them
-    until it returns; every probe at its seed compares the uniforms with
-    its own rates. A probe is ``run()`` without its statistics,
-    ``_solve``, so its verdict is exactly
-    ``system_verdict(run(SimConfig(point, params, horizon=horizon,
-    seed=seed)).verdict)``. An inconclusive probe counts as non-stable, so
-    a ray makes ``1 + steps`` solves and its end must be judged unstable.
+    probe, the ray draws the path (``_path``), its four success-event
+    columns and its arrival uniforms, once, and holds it until it returns;
+    every probe at its seed compares the uniforms with its own rates. A
+    probe is ``run()`` without its statistics, ``_solve``, so its verdict
+    is exactly ``system_verdict(run(SimConfig(point, params,
+    horizon=horizon, seed=seed)).verdict)``. An inconclusive probe counts
+    as non-stable, so a ray makes ``1 + steps`` solves and its end must be
+    judged unstable.
 
     On one sample path, a higher scale means more arrivals in every slot,
     and a longer queue only takes service from the other (a shared-slot
     success implies the solo one), so both queues grow pathwise with the
-    scale and a verdict is monotone along the ray. Queue 2's busy column at
-    the nearest non-stable probe above is thus an upper bound for every
-    lower probe's, and each coupled solve starts its Picard passes there;
-    the start changes only the pass count (``_kernels.simulate_slots``).
+    scale. Every later probe lies below the last non-stable one, so queue
+    2's busy column there is an upper bound for theirs, and each coupled
+    solve starts its Picard passes from it; the start changes only the pass
+    count (``_kernels.simulate_slots``). The verdict rule is not monotone in
+    the trajectory, so verdicts need not be monotone along the ray, and the
+    point returned is one crossing from a stable probe to a non-stable one.
     """
     if not 0.0 <= angle_deg <= 90.0:
         raise InvalidParameterError("angle must lie in [0, 90] degrees")
@@ -717,9 +670,7 @@ def estimate_boundary(
         )
     # SimConfig checks the horizon and seed before the path is drawn
     origin = SimConfig(RatePoint(0.0, 0.0), params, horizon=horizon, seed=seed)
-    with _beside(_channel_events, params, origin.horizon, origin.seed) as drawn:
-        uniforms = _arrival_uniforms(origin.horizon, origin.seed)
-        path = (drawn(), uniforms)
+    path = _path(params, origin.horizon, origin.seed)
     c = math.cos(math.radians(angle_deg))
     s = math.sin(math.radians(angle_deg))
     cap = min(1.0 / c if c > 0.0 else math.inf, 1.0 / s if s > 0.0 else math.inf)

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import ctypes
 import io
 import json
 import math
@@ -495,6 +496,39 @@ def test_main_keeps_no_state_between_calls(capsys):
     assert (meta["scheme"], meta["seed"], meta["dominant"], meta["format"]) == (
         "ian", 1, "none", "csv")
     assert cli._cached_parser.cache_info().currsize == 1
+
+
+class TestHeapPin:
+    """main fixes glibc's mmap threshold (mallopt option -3) and trim
+    threshold (-1) at 1 GiB, and runs where libc has no mallopt."""
+
+    CHECK = ["check", "--lambda1", "0.1", "--lambda2", "0.1"]
+
+    def test_runs_without_mallopt(self, capsys, monkeypatch):
+        class NoMallopt:
+            def __init__(self, name):
+                pass
+
+        monkeypatch.setattr(ctypes, "CDLL", NoMallopt)
+        status, _, _ = run_cli(capsys, *self.CHECK)
+        assert status == cli.EXIT_OK
+
+    def test_each_call_sets_both_thresholds(self, capsys, monkeypatch):
+        calls = []
+
+        def mallopt(option, value):
+            calls.append((option, value))
+            return 1
+
+        class Recording:
+            def __init__(self, name):
+                self.mallopt = mallopt
+
+        monkeypatch.setattr(ctypes, "CDLL", Recording)
+        for n in (1, 2):
+            status, _, _ = run_cli(capsys, *self.CHECK)
+            assert status == cli.EXIT_OK
+            assert sorted(calls) == sorted([(-3, 1 << 30), (-1, 1 << 30)] * n)
 
 
 def assert_clean_cells(rows):

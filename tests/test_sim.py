@@ -1,5 +1,6 @@
 """Slot simulator: dynamics, statistics, dominance, boundary estimation."""
 
+import collections
 import dataclasses
 import hashlib
 import math
@@ -192,12 +193,14 @@ class TestKernelInputs:
                     assert got.shape == want.shape
                     assert np.array_equal(got, want)
 
-    def test_peak_memory_is_the_flags_plus_four_blocks(self):
-        """At 1M slots the producer keeps 6 bytes per slot of flags and
-        events; the rest of its peak (4.3 blocks) is four block buffers, two
+    def test_peak_memory_is_the_path_plus_four_blocks(self):
+        """At 1M slots the producer returns 6 bytes per slot of flags and
+        events, and peaks at its path and flags: 16 bytes per slot of
+        arrival uniforms, dropped when it returns, 4 of events and 2 of
+        flags. While the path is drawn, four block buffers are alive, two
         per stream since a helper thread draws the events while this thread
-        makes the flags, and one block's event temporaries. The whole-array
-        draw peaks at 38 bytes per slot here."""
+        draws the uniforms, and one block's event temporaries. The
+        whole-array draw peaks at 38 bytes per slot here."""
         horizon = 1_000_000
         cfg = SimConfig(RatePoint(0.35, 0.3), ALL_PARAMS[0], horizon=horizon, seed=5)
         _kernel_inputs([SimConfig(RatePoint(0.35, 0.3), ALL_PARAMS[0], horizon=10)])  # thresholds
@@ -209,7 +212,27 @@ class TestKernelInputs:
         finally:
             tracemalloc.stop()
         assert sum(a.nbytes for a in inputs[:5]) == 6 * horizon
-        assert 6 * horizon <= peak <= 6 * horizon + 5 * block_bytes
+        assert 22 * horizon <= peak <= 22 * horizon + 5 * block_bytes
+
+    def test_peak_memory_of_a_lone_run_is_its_solve(self):
+        """A lone run drops its path's arrival uniforms once it has its
+        flags, before it is solved: a 1M-slot coupled run (adaptive SC)
+        peaks at 23 bytes per slot, 6 of flags and events, 8 of trajectory
+        and 9 of the solver's temporaries, against 22 while it draws. A run
+        that kept its uniforms through the solve would peak near 39. (A
+        cold process adds the drift slope's cached 4 MiB index, made here
+        before measuring.)"""
+        horizon = 1_000_000
+        cfg = SimConfig(RatePoint(0.35, 0.3), ALL_PARAMS[2], horizon=horizon, seed=5)
+        b.run(SimConfig(RatePoint(0.35, 0.3), ALL_PARAMS[2], horizon=10_000))  # thresholds
+        sim._cached_index(sim._SLOPE_BLOCK)
+        tracemalloc.start()
+        try:
+            b.run(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 25 * horizon
 
     def test_peak_memory_of_a_ray_holds_its_uniforms(self, event_draws):
         """A 1M-slot ray holds, between probes, 16 bytes per slot of arrival
@@ -273,14 +296,12 @@ class TestKernelInputs:
 
 
 def run_in_child(cfg, connection):
-    """Send whether a call given to the helper in this forked child starts
-    on a helper thread, which a helper copied from the parent never does,
-    and then ``run(cfg)``."""
+    """Send whether a call submitted to the helper in this forked child
+    starts on a helper thread, which a helper copied from the parent never
+    does, and then ``run(cfg)``."""
     started = threading.Event()
-    with sim._beside(started.set) as drawn:
-        helped = started.wait(10)
-        drawn()
-    connection.send((helped, b.run(cfg)))
+    sim._helper.submit(started.set)
+    connection.send((started.wait(10), b.run(cfg)))
     connection.close()
 
 
@@ -289,8 +310,8 @@ class DrawFailed(Exception):
 
 
 class TestDrawHelper:
-    """One stream of a path is drawn on a helper thread while the caller
-    draws the other (``sim._beside``)."""
+    """A path's success events are drawn on a helper thread while the
+    caller draws its arrival uniforms (``sim._path``)."""
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
@@ -329,17 +350,15 @@ class TestDrawHelper:
     @staticmethod
     def path_draws(cfg):
         """Each call that draws a path, with the draw its helper makes and
-        the one it makes itself: a lone run's and a ray's helper draws the
-        events, while a batch's draws the arrival uniforms of the path its
-        configs share."""
+        the one it makes itself: a lone run, a batch's lone config, a ray
+        and a batch's configs that share a path all draw it by ``_path``."""
         def ray():
             return b.estimate_boundary(cfg.params, 45.0, steps=8, horizon=cfg.horizon,
                                        seed=cfg.seed)
 
-        return [(lambda: b.run(cfg), "_channel_events", "_blocks"),
-                (lambda: b.run_batch([cfg]), "_channel_events", "_blocks"),
-                (ray, "_channel_events", "_arrival_uniforms"),
-                (lambda: b.run_batch([cfg, cfg]), "_arrival_uniforms", "_channel_events")]
+        calls = [lambda: b.run(cfg), lambda: b.run_batch([cfg]), ray,
+                 lambda: b.run_batch([cfg, cfg])]
+        return [(call, "_channel_events", "_arrival_uniforms") for call in calls]
 
     def test_a_failed_helper_draw_raises_in_the_caller(self, monkeypatch):
         """What the helper's draw raises, each call that draws a path raises."""
@@ -719,34 +738,34 @@ class TestRunStatistics:
         assert b.run_batch(cfgs, workers=2) == expected
 
     @pytest.mark.parametrize("workers", [None, 3])
-    def test_shared_paths_hold_one_draw(self, monkeypatch, event_draws, workers):
+    def test_shared_paths_hold_one_draw(self, monkeypatch, workers):
         """A batch mixing lone configs with a path shared by two parameter
         sets and every dominant mode gives run()'s results in input order,
-        and draws the shared path's arrival uniforms once and its success
-        events once per parameter set; each lone config draws its own. Its
-        short runs go through the pool at ``workers=3``."""
+        and draws one path (``sim._path``) per batch key, its horizon, seed,
+        params, dominant mode and warmup: each of the six keys that two
+        configs share draws it once, and each lone config its own. Its short
+        runs go through the pool at ``workers=3``."""
         monkeypatch.setattr(sim, "_POOL_HORIZON", 0)
-        shared = [SimConfig(RatePoint(0.1 + 0.1 * i, 0.3), ALL_PARAMS[1 + i % 2], horizon=20_000,
-                            seed=8, dominant_mode=("none", "queue1", "queue2")[i % 3])
-                  for i in range(6)]
+        shared = [SimConfig(RatePoint(0.1 + 0.05 * i, 0.3), ALL_PARAMS[1 + i % 2],
+                            horizon=20_000, seed=8,
+                            dominant_mode=("none", "queue1", "queue2")[i % 3])
+                  for i in range(12)]
         lone = [SimConfig(RatePoint(0.2, 0.2), ALL_PARAMS[1], horizon=20_000, seed=9),
                 SimConfig(RatePoint(0.2, 0.2), ALL_PARAMS[1], horizon=20_001, seed=8)]
-        cfgs = [lone[0], *shared[:3], lone[1], *shared[3:]]
+        cfgs = [lone[0], *shared[:6], lone[1], *shared[6:]]
         expected = [b.run(c) for c in cfgs]
-        event_draws.clear()
         draws = []
-        draw = sim._arrival_uniforms
+        draw = sim._path
 
-        def counted(horizon, seed):
-            draws.append((horizon, seed))
-            return draw(horizon, seed)
+        def counted(params, horizon, seed):
+            draws.append((params, horizon, seed))
+            return draw(params, horizon, seed)
 
-        monkeypatch.setattr(sim, "_arrival_uniforms", counted)
+        monkeypatch.setattr(sim, "_path", counted)
         assert b.run_batch(cfgs, workers=workers) == expected
-        assert draws == [(20_000, 8)]
-        # the lone configs run first, each drawing its own events
-        assert {draw[1:] for draw in event_draws[:2]} == {(20_000, 9), (20_001, 8)}
-        assert event_draws[2:] == [(ALL_PARAMS[1], 20_000, 8), (ALL_PARAMS[2], 20_000, 8)]
+        keys = {(c.params, c.horizon, c.seed, c.dominant_mode, c.warmup) for c in cfgs}
+        assert len(keys) == 8 and len(draws) == 8
+        assert collections.Counter(draws) == collections.Counter(key[:3] for key in keys)
 
     def test_threads_share_held_paths(self, monkeypatch):
         """Runs on three shared paths, in more threads than cores and with
@@ -881,7 +900,7 @@ class TestFitSlope:
            n=st.integers(2, 50_000) | st.integers(2, 50), seed=st.integers(0, 2**32 - 1))
     def test_matches_exact_fraction(self, kind, n, seed):
         series = verdict_series(kind, n, seed)
-        assert sim._drift_slope(series) == float(exact_slope(series))
+        assert sim._drift_slopes(series[None])[0] == [float(exact_slope(series))]
 
     @pytest.mark.parametrize("n", [sim._SLOPE_BLOCK - 1, sim._SLOPE_BLOCK, sim._SLOPE_BLOCK + 1,
                                    2 * sim._SLOPE_BLOCK + 3])
@@ -890,8 +909,8 @@ class TestFitSlope:
         """Across block edges, also with values whose unblocked sums overflow int64."""
         series = verdict_series(kind, n, n)
         slope = float(exact_slope(series))
-        assert sim._drift_slope(series) == slope
-        assert sim._drift_slope(series.astype(np.uint64)) == slope
+        assert sim._drift_slopes(series[None])[0] == [slope]
+        assert sim._drift_slopes(series.astype(np.uint64)[None])[0] == [slope]
 
     @pytest.mark.parametrize("n", [18_000, 36_000, 90_000, 1_000_001])
     def test_matches_polyfit_at_run_lengths(self, n):
@@ -901,7 +920,8 @@ class TestFitSlope:
         for kind in ("zeros", "increasing", "queue"):
             series = integer_series(kind, n, n)
             expected = polyfit_slope(series.astype(np.float64))
-            assert sim._drift_slope(series) == pytest.approx(expected, rel=1e-12, abs=1e-18)
+            [slope] = sim._drift_slopes(series[None])[0]
+            assert slope == pytest.approx(expected, rel=1e-12, abs=1e-18)
 
     def test_warmup_leaves_two_slots(self):
         SimConfig(RatePoint(0.1, 0.1), ALL_PARAMS[0], horizon=10, warmup=8)
@@ -945,7 +965,7 @@ class TestClassifyExactSlope:
         warmup = n // 10
         slope = float(exact_slope(traj[warmup:n - 1]))
         threshold = threshold_for(choice, slope)
-        expected = sim._verdict(traj, warmup, slope, threshold)
+        [expected] = sim._verdicts(traj[None], warmup, [slope], threshold)
         assert b.classify_stability(traj, warmup, threshold) is expected
 
     @pytest.mark.parametrize("traj", [
@@ -1127,8 +1147,9 @@ class TestEstimateBoundary:
                                                  horizon):
         """The premise of one sample path per ray: on one path, a higher scale
         along a ray leaves both queues at least as long in every slot, so a
-        verdict is monotone along the ray and a non-stable probe's busy column
-        bounds every lower probe's."""
+        non-stable probe's busy column bounds every lower probe's. (The
+        verdicts need not be monotone: the verdict rule is not monotone in
+        the trajectory.)"""
         profile = SuccessProfile(*solo, solo[0] * shared[0], solo[1] * shared[1])
         c, s = math.cos(math.radians(angle)), math.sin(math.radians(angle))
         cap = min(1.0 / c if c > 0.0 else math.inf, 1.0 / s if s > 0.0 else math.inf)
