@@ -6,72 +6,80 @@ Usage:
     python benchmarks/bench_kernels.py [--horizon 200000 ...] [--repeat 5]
                                        [--json BENCH_label.json]
 
-Runs from a checkout without installing: the checkout's ``src/`` is put
-first on the import path, and ``tests/`` after it for the reference draw
-(which needs the test dependencies, pytest and hypothesis).
+Runs from a checkout without installing (the checkout's ``src/`` is put
+first on the import path) and needs only numpy.
+
+Every split and count is taken on the library's own calls: ``watched``
+wraps named library functions for the length of a block and sums, per
+function, the seconds spent in its calls, the calls made (rows, for
+``_kernels._lindley``) and the minor page faults taken during them
+(``ru_minflt`` of the whole process, so a call also counts the faults of
+threads that run beside it, such as the helper thread's draw of the path's
+events inside ``sim._kernel_inputs``). ``run()`` calls the five layers of
+``LAYERS`` one after another, never one inside another:
+
+    inputs    sim._kernel_inputs       the path's draw (sim._path), arrival flags
+    solve     _kernels.simulate_slots  the queue recursion (the solver)
+    fit       sim._drift_slopes        both queues' exact drift slopes
+    verdicts  sim._verdicts            the verdicts given the slopes
+    rest      sim._summarise           counts and rates
+
+``run()`` judges its queues from 10000 slots on; below that it makes no
+``verdicts`` call and the column reads 0.
 
 The slot loop and the solver consume identical pre-drawn arrivals and
 success events, as a batch of one run, and produce a bit-identical
 trajectory (checked here, with the solver's Picard pass count). Each
-config also splits one whole ``run()`` into five parts, each timed
-directly, one after the other in the same iteration, so none can read
-negative: the draw and the success events (``sim._kernel_inputs``: the
-path's draw, ``sim._path``, and the arrival flags), the recursion (the
-solver), the two exact drift slopes (``fit``: ``sim._drift_slopes`` on both
-queues' post-warmup trajectories), the two verdicts given those slopes
-(``verdicts``: ``sim._verdicts``), and the rest of the statistics
-(``rest``: ``sim._summarise``, counts and rates). ``run`` is taken over the
-per-iteration sums of the five. A boundary-search probe is ``sim._solve``:
-every part but ``rest``. ``lindley`` times one Lindley row-solve
-(``_kernels._lindley`` on one row) of queue 1's service column at the
-solved trajectory, the column the solver's last pass solves, so it is the
-queue-recursion layer on its own; a row is ``identical`` when that solve
-also reproduces queue 1's trajectory.
-``draw_whole`` times the reference whole-array draw of the same randomness
-(``whole_array_draw`` in ``tests/test_sim.py``: two ``(horizon, 2)``
-float64 arrays), which the blocked draw replaced, so the draw's
-share stays visible.
-``events_raw`` and ``events`` time the four success-event columns of those
-draws, each user's in a contiguous row as a run has them, from the raw
-inequalities (``channel._raw_events``) and from the per-parameter
-thresholds that ``success_events`` compares with (thresholds cached, as in
-any run after the first). The configs cover coupled queues inside the
-region and at 0.98x the analytic frontier, where the solver needs the most
-Picard passes, and both dominant modes; each horizon given is timed. The
-``sc coupled (0.3, 0.6)`` row keeps its name so BENCH files stay
-comparable, but fixed SC is a decoupled profile: queue 1's shared-slot
-events equal its solo ones (an empty flip column), so the solver takes
-two Lindley solves and one pass there, as in a dominant mode.
+config's ``runs`` row holds the five layers of a watched ``run()``, with
+``run`` taken over the per-call sums of the five and ``faults`` the minor
+page faults of each layer per call. ``lindley`` times one Lindley
+row-solve (``_kernels._lindley`` on one row) of queue 1's service column at
+the solved trajectory, the column the solver's last pass solves, so it is
+the queue-recursion layer on its own; a row is ``identical`` when that
+solve also reproduces queue 1's trajectory. ``draw_whole`` times the
+reference whole-array draw of the same randomness (two ``(horizon, 2)``
+float64 arrays from one generator), which the blocked draw replaced, so the
+draw's share stays visible. ``events_raw`` and ``events`` time the four
+success-event columns of those draws, each user's in a contiguous row as a
+run has them, from the raw inequalities (``channel._raw_events``) and from
+the per-parameter thresholds that ``success_events`` compares with
+(thresholds cached, as in any run after the first). The configs cover
+coupled queues inside the region and at 0.98x the analytic frontier, where
+the solver needs the most Picard passes, and both dominant modes; each
+horizon given is timed. The ``sc coupled (0.3, 0.6)`` row keeps its name so
+BENCH files stay comparable, but fixed SC is a decoupled profile: queue 1's
+shared-slot events equal its solo ones (an empty flip column), so the
+solver takes two Lindley solves and one pass there, as in a dominant mode.
 
 The ``mc`` rows split ``mc_estimate_profile`` at 1e7 draws on the fixed
 IAN and SC configs: ``draws`` is the exponential draws alone, ``events``
 the threshold events and their counts, ``events_raw`` the four raw events
 and their counts on as many draws (user 1's blocks stand for both users),
-and ``call`` one whole call. The split replays the call's loop through its
-private names, so each ``mc`` row's ``identical`` says whether the split's
-threshold-event counts equal ``round(p * MC_DRAWS)`` of the call's
-estimates ``p``: false means the split timed a different loop.
+and ``call`` one whole call. The call has no seams to watch, so the split
+replays its loop through its private names, and each ``mc`` row's
+``identical`` says whether the split's threshold-event counts equal
+``round(p * MC_DRAWS)`` of the call's estimates ``p``: false means the
+split timed a different loop.
 
 The ``estimate_boundary`` rows time one 45 degree ray per configuration
 (the three named ones of the acceptance suite and the generic profile) at
-40k slots and 8 steps, as ``compare-boundary`` runs it, in ``ray``. One
-more call with counting wrappers gives the ray's ``probes`` (solver calls:
-``1 + steps``, so 9), ``channel_draws`` (calls of ``sim._channel_events``:
-1, the ray's held path), ``arrival_draws`` (draws of a path's arrival
-uniforms, ``sim._arrival_uniforms``: 1, the ray's held draw) and
-``lindley`` (Lindley row-solves, one per queue solved; ``2 * probes`` on the
-decoupled ``sc fixed`` ray).
+40k slots and 8 steps, as ``compare-boundary`` runs it, in ``ray``, with
+the minor page faults per call in ``faults``. One more call, watched over
+``COUNTED``, gives the ray's ``probes`` (solver calls: ``1 + steps``, so
+9), ``channel_draws`` (calls of ``sim._channel_events``: 1, the ray's held
+path), ``arrival_draws`` (calls of ``sim._arrival_uniforms``: 1, the ray's
+held draw) and ``lindley`` (Lindley row-solves, one per queue solved;
+``2 * probes`` on the decoupled ``sc fixed`` ray).
 
 The ``sweep`` rows time one in-process ``bcstab sweep --simulate --grid 7
---horizon 20000 --workers 2`` per configuration of the ``estimate_boundary``
-rows, output discarded, in ``ms``. As many more calls, with timing
-wrappers, split the time its runs spend into ``inputs``
-(``sim._kernel_inputs``), ``solve`` (the queue solver,
-``_kernels.simulate_slots``) and ``stats`` (the slopes and verdicts in
-``sim._solve``, and ``sim._summarise``). One more call, with the counting
-wrappers, gives its ``channel_draws`` and ``arrival_draws``: every cell is
-the run at the sweep's seed, so its path's events and arrival uniforms are
-each drawn once, before the workers start. It also gives the sweep's
+--horizon 20000 --workers 2`` (``cli.main``) per configuration of the
+``estimate_boundary`` rows, output discarded, in ``ms``, with the minor page
+faults per call in ``faults``. As many more calls, watched over
+``LAYERS``, split the time its runs spend into ``inputs``, ``solve`` and
+``stats`` (fit, verdicts and rest). One more call, watched over
+``COUNTED``, gives its ``channel_draws`` and ``arrival_draws``: every cell
+is the run at the sweep's seed, so its path's events and arrival uniforms
+are each drawn once, before the workers start. It also gives the sweep's
 ``batches`` (solver calls) and ``lindley`` (Lindley row-solves), next to
 ``lindley_cold``, the row-solves of the same cells made one by one by
 ``run()``, each starting its Picard passes from the all-busy column: a
@@ -79,13 +87,17 @@ sweep solves its cells in batches of a strip's columns, each cell starting
 from the cell above it (``sim.run_batch``), so it makes fewer row-solves
 wherever the queues are coupled. Its 20k-slot runs are shorter than
 ``sim._POOL_HORIZON``, so they run in the calling thread; the flag stays
-so that the rows compare with earlier BENCH files.
+so that the rows compare with earlier BENCH files. ``cli.main`` pins
+glibc's heap for the rest of the process (``cli._pin_heap``), so the runs,
+mc and ray rows run on glibc's dynamic heap and the sweep rows on the
+pinned one.
 
-Every column is timed ``--repeat`` times and reported as the median, with
-the best (fastest) time beside it as ``<column>_best``. Every config and
-Monte Carlo call uses the seed ``SEED``. ``--json`` writes every median and
-best, in milliseconds, with the Python and numpy versions, the CPU count,
-the horizons, the seed and the backend.
+Every time is taken ``--repeat`` times and reported as the median, with
+the best (fastest) time beside it as ``<column>_best``; fault counts are
+the median call's (``statistics.median_low``). Every config and Monte Carlo
+call uses the seed ``SEED``. ``--json`` writes every median and best, in
+milliseconds, with the Python and numpy versions, the CPU count, the
+horizons, the seed, the backend and the heap each section ran on.
 """
 
 import argparse
@@ -97,27 +109,73 @@ import os
 import platform
 import statistics
 import sys
+import threading
 import time
+from collections import Counter
 from pathlib import Path
+from resource import RUSAGE_SELF, getrusage
 from unittest import mock
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+sys.path.insert(0, str(ROOT / "src"))
 
-from bcstab import (
-    RatePoint,
-    SimConfig,
-    SuccessProfile,
-    SystemParams,
-    boundary_scale,
-    estimate_boundary,
-    region_for_params,
-)
-from bcstab import _kernels, channel, cli, sim
-from bcstab.sim import SLOPE_THRESHOLD, _drift_slopes, _kernel_inputs, _summarise, _verdicts
-from test_sim import whole_array_draw
+from bcstab import (RatePoint, SimConfig, SuccessProfile, SystemParams, _kernels, boundary_scale,
+                    channel, cli, region_for_params, sim)
+
+LAYERS = {"inputs": (sim, "_kernel_inputs"), "solve": (_kernels, "simulate_slots"),
+          "fit": (sim, "_drift_slopes"), "verdicts": (sim, "_verdicts"), "rest": (sim, "_summarise")}
+COUNTED = {"channel_draws": (sim, "_channel_events"), "arrival_draws": (sim, "_arrival_uniforms"),
+           "batches": (_kernels, "simulate_slots"), "lindley": (_kernels, "_lindley")}
+
+
+@contextlib.contextmanager
+def watched(targets):
+    """Wrap each ``(module, name)`` of the dict ``targets`` for the block and
+    yield, under the same keys, a ``Counter`` of each one's ``seconds``,
+    ``calls`` and minor page ``faults``. A call of ``_kernels._lindley``
+    counts its rows, of any leading shape. The helper thread draws too, so
+    the sums are taken under a lock."""
+    lock = threading.Lock()
+    spent = {key: Counter() for key in targets}
+
+    def wrap(key, name, fn):
+        def watched_call(*args, **kwargs):
+            f0, t0 = getrusage(RUSAGE_SELF).ru_minflt, time.perf_counter()
+            out = fn(*args, **kwargs)
+            t, f = time.perf_counter() - t0, getrusage(RUSAGE_SELF).ru_minflt - f0
+            calls = args[0].size // args[0].shape[-1] if name == "_lindley" else 1
+            with lock:
+                spent[key].update(seconds=t, calls=calls, faults=f)
+            return out
+        return watched_call
+
+    with contextlib.ExitStack() as stack:
+        for key, (module, name) in targets.items():
+            stack.enter_context(mock.patch.object(module, name, wrap(key, name, getattr(module, name))))
+        yield spent
+
+
+def watch(targets, fn, args, repeat):
+    """``repeat`` calls of fn(*args), each watched over ``targets``: one
+    ``watched`` dict per call."""
+    calls = []
+    for _ in range(repeat):
+        with watched(targets) as spent:
+            fn(*args)
+        calls.append(spent)
+    return calls
+
+
+def seconds(calls, *keys):
+    """Per watched call, the seconds spent in the ``keys`` together."""
+    return [sum(spent[key]["seconds"] for key in keys) for spent in calls]
+
+
+def faults(calls, key):
+    """The median call's minor page faults in ``key``."""
+    return statistics.median_low(spent[key]["faults"] for spent in calls)
 
 
 def repeat_times(fn, args, repeat):
@@ -144,29 +202,10 @@ def print_row(name, prefix, columns, row, suffix=""):
     print(f"{'  best':<24}{'':>{len(prefix)}}" + "".join(f"{row[c + '_best']:>11.2f}" for c in columns))
 
 
-def timed(fn, *args):
-    t0 = time.perf_counter()
-    out = fn(*args)
-    return time.perf_counter() - t0, out
-
-
 def queue1_service(kernel_args, q):
     """Queue 1's service column given queue 2's solved busy column."""
     _, solo1, _, both1, _ = kernel_args
     return solo1 ^ ((q[:, 1, :-1] > 0) & (solo1 ^ both1))
-
-
-def split_run(cfg):
-    """One run() made phase by phase, each phase timed; returns the times in
-    seconds."""
-    t_inputs, inputs = timed(_kernel_inputs, [cfg])
-    t_solve, (q, _) = timed(_kernels.simulate_slots, *inputs)
-    lines = q.reshape(2, -1)
-    t_fit, (slopes, sums) = timed(_drift_slopes, lines[:, cfg.warmup:cfg.horizon])
-    t_verdicts, verdicts = timed(_verdicts, lines, cfg.warmup, slopes, SLOPE_THRESHOLD)
-    t_rest, _ = timed(_summarise, [cfg], inputs, q, [tuple(slopes)], [tuple(verdicts)],
-                      [tuple(sums)])
-    return t_inputs, t_solve, t_fit, t_rest, t_verdicts
 
 
 SEED = 1234
@@ -188,6 +227,14 @@ def configs(horizon):
     for mode in ("queue1", "queue2"):
         yield f"sc dominant {mode}", SimConfig(inside, PARAMS, horizon=horizon, seed=SEED,
                                               dominant_mode=mode)
+
+
+def whole_array_draw(cfg):
+    """The reference draw of a run's randomness: ``(horizon, 2)`` arrival
+    uniforms, then as many channel draws, from one generator of the seed."""
+    rng = np.random.default_rng(cfg.seed)
+    draw = rng.random if cfg.params.decoding is channel.Decoding.GENERIC else rng.standard_exponential
+    return rng.random((cfg.horizon, 2)), draw((cfg.horizon, 2))
 
 
 def draw_and_event_times(cfg, repeat):
@@ -248,60 +295,8 @@ BOUNDARY_PARAMS = {
 
 def ray(params):
     """One ray, as ``compare-boundary`` makes it."""
-    return estimate_boundary(params, BOUNDARY["angle"], steps=BOUNDARY["steps"],
-                             horizon=BOUNDARY["horizon"], seed=SEED)
-
-
-@contextlib.contextmanager
-def counted_draws():
-    """Yield two lists, appended to per draw made inside: the first per draw
-    of a path's success events (``sim._channel_events``), the second per
-    draw of its arrival uniforms (``sim._arrival_uniforms``). The helper and
-    worker threads may draw; a list append is atomic."""
-    channel_draws, arrival_draws = [], []
-    events, uniforms = sim._channel_events, sim._arrival_uniforms
-
-    def counted_events(params, horizon, seed):
-        channel_draws.append(seed)
-        return events(params, horizon, seed)
-
-    def counted_uniforms(horizon, seed):
-        arrival_draws.append(seed)
-        return uniforms(horizon, seed)
-
-    with mock.patch.object(sim, "_channel_events", counted_events), \
-            mock.patch.object(sim, "_arrival_uniforms", counted_uniforms):
-        yield channel_draws, arrival_draws
-
-
-@contextlib.contextmanager
-def counted_solves():
-    """Yield a dict counting the solver's ``batches`` (calls of
-    ``_kernels.simulate_slots``) made inside and its Lindley row-solves
-    (``lindley``: one per run and queue solved, the rows of each
-    ``_kernels._lindley`` call)."""
-    counts = dict(batches=0, lindley=0)
-    solve, lindley = _kernels.simulate_slots, _kernels._lindley
-
-    def counted_solve(*args, **kwargs):
-        counts["batches"] += 1
-        return solve(*args, **kwargs)
-
-    def counted_lindley(arrivals, service, q):
-        counts["lindley"] += arrivals.size // arrivals.shape[-1]  # rows, of any leading shape
-        return lindley(arrivals, service, q)
-
-    with mock.patch.object(_kernels, "simulate_slots", counted_solve), \
-            mock.patch.object(_kernels, "_lindley", counted_lindley):
-        yield counts
-
-
-def ray_work(params):
-    """One ray's probes, channel and arrival draws and Lindley solves."""
-    with counted_solves() as counts, counted_draws() as (channel_draws, arrival_draws):
-        ray(params)
-    return dict(probes=counts["batches"], channel_draws=len(channel_draws),
-                arrival_draws=len(arrival_draws), lindley=counts["lindley"])
+    return sim.estimate_boundary(params, BOUNDARY["angle"], steps=BOUNDARY["steps"],
+                                 horizon=BOUNDARY["horizon"], seed=SEED)
 
 
 SWEEP = ["sweep", "--simulate", "--grid", "7", "--horizon", "20000", "--workers", "2",
@@ -330,43 +325,17 @@ def sweep(argv):
 
 
 def sweep_work(argv):
-    """One sweep's channel and arrival draws, its batches and Lindley
-    row-solves, and the row-solves of its cells made one by one as
-    ``run()`` makes them, each from the all-busy column (``lindley_cold``)."""
-    with counted_draws() as (channel_draws, arrival_draws), counted_solves() as counts, \
+    """One sweep's ``COUNTED`` calls, and the Lindley row-solves of its cells
+    made one by one as ``run()`` makes them, each from the all-busy column
+    (``lindley_cold``)."""
+    with watched(COUNTED) as work, \
             mock.patch.object(cli, "run_batch", wraps=cli.run_batch) as batch:
         sweep(argv)
-    with counted_solves() as cold:
+    with watched(COUNTED) as cold:
         for config in batch.call_args.args[0]:
             sim.run(config)
-    return dict(channel_draws=len(channel_draws), arrival_draws=len(arrival_draws), **counts,
-                lindley_cold=cold["lindley"])
-
-
-def sweep_layers(argv):
-    """The time one sweep's runs spent in three layers, in seconds:
-    ``inputs`` (``sim._kernel_inputs``), ``solve`` (the queue solver,
-    ``_kernels.simulate_slots``) and ``stats`` (the rest of ``sim._solve``,
-    the slopes and verdicts, and ``sim._summarise``)."""
-    spent = dict(inputs=0.0, solve=0.0, stats=0.0)
-
-    def timer(fn, *layers):
-        def timed_call(*args, **kwargs):
-            t0 = time.perf_counter()
-            out = fn(*args, **kwargs)
-            for layer, sign in layers:
-                spent[layer] += sign * (time.perf_counter() - t0)
-            return out
-        return timed_call
-
-    with mock.patch.object(sim, "_kernel_inputs",
-                           timer(sim._kernel_inputs, ("inputs", 1), ("stats", -1))), \
-            mock.patch.object(_kernels, "simulate_slots",
-                              timer(_kernels.simulate_slots, ("solve", 1), ("stats", -1))), \
-            mock.patch.object(sim, "_solve", timer(sim._solve, ("stats", 1))), \
-            mock.patch.object(sim, "_summarise", timer(sim._summarise, ("stats", 1))):
-        sweep(argv)
-    return spent["inputs"], spent["solve"], spent["stats"]
+    return dict({key: spent["calls"] for key, spent in work.items()},
+                lindley_cold=cold["lindley"]["calls"])
 
 
 def environment(args):
@@ -379,6 +348,8 @@ def environment(args):
         "repeat": args.repeat,
         "backend": "numpy",
         "mc_draws": MC_DRAWS,
+        "heap": "runs, mc and estimate_boundary on glibc's dynamic heap, sweep on the heap "
+                "that the first sweep's cli.main pins (cli._pin_heap)",
     }
 
 
@@ -391,28 +362,30 @@ def main():
 
     columns = ("loop", "run", "inputs", "solve", "fit", "rest", "verdicts", "lindley",
                "draw_whole", "events_raw", "events")
+    layers = columns[2:7]
     results = {"environment": environment(args), "unit": "ms", "runs": {}, "mc": {},
                "estimate_boundary": {}, "sweep": {}}
     for horizon in args.horizon:
-        print(f"{horizon} slots, median and best of {args.repeat}, milliseconds")
+        print(f"{horizon} slots, median and best of {args.repeat}, milliseconds, and faults per call")
         print(f"{'config':<24}{'passes':>8}" + "".join(f"{c:>11}" for c in columns) + "  identical")
         for name, cfg in configs(horizon):
-            kernel_args = _kernel_inputs([cfg])
+            kernel_args = sim._kernel_inputs([cfg])
             t_loop, (q_loop, _) = repeat_times(_kernels.simulate_slots_py, kernel_args, args.repeat)
             q, [passes] = _kernels.simulate_slots(*kernel_args)
-            splits = [split_run(cfg) for _ in range(args.repeat)]
-            t_run = [sum(split) for split in splits]
+            splits = watch(LAYERS, sim.run, (cfg,), args.repeat)
             q1 = np.zeros((1, horizon + 1), dtype=np.int32)
-            t_lindley, _ = repeat_times(
-                _kernels._lindley, (kernel_args[0][:, 0], queue1_service(kernel_args, q), q1),
-                args.repeat)
-            row = summary(columns, [t_loop, t_run, *zip(*splits), t_lindley,
-                                     *draw_and_event_times(cfg, args.repeat)])
+            lindley_args = (kernel_args[0][:, 0], queue1_service(kernel_args, q), q1)
+            t_lindley, _ = repeat_times(_kernels._lindley, lindley_args, args.repeat)
+            row = summary(columns, [t_loop, seconds(splits, *LAYERS),
+                                    *(seconds(splits, layer) for layer in layers), t_lindley,
+                                    *draw_and_event_times(cfg, args.repeat)])
             passes = "loop" if passes is None else passes
             row.update(passes=passes, identical=bool(np.array_equal(q, q_loop)
-                                                     and np.array_equal(q1, q[:, 0])))
+                                                     and np.array_equal(q1, q[:, 0])),
+                       faults={layer: faults(splits, layer) for layer in layers})
             results["runs"].setdefault(str(horizon), {})[name] = row
             print_row(name, f"{passes:>8}", columns, row, f"  {row['identical']}")
+            print(f"{'  faults':<24}{'':>30}" + "".join(f"{row['faults'][c]:>11}" for c in layers))
 
     mc_columns = ("call", "draws", "events", "events_raw")
     print(f"\nmc_estimate_profile, {MC_DRAWS} draws, median and best of {args.repeat}, milliseconds")
@@ -429,13 +402,17 @@ def main():
 
     print(f"\nestimate_boundary, {BOUNDARY['angle']} degrees, {BOUNDARY['horizon']} slots, "
           f"{BOUNDARY['steps']} steps, median and best of {args.repeat}, milliseconds")
-    print(f"{'config':<24}{'ray':>11}{'probes':>8}{'channel':>8}{'arrival':>8}{'lindley':>8}")
+    ray_columns = ("probes", "channel_draws", "arrival_draws", "lindley", "faults")
+    print(f"{'config':<24}{'ray':>11}" + "".join(f"{c.split('_')[0]:>8}" for c in ray_columns))
     for name, params in BOUNDARY_PARAMS.items():
-        row = summary(("ray",), [repeat_times(ray, (params,), args.repeat)[0]])
-        row.update(ray_work(params))
+        calls = watch({"ray": (sim, "estimate_boundary")}, ray, (params,), args.repeat)
+        row = summary(("ray",), [seconds(calls, "ray")])
+        with watched(COUNTED) as work:
+            ray(params)
+        row.update(probes=work.pop("batches")["calls"],
+                   **{key: spent["calls"] for key, spent in work.items()}, faults=faults(calls, "ray"))
         results["estimate_boundary"][name] = row
-        print(f"{name:<24}{row['ray']:>11.2f}{row['probes']:>8}{row['channel_draws']:>8}"
-              f"{row['arrival_draws']:>8}{row['lindley']:>8}")
+        print(f"{name:<24}{row['ray']:>11.2f}" + "".join(f"{row[c]:>8}" for c in ray_columns))
         print(f"{'  best':<24}{row['ray_best']:>11.2f}")
 
     sweep_columns = ("ms", "inputs", "solve", "stats")
@@ -443,16 +420,18 @@ def main():
     print(f"\nbcstab {' '.join(SWEEP)}, median and best of {args.repeat}, milliseconds")
     print(f"{'config':<24}" + "".join(f"{c:>11}" for c in sweep_columns)
           + "".join(f"{c.split('_')[0]:>9}" for c in counts[:2])
-          + "".join(f"{c:>13}" for c in counts[2:]))
+          + "".join(f"{c:>13}" for c in counts[2:]) + f"{'faults':>8}")
     for name, params in BOUNDARY_PARAMS.items():
         argv = [*SWEEP, *cli_flags(params)]
-        t_sweep = repeat_times(sweep, (argv,), args.repeat)[0]
-        layers = [sweep_layers(argv) for _ in range(args.repeat)]
-        row = summary(sweep_columns, [t_sweep, *zip(*layers)])
-        row.update(sweep_work(argv))
+        calls = watch({"ms": (cli, "main")}, sweep, (argv,), args.repeat)
+        split = watch(LAYERS, sweep, (argv,), args.repeat)
+        row = summary(sweep_columns, [seconds(calls, "ms"), seconds(split, "inputs"),
+                                      seconds(split, "solve"),
+                                      seconds(split, "fit", "verdicts", "rest")])
+        row.update(sweep_work(argv), faults=faults(calls, "ms"))
         results["sweep"][name] = row
         print_row(name, "", sweep_columns, row, "".join(f"{row[c]:>9}" for c in counts[:2])
-                  + "".join(f"{row[c]:>13}" for c in counts[2:]))
+                  + "".join(f"{row[c]:>13}" for c in counts[2:]) + f"{row['faults']:>8}")
 
     if args.json:
         with open(args.json, "w") as fh:

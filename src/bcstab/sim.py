@@ -389,15 +389,13 @@ def _drift_slopes(lines: np.ndarray) -> tuple[list[float], list[int]]:
     return [(n * ty - sum_t * y) / den for y, ty in zip(sum_y, sum_ty)], sum_y
 
 
-def classify_stability(
-    trajectory: np.ndarray, warmup: int, slope_threshold: float = SLOPE_THRESHOLD
-) -> Verdict:
+def classify_stability(trajectory: np.ndarray, warmup: int) -> Verdict:
     """Judge one queue's trajectory (slot-start lengths plus final state).
 
-    Unstable needs sustained growth: a drift slope above the threshold and a
-    final backlog above the first post-warmup decile's mean. Stable needs a
-    flat slope and at least one return to empty during the final half of the
-    run. Everything else is inconclusive.
+    Unstable needs sustained growth: a drift slope above ``SLOPE_THRESHOLD``
+    and a final backlog above the first post-warmup decile's mean. Stable
+    needs a flat slope and at least one return to empty during the final
+    half of the run. Everything else is inconclusive.
 
     The trajectory counts packets: it is 1-D, of an integer dtype, with
     every value in ``[0, MAX_HORIZON]``, as a column of ``run()``'s
@@ -420,13 +418,13 @@ def classify_stability(
     if traj.dtype.kind not in "iu" or traj.min() < 0 or traj.max() > MAX_HORIZON:
         raise InvalidParameterError(f"queue lengths are integers in [0, {MAX_HORIZON}]")
     slopes, _ = _drift_slopes(traj[None, warmup:horizon])
-    return _verdicts(traj[None], warmup, slopes, slope_threshold)[0]
+    return _verdicts(traj[None], warmup, slopes)[0]
 
 
-def _verdicts(lines: np.ndarray, warmup: int, slopes, slope_threshold: float) -> list[Verdict]:
+def _verdicts(lines: np.ndarray, warmup: int, slopes) -> list[Verdict]:
     """classify_stability's rule for each row of a ``(rows, horizon + 1)``
     array of trajectories, given the drift slope of each row's
-    ``[warmup, horizon)`` slice."""
+    ``[warmup, horizon)`` slice; reads ``SLOPE_THRESHOLD`` when called."""
     horizon = lines.shape[1] - 1
     post = lines[:, warmup:horizon]
     finals = lines[:, horizon].tolist()
@@ -435,9 +433,9 @@ def _verdicts(lines: np.ndarray, warmup: int, slopes, slope_threshold: float) ->
     returned = (lines[:, horizon // 2 :].min(axis=1) == 0).tolist()
     verdicts = []
     for slope, final, early_mean, returned_to_zero in zip(slopes, finals, early_means, returned):
-        if slope > slope_threshold and float(final) > early_mean:
+        if slope > SLOPE_THRESHOLD and float(final) > early_mean:
             verdicts.append(Verdict.UNSTABLE)
-        elif slope < slope_threshold and returned_to_zero:
+        elif slope < SLOPE_THRESHOLD and returned_to_zero:
             verdicts.append(Verdict.STABLE)
         else:
             verdicts.append(Verdict.INCONCLUSIVE)
@@ -472,7 +470,7 @@ def _solve(configs, start=None, path=None) -> tuple:
     if horizon < _MIN_CLASSIFY_HORIZON:
         verdicts = [Verdict.INCONCLUSIVE] * len(slopes)
     else:
-        verdicts = _verdicts(lines, warmup, slopes, SLOPE_THRESHOLD)
+        verdicts = _verdicts(lines, warmup, slopes)
     return inputs, q, _pairs(slopes), _pairs(verdicts), _pairs(sums)
 
 

@@ -3,6 +3,7 @@
 import math
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -239,6 +240,91 @@ class TestMembership:
             inside_small = b.membership_grid(reg_small, pts[:, 0], pts[:, 1]) == 1
             outside_big = b.membership_grid(reg_big, pts[:, 0], pts[:, 1]) == -1
             assert not np.any(inside_small & outside_big)
+
+
+def ergodic(profile, l1, l2):
+    """Whether the coupled queues are stable at rates ``(l1, l2)``, decided
+    exactly, in rationals, without the dominant systems behind the region.
+
+    The queue pair is a random walk in the quarter plane whose jumps depend
+    only on which queues are non-empty, each by at most one packet, so its
+    ergodicity follows from three drift vectors (Fayolle, Malyshev &
+    Menshikov, *Topics in the Constructive Theory of Countable Markov
+    Chains*, 1995, ch. 3): ``M`` in the interior, ``M'`` on the ``q2 = 0``
+    axis (queue 1 served alone) and ``M''`` on the ``q1 = 0`` axis. With both
+    components of ``M`` negative both axis conditions must hold; with one,
+    only that of the axis the walk drifts to; with none, the walk is not
+    ergodic. A zero rate leaves at most one queue, which is stable iff its
+    rate is below its solo rate (the walk is not irreducible there).
+    """
+    p1_solo, p2_solo, p1_both, p2_both = map(Fraction, profile.as_tuple())
+    l1, l2 = Fraction(l1), Fraction(l2)
+    if l1 == 0 or l2 == 0:
+        return (l1 == 0 or l1 < p1_solo) and (l2 == 0 or l2 < p2_solo)
+    mx, my = l1 - p1_both, l2 - p2_both
+    axis2x, axis2y = l1 - p1_solo, l2  # M', on q2 = 0
+    axis1x, axis1y = l1, l2 - p2_solo  # M'', on q1 = 0
+    to_axis2 = mx * axis2y - my * axis2x < 0
+    to_axis1 = my * axis1x - mx * axis1y < 0
+    if mx < 0 and my < 0:
+        return to_axis2 and to_axis1
+    if my < 0:
+        return to_axis2
+    if mx < 0:
+        return to_axis1
+    return False
+
+
+_unit = st.floats(0.0, 1.0)
+_random_profiles = st.builds(
+    lambda p1_solo, p2_solo, f1, f2: SuccessProfile(p1_solo, p2_solo, f1 * p1_solo, f2 * p2_solo),
+    _unit, _unit, _unit, _unit)
+# queue-adaptive power: a lone busy queue gets the whole budget, so the solo
+# entries come from p_total and the shared ones from the split; user 1 is the
+# nearer one, as successive decoding models it
+_adaptive_profiles = st.builds(
+    lambda gammas, ds, alpha, p_total, share, decoding: b.build_profile(SystemParams(
+        *gammas, *ds, alpha, p_total, share * p_total, p_total - share * p_total, decoding,
+        "adaptive")),
+    st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+    st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)).map(sorted), st.floats(2.0, 4.0),
+    st.floats(0.5, 4.0), _unit, st.sampled_from(["ian", "sc"]))
+
+
+class TestErgodicity:
+    @settings(deadline=None, max_examples=150)
+    @given(profile=st.one_of(_random_profiles, st.sampled_from(DEGENERATE), _adaptive_profiles),
+           seed=st.integers(0, 2**32 - 1))
+    def test_membership_is_ergodicity(self, profile, seed):
+        """A rate point is inside the region iff the queues are ergodic there,
+        and outside iff they are not, at every point that membership does
+        not call boundary: inside and past the unit square, and on both
+        axes."""
+        rng = np.random.default_rng(seed)
+        pts = np.concatenate([rng.uniform(0.0, 1.0, size=(40, 2)),
+                              rng.uniform(0.0, 1.0, size=(10, 2)) * [1.0, 0.0],
+                              rng.uniform(0.0, 1.0, size=(10, 2)) * [0.0, 1.0], [[0.0, 0.0]]])
+        region = b.region_general(profile)
+        codes = b.membership_grid(region, pts[:, 0], pts[:, 1])
+        for (l1, l2), code in zip(pts, codes):
+            stable = ergodic(profile, l1, l2)
+            member = b.membership(region, RatePoint(l1, l2))
+            if member is not Membership.BOUNDARY:
+                assert (member is Membership.INSIDE) == stable, (profile, l1, l2)
+            if code != 0:
+                assert (code == 1) == stable, (profile, l1, l2)
+
+    def test_hand_worked_cases(self):
+        """The oracle on the general profile (0.9, 0.8, 0.3, 0.5), one pair of
+        points per case of the interior drift, and a zero rate."""
+        assert ergodic(GENERAL, 0.2, 0.2)  # both interior drifts negative
+        # queue 1 grows inside, so the walk drifts to q2 = 0; the first
+        # part's line is l1 = 0.9 - 1.2 * l2
+        assert ergodic(GENERAL, 0.7, 0.05) and not ergodic(GENERAL, 0.85, 0.1)
+        # queue 2 grows inside; the second part's line is l2 = 0.8 - l1
+        assert ergodic(GENERAL, 0.1, 0.65) and not ergodic(GENERAL, 0.1, 0.75)
+        assert not ergodic(GENERAL, 0.5, 0.6)  # both queues grow inside
+        assert ergodic(GENERAL, 0.89, 0.0) and not ergodic(GENERAL, 0.0, 0.81)
 
 
 class TestTraceBoundary:

@@ -12,6 +12,7 @@ import threading
 import time
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -964,9 +965,9 @@ class TestClassifyExactSlope:
         traj = verdict_series(kind, n, seed)
         warmup = n // 10
         slope = float(exact_slope(traj[warmup:n - 1]))
-        threshold = threshold_for(choice, slope)
-        [expected] = sim._verdicts(traj[None], warmup, [slope], threshold)
-        assert b.classify_stability(traj, warmup, threshold) is expected
+        with mock.patch.object(sim, "SLOPE_THRESHOLD", threshold_for(choice, slope)):
+            [expected] = sim._verdicts(traj[None], warmup, [slope])
+            assert b.classify_stability(traj, warmup) is expected
 
     @pytest.mark.parametrize("traj", [
         np.zeros(20_001),
