@@ -55,11 +55,16 @@ The ``mc`` rows split ``mc_estimate_profile`` at 1e7 draws on the fixed
 IAN and SC configs: ``draws`` is the exponential draws alone, ``events``
 the threshold events and their counts, ``events_raw`` the four raw events
 and their counts on as many draws (user 1's blocks stand for both users),
-and ``call`` one whole call. The call has no seams to watch, so the split
-replays its loop through its private names, and each ``mc`` row's
-``identical`` says whether the split's threshold-event counts equal
-``round(p * MC_DRAWS)`` of the call's estimates ``p``: false means the
-split timed a different loop.
+and ``call`` one whole call, with the minor page faults per call of each
+in ``faults``. The call has no seams to watch, so the split replays its
+loop through its private names, and each ``mc`` row's ``identical`` says
+whether the split's threshold-event counts equal ``round(p * MC_DRAWS)``
+of the call's estimates ``p``: false means the split timed a different
+loop. The ``mc`` section starts by pinning glibc's heap as ``cli.main``
+does (``cli._pin_heap``), since ``bcstab mc-verify`` runs on the pinned
+heap: on glibc's dynamic heap ``events_raw``'s 256 KiB temporaries may be
+mapped and unmapped per block, about 48 000 minor faults per call, or
+not, depending on what the process ran before.
 
 The ``estimate_boundary`` rows time one 45 degree ray per configuration
 (the three named ones of the acceptance suite and the generic profile) at
@@ -68,29 +73,33 @@ the minor page faults per call in ``faults``. One more call, watched over
 ``COUNTED``, gives the ray's ``probes`` (solver calls: ``1 + steps``, so
 9), ``channel_draws`` (calls of ``sim._channel_events``: 1, the ray's held
 path), ``arrival_draws`` (calls of ``sim._arrival_uniforms``: 1, the ray's
-held draw) and ``lindley`` (Lindley row-solves, one per queue solved;
-``2 * probes`` on the decoupled ``sc fixed`` ray).
+held draw), ``lindley`` (Lindley row-solves, one per queue solved;
+``2 * probes`` on the decoupled ``sc fixed`` ray) and ``summaries`` (calls
+of ``sim._summarise``: 0, since a probe builds no ``SimResult``).
 
 The ``sweep`` rows time one in-process ``bcstab sweep --simulate --grid 7
 --horizon 20000 --workers 2`` (``cli.main``) per configuration of the
 ``estimate_boundary`` rows, output discarded, in ``ms``, with the minor page
 faults per call in ``faults``. As many more calls, watched over
 ``LAYERS``, split the time its runs spend into ``inputs``, ``solve`` and
-``stats`` (fit, verdicts and rest). One more call, watched over
-``COUNTED``, gives its ``channel_draws`` and ``arrival_draws``: every cell
-is the run at the sweep's seed, so its path's events and arrival uniforms
-are each drawn once, before the workers start. It also gives the sweep's
-``batches`` (solver calls) and ``lindley`` (Lindley row-solves), next to
-``lindley_cold``, the row-solves of the same cells made one by one by
-``run()``, each starting its Picard passes from the all-busy column: a
-sweep solves its cells in batches of a strip's columns, each cell starting
-from the cell above it (``sim.run_batch``), so it makes fewer row-solves
-wherever the queues are coupled. Its 20k-slot runs are shorter than
-``sim._POOL_HORIZON``, so they run in the calling thread; the flag stays
-so that the rows compare with earlier BENCH files. ``cli.main`` pins
-glibc's heap for the rest of the process (``cli._pin_heap``), so the runs,
-mc and ray rows run on glibc's dynamic heap and the sweep rows on the
-pinned one.
+``stats`` (fit, verdicts and rest). A sweep judges its cells without the
+rest of their statistics (``cli`` calls ``sim.batch_verdicts``), so its
+``rest`` reads 0 and ``stats`` is the fit and the verdicts. One more call,
+watched over ``COUNTED``, gives its ``channel_draws`` and
+``arrival_draws``: every cell is the run at the sweep's seed, so its
+path's events and arrival uniforms are each drawn once, before the workers
+start. It also gives the sweep's ``batches`` (solver calls: 7, one per
+rank of a grid-7 sweep's one strip), ``lindley`` (Lindley row-solves) and
+``summaries`` (0), next to ``lindley_cold``, the row-solves of the same
+cells made one by one by ``run()``, each starting its Picard passes from
+the all-busy column: a sweep solves its cells in batches of a strip's
+columns, each cell starting from the cell above it
+(``sim.batch_verdicts``), so it makes fewer row-solves wherever the queues
+are coupled. Its 20k-slot runs are shorter than ``sim._POOL_HORIZON``, so
+they run in the calling thread; the flag stays so that the rows compare
+with earlier BENCH files. The heap is pinned from the ``mc`` section on
+(``cli._pin_heap``, which every ``cli.main`` call repeats), so only the
+runs rows run on glibc's dynamic heap.
 
 Every time is taken ``--repeat`` times and reported as the median, with
 the best (fastest) time beside it as ``<column>_best``; fault counts are
@@ -127,7 +136,8 @@ from bcstab import (RatePoint, SimConfig, SuccessProfile, SystemParams, _kernels
 LAYERS = {"inputs": (sim, "_kernel_inputs"), "solve": (_kernels, "simulate_slots"),
           "fit": (sim, "_drift_slopes"), "verdicts": (sim, "_verdicts"), "rest": (sim, "_summarise")}
 COUNTED = {"channel_draws": (sim, "_channel_events"), "arrival_draws": (sim, "_arrival_uniforms"),
-           "batches": (_kernels, "simulate_slots"), "lindley": (_kernels, "_lindley")}
+           "batches": (_kernels, "simulate_slots"), "lindley": (_kernels, "_lindley"),
+           "summaries": (sim, "_summarise")}
 
 
 @contextlib.contextmanager
@@ -256,32 +266,44 @@ MC_PARAMS = {
 }
 
 
+def mc_call(params):
+    """One whole Monte Carlo call, as ``mc-verify`` makes it."""
+    return channel.mc_estimate_profile(params, MC_DRAWS, SEED)
+
+
 def split_mc(params):
     """mc_estimate_profile's loop with its draws and its events timed apart,
-    and the raw events on the same blocks; returns the three times in
-    seconds and the four threshold-event counts."""
+    and the raw events on the same blocks; returns each of the three's
+    seconds and minor page faults, ``{column: [seconds, faults]}``, and the
+    four threshold-event counts."""
     rng = np.random.default_rng(SEED)
     thresholds = channel._thresholds(params)
     buf = np.empty(channel._MC_BLOCK)
-    t_draws = t_events = t_raw = 0.0
+    spent = {column: [0.0, 0] for column in ("draws", "events", "events_raw")}
     counts = [0, 0, 0, 0]
+
+    def mark(column, since):
+        """Add the time and faults since ``since`` to ``column``; return now."""
+        now = time.perf_counter(), getrusage(RUSAGE_SELF).ru_minflt
+        spent[column][0] += now[0] - since[0]
+        spent[column][1] += now[1] - since[1]
+        return now
+
     for start in range(0, MC_DRAWS, channel._MC_CHUNK):
         n = min(MC_DRAWS - start, channel._MC_CHUNK)
         for user in (0, 1):
             for lo in range(0, n, channel._MC_BLOCK):
-                t0 = time.perf_counter()
+                t = time.perf_counter(), getrusage(RUSAGE_SELF).ru_minflt
                 gains = rng.standard_exponential(out=buf[:min(channel._MC_BLOCK, n - lo)])
-                t1 = time.perf_counter()
+                t = mark("draws", t)
                 for event in (user, user + 2):
                     counts[event] += int(np.count_nonzero(gains >= thresholds[event]))
-                t2 = time.perf_counter()
+                t = mark("events", t)
                 if user == 0:  # all four raw events, each read from one draw
                     for success in channel._raw_events(params, gains, gains):
                         np.count_nonzero(success)
-                t_draws += t1 - t0
-                t_events += t2 - t1
-                t_raw += time.perf_counter() - t2
-    return t_draws, t_events, t_raw, counts
+                    mark("events_raw", t)
+    return spent, counts
 
 
 BOUNDARY = dict(angle=45.0, horizon=40_000, steps=8)
@@ -329,7 +351,7 @@ def sweep_work(argv):
     made one by one as ``run()`` makes them, each from the all-busy column
     (``lindley_cold``)."""
     with watched(COUNTED) as work, \
-            mock.patch.object(cli, "run_batch", wraps=cli.run_batch) as batch:
+            mock.patch.object(cli, "batch_verdicts", wraps=cli.batch_verdicts) as batch:
         sweep(argv)
     with watched(COUNTED) as cold:
         for config in batch.call_args.args[0]:
@@ -348,8 +370,8 @@ def environment(args):
         "repeat": args.repeat,
         "backend": "numpy",
         "mc_draws": MC_DRAWS,
-        "heap": "runs, mc and estimate_boundary on glibc's dynamic heap, sweep on the heap "
-                "that the first sweep's cli.main pins (cli._pin_heap)",
+        "heap": "runs on glibc's dynamic heap; mc, estimate_boundary and sweep on the heap "
+                "that cli._pin_heap pins before the mc section, as cli.main does",
     }
 
 
@@ -387,23 +409,29 @@ def main():
             print_row(name, f"{passes:>8}", columns, row, f"  {row['identical']}")
             print(f"{'  faults':<24}{'':>30}" + "".join(f"{row['faults'][c]:>11}" for c in layers))
 
+    cli._pin_heap()  # bcstab mc-verify, like every command, runs on the pinned heap
     mc_columns = ("call", "draws", "events", "events_raw")
-    print(f"\nmc_estimate_profile, {MC_DRAWS} draws, median and best of {args.repeat}, milliseconds")
+    print(f"\nmc_estimate_profile, {MC_DRAWS} draws, median and best of {args.repeat}, milliseconds, "
+          "and faults per call")
     print(f"{'config':<24}" + "".join(f"{c:>11}" for c in mc_columns) + "  identical")
     for name, params in MC_PARAMS.items():
-        t_call, est = repeat_times(channel.mc_estimate_profile, (params, MC_DRAWS, SEED),
-                                   args.repeat)
+        calls = watch({"call": (channel, "mc_estimate_profile")}, mc_call, (params,), args.repeat)
         splits = [split_mc(params) for _ in range(args.repeat)]
-        row = summary(mc_columns, [t_call, *zip(*(split[:3] for split in splits))])
-        counts = [round(p * MC_DRAWS) for p in est.as_tuple()]
-        row["identical"] = all(split[3] == counts for split in splits)
+        row = summary(mc_columns, [seconds(calls, "call"),
+                                   *([spent[c][0] for spent, _ in splits] for c in mc_columns[1:])])
+        counts = [round(p * MC_DRAWS) for p in mc_call(params).as_tuple()]
+        row["identical"] = all(split_counts == counts for _, split_counts in splits)
+        row["faults"] = dict(call=faults(calls, "call"),
+                             **{c: statistics.median_low(spent[c][1] for spent, _ in splits)
+                                for c in mc_columns[1:]})
         results["mc"][name] = row
         print_row(name, "", mc_columns, row, f"  {row['identical']}")
+        print(f"{'  faults':<24}" + "".join(f"{row['faults'][c]:>11}" for c in mc_columns))
 
     print(f"\nestimate_boundary, {BOUNDARY['angle']} degrees, {BOUNDARY['horizon']} slots, "
           f"{BOUNDARY['steps']} steps, median and best of {args.repeat}, milliseconds")
-    ray_columns = ("probes", "channel_draws", "arrival_draws", "lindley", "faults")
-    print(f"{'config':<24}{'ray':>11}" + "".join(f"{c.split('_')[0]:>8}" for c in ray_columns))
+    ray_columns = ("probes", "channel_draws", "arrival_draws", "lindley", "summaries", "faults")
+    print(f"{'config':<24}{'ray':>11}" + "".join(f"{c.split('_')[0]:>10}" for c in ray_columns))
     for name, params in BOUNDARY_PARAMS.items():
         calls = watch({"ray": (sim, "estimate_boundary")}, ray, (params,), args.repeat)
         row = summary(("ray",), [seconds(calls, "ray")])
@@ -412,11 +440,11 @@ def main():
         row.update(probes=work.pop("batches")["calls"],
                    **{key: spent["calls"] for key, spent in work.items()}, faults=faults(calls, "ray"))
         results["estimate_boundary"][name] = row
-        print(f"{name:<24}{row['ray']:>11.2f}" + "".join(f"{row[c]:>8}" for c in ray_columns))
+        print(f"{name:<24}{row['ray']:>11.2f}" + "".join(f"{row[c]:>10}" for c in ray_columns))
         print(f"{'  best':<24}{row['ray_best']:>11.2f}")
 
     sweep_columns = ("ms", "inputs", "solve", "stats")
-    counts = ("channel_draws", "arrival_draws", "batches", "lindley", "lindley_cold")
+    counts = ("channel_draws", "arrival_draws", "batches", "lindley", "lindley_cold", "summaries")
     print(f"\nbcstab {' '.join(SWEEP)}, median and best of {args.repeat}, milliseconds")
     print(f"{'config':<24}" + "".join(f"{c:>11}" for c in sweep_columns)
           + "".join(f"{c.split('_')[0]:>9}" for c in counts[:2])

@@ -53,9 +53,9 @@ from .sim import (
     SimResult,
     Verdict,
     _POOL_HORIZON,
+    batch_verdicts,
     estimate_boundary,
     run,
-    run_batch,
     system_verdict,
 )
 
@@ -366,9 +366,9 @@ def cmd_sweep(spec: dict) -> tuple[list[dict], dict, int]:
 
     axes = (lam1.tolist(), lam2.tolist())
     simulate = bool(spec["simulate"])
-    results = itertools.repeat(None)
+    verdicts = itertools.repeat(None)
     if simulate:
-        results = run_batch([
+        verdicts = batch_verdicts([
             SimConfig(arrivals=RatePoint(l1, l2), params=params, horizon=spec["horizon"],
                       warmup=spec["warmup"], seed=spec["seed"])
             for l1, l2 in itertools.product(*axes)
@@ -376,11 +376,11 @@ def cmd_sweep(spec: dict) -> tuple[list[dict], dict, int]:
 
     rows = []
     disagreements = 0
-    for (l1, l2), code, r in zip(itertools.product(*axes), codes.ravel().tolist(), results):
+    for (l1, l2), code, v in zip(itertools.product(*axes), codes.ravel().tolist(), verdicts):
         m = names[code]
         row = {"lambda1": l1, "lambda2": l2, "membership": m}
         if simulate:
-            sys_v = system_verdict(r.verdict)
+            sys_v = system_verdict(v)
             radius = math.hypot(l1, l2)
             if radius == 0.0:
                 in_band = False
@@ -393,7 +393,7 @@ def cmd_sweep(spec: dict) -> tuple[list[dict], dict, int]:
             if not in_band and m is not Membership.BOUNDARY and not agree:
                 disagreements += 1
             row.update({
-                "verdict1": r.verdict[0], "verdict2": r.verdict[1],
+                "verdict1": v[0], "verdict2": v[1],
                 "system_verdict": sys_v, "in_band": in_band, "agree": agree,
             })
         rows.append(row)

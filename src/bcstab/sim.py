@@ -23,11 +23,13 @@ Runs are solved and judged in batches that share a path, params, dominant
 mode and warmup: one call of the queue solver, the slopes, the verdicts and
 the statistics (``_solve``, ``_summarise``) covers every run of a batch,
 one row each, and a lone run or a probe is a batch of one. ``run_batch``
-makes a sweep's cells in strips: each ``lambda2`` is a column sorted by
-``lambda1`` descending, a strip of ``_BATCH_SLOTS // horizon`` columns is
-solved top-down, one batch per rank, and each cell starts its Picard
-passes from queue 2's busy column at the cell above it, which bounds its
-own on one path.
+makes a sweep's cells in strips, and ``batch_verdicts`` makes them the same
+way but stops at their verdicts, which is all ``sweep --simulate`` reports:
+each ``lambda2`` is a column sorted by ``lambda1`` descending, a strip of
+``_BATCH_SLOTS // horizon`` columns (13 at 20k slots, so a grid-7 sweep is
+one strip) is solved top-down, one batch per rank, and each cell starts its
+Picard passes from queue 2's busy column at the cell above it, which bounds
+its own on one path.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ __all__ = [
     "step",
     "run",
     "run_batch",
+    "batch_verdicts",
     "classify_stability",
     "system_verdict",
     "estimate_boundary",
@@ -75,8 +78,10 @@ SLOPE_THRESHOLD = 1e-3
 # command line's pinned heap); longer runs are rejected before any
 # allocation. Runs that share a path hold it while they are made,
 # and nothing of it after; a W-thread sweep holds one path, not W. Its
-# batches (run_batch) hold up to 32 bytes per slot and run, at most
-# _BATCH_SLOTS slot-rows of runs or one run, per thread. A boundary-search
+# batches (run_batch, batch_verdicts) hold up to 32 bytes per slot and run,
+# at most _BATCH_SLOTS slot-rows of runs (8 MB) or one run, per thread; a
+# grid-7 sweep at 20k slots measured about 19 bytes per slot-row of its 7-run
+# batches, and from 131 073 slots on a batch is one run. A boundary-search
 # ray holds its path and one busy column of queue 2 (1 byte per slot)
 # between probes, and its probes peak near 40 bytes per slot (44 at 1M slots
 # with the drift slope's 4 MiB index; near 400 MB at this cap). Of the
@@ -89,22 +94,25 @@ MAX_HORIZON = 10_000_000
 # while they become success events or rows of uniforms.
 _DRAW_BLOCK = 1 << 15
 
-# Shortest run that run_batch hands to its thread pool. A run's numpy calls
-# hold the GIL between their passes, so two threads on short runs take turns
-# with it: on 2 vCPUs a grid-7 sweep's 49 runs took 50 ms in one thread and
-# 83 ms in two at 20k slots, were even at 70k, and two threads were 1.3x
-# faster at 100k and 1.5x at 200k.
+# Shortest run that run_batch and batch_verdicts hand to their thread pool. A
+# run's numpy calls hold the GIL between their passes, so two threads on
+# short runs take turns with it: on 2 vCPUs a grid-7 sweep's 49 runs took 50
+# ms in one thread and 83 ms in two at 20k slots, were even at 70k, and two
+# threads were 1.3x faster at 100k and 1.5x at 200k.
 _POOL_HORIZON = 100_000
 
-# Slot-rows per batch of run_batch's solves: a strip of runs on one path is
-# max(1, _BATCH_SLOTS // horizon) columns wide, 3 at 20k slots. A batch peaks
-# under 32 bytes per slot-row, so near 2 MB, and a strip holds one busy
-# column per column between its ranks, at most this many bytes unless one
-# run is longer. On 2 vCPUs a grid-7 sweep at 20k slots took 13.4 ms at this
-# width, 12.3 at 1 << 17 and 11.9 at 1 << 18 (7 columns), against 15.6 cell by
-# cell, while the peak resident memory of a process running such sweeps
-# rose by 0.4-1.4 MB here and by 3.9 MB at 1 << 17.
-_BATCH_SLOTS = 1 << 16
+# Slot-rows per batch of run_batch's and batch_verdicts' solves: a strip of
+# runs on one path is max(1, _BATCH_SLOTS // horizon) columns wide, 13 at 20k
+# slots, 2 at 100k, and 1 from 131 073 slots on (the default 200k included).
+# A batch peaks under 32 bytes per slot-row, so near 8 MB, and a strip holds
+# one busy column per column between its ranks, at most this many bytes
+# unless one run is longer. On 2 vCPUs (Python 3.11, numpy 2.4) a grid-7
+# sweep --simulate at 20k slots, through batch_verdicts, took a median of
+# 18.5-19.0 ms in process at 1 << 16 (3 columns, 21 batches), 17.1-17.4 at
+# 1 << 17 and 15.8-16.2 at this width (one strip, 7 batches), against
+# 21.6-22.0 through run_batch at 1 << 16; the peak resident memory of a
+# process running such sweeps was 40.0-40.4 MB at 1 << 16 and 41.0-41.4 here.
+_BATCH_SLOTS = 1 << 18
 
 # Verdicts need enough slots for the drift fit to mean anything.
 _MIN_CLASSIFY_HORIZON = 10_000
@@ -538,8 +546,8 @@ def _summarise(configs, inputs: tuple, q: np.ndarray, slopes, verdicts, sums,
 
 
 def _strips(configs: list[SimConfig], members: list[int]) -> list[list[list[int]]]:
-    """run_batch's strips of the runs ``members`` (indices into ``configs``)
-    of one batch key: the runs with one ``lambda2`` form a column, sorted by
+    """The strips of the runs ``members`` (indices into ``configs``) of one
+    batch key: the runs with one ``lambda2`` form a column, sorted by
     ``lambda1`` descending, and the columns, longest first, are cut into
     strips of ``max(1, _BATCH_SLOTS // horizon)`` columns."""
     columns: dict[float, list[int]] = {}
@@ -552,11 +560,13 @@ def _strips(configs: list[SimConfig], members: list[int]) -> list[list[list[int]
     return [ordered[lo:lo + width] for lo in range(0, len(ordered), width)]
 
 
-def _solve_strip(configs: list[SimConfig], strip: list[list[int]], path=None) -> list[tuple]:
+def _solve_strip(configs: list[SimConfig], strip: list[list[int]], judge, path=None) -> list[tuple]:
     """Solve a strip top-down, one batch per rank in ``lambda1``, and return
-    ``(index, result)`` per run. Every run but a column's first starts its
-    Picard passes from queue 2's busy column at the run above it: the same
-    ``lambda2`` and a higher ``lambda1``, so an upper bound on its own."""
+    ``(index, result)`` per run, where ``judge(runs, solved)`` makes one
+    result per run of a rank from its ``_solve`` output. Every run but a
+    column's first starts its Picard passes from queue 2's busy column at
+    the run above it: the same ``lambda2`` and a higher ``lambda1``, so an
+    upper bound on its own."""
     made = []
     start = None
     for rank in range(len(strip[0])):
@@ -565,10 +575,39 @@ def _solve_strip(configs: list[SimConfig], strip: list[list[int]], path=None) ->
         if start is not None:
             start = start[:len(batch)]  # the strip's columns are longest first
         solved = _solve(runs, start, path)
-        made += zip(batch, _summarise(runs, *solved))
+        made += zip(batch, judge(runs, solved))
         start = solved[1][:, 1, :-1] > 0
         del solved  # the next batch is solved without this one's trajectories
     return made
+
+
+def _batched(configs, workers: int | None, judge) -> list:
+    """``judge``'s result for each config, in input order: run_batch's
+    grouping by batch key, strips and pool (see there), with
+    ``judge(runs, solved)`` making each run's result from its ``_solve``
+    output."""
+    configs = list(configs)
+    batches: dict[tuple, list[int]] = {}
+    for i, config in enumerate(configs):
+        key = (config.horizon, config.seed, config.params, config.dominant_mode, config.warmup)
+        batches.setdefault(key, []).append(i)
+    results: list = [None] * len(configs)
+    parallel = (workers is not None and workers > 1
+                and any(config.horizon >= _POOL_HORIZON for config in configs))
+    with ThreadPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
+
+        def make(strips, path=None):
+            solved = (pool.map if pool else map)(
+                lambda strip: _solve_strip(configs, strip, judge, path), strips)
+            for made in solved:
+                for i, result in made:
+                    results[i] = result
+
+        make([[members] for members in batches.values() if len(members) == 1])
+        for (horizon, seed, params, _, _), members in batches.items():
+            if len(members) > 1:
+                make(_strips(configs, members), _path(params, horizon, seed))
+    return results
 
 
 def run_batch(configs, workers: int | None = None) -> list[SimResult]:
@@ -595,28 +634,14 @@ def run_batch(configs, workers: int | None = None) -> list[SimResult]:
     shorter batches run in the calling thread, where the threads would only
     take turns with the GIL.
     """
-    configs = list(configs)
-    batches: dict[tuple, list[int]] = {}
-    for i, config in enumerate(configs):
-        key = (config.horizon, config.seed, config.params, config.dominant_mode, config.warmup)
-        batches.setdefault(key, []).append(i)
-    results: list[SimResult | None] = [None] * len(configs)
-    parallel = (workers is not None and workers > 1
-                and any(config.horizon >= _POOL_HORIZON for config in configs))
-    with ThreadPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
+    return _batched(configs, workers, lambda runs, solved: _summarise(runs, *solved))
 
-        def make(strips, path=None):
-            solved = (pool.map if pool else map)(
-                lambda strip: _solve_strip(configs, strip, path), strips)
-            for made in solved:
-                for i, result in made:
-                    results[i] = result
 
-        make([[members] for members in batches.values() if len(members) == 1])
-        for (horizon, seed, params, _, _), members in batches.items():
-            if len(members) > 1:
-                make(_strips(configs, members), _path(params, horizon, seed))
-    return results
+def batch_verdicts(configs, workers: int | None = None) -> list[tuple[Verdict, Verdict]]:
+    """Each config's ``(verdict1, verdict2)``, in input order: the
+    ``verdict`` of ``run_batch(configs, workers)``, made as it is made but
+    without the rest of each run's statistics (``_summarise``)."""
+    return _batched(configs, workers, lambda runs, solved: solved[3])
 
 
 def estimate_boundary(

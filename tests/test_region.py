@@ -275,6 +275,27 @@ def ergodic(profile, l1, l2):
     return False
 
 
+def ergodic_crossing(profile, c, s):
+    """The scale ``t`` at which the ray ``t*(c, s)`` leaves the set that
+    ``ergodic`` calls stable, exactly, in rationals. Each of the oracle's
+    conditions reads ``a*t < b`` along the ray, so the oracle is constant
+    between consecutive positive roots ``b/a``; judging one point of each
+    such interval gives the stable set, which must be a prefix of the ray."""
+    p1_solo, p2_solo, p1_both, p2_both = map(Fraction, profile.as_tuple())
+    c, s = Fraction(c), Fraction(s)
+    conditions = [
+        (c, p1_both), (s, p2_both),  # the interior drift's components
+        (s * (p1_solo - p1_both) + c * p2_both, p2_both * p1_solo),  # towards q2 = 0
+        (c * (p2_solo - p2_both) + s * p1_both, p1_both * p2_solo),  # towards q1 = 0
+        (c, p1_solo), (s, p2_solo),  # a lone queue, on an axis
+    ]
+    roots = sorted({bound / a for a, bound in conditions if a != 0 and bound / a > 0})
+    inner = [lo / 2 if i == 0 else (roots[i - 1] + lo) / 2 for i, lo in enumerate(roots)]
+    stable = [ergodic(profile, t * c, t * s) for t in [*inner, (roots[-1] if roots else 0) + 1]]
+    assert stable == sorted(stable, reverse=True), (profile, c, s, roots, stable)
+    return ([0] + roots)[stable.count(True)]
+
+
 _unit = st.floats(0.0, 1.0)
 _random_profiles = st.builds(
     lambda p1_solo, p2_solo, f1, f2: SuccessProfile(p1_solo, p2_solo, f1 * p1_solo, f2 * p2_solo),
@@ -313,6 +334,29 @@ class TestErgodicity:
                 assert (member is Membership.INSIDE) == stable, (profile, l1, l2)
             if code != 0:
                 assert (code == 1) == stable, (profile, l1, l2)
+
+    @settings(deadline=None, max_examples=300)
+    @given(profile=st.one_of(_random_profiles, st.sampled_from(DEGENERATE), _adaptive_profiles),
+           angle=st.one_of(st.floats(0.0, 90.0), st.sampled_from([0.0, 45.0, 90.0])))
+    def test_boundary_scale_is_the_ergodic_crossing(self, profile, angle):
+        """boundary_scale along a ray is the exact scale at which the queues
+        stop being ergodic there (``ergodic_crossing``): on each side of
+        both scales, a point that membership does not call boundary is
+        ergodic iff it lies below boundary_scale. Points are taken a relative
+        1e-6 and 1e-3 off each scale, and at half and 1.5 times each; not at
+        boundary_scale itself, where a part's residual is ``-BOUNDARY_TOL``
+        up to rounding."""
+        region = b.region_general(profile)
+        scale = b.boundary_scale(region, angle)
+        c, s = math.cos(math.radians(angle)), math.sin(math.radians(angle))
+        crossing = float(ergodic_crossing(profile, c, s))
+        for t in {at * f for at in (scale, crossing)
+                  for f in (0.5, 1 - 1e-3, 1 - 1e-6, 1 + 1e-6, 1 + 1e-3, 1.5)}:
+            point = RatePoint(t * c, t * s)
+            if t <= 0.0 or b.membership(region, point) is Membership.BOUNDARY:
+                continue
+            assert (t < scale) == ergodic(profile, point.lambda1, point.lambda2), \
+                (profile, angle, t, scale, crossing)
 
     def test_hand_worked_cases(self):
         """The oracle on the general profile (0.9, 0.8, 0.3, 0.5), one pair of

@@ -264,23 +264,27 @@ class TestKernelInputs:
     def test_peak_memory_of_a_sweep_is_its_path_and_a_batch(self):
         """A 7x7 grid of 20k-slot runs on one path holds its path, 20 bytes
         per slot (16 of arrival uniforms, 4 of success events), and solves
-        its cells ``_BATCH_SLOTS // horizon`` at a time, 3 here. A batch
-        stays under 32 bytes per slot-row: 2 of arrival flags, 8 of
-        trajectory, 1 of the busy column its strip holds for the next rank,
-        9 of the solver's busy, service and comparison columns and Lindley
-        buffers, and up to 12 while the rows still working are copied out of
-        a batch whose other rows converged."""
+        its cells a rank of a strip at a time: one strip of 7 columns here,
+        so at most 7 runs per batch. A batch stays under 32 bytes per
+        slot-row: 2 of arrival flags, 8 of trajectory, 1 of the busy column
+        its strip holds for the next rank, 9 of the solver's busy, service
+        and comparison columns and Lindley buffers, and up to 12 while the
+        rows still working are copied out of a batch whose other rows
+        converged. This holds through ``run_batch`` and, without the
+        statistics, through ``batch_verdicts``."""
         horizon = 20_000
         cfgs = [SimConfig(RatePoint(l1, l2), ALL_PARAMS[3], horizon=horizon, seed=6)
                 for l1 in np.linspace(0.0, 0.6, 7) for l2 in np.linspace(0.0, 0.6, 7)]
+        assert sim._BATCH_SLOTS // horizon >= 7  # one strip
         b.run_batch(cfgs[:2])  # thresholds and the drift slope's index
-        tracemalloc.start()
-        try:
-            b.run_batch(cfgs)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert 20 * horizon <= peak <= 20 * horizon + 32 * sim._BATCH_SLOTS
+        for entry in (b.run_batch, b.batch_verdicts):
+            tracemalloc.start()
+            try:
+                entry(cfgs)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert 20 * horizon <= peak <= 20 * horizon + 32 * 7 * horizon, entry
 
     def test_held_events_are_read_only(self):
         """A held path's four event columns are read-only, and a run on the
@@ -783,19 +787,28 @@ class TestRunStatistics:
             sys.setswitchinterval(interval)
         assert seq == par
 
-    @pytest.mark.parametrize("workers", [None, 3])
-    def test_batches_equal_runs(self, monkeypatch, workers):
-        """run_batch gives run()'s results on a shuffled grid with duplicate
-        rates, with mixed params, dominant modes and warmups on its path, and
-        with lone configs, also through the pool at ``workers=3``. Each solve
-        is one rank of a strip: runs of one path, params, mode and warmup, at
-        most ``_BATCH_SLOTS // horizon`` of them, each started from a busy
-        column that bounds its own."""
+    @pytest.mark.parametrize("workers, narrow", [(None, True), (3, True), (None, False)],
+                             ids=["serial", "pool", "one-strip"])
+    @pytest.mark.parametrize("entry, judged", [(b.run_batch, lambda r: r),
+                                               (b.batch_verdicts, lambda r: r.verdict)],
+                             ids=["run_batch", "batch_verdicts"])
+    def test_batches_equal_runs(self, monkeypatch, entry, judged, workers, narrow):
+        """run_batch gives run()'s results, and batch_verdicts their
+        verdicts, on a shuffled grid with duplicate rates, with mixed params,
+        dominant modes and warmups on its path, and with lone configs, also
+        through the pool at ``workers=3``. Each solve is one rank of a strip:
+        runs of one path, params, mode and warmup, at most ``_BATCH_SLOTS //
+        horizon`` of them, each started from a busy column that bounds its
+        own. ``narrow`` strips are 3 columns wide, so the grid's 4 columns
+        take two strips; at the default width the grid is one strip."""
         monkeypatch.setattr(sim, "_POOL_HORIZON", 0)  # short runs through the pool
         horizon = 20_000
-        grid = [RatePoint(l1, l2) for l1 in (0.05, 0.2, 0.35, 0.5) for l2 in (0.1, 0.3, 0.45)]
+        if narrow:
+            monkeypatch.setattr(sim, "_BATCH_SLOTS", 3 * horizon)
+        grid = [RatePoint(l1, l2) for l1 in (0.05, 0.2, 0.35, 0.5) for l2 in (0.1, 0.2, 0.3, 0.45)]
         cfgs = [SimConfig(point, ALL_PARAMS[3], horizon=horizon, seed=4)
                 for point in grid + grid[::3]]
+        columns = collections.Counter(c.arrivals.lambda2 for c in cfgs)
         cfgs += [SimConfig(RatePoint(0.1 + 0.05 * i, 0.2 + 0.1 * (i % 2)), ALL_PARAMS[i % 3],
                            horizon=horizon, seed=4, warmup=(None, 500)[i % 2],
                            dominant_mode=("none", "queue1", "queue2")[i % 3])
@@ -803,7 +816,7 @@ class TestRunStatistics:
         cfgs += [SimConfig(RatePoint(0.3, 0.3), ALL_PARAMS[2], horizon=horizon, seed=5),
                  SimConfig(RatePoint(0.3, 0.3), ALL_PARAMS[2], horizon=horizon + 1, seed=4)]
         random.Random(0).shuffle(cfgs)
-        expected = [b.run(c) for c in cfgs]
+        expected = [judged(b.run(c)) for c in cfgs]
         solves = []
         solve = sim._solve
 
@@ -813,10 +826,11 @@ class TestRunStatistics:
             return out
 
         monkeypatch.setattr(sim, "_solve", recorded)
-        assert b.run_batch(cfgs, workers=workers) == expected
+        assert entry(cfgs, workers=workers) == expected
         assert sum(len(configs) for configs, _, _ in solves) == len(cfgs)
         width = sim._BATCH_SLOTS // horizon
-        assert max(len(configs) for configs, _, _ in solves) == width
+        assert (width < len(columns)) is narrow
+        assert max(len(configs) for configs, _, _ in solves) == min(width, len(columns))
         assert any(start is not None for _, start, _ in solves)
         for configs, start, q in solves:
             assert len(configs) <= width
@@ -824,6 +838,9 @@ class TestRunStatistics:
                         for c in configs}) == 1
             if start is not None:
                 assert np.all(start >= (q[:, 1, :-1] > 0))
+        # one batch per rank of each strip, whose first column is its longest
+        grid_solves = sum(configs[0].params is ALL_PARAMS[3] for configs, _, _ in solves)
+        assert grid_solves == sum(sorted(columns.values(), reverse=True)[::width])
 
     def test_config_validation(self):
         with pytest.raises(InvalidParameterError):
