@@ -28,15 +28,19 @@ events inside ``sim._kernel_inputs``). ``run()`` calls the five layers of
 ``verdicts`` call and the column reads 0.
 
 The slot loop and the solver consume identical pre-drawn arrivals and
-success events, as a batch of one run, and produce a bit-identical
-trajectory (checked here, with the solver's Picard pass count). Each
-config's ``runs`` row holds the five layers of a watched ``run()``, with
-``run`` taken over the per-call sums of the five and ``faults`` the minor
-page faults of each layer per call. ``lindley`` times one Lindley
-row-solve (``_kernels._lindley`` on one row) of queue 1's service column at
-the solved trajectory, the column the solver's last pass solves, so it is
-the queue-recursion layer on its own; a row is ``identical`` when that
-solve also reproduces queue 1's trajectory. ``draw_whole`` times the
+success events, as a batch of one run, the loop slot-major and the solver
+in its block-major layout (``_kernels.slot_major`` converts), and produce a
+bit-identical trajectory (checked here, with the solver's Picard pass
+count). Each config's ``runs`` row holds the five layers of a watched
+``run()``, with ``run`` taken over the per-call sums of the five and
+``faults`` the minor page faults of each layer per call. ``lindley`` times
+one Lindley row-solve (``_kernels._lindley`` on one row, in the solver's
+layout, as a Picard pass makes it: the scan and the busy column it hands
+on, without a trajectory) of queue 1's service column at the solved busy
+columns, the column the solver's last pass solves, so it is the
+queue-recursion layer on its own; a row is ``identical`` when that solve,
+written back as at a fixed point (``_kernels._write_back``), also
+reproduces queue 1's trajectory. ``draw_whole`` times the
 reference whole-array draw of the same randomness (two ``(horizon, 2)``
 float64 arrays from one generator), which the blocked draw replaced, so the
 draw's share stays visible. ``events_raw`` and ``events`` time the four
@@ -145,8 +149,8 @@ def watched(targets):
     """Wrap each ``(module, name)`` of the dict ``targets`` for the block and
     yield, under the same keys, a ``Counter`` of each one's ``seconds``,
     ``calls`` and minor page ``faults``. A call of ``_kernels._lindley``
-    counts its rows, of any leading shape. The helper thread draws too, so
-    the sums are taken under a lock."""
+    counts its rows. The helper thread draws too, so the sums are taken
+    under a lock."""
     lock = threading.Lock()
     spent = {key: Counter() for key in targets}
 
@@ -155,7 +159,7 @@ def watched(targets):
             f0, t0 = getrusage(RUSAGE_SELF).ru_minflt, time.perf_counter()
             out = fn(*args, **kwargs)
             t, f = time.perf_counter() - t0, getrusage(RUSAGE_SELF).ru_minflt - f0
-            calls = args[0].size // args[0].shape[-1] if name == "_lindley" else 1
+            calls = args[0].shape[0] if name == "_lindley" else 1
             with lock:
                 spent[key].update(seconds=t, calls=calls, faults=f)
             return out
@@ -212,10 +216,21 @@ def print_row(name, prefix, columns, row, suffix=""):
     print(f"{'  best':<24}{'':>{len(prefix)}}" + "".join(f"{row[c + '_best']:>11.2f}" for c in columns))
 
 
-def queue1_service(kernel_args, q):
-    """Queue 1's service column given queue 2's solved busy column."""
-    _, solo1, _, both1, _ = kernel_args
-    return solo1 ^ ((q[:, 1, :-1] > 0) & (solo1 ^ both1))
+def lindley_args(kernel_args, busy, horizon):
+    """The arguments of the Lindley solve of queue 1 given queue 2's solved
+    busy column, in the solver's layout, as a Picard pass makes it."""
+    arrivals, solo1, _, both1, _ = kernel_args
+    return (_kernels._shifted(arrivals[:, 0]), solo1 ^ (busy[:, 1] & (solo1 ^ both1)),
+            _kernels.last_block_slots(horizon))
+
+
+def written_back(kernel_args, solved, horizon):
+    """Queue 1's slot-start lengths from its Lindley solve, as the solver
+    writes them at a fixed point."""
+    r8, excess, _ = solved
+    q1 = np.zeros(16 * r8.shape[-1] + 1, dtype=np.int32)
+    _kernels._write_back(q1[None, 1:], r8.copy(), kernel_args[0][:, 0], excess)
+    return q1[:horizon + 1]
 
 
 SEED = 1234
@@ -392,18 +407,19 @@ def main():
         print(f"{'config':<24}{'passes':>8}" + "".join(f"{c:>11}" for c in columns) + "  identical")
         for name, cfg in configs(horizon):
             kernel_args = sim._kernel_inputs([cfg])
-            t_loop, (q_loop, _) = repeat_times(_kernels.simulate_slots_py, kernel_args, args.repeat)
-            q, [passes] = _kernels.simulate_slots(*kernel_args)
+            loop_args = [_kernels.slot_major(lines, horizon) for lines in kernel_args]
+            t_loop, (q_loop, _) = repeat_times(_kernels.simulate_slots_py, loop_args, args.repeat)
+            q, [passes], busy = _kernels.simulate_slots(*kernel_args, horizon=horizon)
             splits = watch(LAYERS, sim.run, (cfg,), args.repeat)
-            q1 = np.zeros((1, horizon + 1), dtype=np.int32)
-            lindley_args = (kernel_args[0][:, 0], queue1_service(kernel_args, q), q1)
-            t_lindley, _ = repeat_times(_kernels._lindley, lindley_args, args.repeat)
+            t_lindley, solved = repeat_times(_kernels._lindley,
+                                             lindley_args(kernel_args, busy, horizon), args.repeat)
             row = summary(columns, [t_loop, seconds(splits, *LAYERS),
                                     *(seconds(splits, layer) for layer in layers), t_lindley,
                                     *draw_and_event_times(cfg, args.repeat)])
             passes = "loop" if passes is None else passes
+            q1 = written_back(kernel_args, solved, horizon)
             row.update(passes=passes, identical=bool(np.array_equal(q, q_loop)
-                                                     and np.array_equal(q1, q[:, 0])),
+                                                     and np.array_equal(q1, q[0, 0])),
                        faults={layer: faults(splits, layer) for layer in layers})
             results["runs"].setdefault(str(horizon), {})[name] = row
             print_row(name, f"{passes:>8}", columns, row, f"  {row['identical']}")

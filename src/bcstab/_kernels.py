@@ -9,31 +9,55 @@ the solver's fallback. ``benchmarks/bench_kernels.py`` times both.
 
 Both take a batch: ``rows`` runs that share the four event columns (runs on
 one sample path with one parameter set and dominant mode, such as a
-sweep's cells) but have their own arrival flags, ``(rows, 2, horizon)``.
-Every numpy call of the solver runs across all rows at once, so a batch
-pays each call's fixed cost once, not once per run. A lone run or a
-boundary-search probe is a batch of one row, solved by the same calls.
+sweep's cells) but have their own arrival flags. Every numpy call of the
+solver runs across all rows at once, so a batch pays each call's fixed cost
+once, not once per run. A lone run or a boundary-search probe is a batch of
+one row, solved by the same calls.
+
+Layout. The reference loop takes its lines slot-major: ``(rows, 2,
+horizon)`` arrival flags and event columns of ``horizon`` slots. The solver
+takes them in the layout of its scan, which is the layout ``sim`` draws a
+path in: each line (a queue's arrival flags, an event column, a busy
+column) is padded to a multiple of 16 slots and stored block-major, slot
+``16*b + j`` at ``[j, b]`` of a ``(16, blocks)`` array, so that each pass of
+the scan runs across all blocks of all rows at once (Blelloch's two-level
+prefix scan). Rows come outermost, ``(rows, 2, 16, blocks)`` for a batch's
+arrival flags, so the rows that leave a batch at its edges stay views.
+``block_major`` and ``slot_major`` convert. A pad slot has no arrival and
+no event, so a queue keeps its length through the pads; busy columns are
+False there, so two busy columns compare equal exactly when their real
+slots do.
 
 Why the solver is exact. Given its service column ``s`` (whether a
 head-of-line packet would leave in that slot), one queue follows Lindley's
 recursion: the post-departure length ``r[t] = max(r[t-1] + a[t-1] - s[t], 0)``
 with ``r[-1] + a[-1] = 0`` is a random walk reflected at zero, so
 ``r = S - min(minimum.accumulate(S), 0)`` for the cumulative sum ``S`` of the
-increments, and the slot-start length is ``r + a`` one slot later.
+increments, and the slot-start length is ``r + a`` one slot later. The
+increments are ``A_prev - s`` for the arrivals shifted by one slot,
+``A_prev``, which a call makes once; the first slot's is ``-s[0]``, and the
+reflected walk of a queue that starts empty is the same from any first
+increment at or below 0.
 
-The scan lays the slots out in 16-slot blocks, block-major, so that each of
-its passes runs across all blocks of all rows at once (Blelloch's two-level
-prefix scan). Four shifted passes give each block's running sum ``L`` and
-four more its running minimum ``M``. Between blocks, the walk before a block
-is the exclusive sum ``C`` of the block totals, and the running minimum of
-``S`` before it, clipped at 0, is that of the block lows ``C + M``; their
+Four shifted passes give each block's running sum ``L`` and four more its
+running minimum ``M``. Between blocks, the walk before a block is the
+exclusive sum ``C`` of the block totals, and the running minimum of ``S``
+before it, clipped at 0, is that of the block lows ``C + M``; their
 difference ``e`` is minus the queue length carried into the block, and the
-block reads ``r = L - min(M, e)``. A tail of fewer than 16 slots is solved
-serially from the last carry. All of it is integer arithmetic, so the result
-is exact: ``L`` and ``M`` lie in ``[-16, 16]``, so they, ``e`` clipped at
--16 and ``r + a`` less what ``e`` falls below -16 (at most 33) fit int8, and
-the carries, bounded by the horizon, fit int32 because
-``sim.MAX_HORIZON < 2**31``.
+block reads ``r = L - min(M, e)``. All of it is integer arithmetic, so the
+result is exact: ``L`` and ``M`` lie in ``[-16, 16]``, so they and ``e``
+clipped at ``-17`` fit int8, and ``r8 = L - min(M, max(e, -17))`` differs
+from ``r`` by the ``excess`` of ``e`` below ``-17``, an int32 per block. A
+queue that carries 17 or more packets into a block cannot empty within its
+16 slots, and then ``r8 >= 1``, so ``r8 > 0`` is exactly ``r > 0`` in every
+block; and ``r8 + a <= 16 + 17 + 1 = 34`` still fits int8. The carries,
+bounded by the horizon, fit int32 because ``sim.MAX_HORIZON < 2**31``.
+
+So a pass hands on no trajectory, only each queue's busy column, the
+slot-start ``r + a > 0`` one slot later: ``busy = shift(r8 > 0) | A_prev``,
+False in the pads. Only at a row's fixed point is each queue's int32
+trajectory ``r8 + a - excess`` written, once, slot-major into the
+``(rows, 2, horizon + 1)`` array that the statistics read.
 
 A queue's service column depends on the other queue only through whether it
 is transmitting, in the slots of its flip column ``solo ^ both``. When a
@@ -53,10 +77,10 @@ frontier, where passes cost, queue 2 is busy in most slots. Any busy column
 that bounds the trajectory's from above descends the same way, which is what
 a boundary search passes (``sim.estimate_boundary``) and what a batch of a
 sweep's cells passes, each cell the busy column of the cell above it
-(``sim.run_batch``). In a batch each row stops at its own fixed point and
-leaves the working set, so the passes that remain solve only the rows
-still moving. A pass cap hands a pathological row, alone, to the
-reference loop.
+(``sim.run_batch``): the busy columns the solver returns. In a batch each
+row stops at its own fixed point and leaves the working set, so the passes
+that remain solve only the rows still moving. A pass cap hands a
+pathological row, alone and slot-major, to the reference loop.
 """
 
 from __future__ import annotations
@@ -68,14 +92,47 @@ import numpy as np
 # strongly coupled generic profile 0.9,0.9,0.05,0.05.
 _MAX_PASSES = 64
 
-# Slots per block of the Lindley scan (_lindley). A block's running sums and
-# minima lie in [-16, 16], so they are exact in int8; _block_scans' four
-# passes, shifted by 1, 2, 4 and 8 rows, cover 16.
+# Slots per block of the Lindley scan (_lindley) and of the solver's layout.
+# A block's running sums and minima lie in [-16, 16], so they are exact in
+# int8; _block_scans' four passes, shifted by 1, 2, 4 and 8 slots, cover 16.
 _SCAN_BLOCK = 16
+
+# Blocks per chunk of a write-back (_write_back): its int32 temporary, 512
+# KiB, stays in a core's L2 cache. On 2 vCPUs one 40k-slot queue took 58 us
+# through it against 82 us as one mixed-type transposing subtract (100k
+# slots: 85 against 134).
+_WRITE_BLOCKS = 1 << 13
+
+
+def blocks_of(horizon: int) -> int:
+    """Blocks of the solver's layout that hold ``horizon`` slots."""
+    return -(-horizon // _SCAN_BLOCK)
+
+
+def last_block_slots(horizon: int) -> int:
+    """Real slots of the last block of ``horizon`` slots, 1 to 16; the rest
+    of it is pads."""
+    return (horizon - 1) % _SCAN_BLOCK + 1
+
+
+def block_major(lines, fill=False):
+    """Slot-major ``(..., n)`` lines in the solver's layout, ``(..., 16,
+    blocks)`` with slot ``16*b + j`` at ``[j, b]``, the pads ``fill``."""
+    n = lines.shape[-1]
+    padded = np.full((*lines.shape[:-1], blocks_of(n) * _SCAN_BLOCK), fill, dtype=lines.dtype)
+    padded[..., :n] = lines
+    return np.ascontiguousarray(
+        padded.reshape(*lines.shape[:-1], -1, _SCAN_BLOCK).swapaxes(-1, -2))
+
+
+def slot_major(lines, horizon: int):
+    """The first ``horizon`` slots of block-major lines, slot-major: the
+    inverse of ``block_major``."""
+    return lines.swapaxes(-1, -2).reshape(*lines.shape[:-2], -1)[..., :horizon]
 
 
 def simulate_slots_py(arrivals, solo1, solo2, both1, both2):
-    """Reference slot loop with the solver's inputs; returns ``(q, passes)``
+    """Reference slot loop with slot-major inputs; returns ``(q, passes)``
     with every pass count None.
 
     Per row and slot: read queue state, form the transmission set (the
@@ -106,135 +163,194 @@ def simulate_slots_py(arrivals, solo1, solo2, both1, both2):
 
 
 def _block_scans(local):
-    """Each block's running sum L, in place in ``local``, and the running
-    minimum M of L, returned. Each is four Hillis-Steele passes down the
-    rows, each across all blocks at once and into the other of two buffers,
-    ``spare`` and the scan's own, so the fourth ends in the scan's own."""
+    """Each block's running sum L, in place in the ``(rows, 16, blocks)``
+    array ``local``, and the running minimum M of L, returned. Each is four
+    Hillis-Steele passes down the 16 slots of a block, each across all
+    blocks of all rows at once and into the other of two buffers, ``spare``
+    and the scan's own, so the fourth ends in the scan's own."""
     low = np.empty_like(local)
     spare = np.empty_like(local)
     for op, last in ((np.add, local), (np.minimum, low)):
         src = local
         for k, dst in zip((1, 2, 4, 8), (spare, last, spare, last)):
-            op(src[k:], src[:-k], out=dst[k:])
-            dst[:k] = src[:k]
+            op(src[:, k:], src[:, :-k], out=dst[:, k:])
+            dst[:, :k] = src[:, :k]
             src = dst
     return low
 
 
-def _lindley(arrivals, service, q):
-    """Write each row's slot-start lengths, and its final state, into ``q``, given its service.
+def _shifted(lines):
+    """Block-major lines moved one slot later, False in slot 0: each slot
+    holds its previous slot's flag."""
+    out = np.empty_like(lines)
+    out[..., 1:, :] = lines[..., :-1, :]
+    out[..., 0, 1:] = lines[..., -1, :-1]
+    out[..., 0, 0] = False
+    return out
 
-    ``arrivals`` and ``service`` are ``(rows, n)`` boolean arrays (``service``
-    may be one row, shared by all), ``q`` a ``(rows, n + 1)`` int32 array;
-    rows need not be contiguous with each other. The temporaries peak at 4
-    bytes per slot and row, all int8: the increments, kept in slot order,
-    and ``_block_scans``' three block-major buffers.
+
+def _lindley(prev, service, real: int):
+    """One queue's Lindley solve per row, in the solver's layout: returns
+    ``(r8, excess, busy)``.
+
+    ``prev`` holds each row's arrival flags shifted by one slot
+    (``_shifted``), ``(rows, 16, blocks)``; ``service`` is the service
+    column, one per row or one shared by all; ``real`` is the number of real
+    slots in the last block. The post-departure length is ``r8 - excess``,
+    ``r8`` an int8 ``(rows, 16, blocks)`` array and ``excess`` an int32
+    ``(rows, blocks)`` one, and ``busy`` is the slot-start busy column,
+    False in the pads. Besides the 2 bytes per slot and row returned, the
+    temporaries peak at 2, the scan's other two int8 buffers.
     """
-    rows, n = arrivals.shape
-    blocks = n // _SCAN_BLOCK
-    body = blocks * _SCAN_BLOCK
-    # the walk's increments a[t-1] - s[t]; the body's are laid out block-major,
-    # row j holding slot j of every block of every row, so each pass below
-    # runs across all of them. The first slot's is 0, not -s[0]: the queue
-    # starts empty, and the reflected walk is the same from any increment <= 0.
-    step = np.empty((rows, n), dtype=np.int8)
-    np.subtract(arrivals[:, :-1].view(np.int8), service[:, 1:].view(np.int8), out=step[:, 1:])
-    step[:, 0] = 0
-    local = np.empty((_SCAN_BLOCK, rows, blocks), dtype=np.int8)
-    np.copyto(local, step[:, :body].reshape(rows, blocks, _SCAN_BLOCK).transpose(2, 0, 1))
+    rows, _, blocks = prev.shape
+    local = np.subtract(prev.view(np.int8), service.view(np.int8))
     low = _block_scans(local)
-    # int32 carries: the walk S before each block (and the tail) is the
-    # exclusive sum of the block totals, and min(minimum of S before it, 0) is
-    # the running minimum of the block lows C + M; their difference is minus
-    # the queue length carried into the block
-    start, entry = np.zeros((2, rows, blocks + 1), dtype=np.int32)
-    np.cumsum(local[-1], axis=1, dtype=np.int32, out=start[:, 1:])
-    np.add(start[:, :-1], low[-1], out=entry[:, 1:])
+    # int32 carries: the walk S before each block is the exclusive sum of the
+    # block totals, and min(minimum of S before it, 0) is the running minimum
+    # of the block lows C + M; their difference is minus the queue length
+    # carried into the block
+    start = np.empty((rows, blocks + 1), dtype=np.int32)
+    entry = np.empty_like(start)
+    start[:, 0] = entry[:, 0] = 0
+    np.cumsum(local[:, -1], axis=1, dtype=np.int32, out=start[:, 1:])
+    np.add(start[:, :-1], low[:, -1], out=entry[:, 1:])
     np.minimum.accumulate(entry, axis=1, out=entry)
     entry -= start
-    # in a block r = C + L - min(C + M, entry + C) = L - min(M, entry); M >= -16,
-    # so min(M, entry) is min(M, the entry clipped at -16) plus the excess below it
+    # in a block r = L - min(M, entry); M >= -16, so min(M, entry) is min(M, the
+    # entry clipped at -17) plus the excess below it, and r8 > 0 where r > 0
     excess = entry[:, :-1]
-    clipped = np.maximum(excess, -_SCAN_BLOCK).astype(np.int8)
+    clipped = np.maximum(excess, -(_SCAN_BLOCK + 1)).astype(np.int8)
     excess -= clipped
-    np.minimum(low, clipped, out=low)
+    np.minimum(low, clipped[:, None], out=low)
     local -= low
-    # r + a in int8, back in slot order, less the excess in int32
-    np.copyto(step[:, :body].reshape(rows, blocks, _SCAN_BLOCK), local.transpose(1, 2, 0))
-    step[:, :body] += arrivals[:, :body].view(np.int8)
-    np.subtract(step[:, :body].reshape(rows, blocks, _SCAN_BLOCK), excess[:, :, None],
-                out=q[:, 1:body + 1].reshape(rows, blocks, _SCAN_BLOCK))
-    # the tail of fewer than _SCAN_BLOCK slots, serially from the carried length
-    tail = q[:, body + 1:]
-    if tail.shape[1]:
-        tail[:] = step[:, body:]
-        np.cumsum(tail, axis=1, out=tail)
-        tail -= np.minimum(np.minimum.accumulate(tail, axis=1), entry[:, -1:])
-        tail += arrivals[:, body:]
+    # busy at a slot's start: a packet left over from the slot before, or its arrival
+    busy = np.empty(local.shape, dtype=bool)
+    np.greater(local[:, :-1], 0, out=busy[:, 1:])
+    np.greater(local[:, -1, :-1], 0, out=busy[:, 0, 1:])
+    busy[:, 0, 0] = False
+    busy |= prev
+    busy[:, real:, -1] = False
+    return local, excess, busy
 
 
-def simulate_slots(arrivals, solo1, solo2, both1, both2, start=None):
+def _write_back(out, r8, arrivals, excess):
+    """Write each row's slot-start lengths of one queue after each slot,
+    ``r8 + a - excess``, slot-major into the int32 ``(rows, 16 * blocks)``
+    array ``out``; ``r8`` is spent. Each chunk of ``_WRITE_BLOCKS``
+    slot-blocks is made in int32 block-major, where the excess broadcasts
+    along a block's 16 slots, and copied out transposed."""
+    r8 += arrivals.view(np.int8)
+    out = out.reshape(len(out), -1, _SCAN_BLOCK)
+    step = max(1, _WRITE_BLOCKS // len(out))
+    for lo in range(0, r8.shape[-1], step):
+        chunk = np.subtract(r8[..., lo:lo + step], excess[:, None, lo:lo + step])
+        np.copyto(out[:, lo:lo + step], chunk.transpose(0, 2, 1))
+
+
+def _runs(positions, rows):
+    """Split the increasing ``rows`` into runs of adjacent rows, and yield
+    each run as a slice of ``positions``, which are adjacent with them, and
+    a slice of rows."""
+    first = 0
+    for n in range(1, len(rows) + 1):
+        if n == len(rows) or rows[n] != rows[n - 1] + 1:
+            yield slice(positions[first], positions[n - 1] + 1), slice(rows[first], rows[n - 1] + 1)
+            first = n
+
+
+def simulate_slots(arrivals, solo1, solo2, both1, both2, start=None, *, horizon):
     """Each run's queue lengths at every slot start plus the final state, exactly as the slot loop.
 
-    ``arrivals`` is a ``(rows, 2, horizon)`` boolean array, one row per run
-    and one line per queue; the runs share the four event columns, each of
-    length ``horizon``. ``start`` is a ``(rows, horizon)`` busy column of
-    queue 2 per row that the coupled solve starts from, all-busy if None; an
-    empty flip column ignores it. Returns ``(q, passes)``: ``q`` is a
-    ``(rows, 2, horizon + 1)`` int32 array, and ``passes`` lists per row the
-    Picard passes begun (1 if a flip column is empty), each of which solves
-    queue 1 and, unless queue 1's busy column repeated, queue 2; or None
-    where the coupled solve hit the pass cap and the slot loop produced the
-    row.
+    The inputs are in the solver's layout (see the module docstring) for
+    ``horizon`` slots: ``arrivals`` is a ``(rows, 2, 16, blocks)`` boolean
+    array, one row per run and one line per queue, and the runs share the
+    four ``(16, blocks)`` event columns, none of them set in a pad. ``start``
+    is a ``(rows, 16, blocks)`` busy column of queue 2 per row, False in the
+    pads, that the coupled solve starts from, all-busy if None; an empty
+    flip column ignores it. Returns ``(q, passes, busy)``: ``q`` is a
+    ``(rows, 2, horizon + 1)`` int32 array, slot-major; ``passes`` lists per
+    row the Picard passes begun (1 if a flip column is empty), each of which
+    solves queue 1 and, unless queue 1's busy column repeated, queue 2; or
+    None where the coupled solve hit the pass cap and the slot loop produced
+    the row; ``busy`` is each run's ``(rows, 2, 16, blocks)`` busy columns,
+    ``q[:, :, :-1] > 0`` in the solver's layout.
     """
-    rows, _, n = arrivals.shape
+    rows, _, _, blocks = arrivals.shape
+    real = last_block_slots(horizon)
+    prev = _shifted(arrivals)
     # The service column np.where(busy, both, solo), written as solo ^ (busy & flip):
     # the same bits, far cheaper on boolean arrays. Each queue's shared columns
-    # are one row, which broadcasts across the batch, and costs nothing extra
-    # in a batch of one.
-    solo = (solo1[None], solo2[None])
-    flip = ((solo1 ^ both1)[None], (solo2 ^ both2)[None])
-    q = np.empty((rows, 2, n + 1), dtype=np.int32)
-    q[:, :, 0] = 0  # _lindley writes the rest
+    # broadcast across the batch, and cost nothing extra in a batch of one.
+    solo = (solo1, solo2)
+    flip = (solo1 ^ both1, solo2 ^ both2)
     passes = [1] * rows
+    q = busy = None
+
+    def finish(at, solved):
+        """Write the rows at the working positions ``at``, each from its
+        final solve of either queue. The outputs are made when the first
+        row is written, so the passes before run without them."""
+        nonlocal q, busy
+        if q is None:
+            q = np.empty((rows, 2, _SCAN_BLOCK * blocks + 1), dtype=np.int32)
+            q[:, :, 0] = 0
+            busy = np.empty_like(arrivals)
+        for i, batch in _runs(at.tolist(), live[at].tolist()):
+            for k, (r8, excess, column) in enumerate(solved):
+                _write_back(q[batch, k, 1:], r8[i], arrivals[batch, k], excess[i])
+                busy[batch, k] = column[i]
+
+    live = np.arange(rows)
     for k in (0, 1):
         if not flip[1 - k].any():
             # the other queue's service ignores queue k: solve it first
-            _lindley(arrivals[:, 1 - k], solo[1 - k], q[:, 1 - k])
-            _lindley(arrivals[:, k], solo[k] ^ ((q[:, 1 - k, :-1] > 0) & flip[k]), q[:, k])
-            return q, passes
+            solved = [None, None]
+            solved[1 - k] = _lindley(prev[:, 1 - k], solo[1 - k], real)
+            solved[k] = _lindley(prev[:, k], solo[k] ^ (solved[1 - k][2] & flip[k]), real)
+            del prev, flip  # the writes need neither
+            finish(live, solved)
+            return q[:, :, :horizon + 1], passes, busy
     # Picard passes over the working rows: queue k is solved from the other
     # queue's busy column and compared with its own previous one, and a row
-    # leaves at its own fixed point, its trajectory final. ``work`` holds the
-    # trajectories of the rows still working, which ``live`` maps to their
-    # rows of q: a view of q while they are a run of adjacent rows, as when
-    # the rows that leave are the batch's first or last, else a copy.
-    live = np.arange(rows)
-    work, a = q, arrivals
-    in_q = True
-    busy = [None, np.ones((rows, n), dtype=bool) if start is None else start]
+    # leaves at its own fixed point, where its trajectories are written. The
+    # working rows' arrays are views of the batch's while they are a run of
+    # adjacent rows, as when the rows that leave are the batch's first or
+    # last, else copies; ``live`` maps them to their rows of q. ``solved``
+    # holds each queue's last solve, and ``columns`` its busy column, which
+    # outlives the rest of the solve until the next solve is compared with it.
+    if start is None:
+        # one row, broadcast across the rows; slot 0 is never busy, so no
+        # busy column repeats this one, whatever its pads hold
+        start = np.ones((1, _SCAN_BLOCK, blocks), dtype=bool)
+    solved = [None, None]
+    columns = [None, start]
     for count in range(1, _MAX_PASSES + 1):
         for k in (0, 1):
-            _lindley(a[:, k], solo[k] ^ (busy[1 - k] & flip[k]), work[:, k])
-            new = work[:, k, :-1] > 0
-            if busy[k] is not None:
-                done = (new == busy[k]).all(axis=1)
-                if any(done.tolist()):
-                    if not in_q:
-                        q[live[done]] = work[done]
-                    for row in live[done].tolist():
-                        passes[row] = count
-                    if done.all():
-                        return q, passes
-                    keep = np.flatnonzero(~done)
-                    if keep[-1] - keep[0] == len(keep) - 1:
-                        keep = slice(keep[0], keep[-1] + 1)
-                    else:
-                        in_q = False
-                    live, work, a, new = live[keep], work[keep], a[keep], new[keep]
-                    busy = [column[keep] for column in busy]
-            busy[k] = new
+            solved[k] = None
+            solved[k] = _lindley(prev[:, k], solo[k] ^ (columns[1 - k] & flip[k]), real)
+            done = None if columns[k] is None else (solved[k][2] == columns[k]).all(axis=(1, 2))
+            columns[k] = solved[k][2]
+            if done is None or not any(done.tolist()):
+                continue
+            at = np.flatnonzero(done)
+            for row in live[at].tolist():
+                passes[row] = count
+            if done.all():
+                del prev, flip, columns  # the writes need none of them
+                finish(at, solved)
+                return q[:, :, :horizon + 1], passes, busy
+            finish(at, solved)
+            keep = np.flatnonzero(~done)
+            if keep[-1] - keep[0] == len(keep) - 1:
+                keep = slice(keep[0], keep[-1] + 1)
+            live, prev = live[keep], prev[keep]
+            solved = [tuple(part[keep] for part in lane) for lane in solved]
+            columns = [lane[2] for lane in solved]
+    finish(live[:0], solved)  # makes the outputs, if no row has left yet
+    events = [slot_major(column, horizon) for column in (solo1, solo2, both1, both2)]
     for row in live.tolist():
-        q[row] = simulate_slots_py(arrivals[row:row + 1], solo1, solo2, both1, both2)[0][0]
+        q[row, :, :horizon + 1] = simulate_slots_py(
+            slot_major(arrivals[row:row + 1], horizon), *events)[0][0]
+        busy[row] = block_major(q[row, :, :horizon] > 0)
         passes[row] = None
-    return q, passes
+    return q[:, :, :horizon + 1], passes, busy

@@ -123,13 +123,17 @@ class SubRegion:
         """Line and cap residuals, elementwise; the rates are strictly inside
         the part where both are negative. The line residual
         ``(l_busy - service(l_cap)) / solo`` is -1 at the origin and 0 on the
-        part's frontier."""
+        part's frontier. The cap residual is ``l_cap - cap_value``, and -1
+        at ``l_cap == 0``, however small the cap: a capped queue with zero
+        rate never holds a packet."""
         lam_cap, lam_busy = (lam1, lam2) if self.cap_axis == 0 else (lam2, lam1)
         if self.solo == 0.0:  # a queue that is never served: its rate must be exactly 0
             line = np.where(lam_busy > 0.0, math.inf, -1.0)
         else:
             line = (lam_busy - self.service(lam_cap)) / self.solo
-        return line, lam_cap - self.cap_value
+        if np.ndim(lam_cap):
+            return line, np.where(lam_cap == 0.0, -1.0, lam_cap - self.cap_value)
+        return line, -1.0 if lam_cap == 0.0 else lam_cap - self.cap_value
 
     def line_value(self, point: RatePoint) -> float:
         """Normalised line constraint at ``point``: 1 on the part's frontier."""
@@ -299,14 +303,9 @@ def dominant_service_rates(
 
 
 def _ray_limit(budget: float, rate: float) -> float:
-    """Scale t at which ``rate * t`` reaches ``budget`` (rate >= 0).
-
-    Infinite when a zero rate never reaches a positive budget, 0 when a zero
-    rate is already past a nonpositive one.
-    """
-    if rate > 0.0:
-        return budget / rate
-    return math.inf if budget > 0.0 else 0.0
+    """Scale t at which ``rate * t`` reaches ``budget`` (rate >= 0), negative
+    for a negative budget; infinite for a zero rate, which never moves."""
+    return budget / rate if rate > 0.0 else math.inf
 
 
 def boundary_scale(region: StabilityRegion, angle_deg: float) -> float:
@@ -314,8 +313,11 @@ def boundary_scale(region: StabilityRegion, angle_deg: float) -> float:
 
     The ray meets each part's line and cap constraints where their residuals
     reach ``-BOUNDARY_TOL``, so the scale up to which a part classifies the
-    ray's points as inside is the nearer of the two crossings; the union
-    reaches the farthest part. Angle is in degrees within [0, 90].
+    ray's points as inside is the nearer of the two crossings, and 0 if a
+    crossing lies behind the origin; the union reaches the farthest part. A
+    ray with no component on a part's cap axis never meets its cap, whose
+    residual stays -1 there (``SubRegion._residuals``). Angle is in degrees
+    within [0, 90].
     """
     if not 0.0 <= angle_deg <= 90.0:
         raise InvalidParameterError("angle must lie in [0, 90] degrees")
@@ -324,10 +326,10 @@ def boundary_scale(region: StabilityRegion, angle_deg: float) -> float:
     if membership(region, RatePoint(0.0, 0.0)) is not Membership.INSIDE:
         return 0.0
     # line_value grows linearly along the ray, from 0 at the origin
-    return max(
+    return max(0.0, *(
         min(
             _ray_limit(1.0 - BOUNDARY_TOL, part.line_value(RatePoint(c, s))),
             _ray_limit(part.cap_value - BOUNDARY_TOL, c if part.cap_axis == 0 else s),
         )
         for part in region.parts
-    )
+    ))

@@ -15,14 +15,20 @@ reproducible bit-for-bit, and all runs of one seed share one sample path
 thread draws its success events from a generator of the seed advanced past
 the arrival uniforms, while the calling thread draws the uniforms from its
 own. Neither generator reads the other's state, so the bits are those of
-one sequential draw. A lone run drops its uniforms once it has its arrival
-flags, before it is solved; runs that share a path (a boundary-search
-ray's probes, a batch's cells) hold one draw of it while they are made.
+one sequential draw. A path is drawn in the queue solver's block-major
+layout (``_kernels``), so the solver's inputs are made once per draw, and
+no solve lays them out again. A lone run drops its uniforms once it has its
+arrival flags, before it is solved; runs that share a path (a
+boundary-search ray's probes, a batch's cells) hold one draw of it while
+they are made.
 
 Runs are solved and judged in batches that share a path, params, dominant
 mode and warmup: one call of the queue solver, the slopes, the verdicts and
 the statistics (``_solve``, ``_summarise``) covers every run of a batch,
-one row each, and a lone run or a probe is a batch of one. ``run_batch``
+one row each, and a lone run or a probe is a batch of one. The solver
+returns each run's slot-major trajectory, which the slopes and verdicts
+read, and its busy columns in the solver's layout, from which
+``_summarise`` counts and the next probe or cell starts. ``run_batch``
 makes a sweep's cells in strips, and ``batch_verdicts`` makes them the same
 way but stops at their verdicts, which is all ``sweep --simulate`` reports:
 each ``lambda2`` is a column sorted by ``lambda1`` descending, a strip of
@@ -70,28 +76,34 @@ SLOPE_THRESHOLD = 1e-3
 
 # Largest accepted horizon. A run's path (_path) takes 16 bytes per slot of
 # arrival uniforms (_arrival_uniforms) and 4 of success events
-# (_channel_events), and while it is drawn four 512 KiB block buffers, two
-# per stream. A run keeps about 6 bytes per slot of arrival flags and success
-# events and 8 of trajectory; a lone run drops its uniforms before it is
-# solved and peaks at about 23 bytes per slot, so this caps one run near 250
-# MB (a 10M-slot dominant IAN run peaked at 268 MB resident, 286 under the
-# command line's pinned heap); longer runs are rejected before any
-# allocation. Runs that share a path hold it while they are made,
-# and nothing of it after; a W-thread sweep holds one path, not W. Its
-# batches (run_batch, batch_verdicts) hold up to 32 bytes per slot and run,
-# at most _BATCH_SLOTS slot-rows of runs (8 MB) or one run, per thread; a
-# grid-7 sweep at 20k slots measured about 19 bytes per slot-row of its 7-run
-# batches, and from 131 073 slots on a batch is one run. A boundary-search
-# ray holds its path and one busy column of queue 2 (1 byte per slot)
-# between probes, and its probes peak near 40 bytes per slot (44 at 1M slots
-# with the drift slope's 4 MiB index; near 400 MB at this cap). Of the
-# solver's temporaries, 4 bytes per slot are the Lindley scan's int8 buffers
-# (_kernels._lindley); its int32 carries and trajectory need this < 2**31.
+# (_channel_events), both in the solver's block-major layout, and while it is
+# drawn three 512 KiB block buffers: each stream's draws and the events'
+# contiguous copy of them. A run keeps 6 bytes per slot of arrival flags and
+# success events; its Picard passes add 2 of shifted arrival flags, 2 of flip
+# columns, 4.5 of both queues' last solves (per queue an int8 length, a busy
+# column and a quarter byte of int32 excess) and up to 5 of the next solve's
+# service column and scan buffers, and the fixed point 8 of trajectory and 2
+# of busy columns. A lone run drops its uniforms before it is solved and peaks
+# at 22 bytes per slot while it draws, its solve at 21.5, so this caps one run
+# near 220 MB (a 10M-slot dominant IAN run peaked at 246 MB resident through
+# run(), 324 under the command line's pinned heap, where the trajectory, made
+# last, does not fit the region the freed uniforms leave); longer runs are
+# rejected before any allocation. Runs that share a path hold it while they
+# are made, and nothing of it after; a W-thread sweep holds one path, not W.
+# Its batches (run_batch, batch_verdicts) hold up to 32 bytes per slot and
+# run, at most _BATCH_SLOTS slot-rows of runs (8 MB) or one run, per thread; a
+# grid-7 sweep at 20k slots measured about 23 bytes per slot-row of its 7-run
+# batches, and from 131 073 slots on a batch is one run. A boundary-search ray
+# holds its path and queue 2's busy column (1 byte per slot) between probes,
+# and its probes peak near 37.5 bytes per slot (42 at 1M slots with the drift
+# slope's 4 MiB index; near 375 MB at this cap). The solver's int32 carries
+# and trajectory need this < 2**31.
 MAX_HORIZON = 10_000_000
 
-# Slots per block of a path's draws (_blocks): the block's two float64
-# buffers, slot-major and transposed, 512 KiB each, stay in a core's L2 cache
-# while they become success events or rows of uniforms.
+# Slots per block of a path's draws (_blocks), a multiple of the solver's
+# 16-slot scan block: the block's float64 draws, 512 KiB, and for the events
+# their contiguous copy in the solver's layout, stay in a core's L2 cache
+# while they become success events or uniforms.
 _DRAW_BLOCK = 1 << 15
 
 # Shortest run that run_batch and batch_verdicts hand to their thread pool. A
@@ -251,42 +263,57 @@ def step(
 
 
 def _blocks(draw, horizon: int):
-    """Yield ``(lo, hi, rows)`` per ``_DRAW_BLOCK`` slots of ``draw``'s
-    slot-major output, one transposing copy putting each user's draws in a
-    contiguous row, which compares several times faster than a column."""
-    drawn = np.empty((min(horizon, _DRAW_BLOCK), 2))
-    rows = np.empty((2, drawn.shape[0]))
+    """Yield ``(lo, hi, drawn)`` per ``_DRAW_BLOCK`` slots of ``draw``'s
+    slot-major output: ``drawn`` is a ``(2, 16, hi - lo)`` view of the
+    block's draws in the solver's layout (``_kernels``), one ``(16, hi -
+    lo)`` array per user, for blocks ``lo:hi`` of that layout; the pads past
+    the horizon are drawn as 1.0."""
+    size = _kernels.blocks_of(min(horizon, _DRAW_BLOCK)) * _kernels._SCAN_BLOCK
+    drawn = np.empty((size, 2))
     for lo in range(0, horizon, _DRAW_BLOCK):
         hi = min(lo + _DRAW_BLOCK, horizon)
-        np.copyto(rows[:, :hi - lo], draw(out=drawn[:hi - lo]).T)
-        yield lo, hi, rows[:, :hi - lo]
+        width = _kernels.blocks_of(hi - lo)
+        draw(out=drawn[:hi - lo])
+        drawn[hi - lo:width * _kernels._SCAN_BLOCK] = 1.0
+        first = lo // _kernels._SCAN_BLOCK
+        yield first, first + width, drawn[:width * _kernels._SCAN_BLOCK].reshape(width, -1, 2).T
 
 
 def _channel_events(params: SystemParams, horizon: int, seed: int) -> np.ndarray:
-    """The read-only ``(4, horizon)`` success-event columns of every run at
-    ``seed``, whatever its rates or dominant mode. A run's stream is
+    """The read-only ``(4, 16, blocks)`` success-event columns of every run
+    at ``seed``, whatever its rates or dominant mode, in the solver's layout
+    (``_kernels``), with no event in a pad. A run's stream is
     ``np.random.default_rng(seed)``: ``2*horizon`` arrival uniforms, then as
     many channel draws (uniforms for the generic scheme, unit-mean
     exponential gains otherwise), both slot-major; each uniform takes one
-    64-bit output, so a generator advanced by ``2*horizon`` draws the channel."""
+    64-bit output, so a generator advanced by ``2*horizon`` draws the
+    channel. Each block's draws are copied into one contiguous array per
+    user (``rows``), which compares several times faster than a strided
+    view."""
     rng = np.random.Generator(np.random.PCG64(seed).advance(2 * horizon))
     # the same bits as rng.exponential(1.0, ...), without the scaling pass
     draw = rng.random if params.decoding is Decoding.GENERIC else rng.standard_exponential
-    events = np.empty((4, horizon), dtype=bool)
-    for lo, hi, u in _blocks(draw, horizon):
-        events[:, lo:hi] = success_events(params, u[0], u[1])
+    blocks = _kernels.blocks_of(horizon)
+    events = np.empty((4, _kernels._SCAN_BLOCK, blocks), dtype=bool)
+    rows = np.empty((2, _kernels._SCAN_BLOCK, min(blocks, _DRAW_BLOCK // _kernels._SCAN_BLOCK)))
+    for lo, hi, drawn in _blocks(draw, horizon):
+        u = rows[:, :, :hi - lo]
+        np.copyto(u, drawn)
+        events[:, :, lo:hi] = success_events(params, u[0], u[1])
+    events[:, _kernels.last_block_slots(horizon):, -1] = False
     events.flags.writeable = False
     return events
 
 
 def _arrival_uniforms(horizon: int, seed: int) -> np.ndarray:
-    """The read-only ``(2, horizon)`` arrival uniforms of every run at
-    ``seed``, one row per queue: the first ``2*horizon`` draws of
+    """The read-only ``(2, 16, blocks)`` arrival uniforms of every run at
+    ``seed``, one line per queue in the solver's layout (``_kernels``), the
+    pads 1.0, which no rate exceeds: the first ``2*horizon`` draws of
     ``np.random.default_rng(seed)``, filled block by block (``_blocks``).
     They take 16 bytes per slot."""
-    uniforms = np.empty((2, horizon))
-    for lo, hi, u in _blocks(np.random.default_rng(seed).random, horizon):
-        uniforms[:, lo:hi] = u
+    uniforms = np.empty((2, _kernels._SCAN_BLOCK, _kernels.blocks_of(horizon)))
+    for lo, hi, drawn in _blocks(np.random.default_rng(seed).random, horizon):
+        uniforms[:, :, lo:hi] = drawn
     uniforms.flags.writeable = False
     return uniforms
 
@@ -340,11 +367,12 @@ def _kernel_inputs(configs, path: tuple | None = None) -> tuple:
     it they draw their own (``_path``) and drop its uniforms when this
     returns, so a lone run keeps 2 bytes per slot of flags and 4 of events
     while it is solved. The uniforms are compared with every run's rates in
-    one pass."""
+    one pass, in the solver's layout, which the flags keep: ``(runs, 2, 16,
+    blocks)``, with no arrival in a pad."""
     config = configs[0]
     events, uniforms = path or _path(config.params, config.horizon, config.seed)
-    lam = np.array([[[c.arrivals.lambda1], [c.arrivals.lambda2]] for c in configs])
-    arrivals = np.less(uniforms, lam)
+    lam = np.array([[c.arrivals.lambda1, c.arrivals.lambda2] for c in configs])
+    arrivals = np.less(uniforms, lam[:, :, None, None])
     force1, force2 = _forced(config)
     return arrivals, events[2 if force2 else 0], events[3 if force1 else 1], *events[2:]
 
@@ -465,21 +493,22 @@ def _solve(configs, start=None, path=None) -> tuple:
     ``configs`` share their horizon, seed, params, dominant mode and warmup.
     ``start`` is passed to ``_kernels.simulate_slots`` and ``path``, a held
     sample path, to ``_kernel_inputs``. Returns the kernel inputs, the
-    ``(runs, 2, horizon + 1)`` slot-start lengths, and per run three pairs,
-    one entry per queue: its exact drift slope over ``[warmup, horizon)``,
-    its verdict (``classify_stability``'s rule; inconclusive below 10000
-    slots) and its exact sum over that window, which the slope also needs.
+    ``(runs, 2, horizon + 1)`` slot-start lengths, the runs' busy columns in
+    the solver's layout, and per run three pairs, one entry per queue: its
+    exact drift slope over ``[warmup, horizon)``, its verdict
+    (``classify_stability``'s rule; inconclusive below 10000 slots) and its
+    exact sum over that window, which the slope also needs.
     """
     inputs = _kernel_inputs(configs, path)
-    q, _ = _kernels.simulate_slots(*inputs, start=start)
     warmup, horizon = configs[0].warmup, configs[0].horizon
+    q, _, busy = _kernels.simulate_slots(*inputs, start=start, horizon=horizon)
     lines = q.reshape(-1, horizon + 1)  # each run's queue 1, then its queue 2
     slopes, sums = _drift_slopes(lines[:, warmup:horizon])
     if horizon < _MIN_CLASSIFY_HORIZON:
         verdicts = [Verdict.INCONCLUSIVE] * len(slopes)
     else:
         verdicts = _verdicts(lines, warmup, slopes)
-    return inputs, q, _pairs(slopes), _pairs(verdicts), _pairs(sums)
+    return inputs, q, busy, _pairs(slopes), _pairs(verdicts), _pairs(sums)
 
 
 def _pairs(values: list) -> list[tuple]:
@@ -493,36 +522,52 @@ def run(config: SimConfig, return_trajectory: bool = False) -> SimResult:
     return _summarise([config], *_solve([config]), return_trajectory)[0]
 
 
-def _counts(flags: np.ndarray) -> list[int]:
-    """The nonzero count of each line along the last axis of ``flags``, in
-    order; one ``count_nonzero`` per line, which is several times faster
-    than ``count_nonzero`` along an axis, a sum through a cast."""
-    return [int(np.count_nonzero(line)) for line in flags.reshape(-1, flags.shape[-1])]
+def _counts(flags: np.ndarray, warmup: int = 0) -> tuple[list[int], list[int]]:
+    """Each block-major line's nonzero count along the last two axes of
+    ``flags``, in order, and its count from slot ``warmup`` on: the total
+    less the count over the first ``warmup`` slots, ``warmup // 16`` full
+    blocks and part of the next. One ``count_nonzero`` per line and part,
+    which is several times faster than ``count_nonzero`` along an axis, a
+    sum through a cast."""
+    full, part = divmod(warmup, _kernels._SCAN_BLOCK)
+    totals, windows = [], []
+    for line in flags.reshape(-1, *flags.shape[-2:]):
+        total = int(np.count_nonzero(line))
+        totals.append(total)
+        if warmup:
+            total -= int(np.count_nonzero(line[:, :full]))
+            total -= int(np.count_nonzero(line[:part, full]))
+        windows.append(total)
+    return totals, windows
 
 
-def _summarise(configs, inputs: tuple, q: np.ndarray, slopes, verdicts, sums,
+def _summarise(configs, inputs: tuple, q: np.ndarray, busy: np.ndarray, slopes, verdicts, sums,
                return_trajectory: bool = False) -> list[SimResult]:
-    """run()'s statistics of each solved run of a batch, given each queue's
-    drift slope, verdict and post-warmup sum (``_solve``)."""
+    """run()'s statistics of each solved run of a batch, given its busy
+    columns and each queue's drift slope, verdict and post-warmup sum
+    (``_solve``). The counts are taken in the solver's layout, where no pad
+    holds an arrival, an event or a busy slot."""
     horizon, warmup = configs[0].horizon, configs[0].warmup
     arrivals, solo1, solo2, both1, both2 = inputs
 
     n = horizon - warmup
-    real = q[:, :, :horizon] > 0
-    forced = np.array(_forced(configs[0]))
-    attempt = real | forced[:, None] if forced.any() else real  # a dummy queue attempts every slot
-    service = np.empty_like(real)
+    forced = _forced(configs[0])
+    service = np.empty_like(busy)
     for k, solo, both in ((0, solo1, both1), (1, solo2, both2)):
-        # np.where(other queue transmits, both, solo) as in the solver
-        np.bitwise_xor(solo, attempt[:, 1 - k] & (solo ^ both), out=service[:, k])
-    departed = real & service
-    post = np.s_[..., warmup:]
-    attempts = _counts(attempt[post])
-    successes = _counts(attempt[post] & service[post])
-    departed_post = _counts(departed[post])
-    busy_post = _counts(real[post])
-    arrivals_total = _counts(arrivals)
-    departures_total = _counts(departed)
+        # np.where(other queue transmits, both, solo) as in the solver; a dummy
+        # queue's partner has both as solo (_kernel_inputs), so its busy slots suffice
+        np.bitwise_xor(solo, busy[:, 1 - k] & (solo ^ both), out=service[:, k])
+    departed = busy & service
+    _, busy_post = _counts(busy, warmup)
+    departures_total, departed_post = _counts(departed, warmup)
+    # a queue attempts where it is busy, so its successes are its departures,
+    # and a dummy queue attempts in every slot, so they are its service
+    served_post = _counts(service, warmup)[1] if any(forced) else departed_post
+    attempts, successes = [], []
+    for line, (busy_count, departed_count) in enumerate(zip(busy_post, departed_post)):
+        attempts.append(n if forced[line % 2] else busy_count)
+        successes.append(served_post[line] if forced[line % 2] else departed_count)
+    arrivals_total, _ = _counts(arrivals)
     finals = q[:, :, horizon].ravel().tolist()
     results = []
     for run_index, config in enumerate(configs):
@@ -576,7 +621,7 @@ def _solve_strip(configs: list[SimConfig], strip: list[list[int]], judge, path=N
             start = start[:len(batch)]  # the strip's columns are longest first
         solved = _solve(runs, start, path)
         made += zip(batch, judge(runs, solved))
-        start = solved[1][:, 1, :-1] > 0
+        start = solved[2][:, 1].copy()  # queue 2's alone, 1 byte per slot and run
         del solved  # the next batch is solved without this one's trajectories
     return made
 
@@ -641,7 +686,7 @@ def batch_verdicts(configs, workers: int | None = None) -> list[tuple[Verdict, V
     """Each config's ``(verdict1, verdict2)``, in input order: the
     ``verdict`` of ``run_batch(configs, workers)``, made as it is made but
     without the rest of each run's statistics (``_summarise``)."""
-    return _batched(configs, workers, lambda runs, solved: solved[3])
+    return _batched(configs, workers, lambda runs, solved: solved[4])
 
 
 def estimate_boundary(
@@ -702,11 +747,13 @@ def estimate_boundary(
     def probe(scale: float) -> Verdict:
         nonlocal start
         point = RatePoint(scale * c, scale * s)
-        _, q, _, verdicts, _ = _solve([SimConfig(point, params, horizon=horizon, seed=seed)],
-                                      start, path)
+        _, _, busy, _, verdicts, _ = _solve(
+            [SimConfig(point, params, horizon=horizon, seed=seed)], start, path)
         v = system_verdict(verdicts[0])
         if v is not Verdict.STABLE:
-            start = q[:, 1, :-1] > 0  # it bounds queue 2's busy column at every lower scale
+            # it bounds queue 2's busy column at every lower scale; a copy
+            # holds 1 byte per slot, not both queues' 2
+            start = busy[:, 1].copy()
         return v
 
     lo, hi = 0.0, cap

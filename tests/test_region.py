@@ -93,8 +93,9 @@ class TestRegionGeneral:
         reg = b.region_general(prof)
         first = reg.parts[0]
         assert first.cap_value == 0.0
-        # the lambda2 = 0 segment short of p1_solo is boundary, never inside
-        assert b.membership(reg, RatePoint(0.55, 0.0)) is Membership.BOUNDARY
+        # the lambda2 = 0 segment short of p1_solo is inside: queue 2, capped
+        # at 0, never holds a packet there
+        assert b.membership(reg, RatePoint(0.55, 0.0)) is Membership.INSIDE
         assert b.membership(reg, RatePoint(0.55, 0.01)) is Membership.OUTSIDE
         # the non-degenerate second part still has area
         assert b.membership(reg, RatePoint(0.1, 0.2)) is Membership.INSIDE
@@ -222,6 +223,30 @@ class TestMembership:
             assert scales[0] == scales[1], prof
             lookup = {1: Membership.INSIDE, 0: Membership.BOUNDARY, -1: Membership.OUTSIDE}
             assert [lookup[int(c)] for c in codes[0]] == classes[0], prof
+
+    @pytest.mark.parametrize("profile, points, expected", [
+        # queue 2's shared-slot rate caps it below BOUNDARY_TOL; on the
+        # lambda1 axis queue 2 never holds a packet, and queue 1 is served at
+        # p1_solo
+        (SuccessProfile(0.9, 0.8, 0.3, 3e-308), [(0.5, 0.0), (0.89, 0.0), (0.95, 0.0)],
+         [Membership.INSIDE, Membership.INSIDE, Membership.OUTSIDE]),
+        # queue 1's shared-slot rate is 0 and its solo rate tiny; on the
+        # lambda2 axis queue 1 never holds a packet
+        (SuccessProfile(3e-308, 0.5, 0.0, 0.5), [(0.0, 0.25), (0.0, 0.49), (0.0, 0.6)],
+         [Membership.INSIDE, Membership.INSIDE, Membership.OUTSIDE]),
+    ])
+    def test_zero_rate_is_inside_a_tiny_cap(self, profile, points, expected):
+        """A capped queue with zero rate never holds a packet, however small
+        its cap: its cap residual is -1, so an axis point is judged by the
+        busy queue's line alone, in membership and membership_grid, as the
+        queues' ergodicity judges it."""
+        region = b.region_general(profile)
+        l1, l2 = np.array(points).T
+        lookup = {1: Membership.INSIDE, 0: Membership.BOUNDARY, -1: Membership.OUTSIDE}
+        assert [b.membership(region, RatePoint(*point)) for point in points] == expected
+        assert [lookup[int(code)] for code in b.membership_grid(region, l1, l2)] == expected
+        assert [ergodic(profile, *point) for point in points] == [
+            member is Membership.INSIDE for member in expected]
 
     def test_nesting(self):
         """Entrywise-larger profiles can only enlarge the region."""
@@ -353,7 +378,11 @@ class TestErgodicity:
         for t in {at * f for at in (scale, crossing)
                   for f in (0.5, 1 - 1e-3, 1 - 1e-6, 1 + 1e-6, 1 + 1e-3, 1.5)}:
             point = RatePoint(t * c, t * s)
-            if t <= 0.0 or b.membership(region, point) is Membership.BOUNDARY:
+            # a rate that underflows to 0 puts the point on an axis, off the ray;
+            # and a point off the crossing can round onto boundary_scale itself
+            off_ray = (c > 0.0 and point.lambda1 == 0.0) or (s > 0.0 and point.lambda2 == 0.0)
+            if t <= 0.0 or t == scale or off_ray \
+                    or b.membership(region, point) is Membership.BOUNDARY:
                 continue
             assert (t < scale) == ergodic(profile, point.lambda1, point.lambda2), \
                 (profile, angle, t, scale, crossing)
@@ -506,7 +535,8 @@ class TestRegionAdaptive:
         assert prof.p1_solo == pytest.approx(math.exp(-0.25))
         assert prof.p2_solo == pytest.approx(math.exp(-0.25))
         reg = b.region_for_params(params)
-        assert b.membership(reg, RatePoint(0.5, 0.0)) is Membership.BOUNDARY
+        # queue 2, capped at its zero shared-slot rate, never holds a packet
+        assert b.membership(reg, RatePoint(0.5, 0.0)) is Membership.INSIDE
         assert b.membership(reg, RatePoint(0.5, 0.1)) is Membership.OUTSIDE
 
     def test_contains_fixed_region(self):
@@ -561,6 +591,15 @@ class TestBoundaryScale:
     def test_region_without_interior_has_zero_scale(self):
         reg = b.region_general(SuccessProfile(0.0, 0.0, 0.0, 0.0))
         assert b.boundary_scale(reg, 30.0) == 0.0
+
+    def test_tiny_shared_rate_leaves_the_axis_ray_whole(self):
+        """A ray with no component on a part's cap axis never meets its cap:
+        with queue 2's shared-slot rate below BOUNDARY_TOL the 0 degree ray
+        reaches p1_solo, as the queues stay ergodic up to it, not p1_both."""
+        profile = SuccessProfile(0.9, 0.8, 0.3, 3e-308)
+        scale = b.boundary_scale(b.region_general(profile), 0.0)
+        assert scale == pytest.approx(0.9, abs=1e-9)
+        assert scale == pytest.approx(float(ergodic_crossing(profile, 1.0, 0.0)), abs=1e-9)
 
     def test_forced_zero_rate_has_zero_scale(self):
         # p1_solo = 0 forces lambda1 to 0: every ray off the lambda2 axis has

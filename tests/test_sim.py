@@ -54,9 +54,9 @@ ALL_PARAMS = [
 KERNEL_LOADS = [(0.35, 0.3), (0.9, 0.9)]
 
 
-def kernel_run(fn, cfg):
-    """Per-queue slot-start trajectory of one kernel path on the config's randomness."""
-    return fn(*_kernel_inputs([cfg]))[0][0]
+def solver_run(cfg):
+    """Per-queue slot-start trajectory of the solver on the config's randomness."""
+    return _kernels.simulate_slots(*_kernel_inputs([cfg]), horizon=cfg.horizon)[0][0]
 
 
 def whole_array_draw(cfg):
@@ -149,7 +149,7 @@ class TestStep:
             cfg = SimConfig(RatePoint(lam1, lam2), params, horizon=400, seed=97,
                             dominant_mode=mode)
             arr_u, chan = whole_array_draw(cfg)
-            qtraj = kernel_run(_kernels.simulate_slots_py, cfg)
+            qtraj = _kernels.simulate_slots_py(*whole_array_inputs(cfg))[0][0]
             state = (0, 0)
             attempts, successes, departures = np.zeros((3, 2), np.int64)
             for t in range(cfg.horizon):
@@ -160,7 +160,7 @@ class TestStep:
                     attempts += (ev.attempt1, ev.attempt2)
                     successes += (ev.success1, ev.success2)
             assert state == tuple(qtraj[:, cfg.horizon])
-            assert np.array_equal(kernel_run(_kernels.simulate_slots, cfg), qtraj)
+            assert np.array_equal(solver_run(cfg), qtraj)
             r = b.run(cfg)
             assert r.departures_total == tuple(departures.tolist())
             assert r.success_rate == tuple(
@@ -175,10 +175,14 @@ class TestKernelInputs:
                                          sim._DRAW_BLOCK + 1, 2 * sim._DRAW_BLOCK + 1])
     def test_blocks_match_whole_array_draw(self, params, horizon):
         """The blocked producer and the held path both give the whole-array
-        draw's flags bit for bit, in every dominant mode, also across block
-        edges; the held uniforms are read-only."""
+        draw's flags bit for bit, in the solver's layout, in every dominant
+        mode, also across draw blocks and with a partial last scan block;
+        the held uniforms are read-only, and their pads hold no arrival."""
         uniforms = sim._arrival_uniforms(horizon, horizon + 3)
-        assert uniforms.shape == (2, horizon) and uniforms.dtype == np.float64
+        blocks = _kernels.blocks_of(horizon)
+        assert uniforms.shape == (2, 16, blocks) and uniforms.dtype == np.float64
+        drawn = np.random.default_rng(horizon + 3).random((horizon, 2)).T
+        assert np.array_equal(uniforms, _kernels.block_major(drawn, 1.0))
         assert not uniforms.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             uniforms[0, 0] = 0.5
@@ -186,7 +190,7 @@ class TestKernelInputs:
         for mode in ("none", "queue1", "queue2"):
             cfg = SimConfig(RatePoint(0.35, 0.3), params, horizon=horizon, seed=horizon + 3,
                             dominant_mode=mode)
-            whole = whole_array_inputs(cfg)
+            whole = [_kernels.block_major(line) for line in whole_array_inputs(cfg)]
             for inputs in (_kernel_inputs([cfg]), _kernel_inputs([cfg], path)):
                 assert len(inputs) == len(whole) == 5
                 for got, want in zip(inputs, whole):
@@ -194,14 +198,15 @@ class TestKernelInputs:
                     assert got.shape == want.shape
                     assert np.array_equal(got, want)
 
-    def test_peak_memory_is_the_path_plus_four_blocks(self):
+    def test_peak_memory_is_the_path_plus_three_blocks(self):
         """At 1M slots the producer returns 6 bytes per slot of flags and
         events, and peaks at its path and flags: 16 bytes per slot of
         arrival uniforms, dropped when it returns, 4 of events and 2 of
-        flags. While the path is drawn, four block buffers are alive, two
-        per stream since a helper thread draws the events while this thread
-        draws the uniforms, and one block's event temporaries. The
-        whole-array draw peaks at 38 bytes per slot here."""
+        flags. While the path is drawn, three block buffers are alive: each
+        stream's draws, since a helper thread draws the events while this
+        thread draws the uniforms, and the events' contiguous copy of its
+        block, with one block's event temporaries. The whole-array draw
+        peaks at 38 bytes per slot here."""
         horizon = 1_000_000
         cfg = SimConfig(RatePoint(0.35, 0.3), ALL_PARAMS[0], horizon=horizon, seed=5)
         _kernel_inputs([SimConfig(RatePoint(0.35, 0.3), ALL_PARAMS[0], horizon=10)])  # thresholds
@@ -213,16 +218,19 @@ class TestKernelInputs:
         finally:
             tracemalloc.stop()
         assert sum(a.nbytes for a in inputs[:5]) == 6 * horizon
-        assert 22 * horizon <= peak <= 22 * horizon + 5 * block_bytes
+        assert 22 * horizon <= peak <= 22 * horizon + 4 * block_bytes
 
     def test_peak_memory_of_a_lone_run_is_its_solve(self):
         """A lone run drops its path's arrival uniforms once it has its
         flags, before it is solved: a 1M-slot coupled run (adaptive SC)
-        peaks at 23 bytes per slot, 6 of flags and events, 8 of trajectory
-        and 9 of the solver's temporaries, against 22 while it draws. A run
-        that kept its uniforms through the solve would peak near 39. (A
-        cold process adds the drift slope's cached 4 MiB index, made here
-        before measuring.)"""
+        peaks at 22 bytes per slot while it draws (the path and the flags),
+        and its solve at 21.5: 6 of flags and events, and, when the solver
+        writes the trajectory at the fixed point, 8 of trajectory, 2 of busy
+        columns and 4.5 of both queues' last solves (per queue an int8
+        length, a busy column and a quarter byte of int32 excess), with a
+        write-back chunk of 512 KiB. A run that kept its uniforms through
+        the solve would peak near 37.5. (A cold process adds the drift
+        slope's cached 4 MiB index, made here before measuring.)"""
         horizon = 1_000_000
         cfg = SimConfig(RatePoint(0.35, 0.3), ALL_PARAMS[2], horizon=horizon, seed=5)
         b.run(SimConfig(RatePoint(0.35, 0.3), ALL_PARAMS[2], horizon=10_000))  # thresholds
@@ -233,18 +241,22 @@ class TestKernelInputs:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 25 * horizon
+        assert peak <= 22 * horizon + 4 * sim._DRAW_BLOCK * 2 * 8
 
     def test_peak_memory_of_a_ray_holds_its_uniforms(self, event_draws):
         """A 1M-slot ray holds, between probes, 16 bytes per slot of arrival
         uniforms, 4 of its path's success events and 1 of queue 2's busy
-        column (21). A probe on a coupled profile (adaptive SC) adds 2 of
-        arrival flags, 8 of trajectory and the coupled solver's temporaries:
-        2 of flip columns, 3 of busy and service columns and 4 of the Lindley
-        scan's int8 buffers (19), so the ray peaks at 40 bytes per slot, 16
-        above the same probes run alone. (A cold process adds the drift
-        slope's cached 4 MiB index, made here before measuring.) When the ray
-        returns nothing of its path is left."""
+        column at the last non-stable probe, the next probe's start (21). A
+        probe on a coupled profile (adaptive SC) adds 2 of arrival flags,
+        and peaks when the solver writes its trajectory at the fixed point:
+        4.5 of both queues' last solves (per queue an int8 length, a busy
+        column and a quarter byte of int32 excess), 8 of trajectory and 2 of
+        busy columns (16.5), so the ray peaks at 37.5 bytes per slot, with a
+        write-back chunk of 512 KiB. Its passes peak below that: they hold
+        flip columns, the shifted arrivals and the scan's int8 buffers, but
+        no trajectory. (A cold process adds the drift slope's cached 4 MiB
+        index, made here before measuring.) When the ray returns nothing of
+        its path is left."""
         horizon = 1_000_000
         params = ALL_PARAMS[2]
         b.estimate_boundary(params, 45.0, steps=8, horizon=10_000, seed=3)  # thresholds
@@ -258,7 +270,7 @@ class TestKernelInputs:
             tracemalloc.stop()
         assert event_draws == [(params, horizon, 3)]  # one path: no probe was retried
         block_bytes = sim._DRAW_BLOCK * 2 * 8
-        assert 40 * horizon <= peak <= 40 * horizon + 3 * block_bytes
+        assert 37.5 * horizon <= peak <= 37.5 * horizon + 3 * block_bytes
         assert current <= block_bytes
 
     def test_peak_memory_of_a_sweep_is_its_path_and_a_batch(self):
@@ -267,11 +279,13 @@ class TestKernelInputs:
         its cells a rank of a strip at a time: one strip of 7 columns here,
         so at most 7 runs per batch. A batch stays under 32 bytes per
         slot-row: 2 of arrival flags, 8 of trajectory, 1 of the busy column
-        its strip holds for the next rank, 9 of the solver's busy, service
-        and comparison columns and Lindley buffers, and up to 12 while the
-        rows still working are copied out of a batch whose other rows
-        converged. This holds through ``run_batch`` and, without the
-        statistics, through ``batch_verdicts``."""
+        its strip holds for the next rank, 2 of shifted arrival flags, 2 of
+        busy columns, 4.5 of both queues' last solves, up to 5 of the next
+        solve's service column and scan buffers, and more while the rows
+        still working are copied out of a batch whose other rows converged;
+        at 20k slots it measured 23 bytes per slot-row. This holds through
+        ``run_batch`` and, without the statistics, through
+        ``batch_verdicts``."""
         horizon = 20_000
         cfgs = [SimConfig(RatePoint(l1, l2), ALL_PARAMS[3], horizon=horizon, seed=6)
                 for l1 in np.linspace(0.0, 0.6, 7) for l2 in np.linspace(0.0, 0.6, 7)]
@@ -293,10 +307,11 @@ class TestKernelInputs:
         path = (sim._channel_events(cfg.params, cfg.horizon, cfg.seed),
                 sim._arrival_uniforms(cfg.horizon, cfg.seed))
         events = path[0]
-        assert events.shape == (4, cfg.horizon) and events.dtype == np.bool_
+        assert events.shape == (4, 16, _kernels.blocks_of(cfg.horizon))
+        assert events.dtype == np.bool_
         assert not events.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            events[0, 0] = not events[0, 0]
+            events[0, 0, 0] = not events[0, 0, 0]
         assert all(np.shares_memory(column, events) for column in _kernel_inputs([cfg], path)[1:5])
 
 
@@ -405,14 +420,26 @@ class TestDrawHelper:
             assert started.is_set() and running == []
 
 
+def solve_in_layout(kernel_args, start=None):
+    """The solver on slot-major inputs and start, each converted to its
+    layout (``_kernels.block_major``)."""
+    horizon = kernel_args[0].shape[-1]
+    if start is not None:
+        start = _kernels.block_major(start)
+    return _kernels.simulate_slots(*map(_kernels.block_major, kernel_args), start=start,
+                                   horizon=horizon)
+
+
 def vec_matches_loop(kernel_args, start=None):
-    """Run the vectorised solver from ``start`` and the loop on the same inputs;
-    return the solver's passes, one per row."""
+    """Run the vectorised solver from ``start`` and the loop on the same
+    slot-major inputs; return the solver's passes, one per row. The solver's
+    busy columns are the loop's, in its layout, with no busy pad."""
     ref, _ = _kernels.simulate_slots_py(*kernel_args)
-    qtraj, passes = _kernels.simulate_slots(*kernel_args, start=start)
+    qtraj, passes, busy = solve_in_layout(kernel_args, start)
     rows, _, horizon = kernel_args[0].shape
     assert qtraj.shape == (rows, 2, horizon + 1) and len(passes) == rows
     assert np.array_equal(qtraj, ref)
+    assert np.array_equal(busy, _kernels.block_major(ref[:, :, :-1] > 0))
     return passes
 
 
@@ -428,11 +455,25 @@ def lindley_oracle(arrivals, service):
     return np.concatenate(([0], walk - np.minimum(np.minimum.accumulate(walk), 0) + arrivals))
 
 
-# Block edges of the Lindley scan (16 slots) and a long tail-bearing horizon
+def carried_into_draining_blocks(n):
+    """Columns that carry 16, 17 and 18 packets in turn into a block served
+    in every slot: each 48-slot period, three scan blocks, serves its first
+    12 slots, which empties the queue, fills it with arrivals up to its
+    31st slot, and serves every slot of its third block, whose entry so
+    crosses the scan's clip at -17 both ways; that block ends with 0, 1 or
+    2 packets."""
+    slot = np.arange(n)
+    carried = 16 + (slot // 48) % 3
+    offset = slot % 48
+    return (offset >= 31 - carried) & (offset < 31), (offset < 12) | (offset >= 32)
+
+
+# Block edges of the Lindley scan (16 slots) and a long horizon with a partial last block
 SCAN_HORIZONS = [1, 15, 16, 17, 31, 32, 33, 16 * 625 - 1, 16 * 625, 16 * 625 + 1]
 SCAN_COLUMNS = {
     # near-critical: queues cross the int8-clipped entry length both ways
     "random": lambda rng, n: (rng.random(n) < 0.48, rng.random(n) < 0.5),
+    "carried 16-18 into a draining block": lambda rng, n: carried_into_draining_blocks(n),
     # the queue climbs to the horizon, carried between blocks in int32
     "arrive every slot": lambda rng, n: (np.ones(n, dtype=bool), np.zeros(n, dtype=bool)),
     "serve every slot": lambda rng, n: (rng.random(n) < 0.5, np.ones(n, dtype=bool)),
@@ -440,23 +481,45 @@ SCAN_COLUMNS = {
 }
 
 
+def lindley(arrivals, service):
+    """One queue's slot-start lengths plus its final state, and its busy
+    column in the solver's layout, from one Lindley solve (``_kernels._lindley``)
+    of slot-major columns and its write-back."""
+    horizon = arrivals.shape[0]
+    lines = _kernels.block_major(np.stack([arrivals, service])[:, None])
+    r8, excess, busy = _kernels._lindley(_kernels._shifted(lines[0]), lines[1],
+                                         _kernels.last_block_slots(horizon))
+    q = np.zeros(16 * lines.shape[-1] + 1, dtype=np.int32)
+    _kernels._write_back(q[None, 1:], r8, lines[0], excess)
+    return q[:horizon + 1], busy
+
+
 class TestLindleyScan:
     @pytest.mark.parametrize("columns", SCAN_COLUMNS)
     @pytest.mark.parametrize("horizon", SCAN_HORIZONS)
     def test_matches_serial_walk(self, horizon, columns):
+        """The scan's trajectory is the serial walk's, and the busy column it
+        hands on is that trajectory's, False in the pads."""
         arrivals, service = SCAN_COLUMNS[columns](np.random.default_rng(horizon), horizon)
-        q = np.zeros((1, horizon + 1), dtype=np.int32)
-        _kernels._lindley(arrivals[None], service[None], q)
-        assert np.array_equal(q[0], lindley_oracle(arrivals, service))
+        q, busy = lindley(arrivals, service)
+        expected = lindley_oracle(arrivals, service)
+        assert np.array_equal(q, expected)
+        assert np.array_equal(busy[0], _kernels.block_major(expected[:-1] > 0))
+
+    def test_carried_lengths_cross_the_clip(self):
+        """The draining blocks' entries take all of -16, -17 and -18."""
+        arrivals, service = carried_into_draining_blocks(3 * 48)
+        q = lindley_oracle(arrivals, service)
+        assert q[32:3 * 48:48].tolist() == [16, 17, 18]
+        assert q[48:3 * 48 + 1:48].tolist() == [0, 1, 2]
 
     def test_a_million_arrivals_in_a_row(self):
         """A queue that grows by one every slot reaches 10**6, far past int8."""
         horizon = 1_000_000
         arrivals, service = np.ones(horizon, dtype=bool), np.zeros(horizon, dtype=bool)
-        q = np.zeros((1, horizon + 1), dtype=np.int32)
-        _kernels._lindley(arrivals[None], service[None], q)
-        assert q[0, -1] == horizon
-        assert np.array_equal(q[0], lindley_oracle(arrivals, service))
+        q, _ = lindley(arrivals, service)
+        assert q[-1] == horizon
+        assert np.array_equal(q, lindley_oracle(arrivals, service))
 
 
 class TestVectorisedSolver:
@@ -496,7 +559,7 @@ class TestVectorisedSolver:
                 point = RatePoint(factor * bscale * np.cos(np.radians(angle)),
                                   factor * bscale * np.sin(np.radians(angle)))
                 cfg = SimConfig(point, params, horizon=20_000, seed=29)
-                assert vec_matches_loop(_kernel_inputs([cfg])) != [None]
+                assert vec_matches_loop(whole_array_inputs(cfg)) != [None]
 
     def test_converges_next_to_a_strongly_coupled_frontier(self):
         """Started from the all-busy column, the coupled solve converges in a
@@ -506,7 +569,7 @@ class TestVectorisedSolver:
         scale = 0.98 * b.boundary_scale(b.region_for_params(params), 45.0)
         point = RatePoint(scale * np.cos(np.radians(45.0)), scale * np.sin(np.radians(45.0)))
         cfg = SimConfig(point, params, horizon=200_000, seed=1)
-        [passes] = vec_matches_loop(_kernel_inputs([cfg]))
+        [passes] = vec_matches_loop(whole_array_inputs(cfg))
         assert passes is not None and passes <= 32
 
     @pytest.mark.parametrize("mode", ["none", "queue1", "queue2"])
@@ -516,7 +579,7 @@ class TestVectorisedSolver:
             for lam1, lam2 in KERNEL_LOADS:
                 cfg = SimConfig(RatePoint(lam1, lam2), params, horizon=5_000, seed=61,
                                 dominant_mode=mode)
-                inputs = _kernel_inputs([cfg])
+                inputs = whole_array_inputs(cfg)
                 passes = vec_matches_loop(inputs)
                 # coupled busy queues need a second pass to confirm the fixed point;
                 # an empty flip column (a dummy queue's partner, fixed SC) needs one
@@ -576,14 +639,15 @@ class TestBatchSolver:
             assert loop_passes == [None] * rows
             starts = np.random.default_rng(horizon).random((rows, horizon)) < 0.5
             for start in (None, starts):
-                q, passes = _kernels.simulate_slots(*inputs, start=start)
+                q, passes, busy = solve_in_layout(inputs, start)
                 assert q.shape == (rows, 2, horizon + 1) and q.dtype == np.int32
                 assert np.array_equal(q, ref)
+                assert np.array_equal(busy, _kernels.block_major(ref[:, :, :-1] > 0))
                 assert len(passes) == rows
                 for row in range(rows):
                     alone = None if start is None else start[row:row + 1]
-                    assert passes[row] == _kernels.simulate_slots(
-                        arrivals[row:row + 1], *events, start=alone)[1][0]
+                    alone_passes = solve_in_layout((arrivals[row:row + 1], *events), alone)[1]
+                    assert passes[row:row + 1] == alone_passes
                 if empty_flip is not None:
                     assert passes == [1] * rows
                 elif rows > 1 and horizon > 10_000:
@@ -594,7 +658,7 @@ class TestBatchSolver:
         rows that converged keep the solver's trajectories and pass counts."""
         inputs = batch_inputs(4, 20_001, 0)
         arrivals = inputs[0]
-        q, passes = _kernels.simulate_slots(*inputs)
+        q, passes, busy = solve_in_layout(inputs)
         assert passes == [4, 5, 2, 2]
         loops = []
         loop = _kernels.simulate_slots_py
@@ -605,10 +669,10 @@ class TestBatchSolver:
 
         monkeypatch.setattr(_kernels, "simulate_slots_py", counted)
         monkeypatch.setattr(_kernels, "_MAX_PASSES", 4)
-        capped, capped_passes = _kernels.simulate_slots(*inputs)
+        capped, capped_passes, capped_busy = solve_in_layout(inputs)
         assert capped_passes == [4, None, 2, 2]
         assert len(loops) == 1 and np.array_equal(loops[0], arrivals[1:2])
-        assert np.array_equal(capped, q)
+        assert np.array_equal(capped, q) and np.array_equal(capped_busy, busy)
 
 
 # sha256 of run()'s trajectory and SimResult fields at RatePoint(0.4, 0.35),
@@ -822,7 +886,7 @@ class TestRunStatistics:
 
         def recorded(configs, start=None, path=None):
             out = solve(configs, start, path)
-            solves.append((configs, start, out[1]))
+            solves.append((configs, start, out[2]))
             return out
 
         monkeypatch.setattr(sim, "_solve", recorded)
@@ -832,12 +896,12 @@ class TestRunStatistics:
         assert (width < len(columns)) is narrow
         assert max(len(configs) for configs, _, _ in solves) == min(width, len(columns))
         assert any(start is not None for _, start, _ in solves)
-        for configs, start, q in solves:
+        for configs, start, busy in solves:
             assert len(configs) <= width
             assert len({(c.horizon, c.seed, c.params, c.dominant_mode, c.warmup)
                         for c in configs}) == 1
             if start is not None:
-                assert np.all(start >= (q[:, 1, :-1] > 0))
+                assert np.all(start >= busy[:, 1])
         # one batch per rank of each strip, whose first column is its longest
         grid_solves = sum(configs[0].params is ALL_PARAMS[3] for configs, _, _ in solves)
         assert grid_solves == sum(sorted(columns.values(), reverse=True)[::width])
@@ -1005,7 +1069,7 @@ class TestClassifyExactSlope:
         inconclusive below the 10000 slots classify_stability needs."""
         for lam in ((0.2, 0.2), (0.4, 0.35), (0.6, 0.6), (0.05, 0.7), (0.7, 0.05)):
             cfg = SimConfig(RatePoint(*lam), params, horizon=horizon, seed=17)
-            [verdicts] = sim._solve([cfg])[3]
+            [verdicts] = sim._solve([cfg])[4]
             if horizon < 10_000:
                 assert verdicts == (Verdict.INCONCLUSIVE, Verdict.INCONCLUSIVE)
             else:
@@ -1117,16 +1181,61 @@ def test_probes_equal_runs(monkeypatch, event_draws, index, angle, seed, expecte
     point = b.estimate_boundary(params, angle, steps=8, horizon=40_000, seed=seed)
     monkeypatch.undo()  # run() below solves through the real _solve
     assert repr(point) == expected
-    assert len(held) == 1 and held[0].shape == (2, 40_000)
+    assert len(held) == 1 and held[0].shape == (2, 16, 2_500)
     assert event_draws == [(params, 40_000, seed)]  # the ray's one draw of its events
     assert len(probes) == 9
-    for n, (config, drew, cold, path, (_, q, slopes, verdicts, _)) in enumerate(probes):
+    for n, (config, drew, cold, path, (_, q, _, slopes, verdicts, _)) in enumerate(probes):
         assert config.seed == seed
         assert not drew and cold is (n == 0)
         assert path is probes[0][3] and path[1] is held[0]
         result = b.run(config, return_trajectory=True)
         assert (slopes, verdicts) == ([result.drift_slope], [result.verdict])
         assert np.array_equal(q[0].T, result.trajectory)
+
+
+# The Picard passes of each probe of each PINNED_BOUNDARIES ray, and of each
+# PINNED_RUN_DIGESTS run (rows follow ALL_PARAMS; modes none, queue1, queue2),
+# recorded from the solver that handed each pass an int32 trajectory in slot
+# order: the solver's layout changes no pass count.
+PINNED_PROBE_PASSES = {
+    (0, 30.0, 5): [2, 2, 4, 5, 5, 3, 2, 3, 4],
+    (1, 45.0, 6): [1, 1, 1, 1, 1, 1, 1, 1, 1],
+    (2, 60.0, 7): [2, 5, 2, 5, 2, 4, 4, 4, 4],
+    (3, 45.0, 8): [2, 2, 5, 8, 2, 5, 4, 5, 6],
+    (None, 45.0, 9): [2, 2, 4, 11, 8, 6, 12, 28, 2],
+    (None, 20.0, 10): [2, 2, 3, 12, 1, 2, 7, 2, 14],
+    (0, 45.0, 9): [2, 3, 5, 3, 6, 5, 5, 4, 2],
+}
+PINNED_RUN_PASSES = [[3, 1, 1], [1, 1, 1], [4, 1, 1], [6, 1, 1]]
+
+
+@pytest.fixture
+def solver_passes(monkeypatch):
+    """The pass counts of every solve made while the test runs, one list per solve."""
+    passes = []
+    solve = _kernels.simulate_slots
+
+    def counted(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        passes.append(out[1])
+        return out
+
+    monkeypatch.setattr(_kernels, "simulate_slots", counted)
+    return passes
+
+
+@pytest.mark.parametrize("index, angle, seed", PINNED_PROBE_PASSES)
+def test_probe_passes_match_pinned(solver_passes, index, angle, seed):
+    b.estimate_boundary(pinned_ray_params(index), angle, steps=8, horizon=40_000, seed=seed)
+    assert [passes for [passes] in solver_passes] == PINNED_PROBE_PASSES[index, angle, seed]
+
+
+@pytest.mark.parametrize("index", range(len(ALL_PARAMS)))
+def test_run_passes_match_pinned(solver_passes, index):
+    for mode in ("none", "queue1", "queue2"):
+        b.run(SimConfig(RatePoint(0.4, 0.35), ALL_PARAMS[index], horizon=20_000, seed=41,
+                        dominant_mode=mode))
+    assert [passes for [passes] in solver_passes] == PINNED_RUN_PASSES[index]
 
 
 class TestEstimateBoundary:
