@@ -15,32 +15,32 @@ function, the seconds spent in its calls, the calls made (rows, for
 ``_kernels._lindley``) and the minor page faults taken during them
 (``ru_minflt`` of the whole process, so a call also counts the faults of
 threads that run beside it, such as the helper thread's draw of the path's
-events inside ``sim._kernel_inputs``). ``run()`` calls the five layers of
+events inside ``sim._kernel_inputs``). ``run()`` calls the four layers of
 ``LAYERS`` one after another, never one inside another:
 
     inputs    sim._kernel_inputs       the path's draw (sim._path), arrival flags
     solve     _kernels.simulate_slots  the queue recursion (the solver)
-    fit       sim._drift_slopes        both queues' exact drift slopes
-    verdicts  sim._verdicts            the verdicts given the slopes
+    judge     sim._judge               both queues' exact drift slopes and verdicts
     rest      sim._summarise           counts and rates
 
-``run()`` judges its queues from 10000 slots on; below that it makes no
-``verdicts`` call and the column reads 0.
+``judge`` is one call that fits the slopes and gives the verdicts, so the
+``fit`` and ``verdicts`` columns of earlier BENCH files are its one column.
 
 The slot loop and the solver consume identical pre-drawn arrivals and
 success events, as a batch of one run, the loop slot-major and the solver
-in its block-major layout (``_kernels.slot_major`` converts), and produce a
-bit-identical trajectory (checked here, with the solver's Picard pass
-count). Each config's ``runs`` row holds the five layers of a watched
-``run()``, with ``run`` taken over the per-call sums of the five and
+in its block-major layout (``_kernels.slot_major`` converts), and produce
+bit-identical queue lengths (checked here, in the solver's layout, with the
+solver's Picard pass count). Each config's ``runs`` row holds the four
+layers of a watched ``run()``, with ``run`` taken over the per-call sums of
+the four and
 ``faults`` the minor page faults of each layer per call. ``lindley`` times
 one Lindley row-solve (``_kernels._lindley`` on one row, in the solver's
 layout, as a Picard pass makes it: the scan and the busy column it hands
 on, without a trajectory) of queue 1's service column at the solved busy
 columns, the column the solver's last pass solves, so it is the
-queue-recursion layer on its own; a row is ``identical`` when that solve,
-written back as at a fixed point (``_kernels._write_back``), also
-reproduces queue 1's trajectory. ``draw_whole`` times the
+queue-recursion layer on its own; a row is ``identical`` when that solve's
+lengths, ``r8 + a - excess`` as at a fixed point, also reproduce queue 1's.
+``draw_whole`` times the
 reference whole-array draw of the same randomness (two ``(horizon, 2)``
 float64 arrays from one generator), which the blocked draw replaced, so the
 draw's share stays visible. ``events_raw`` and ``events`` time the four
@@ -86,9 +86,9 @@ The ``sweep`` rows time one in-process ``bcstab sweep --simulate --grid 7
 ``estimate_boundary`` rows, output discarded, in ``ms``, with the minor page
 faults per call in ``faults``. As many more calls, watched over
 ``LAYERS``, split the time its runs spend into ``inputs``, ``solve`` and
-``stats`` (fit, verdicts and rest). A sweep judges its cells without the
-rest of their statistics (``cli`` calls ``sim.batch_verdicts``), so its
-``rest`` reads 0 and ``stats`` is the fit and the verdicts. One more call,
+``stats`` (judge and rest). A sweep judges its cells without the rest of
+their statistics (``cli`` calls ``sim.batch_verdicts``), so its ``rest``
+reads 0 and ``stats`` is the judge layer. One more call,
 watched over ``COUNTED``, gives its ``channel_draws`` and
 ``arrival_draws``: every cell is the run at the sweep's seed, so its
 path's events and arrival uniforms are each drawn once, before the workers
@@ -138,7 +138,7 @@ from bcstab import (RatePoint, SimConfig, SuccessProfile, SystemParams, _kernels
                     channel, cli, region_for_params, sim)
 
 LAYERS = {"inputs": (sim, "_kernel_inputs"), "solve": (_kernels, "simulate_slots"),
-          "fit": (sim, "_drift_slopes"), "verdicts": (sim, "_verdicts"), "rest": (sim, "_summarise")}
+          "judge": (sim, "_judge"), "rest": (sim, "_summarise")}
 COUNTED = {"channel_draws": (sim, "_channel_events"), "arrival_draws": (sim, "_arrival_uniforms"),
            "batches": (_kernels, "simulate_slots"), "lindley": (_kernels, "_lindley"),
            "summaries": (sim, "_summarise")}
@@ -224,13 +224,12 @@ def lindley_args(kernel_args, busy, horizon):
             _kernels.last_block_slots(horizon))
 
 
-def written_back(kernel_args, solved, horizon):
-    """Queue 1's slot-start lengths from its Lindley solve, as the solver
-    writes them at a fixed point."""
+def lengths(kernel_args, solved):
+    """Queue 1's lengths after each slot from its Lindley solve, ``r8 + a -
+    excess``, in the solver's layout, as the solver writes them at a fixed
+    point."""
     r8, excess, _ = solved
-    q1 = np.zeros(16 * r8.shape[-1] + 1, dtype=np.int32)
-    _kernels._write_back(q1[None, 1:], r8.copy(), kernel_args[0][:, 0], excess)
-    return q1[:horizon + 1]
+    return r8 + kernel_args[0][:, 0].astype(np.int64) - excess[:, None]
 
 
 SEED = 1234
@@ -397,9 +396,9 @@ def main():
     ap.add_argument("--json", help="write the medians, the bests and the environment to this file")
     args = ap.parse_args()
 
-    columns = ("loop", "run", "inputs", "solve", "fit", "rest", "verdicts", "lindley",
+    columns = ("loop", "run", "inputs", "solve", "judge", "rest", "lindley",
                "draw_whole", "events_raw", "events")
-    layers = columns[2:7]
+    layers = columns[2:6]
     results = {"environment": environment(args), "unit": "ms", "runs": {}, "mc": {},
                "estimate_boundary": {}, "sweep": {}}
     for horizon in args.horizon:
@@ -417,9 +416,9 @@ def main():
                                     *(seconds(splits, layer) for layer in layers), t_lindley,
                                     *draw_and_event_times(cfg, args.repeat)])
             passes = "loop" if passes is None else passes
-            q1 = written_back(kernel_args, solved, horizon)
-            row.update(passes=passes, identical=bool(np.array_equal(q, q_loop)
-                                                     and np.array_equal(q1, q[0, 0])),
+            loop = _kernels.block_major(q_loop[..., 1:], q_loop[..., -1:])
+            row.update(passes=passes, identical=bool(np.array_equal(q, loop) and np.array_equal(
+                           lengths(kernel_args, solved), q[:, 0])),
                        faults={layer: faults(splits, layer) for layer in layers})
             results["runs"].setdefault(str(horizon), {})[name] = row
             print_row(name, f"{passes:>8}", columns, row, f"  {row['identical']}")
@@ -471,7 +470,7 @@ def main():
         split = watch(LAYERS, sweep, (argv,), args.repeat)
         row = summary(sweep_columns, [seconds(calls, "ms"), seconds(split, "inputs"),
                                       seconds(split, "solve"),
-                                      seconds(split, "fit", "verdicts", "rest")])
+                                      seconds(split, "judge", "rest")])
         row.update(sweep_work(argv), faults=faults(calls, "ms"))
         results["sweep"][name] = row
         print_row(name, "", sweep_columns, row, "".join(f"{row[c]:>9}" for c in counts[:2])

@@ -55,9 +55,11 @@ bounded by the horizon, fit int32 because ``sim.MAX_HORIZON < 2**31``.
 
 So a pass hands on no trajectory, only each queue's busy column, the
 slot-start ``r + a > 0`` one slot later: ``busy = shift(r8 > 0) | A_prev``,
-False in the pads. Only at a row's fixed point is each queue's int32
-trajectory ``r8 + a - excess`` written, once, slot-major into the
-``(rows, 2, horizon + 1)`` array that the statistics read.
+False in the pads. Only at a row's fixed point are each queue's lengths
+after each slot, ``r8 + a - excess``, written, once and in the solver's
+layout, into the int32 ``(rows, 2, 16, blocks)`` array that the statistics
+read (``sim._judge``). The pads hold the final length, since no pad holds
+an arrival or a service. Nothing here writes a slot-major trajectory.
 
 A queue's service column depends on the other queue only through whether it
 is transmitting, in the slots of its flip column ``solo ^ both``. When a
@@ -97,13 +99,6 @@ _MAX_PASSES = 64
 # int8; _block_scans' four passes, shifted by 1, 2, 4 and 8 slots, cover 16.
 _SCAN_BLOCK = 16
 
-# Blocks per chunk of a write-back (_write_back): its int32 temporary, 512
-# KiB, stays in a core's L2 cache. On 2 vCPUs one 40k-slot queue took 58 us
-# through it against 82 us as one mixed-type transposing subtract (100k
-# slots: 85 against 134).
-_WRITE_BLOCKS = 1 << 13
-
-
 def blocks_of(horizon: int) -> int:
     """Blocks of the solver's layout that hold ``horizon`` slots."""
     return -(-horizon // _SCAN_BLOCK)
@@ -117,7 +112,8 @@ def last_block_slots(horizon: int) -> int:
 
 def block_major(lines, fill=False):
     """Slot-major ``(..., n)`` lines in the solver's layout, ``(..., 16,
-    blocks)`` with slot ``16*b + j`` at ``[j, b]``, the pads ``fill``."""
+    blocks)`` with slot ``16*b + j`` at ``[j, b]``, the pads ``fill``: one
+    value, or one per line as a ``(..., 1)`` array."""
     n = lines.shape[-1]
     padded = np.full((*lines.shape[:-1], blocks_of(n) * _SCAN_BLOCK), fill, dtype=lines.dtype)
     padded[..., :n] = lines
@@ -233,20 +229,6 @@ def _lindley(prev, service, real: int):
     return local, excess, busy
 
 
-def _write_back(out, r8, arrivals, excess):
-    """Write each row's slot-start lengths of one queue after each slot,
-    ``r8 + a - excess``, slot-major into the int32 ``(rows, 16 * blocks)``
-    array ``out``; ``r8`` is spent. Each chunk of ``_WRITE_BLOCKS``
-    slot-blocks is made in int32 block-major, where the excess broadcasts
-    along a block's 16 slots, and copied out transposed."""
-    r8 += arrivals.view(np.int8)
-    out = out.reshape(len(out), -1, _SCAN_BLOCK)
-    step = max(1, _WRITE_BLOCKS // len(out))
-    for lo in range(0, r8.shape[-1], step):
-        chunk = np.subtract(r8[..., lo:lo + step], excess[:, None, lo:lo + step])
-        np.copyto(out[:, lo:lo + step], chunk.transpose(0, 2, 1))
-
-
 def _runs(positions, rows):
     """Split the increasing ``rows`` into runs of adjacent rows, and yield
     each run as a slice of ``positions``, which are adjacent with them, and
@@ -259,7 +241,7 @@ def _runs(positions, rows):
 
 
 def simulate_slots(arrivals, solo1, solo2, both1, both2, start=None, *, horizon):
-    """Each run's queue lengths at every slot start plus the final state, exactly as the slot loop.
+    """Each run's queue lengths after every slot, exactly as the slot loop.
 
     The inputs are in the solver's layout (see the module docstring) for
     ``horizon`` slots: ``arrivals`` is a ``(rows, 2, 16, blocks)`` boolean
@@ -267,13 +249,15 @@ def simulate_slots(arrivals, solo1, solo2, both1, both2, start=None, *, horizon)
     four ``(16, blocks)`` event columns, none of them set in a pad. ``start``
     is a ``(rows, 16, blocks)`` busy column of queue 2 per row, False in the
     pads, that the coupled solve starts from, all-busy if None; an empty
-    flip column ignores it. Returns ``(q, passes, busy)``: ``q`` is a
-    ``(rows, 2, horizon + 1)`` int32 array, slot-major; ``passes`` lists per
-    row the Picard passes begun (1 if a flip column is empty), each of which
-    solves queue 1 and, unless queue 1's busy column repeated, queue 2; or
-    None where the coupled solve hit the pass cap and the slot loop produced
-    the row; ``busy`` is each run's ``(rows, 2, 16, blocks)`` busy columns,
-    ``q[:, :, :-1] > 0`` in the solver's layout.
+    flip column ignores it. Returns ``(q, passes, busy)``: ``q`` is an int32
+    ``(rows, 2, 16, blocks)`` array in the solver's layout, slot ``t`` each
+    queue's length after slot ``t``, which is the slot loop's ``q[:, :, t +
+    1]``, and every pad the final length; ``passes`` lists per row the Picard
+    passes begun (1 if a flip column is empty), each of which solves queue 1
+    and, unless queue 1's busy column repeated, queue 2; or None where the
+    coupled solve hit the pass cap and the slot loop produced the row;
+    ``busy`` is each run's ``(rows, 2, 16, blocks)`` busy columns, the slot
+    loop's ``q[:, :, :-1] > 0`` in the solver's layout.
     """
     rows, _, _, blocks = arrivals.shape
     real = last_block_slots(horizon)
@@ -288,16 +272,18 @@ def simulate_slots(arrivals, solo1, solo2, both1, both2, start=None, *, horizon)
 
     def finish(at, solved):
         """Write the rows at the working positions ``at``, each from its
-        final solve of either queue. The outputs are made when the first
-        row is written, so the passes before run without them."""
+        final solve of either queue, whose ``r8`` is spent: ``r8 + a -
+        excess``, each block's excess broadcast along its 16 slots. The
+        outputs are made when the first row is written, so the passes
+        before run without them."""
         nonlocal q, busy
         if q is None:
-            q = np.empty((rows, 2, _SCAN_BLOCK * blocks + 1), dtype=np.int32)
-            q[:, :, 0] = 0
+            q = np.empty((rows, 2, _SCAN_BLOCK, blocks), dtype=np.int32)
             busy = np.empty_like(arrivals)
         for i, batch in _runs(at.tolist(), live[at].tolist()):
             for k, (r8, excess, column) in enumerate(solved):
-                _write_back(q[batch, k, 1:], r8[i], arrivals[batch, k], excess[i])
+                r8[i] += arrivals[batch, k].view(np.int8)
+                np.subtract(r8[i], excess[i, None], out=q[batch, k])
                 busy[batch, k] = column[i]
 
     live = np.arange(rows)
@@ -309,10 +295,10 @@ def simulate_slots(arrivals, solo1, solo2, both1, both2, start=None, *, horizon)
             solved[k] = _lindley(prev[:, k], solo[k] ^ (solved[1 - k][2] & flip[k]), real)
             del prev, flip  # the writes need neither
             finish(live, solved)
-            return q[:, :, :horizon + 1], passes, busy
+            return q, passes, busy
     # Picard passes over the working rows: queue k is solved from the other
     # queue's busy column and compared with its own previous one, and a row
-    # leaves at its own fixed point, where its trajectories are written. The
+    # leaves at its own fixed point, where its lengths are written. The
     # working rows' arrays are views of the batch's while they are a run of
     # adjacent rows, as when the rows that leave are the batch's first or
     # last, else copies; ``live`` maps them to their rows of q. ``solved``
@@ -338,7 +324,7 @@ def simulate_slots(arrivals, solo1, solo2, both1, both2, start=None, *, horizon)
             if done.all():
                 del prev, flip, columns  # the writes need none of them
                 finish(at, solved)
-                return q[:, :, :horizon + 1], passes, busy
+                return q, passes, busy
             finish(at, solved)
             keep = np.flatnonzero(~done)
             if keep[-1] - keep[0] == len(keep) - 1:
@@ -349,8 +335,8 @@ def simulate_slots(arrivals, solo1, solo2, both1, both2, start=None, *, horizon)
     finish(live[:0], solved)  # makes the outputs, if no row has left yet
     events = [slot_major(column, horizon) for column in (solo1, solo2, both1, both2)]
     for row in live.tolist():
-        q[row, :, :horizon + 1] = simulate_slots_py(
-            slot_major(arrivals[row:row + 1], horizon), *events)[0][0]
-        busy[row] = block_major(q[row, :, :horizon] > 0)
+        [loop], _ = simulate_slots_py(slot_major(arrivals[row:row + 1], horizon), *events)
+        q[row] = block_major(loop[:, 1:], loop[:, -1:])
+        busy[row] = block_major(loop[:, :-1] > 0)
         passes[row] = None
-    return q[:, :, :horizon + 1], passes, busy
+    return q, passes, busy

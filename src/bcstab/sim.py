@@ -23,12 +23,15 @@ boundary-search ray's probes, a batch's cells) hold one draw of it while
 they are made.
 
 Runs are solved and judged in batches that share a path, params, dominant
-mode and warmup: one call of the queue solver, the slopes, the verdicts and
-the statistics (``_solve``, ``_summarise``) covers every run of a batch,
-one row each, and a lone run or a probe is a batch of one. The solver
-returns each run's slot-major trajectory, which the slopes and verdicts
-read, and its busy columns in the solver's layout, from which
-``_summarise`` counts and the next probe or cell starts. ``run_batch``
+mode and warmup: one call of the queue solver, of the slopes and verdicts
+and of the statistics (``_solve``, ``_judge``, ``_summarise``) covers every
+run of a batch, one row each, and a lone run or a probe is a batch of one.
+Everything is read in the solver's layout: each run's lengths after each
+slot, from which ``_judge`` takes the slopes and verdicts and
+``_summarise`` the final and warmup lengths, and its busy columns, from
+which ``_summarise`` counts and the next probe or cell starts. Only
+``run(..., return_trajectory=True)`` makes a slot-major trajectory.
+``run_batch``
 makes a sweep's cells in strips, and ``batch_verdicts`` makes them the same
 way but stops at their verdicts, which is all ``sweep --simulate`` reports:
 each ``lambda2`` is a column sorted by ``lambda1`` descending, a strip of
@@ -46,7 +49,6 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -82,12 +84,13 @@ SLOPE_THRESHOLD = 1e-3
 # success events; its Picard passes add 2 of shifted arrival flags, 2 of flip
 # columns, 4.5 of both queues' last solves (per queue an int8 length, a busy
 # column and a quarter byte of int32 excess) and up to 5 of the next solve's
-# service column and scan buffers, and the fixed point 8 of trajectory and 2
-# of busy columns. A lone run drops its uniforms before it is solved and peaks
-# at 22 bytes per slot while it draws, its solve at 21.5, so this caps one run
-# near 220 MB (a 10M-slot dominant IAN run peaked at 246 MB resident through
-# run(), 324 under the command line's pinned heap, where the trajectory, made
-# last, does not fit the region the freed uniforms leave); longer runs are
+# service column and scan buffers, and the fixed point 8 of int32 lengths in
+# the solver's layout and 2 of busy columns; the statistics (_judge) add 2.5
+# of per-block sums. A lone run drops its uniforms before it is solved and
+# peaks at 22 bytes per slot while it draws, its solve at 21.5, so this caps
+# one run near 220 MB (a 10M-slot dominant IAN run peaked at 247 MB resident
+# through run(), 324 under the command line's pinned heap, where the lengths,
+# made last, do not fit the region the freed uniforms leave); longer runs are
 # rejected before any allocation. Runs that share a path hold it while they
 # are made, and nothing of it after; a W-thread sweep holds one path, not W.
 # Its batches (run_batch, batch_verdicts) hold up to 32 bytes per slot and
@@ -95,9 +98,9 @@ SLOPE_THRESHOLD = 1e-3
 # grid-7 sweep at 20k slots measured about 23 bytes per slot-row of its 7-run
 # batches, and from 131 073 slots on a batch is one run. A boundary-search ray
 # holds its path and queue 2's busy column (1 byte per slot) between probes,
-# and its probes peak near 37.5 bytes per slot (42 at 1M slots with the drift
-# slope's 4 MiB index; near 375 MB at this cap). The solver's int32 carries
-# and trajectory need this < 2**31.
+# and its probes peak near 37.5 bytes per slot (near 375 MB at this cap). The
+# solver's int32 carries and lengths need this < 2**31, and _judge's int32
+# block sums 120 * this < 2**31.
 MAX_HORIZON = 10_000_000
 
 # Slots per block of a path's draws (_blocks), a multiple of the solver's
@@ -384,45 +387,76 @@ def _check_fit_window(warmup: int, horizon: int) -> None:
         )
 
 
-@lru_cache(maxsize=2)
-def _cached_index(n: int) -> np.ndarray:
-    index = np.arange(n, dtype=np.int64)
-    index.flags.writeable = False
-    return index
+# Blocks per chunk of _judge's int64 sums of block sums weighted by their index
+# from the chunk's start, each below 8 * _SUM_BLOCKS**2 * max|y|: exact for
+# |y| < 2**30. The block sums themselves, in int32 lines' own dtype, are exact
+# while 120 * max|y| < 2**31.
+_SUM_BLOCKS = 1 << 15
 
 
-# Points per block of the drift slope's int64 sums. Indices count from the
-# block's start, so each partial is exact while block**2 * max|y| < 2**63:
-# every value in [0, MAX_HORIZON] qualifies, since MAX_HORIZON < 2**25.
-_SLOPE_BLOCK = 2**19
+def _judge(lines: np.ndarray, warmup: int, horizon: int,
+           first: int = 0) -> tuple[list, list, list, list]:
+    """Each line's exact drift slope, verdict, window sum and final length.
 
-
-def _drift_slopes(lines: np.ndarray) -> tuple[list[float], list[int]]:
-    """Exact least-squares slope of each row of an integer ``(rows, n)``
-    array over its index, rounded once, and the row's exact sum; needs at
-    least two points, each in ``[0, MAX_HORIZON]``.
-
-    A slope is ``num / den`` with ``num = n*sum(t*y) - sum(t)*sum(y)`` and
-    ``den = n*sum(t*t) - sum(t)**2`` formed as Python ints. ``sum(y)`` and
-    ``sum(t*y)`` are taken in int64, ``_SLOPE_BLOCK`` points at a time, by
-    ``einsum``, which casts the rows in buffers rather than copying them.
+    ``lines`` are queue lengths as ``simulate_slots`` returns them, int32 or
+    int64 ``(lines, 16, blocks)`` in the solver's layout: slot ``s`` holds
+    the length after slot ``s``, each pad the final one, every value in
+    ``[0, MAX_HORIZON]``; ``first`` is the length at slot 0, 0 in a run. So
+    slot ``t`` of the window ``[warmup, horizon)`` is a line's slot ``t - 1``.
+    The slope is ``num / den`` in Python ints (README, Kernel paths), its
+    ``sum(y)``, ``sum(t*y)`` and the first decile's sum each a whole prefix
+    less a shorter one, as ``_counts`` takes its windows. The verdict is
+    ``classify_stability``'s rule, inconclusive below
+    ``_MIN_CLASSIFY_HORIZON`` slots.
     """
-    rows, n = lines.shape
-    block = min(n, _SLOPE_BLOCK)
-    index = _cached_index(block)
-    sum_y, sum_ty = [0] * rows, [0] * rows
-    for start in range(0, n, block):
-        part = lines[:, start:start + block]
-        part_sums = np.einsum("ij->i", part, dtype=np.int64, casting="unsafe").tolist()
-        dots = np.einsum("ij,j->i", part, index[:part.shape[1]], dtype=np.int64,
-                         casting="unsafe").tolist()
-        for row, (part_sum, dot) in enumerate(zip(part_sums, dots)):
-            sum_ty[row] += dot + start * part_sum
-            sum_y[row] += part_sum
+    n = horizon - warmup
+    index = np.arange(_kernels._SCAN_BLOCK, dtype=lines.dtype)
+    sums = np.einsum("ljb->lb", lines).astype(np.int64)
+    weighted = np.einsum("ljb,j->lb", lines, index).astype(np.int64)
+
+    def prefix(m: int) -> tuple[list[int], list[int]]:
+        """Each line's sums of ``y[s]`` and ``s * y[s]`` over slots ``s < m``."""
+        full, part = divmod(m, _kernels._SCAN_BLOCK)
+        edge = lines[:, :part, full].astype(np.int64)
+        totals = (sums[:, :full].sum(axis=1) + edge.sum(axis=1)).tolist()
+        dots = (weighted[:, :full].sum(axis=1)
+                + edge @ np.arange(_kernels._SCAN_BLOCK * full, m)).tolist()
+        for lo in range(0, full, _SUM_BLOCKS):
+            chunk = sums[:, lo:min(full, lo + _SUM_BLOCKS)]
+            ranks = (chunk @ np.arange(chunk.shape[1])).tolist()
+            for line, (rank, total) in enumerate(zip(ranks, chunk.sum(axis=1).tolist())):
+                dots[line] += _kernels._SCAN_BLOCK * (rank + lo * total)
+        return totals, dots
+
+    start, lead = (0, first) if warmup == 0 else (warmup - 1, 0)
+    early = max(1, n // 10)
+    start_sums, start_dots = prefix(start)
+    end_sums, end_dots = prefix(horizon - 1)
+    early_ends, _ = prefix(warmup + early - 1)
+    early_sums = [end - before + lead for end, before in zip(early_ends, start_sums)]
     sum_t = n * (n - 1) // 2
-    sum_tt = (n - 1) * n * (2 * n - 1) // 6
-    den = n * sum_tt - sum_t * sum_t
-    return [(n * ty - sum_t * y) / den for y, ty in zip(sum_y, sum_ty)], sum_y
+    den = n * ((n - 1) * n * (2 * n - 1) // 6) - sum_t * sum_t
+    slopes, window_sums = [], []
+    for line in range(len(lines)):
+        total = end_sums[line] - start_sums[line]
+        # t * y over the window, t counted from its first slot
+        dot = end_dots[line] - start_dots[line] - (warmup - 1) * total
+        slopes.append((n * dot - sum_t * (total + lead)) / den)
+        window_sums.append(total + lead)
+    last, pad = divmod(horizon - 1, _kernels._SCAN_BLOCK)
+    finals = lines[:, pad, last].tolist()
+    if horizon < _MIN_CLASSIFY_HORIZON:
+        return slopes, [Verdict.INCONCLUSIVE] * len(lines), window_sums, finals
+    # a queue is never negative: it returned to empty where its least length
+    # from the final half's first slot on, the final one included, is 0
+    full, part = divmod(horizon // 2 - 1, _kernels._SCAN_BLOCK)
+    lows = np.minimum(lines[:, part:, full].min(axis=1),
+                      lines[:, :, full + 1:].min(axis=2).min(axis=1)).tolist()
+    verdicts = [Verdict.UNSTABLE if slope > SLOPE_THRESHOLD and final > early_sum / early
+                else Verdict.STABLE if slope < SLOPE_THRESHOLD and low == 0
+                else Verdict.INCONCLUSIVE
+                for slope, final, early_sum, low in zip(slopes, finals, early_sums, lows)]
+    return slopes, verdicts, window_sums, finals
 
 
 def classify_stability(trajectory: np.ndarray, warmup: int) -> Verdict:
@@ -435,8 +469,9 @@ def classify_stability(trajectory: np.ndarray, warmup: int) -> Verdict:
 
     The trajectory counts packets: it is 1-D, of an integer dtype, with
     every value in ``[0, MAX_HORIZON]``, as a column of ``run()``'s
-    trajectory is. Its slope is the exact one ``run()`` reports as
-    ``drift_slope`` (``_drift_slopes``).
+    trajectory is. It is judged in the solver's layout by the function that
+    judges every run (``_judge``), so its slope is the exact one ``run()``
+    reports as ``drift_slope``.
     """
     traj = np.asarray(trajectory)
     if traj.ndim != 1:
@@ -453,29 +488,9 @@ def classify_stability(trajectory: np.ndarray, warmup: int) -> Verdict:
     _check_fit_window(warmup, horizon)
     if traj.dtype.kind not in "iu" or traj.min() < 0 or traj.max() > MAX_HORIZON:
         raise InvalidParameterError(f"queue lengths are integers in [0, {MAX_HORIZON}]")
-    slopes, _ = _drift_slopes(traj[None, warmup:horizon])
-    return _verdicts(traj[None], warmup, slopes)[0]
-
-
-def _verdicts(lines: np.ndarray, warmup: int, slopes) -> list[Verdict]:
-    """classify_stability's rule for each row of a ``(rows, horizon + 1)``
-    array of trajectories, given the drift slope of each row's
-    ``[warmup, horizon)`` slice; reads ``SLOPE_THRESHOLD`` when called."""
-    horizon = lines.shape[1] - 1
-    post = lines[:, warmup:horizon]
-    finals = lines[:, horizon].tolist()
-    early_means = post[:, : max(1, post.shape[1] // 10)].mean(axis=1).tolist()
-    # a queue is never negative, so it returned to empty where its minimum is 0
-    returned = (lines[:, horizon // 2 :].min(axis=1) == 0).tolist()
-    verdicts = []
-    for slope, final, early_mean, returned_to_zero in zip(slopes, finals, early_means, returned):
-        if slope > SLOPE_THRESHOLD and float(final) > early_mean:
-            verdicts.append(Verdict.UNSTABLE)
-        elif slope < SLOPE_THRESHOLD and returned_to_zero:
-            verdicts.append(Verdict.STABLE)
-        else:
-            verdicts.append(Verdict.INCONCLUSIVE)
-    return verdicts
+    traj = traj.astype(np.int64)
+    lines = _kernels.block_major(traj[None, 1:], traj[-1])
+    return _judge(lines, warmup, horizon, int(traj[0]))[1][0]
 
 
 def system_verdict(verdicts: tuple[Verdict, Verdict]) -> Verdict:
@@ -493,22 +508,16 @@ def _solve(configs, start=None, path=None) -> tuple:
     ``configs`` share their horizon, seed, params, dominant mode and warmup.
     ``start`` is passed to ``_kernels.simulate_slots`` and ``path``, a held
     sample path, to ``_kernel_inputs``. Returns the kernel inputs, the
-    ``(runs, 2, horizon + 1)`` slot-start lengths, the runs' busy columns in
-    the solver's layout, and per run three pairs, one entry per queue: its
-    exact drift slope over ``[warmup, horizon)``, its verdict
-    (``classify_stability``'s rule; inconclusive below 10000 slots) and its
-    exact sum over that window, which the slope also needs.
+    solver's lengths and busy columns in its layout, and per run four
+    pairs, one entry per queue (``_judge``): its exact drift slope over
+    ``[warmup, horizon)``, its verdict, its exact sum over that window and
+    its final length.
     """
     inputs = _kernel_inputs(configs, path)
     warmup, horizon = configs[0].warmup, configs[0].horizon
     q, _, busy = _kernels.simulate_slots(*inputs, start=start, horizon=horizon)
-    lines = q.reshape(-1, horizon + 1)  # each run's queue 1, then its queue 2
-    slopes, sums = _drift_slopes(lines[:, warmup:horizon])
-    if horizon < _MIN_CLASSIFY_HORIZON:
-        verdicts = [Verdict.INCONCLUSIVE] * len(slopes)
-    else:
-        verdicts = _verdicts(lines, warmup, slopes)
-    return inputs, q, busy, _pairs(slopes), _pairs(verdicts), _pairs(sums)
+    judged = _judge(q.reshape(-1, *q.shape[2:]), warmup, horizon)  # each run's queue 1, then 2
+    return inputs, q, busy, *map(_pairs, judged)
 
 
 def _pairs(values: list) -> list[tuple]:
@@ -542,36 +551,39 @@ def _counts(flags: np.ndarray, warmup: int = 0) -> tuple[list[int], list[int]]:
 
 
 def _summarise(configs, inputs: tuple, q: np.ndarray, busy: np.ndarray, slopes, verdicts, sums,
-               return_trajectory: bool = False) -> list[SimResult]:
-    """run()'s statistics of each solved run of a batch, given its busy
-    columns and each queue's drift slope, verdict and post-warmup sum
-    (``_solve``). The counts are taken in the solver's layout, where no pad
-    holds an arrival, an event or a busy slot."""
+               finals, return_trajectory: bool = False) -> list[SimResult]:
+    """run()'s statistics of each solved run of a batch, from ``_solve``'s
+    output. The counts are taken in the solver's layout, where no pad holds
+    an arrival, an event or a busy slot, and packets are conserved: a
+    queue's departures from a slot on are its length then and its arrivals
+    since, less its final length."""
     horizon, warmup = configs[0].horizon, configs[0].warmup
     arrivals, solo1, solo2, both1, both2 = inputs
 
     n = horizon - warmup
     forced = _forced(configs[0])
-    service = np.empty_like(busy)
-    for k, solo, both in ((0, solo1, both1), (1, solo2, both2)):
-        # np.where(other queue transmits, both, solo) as in the solver; a dummy
-        # queue's partner has both as solo (_kernel_inputs), so its busy slots suffice
-        np.bitwise_xor(solo, busy[:, 1 - k] & (solo ^ both), out=service[:, k])
-    departed = busy & service
     _, busy_post = _counts(busy, warmup)
-    departures_total, departed_post = _counts(departed, warmup)
-    # a queue attempts where it is busy, so its successes are its departures,
-    # and a dummy queue attempts in every slot, so they are its service
-    served_post = _counts(service, warmup)[1] if any(forced) else departed_post
-    attempts, successes = [], []
-    for line, (busy_count, departed_count) in enumerate(zip(busy_post, departed_post)):
-        attempts.append(n if forced[line % 2] else busy_count)
-        successes.append(served_post[line] if forced[line % 2] else departed_count)
-    arrivals_total, _ = _counts(arrivals)
-    finals = q[:, :, horizon].ravel().tolist()
+    arrivals_total, arrived_post = _counts(arrivals, warmup)
+    finals = [final for pair in finals for final in pair]
+    block, slot = divmod(warmup - 1, _kernels._SCAN_BLOCK)
+    at_warmup = q[:, :, slot, block].ravel().tolist() if warmup else [0] * len(finals)
+    departed_post = [length + arrived - final
+                     for length, arrived, final in zip(at_warmup, arrived_post, finals)]
+    # a queue attempts where it is busy, so its successes are its departures
+    attempts, successes = list(busy_post), list(departed_post)
+    for k, solo, both in ((0, solo1, both1), (1, solo2, both2)):
+        if forced[k]:
+            # a dummy queue attempts in every slot, so its successes are its
+            # service: np.where(the other queue transmits, both, solo)
+            served = np.bitwise_xor(solo, busy[:, 1 - k] & (solo ^ both))
+            attempts[k::2] = [n] * len(configs)
+            successes[k::2] = _counts(served, warmup)[1]
     results = []
     for run_index, config in enumerate(configs):
         pair = (2 * run_index, 2 * run_index + 1)
+        if return_trajectory:
+            trajectory = np.zeros((horizon + 1, 2), dtype=np.int64)
+            trajectory[1:] = _kernels.slot_major(q[run_index], horizon).T
         results.append(SimResult(
             config=config,
             mean_queue=tuple(total / n for total in sums[run_index]),
@@ -583,9 +595,8 @@ def _summarise(configs, inputs: tuple, q: np.ndarray, busy: np.ndarray, slopes, 
             drift_slope=slopes[run_index],
             verdict=verdicts[run_index],
             arrivals_total=tuple(arrivals_total[line] for line in pair),
-            departures_total=tuple(departures_total[line] for line in pair),
-            trajectory=(np.ascontiguousarray(q[run_index].T, dtype=np.int64)
-                        if return_trajectory else None),
+            departures_total=tuple(arrivals_total[line] - finals[line] for line in pair),
+            trajectory=trajectory if return_trajectory else None,
         ))
     return results
 
@@ -622,7 +633,7 @@ def _solve_strip(configs: list[SimConfig], strip: list[list[int]], judge, path=N
         solved = _solve(runs, start, path)
         made += zip(batch, judge(runs, solved))
         start = solved[2][:, 1].copy()  # queue 2's alone, 1 byte per slot and run
-        del solved  # the next batch is solved without this one's trajectories
+        del solved  # the next batch is solved without this one's lengths
     return made
 
 
@@ -747,7 +758,7 @@ def estimate_boundary(
     def probe(scale: float) -> Verdict:
         nonlocal start
         point = RatePoint(scale * c, scale * s)
-        _, _, busy, _, verdicts, _ = _solve(
+        _, _, busy, _, verdicts, *_ = _solve(
             [SimConfig(point, params, horizon=horizon, seed=seed)], start, path)
         v = system_verdict(verdicts[0])
         if v is not Verdict.STABLE:

@@ -55,8 +55,16 @@ KERNEL_LOADS = [(0.35, 0.3), (0.9, 0.9)]
 
 
 def solver_run(cfg):
-    """Per-queue slot-start trajectory of the solver on the config's randomness."""
+    """Each queue's lengths after each slot, from the solver on the config's
+    randomness, in its layout."""
     return _kernels.simulate_slots(*_kernel_inputs([cfg]), horizon=cfg.horizon)[0][0]
+
+
+def in_layout(q):
+    """Slot-major ``(..., horizon + 1)`` slot-start lengths, as the slot loop
+    returns them, in the solver's layout: each slot's length after it, the
+    pads the final length, and the busy columns, False in the pads."""
+    return _kernels.block_major(q[..., 1:], q[..., -1:]), _kernels.block_major(q[..., :-1] > 0)
 
 
 def whole_array_draw(cfg):
@@ -160,7 +168,7 @@ class TestStep:
                     attempts += (ev.attempt1, ev.attempt2)
                     successes += (ev.success1, ev.success2)
             assert state == tuple(qtraj[:, cfg.horizon])
-            assert np.array_equal(solver_run(cfg), qtraj)
+            assert np.array_equal(solver_run(cfg), in_layout(qtraj)[0])
             r = b.run(cfg)
             assert r.departures_total == tuple(departures.tolist())
             assert r.success_rate == tuple(
@@ -225,16 +233,14 @@ class TestKernelInputs:
         flags, before it is solved: a 1M-slot coupled run (adaptive SC)
         peaks at 22 bytes per slot while it draws (the path and the flags),
         and its solve at 21.5: 6 of flags and events, and, when the solver
-        writes the trajectory at the fixed point, 8 of trajectory, 2 of busy
-        columns and 4.5 of both queues' last solves (per queue an int8
-        length, a busy column and a quarter byte of int32 excess), with a
-        write-back chunk of 512 KiB. A run that kept its uniforms through
-        the solve would peak near 37.5. (A cold process adds the drift
-        slope's cached 4 MiB index, made here before measuring.)"""
+        writes each queue's lengths at the fixed point, 8 of int32 lengths
+        in its layout, 2 of busy columns and 4.5 of both queues' last solves
+        (per queue an int8 length, a busy column and a quarter byte of int32
+        excess). A run that kept its uniforms through the solve would peak
+        near 37.5."""
         horizon = 1_000_000
         cfg = SimConfig(RatePoint(0.35, 0.3), ALL_PARAMS[2], horizon=horizon, seed=5)
         b.run(SimConfig(RatePoint(0.35, 0.3), ALL_PARAMS[2], horizon=10_000))  # thresholds
-        sim._cached_index(sim._SLOPE_BLOCK)
         tracemalloc.start()
         try:
             b.run(cfg)
@@ -248,19 +254,16 @@ class TestKernelInputs:
         uniforms, 4 of its path's success events and 1 of queue 2's busy
         column at the last non-stable probe, the next probe's start (21). A
         probe on a coupled profile (adaptive SC) adds 2 of arrival flags,
-        and peaks when the solver writes its trajectory at the fixed point:
-        4.5 of both queues' last solves (per queue an int8 length, a busy
-        column and a quarter byte of int32 excess), 8 of trajectory and 2 of
-        busy columns (16.5), so the ray peaks at 37.5 bytes per slot, with a
-        write-back chunk of 512 KiB. Its passes peak below that: they hold
-        flip columns, the shifted arrivals and the scan's int8 buffers, but
-        no trajectory. (A cold process adds the drift slope's cached 4 MiB
-        index, made here before measuring.) When the ray returns nothing of
-        its path is left."""
+        and peaks when the solver writes its lengths at the fixed point: 4.5
+        of both queues' last solves (per queue an int8 length, a busy column
+        and a quarter byte of int32 excess), 8 of int32 lengths in its
+        layout and 2 of busy columns (16.5), so the ray peaks at 37.5 bytes
+        per slot. Its passes peak below that: they hold flip columns, the
+        shifted arrivals and the scan's int8 buffers, but no lengths. When
+        the ray returns nothing of its path is left."""
         horizon = 1_000_000
         params = ALL_PARAMS[2]
         b.estimate_boundary(params, 45.0, steps=8, horizon=10_000, seed=3)  # thresholds
-        sim._cached_index(sim._SLOPE_BLOCK)
         event_draws.clear()
         tracemalloc.start()
         try:
@@ -278,7 +281,7 @@ class TestKernelInputs:
         per slot (16 of arrival uniforms, 4 of success events), and solves
         its cells a rank of a strip at a time: one strip of 7 columns here,
         so at most 7 runs per batch. A batch stays under 32 bytes per
-        slot-row: 2 of arrival flags, 8 of trajectory, 1 of the busy column
+        slot-row: 2 of arrival flags, 8 of int32 lengths, 1 of the busy column
         its strip holds for the next rank, 2 of shifted arrival flags, 2 of
         busy columns, 4.5 of both queues' last solves, up to 5 of the next
         solve's service column and scan buffers, and more while the rows
@@ -290,7 +293,7 @@ class TestKernelInputs:
         cfgs = [SimConfig(RatePoint(l1, l2), ALL_PARAMS[3], horizon=horizon, seed=6)
                 for l1 in np.linspace(0.0, 0.6, 7) for l2 in np.linspace(0.0, 0.6, 7)]
         assert sim._BATCH_SLOTS // horizon >= 7  # one strip
-        b.run_batch(cfgs[:2])  # thresholds and the drift slope's index
+        b.run_batch(cfgs[:2])  # thresholds
         for entry in (b.run_batch, b.batch_verdicts):
             tracemalloc.start()
             try:
@@ -433,13 +436,14 @@ def solve_in_layout(kernel_args, start=None):
 def vec_matches_loop(kernel_args, start=None):
     """Run the vectorised solver from ``start`` and the loop on the same
     slot-major inputs; return the solver's passes, one per row. The solver's
-    busy columns are the loop's, in its layout, with no busy pad."""
+    lengths and busy columns are the loop's, in its layout, with the final
+    length in every pad and no busy pad."""
     ref, _ = _kernels.simulate_slots_py(*kernel_args)
-    qtraj, passes, busy = solve_in_layout(kernel_args, start)
-    rows, _, horizon = kernel_args[0].shape
-    assert qtraj.shape == (rows, 2, horizon + 1) and len(passes) == rows
-    assert np.array_equal(qtraj, ref)
-    assert np.array_equal(busy, _kernels.block_major(ref[:, :, :-1] > 0))
+    q, passes, busy = solve_in_layout(kernel_args, start)
+    lengths, busy_ref = in_layout(ref)
+    assert q.shape == lengths.shape and len(passes) == kernel_args[0].shape[0]
+    assert np.array_equal(q, lengths)
+    assert np.array_equal(busy, busy_ref)
     return passes
 
 
@@ -482,29 +486,28 @@ SCAN_COLUMNS = {
 
 
 def lindley(arrivals, service):
-    """One queue's slot-start lengths plus its final state, and its busy
-    column in the solver's layout, from one Lindley solve (``_kernels._lindley``)
-    of slot-major columns and its write-back."""
+    """One queue's lengths after each slot and its busy column, in the
+    solver's layout, from one Lindley solve (``_kernels._lindley``) of
+    slot-major columns: the lengths are ``r8 + a - excess``."""
     horizon = arrivals.shape[0]
     lines = _kernels.block_major(np.stack([arrivals, service])[:, None])
     r8, excess, busy = _kernels._lindley(_kernels._shifted(lines[0]), lines[1],
                                          _kernels.last_block_slots(horizon))
-    q = np.zeros(16 * lines.shape[-1] + 1, dtype=np.int32)
-    _kernels._write_back(q[None, 1:], r8, lines[0], excess)
-    return q[:horizon + 1], busy
+    return (r8 + lines[0].astype(np.int64) - excess[:, None])[0], busy[0]
 
 
 class TestLindleyScan:
     @pytest.mark.parametrize("columns", SCAN_COLUMNS)
     @pytest.mark.parametrize("horizon", SCAN_HORIZONS)
     def test_matches_serial_walk(self, horizon, columns):
-        """The scan's trajectory is the serial walk's, and the busy column it
-        hands on is that trajectory's, False in the pads."""
+        """The scan's lengths are the serial walk's, with its final length in
+        the pads, and the busy column it hands on is that walk's, False in
+        the pads."""
         arrivals, service = SCAN_COLUMNS[columns](np.random.default_rng(horizon), horizon)
         q, busy = lindley(arrivals, service)
-        expected = lindley_oracle(arrivals, service)
+        expected, expected_busy = in_layout(lindley_oracle(arrivals, service))
         assert np.array_equal(q, expected)
-        assert np.array_equal(busy[0], _kernels.block_major(expected[:-1] > 0))
+        assert np.array_equal(busy, expected_busy)
 
     def test_carried_lengths_cross_the_clip(self):
         """The draining blocks' entries take all of -16, -17 and -18."""
@@ -518,8 +521,8 @@ class TestLindleyScan:
         horizon = 1_000_000
         arrivals, service = np.ones(horizon, dtype=bool), np.zeros(horizon, dtype=bool)
         q, _ = lindley(arrivals, service)
-        assert q[-1] == horizon
-        assert np.array_equal(q, lindley_oracle(arrivals, service))
+        assert _kernels.slot_major(q, horizon)[-1] == horizon
+        assert np.array_equal(q, in_layout(lindley_oracle(arrivals, service))[0])
 
 
 class TestVectorisedSolver:
@@ -628,21 +631,24 @@ class TestBatchSolver:
     @pytest.mark.parametrize("horizon", [1, 15, 16, 17, 20001])
     @pytest.mark.parametrize("rows", [1, 3, 8])
     def test_rows_match_the_loop(self, rows, horizon):
-        """Each row of a batch is the slot loop's trajectory of that run, and
-        takes the passes it takes when solved alone; also from a start of
-        its own per row, with coupled queues and with either flip column
-        empty, and across the scan's 16-slot blocks and its tail."""
+        """Each row of a batch is the slot loop's trajectory of that run, in
+        the solver's layout, and takes the passes it takes when solved
+        alone; also from a start of its own per row, with coupled queues and
+        with either flip column empty, and across the scan's 16-slot blocks
+        and its tail."""
         for empty_flip in (None, 1, 2):
             inputs = batch_inputs(rows, horizon, rows * horizon, empty_flip)
             arrivals, events = inputs[0], inputs[1:]
             ref, loop_passes = _kernels.simulate_slots_py(*inputs)
             assert loop_passes == [None] * rows
+            lengths, busy_ref = in_layout(ref)
             starts = np.random.default_rng(horizon).random((rows, horizon)) < 0.5
             for start in (None, starts):
                 q, passes, busy = solve_in_layout(inputs, start)
-                assert q.shape == (rows, 2, horizon + 1) and q.dtype == np.int32
-                assert np.array_equal(q, ref)
-                assert np.array_equal(busy, _kernels.block_major(ref[:, :, :-1] > 0))
+                assert q.shape == (rows, 2, 16, _kernels.blocks_of(horizon))
+                assert q.dtype == np.int32
+                assert np.array_equal(q, lengths)
+                assert np.array_equal(busy, busy_ref)
                 assert len(passes) == rows
                 for row in range(rows):
                     alone = None if start is None else start[row:row + 1]
@@ -710,6 +716,31 @@ def test_run_matches_pinned_digest(index, mode):
     cfg = SimConfig(RatePoint(0.4, 0.35), ALL_PARAMS[index], horizon=20_000, seed=41,
                     dominant_mode=mode)
     assert run_digest(b.run(cfg, return_trajectory=True)) == PINNED_RUN_DIGESTS[index][mode]
+
+
+def test_no_slot_major_trajectory_unless_asked(monkeypatch):
+    """Runs are judged in the solver's layout: a sweep's verdicts, a ray, a
+    batch and a run convert nothing to slot-major, and a run asked for its
+    trajectory converts its lengths once."""
+    conversions = []
+    convert = _kernels.slot_major
+
+    def counted(lines, horizon):
+        conversions.append(lines.shape)
+        return convert(lines, horizon)
+
+    monkeypatch.setattr(_kernels, "slot_major", counted)
+    cfgs = [SimConfig(RatePoint(l1, l2), ALL_PARAMS[3], horizon=20_000, seed=4)
+            for l1 in (0.1, 0.3, 0.5) for l2 in (0.2, 0.4)]
+    b.batch_verdicts(cfgs)
+    b.run_batch(cfgs)
+    b.estimate_boundary(ALL_PARAMS[0], 45.0, steps=8, horizon=20_000, seed=2)
+    for mode in ("none", "queue1", "queue2"):
+        b.run(dataclasses.replace(cfgs[0], dominant_mode=mode))
+    assert conversions == []
+    r = b.run(cfgs[0], return_trajectory=True)
+    assert conversions == [(2, 16, _kernels.blocks_of(20_000))]
+    assert r.trajectory.shape == (20_001, 2)
 
 
 class TestRunStatistics:
@@ -969,30 +1000,47 @@ def verdict_series(kind, n, seed):
         steps = rng.choice([-1, 0, 1], n, p=[0.2495, 0.5, 0.2505])
         walk = np.cumsum(steps).astype(np.int32)
         return walk - np.minimum.accumulate(np.minimum(walk, 0))
-    if kind == "ceiling":  # the largest queue lengths a trajectory may hold
-        return (sim.MAX_HORIZON - rng.integers(0, 3, n)).astype(np.int64)
-    if kind == "block-limit":  # the largest values whose block sums stay in int64
-        return (2**63 // sim._SLOPE_BLOCK**2 - 1 - rng.integers(0, 3, n)).astype(np.int64)
+    if kind == "ceiling":  # the largest queue lengths a trajectory may hold, as the solver's int32
+        return (sim.MAX_HORIZON - rng.integers(0, 3, n)).astype(np.int32)
+    if kind == "block-limit":  # the largest values whose chunk sums stay in int64
+        return (2**60 // sim._SUM_BLOCKS**2 - 1 - rng.integers(0, 3, n)).astype(np.int64)
     return integer_series(kind, n, seed)
+
+
+def judged(series, warmup=0):
+    """``sim._judge``'s ``(slope, window sum)`` of ``series`` as the
+    post-warmup window of a trajectory: ``warmup`` zeros, then the series,
+    whose last value also ends it. The trajectory is laid out as
+    ``classify_stability`` lays it out: its slot 0 apart, as ``first``, the
+    rest in the solver's layout."""
+    traj = np.concatenate((np.zeros(warmup, series.dtype), series, series[-1:]))
+    lines = _kernels.block_major(traj[None, 1:], traj[-1])
+    horizon = len(traj) - 1
+    slopes, _, sums, _ = sim._judge(lines, warmup, horizon, int(traj[0]))
+    return slopes[0], sums[0]
 
 
 class TestFitSlope:
     @settings(deadline=None, max_examples=80)
     @given(kind=st.sampled_from([*SERIES_KINDS, "ceiling"]),
-           n=st.integers(2, 50_000) | st.integers(2, 50), seed=st.integers(0, 2**32 - 1))
-    def test_matches_exact_fraction(self, kind, n, seed):
+           n=st.integers(2, 50_000) | st.integers(2, 50), seed=st.integers(0, 2**32 - 1),
+           warmup=st.sampled_from([0, 1, 15, 16, 17]))
+    def test_matches_exact_fraction(self, kind, n, seed, warmup):
         series = verdict_series(kind, n, seed)
-        assert sim._drift_slopes(series[None])[0] == [float(exact_slope(series))]
+        assert judged(series, warmup) == (float(exact_slope(series)), int(series.sum()))
 
-    @pytest.mark.parametrize("n", [sim._SLOPE_BLOCK - 1, sim._SLOPE_BLOCK, sim._SLOPE_BLOCK + 1,
-                                   2 * sim._SLOPE_BLOCK + 3])
+    @pytest.mark.parametrize("n", [16 * sim._SUM_BLOCKS - 1, 16 * sim._SUM_BLOCKS,
+                                   16 * sim._SUM_BLOCKS + 1, 32 * sim._SUM_BLOCKS + 3])
     @pytest.mark.parametrize("kind", ["queue", "block-limit"])
     def test_exact_at_block_edges(self, n, kind):
-        """Across block edges, also with values whose unblocked sums overflow int64."""
+        """Across the sums' chunk edges, from either side of a scan block's
+        edge, also with the largest values the chunk bound admits, whose
+        unchunked sums overflow int64; also as uint64."""
         series = verdict_series(kind, n, n)
         slope = float(exact_slope(series))
-        assert sim._drift_slopes(series[None])[0] == [slope]
-        assert sim._drift_slopes(series.astype(np.uint64)[None])[0] == [slope]
+        for warmup in (0, 1, 17):
+            assert judged(series, warmup)[0] == slope
+        assert judged(series.astype(np.uint64))[0] == slope
 
     @pytest.mark.parametrize("n", [18_000, 36_000, 90_000, 1_000_001])
     def test_matches_polyfit_at_run_lengths(self, n):
@@ -1002,7 +1050,7 @@ class TestFitSlope:
         for kind in ("zeros", "increasing", "queue"):
             series = integer_series(kind, n, n)
             expected = polyfit_slope(series.astype(np.float64))
-            [slope] = sim._drift_slopes(series[None])[0]
+            slope, _ = judged(series)
             assert slope == pytest.approx(expected, rel=1e-12, abs=1e-18)
 
     def test_warmup_leaves_two_slots(self):
@@ -1021,6 +1069,37 @@ def test_run_reports_exact_slope(index, mode):
     r = b.run(cfg, return_trajectory=True)
     post = r.trajectory[cfg.warmup:cfg.horizon]
     assert r.drift_slope == (float(exact_slope(post[:, 0])), float(exact_slope(post[:, 1])))
+
+
+def reference_verdict(traj, warmup, slope):
+    """classify_stability's rule on a slot-major trajectory, given its exact
+    slope over ``[warmup, horizon)``: unstable for a slope above
+    ``SLOPE_THRESHOLD`` and a final length above the first post-warmup
+    decile's mean, stable for a slope below it and an empty slot in the
+    final half or at the end."""
+    horizon = len(traj) - 1
+    post = traj[warmup:horizon].astype(np.int64)
+    early_mean = post[:max(1, len(post) // 10)].mean()
+    if float(slope) > sim.SLOPE_THRESHOLD and float(traj[horizon]) > early_mean:
+        return Verdict.UNSTABLE
+    if float(slope) < sim.SLOPE_THRESHOLD and traj[horizon // 2:].min() == 0:
+        return Verdict.STABLE
+    return Verdict.INCONCLUSIVE
+
+
+def classify_stability_slope(traj, warmup):
+    """The drift slope that classify_stability judges ``traj`` by."""
+    judged = []
+    judge = sim._judge
+
+    def recorded(*args):
+        judged.append(judge(*args))
+        return judged[-1]
+
+    with mock.patch.object(sim, "_judge", recorded):
+        b.classify_stability(traj, warmup)
+    [([slope], *_)] = judged
+    return slope
 
 
 THRESHOLD_CHOICES = ["default", "exact", "ulp-below", "ulp-above"]
@@ -1045,10 +1124,50 @@ class TestClassifyExactSlope:
         when the threshold sits on that slope or one ulp from it."""
         traj = verdict_series(kind, n, seed)
         warmup = n // 10
-        slope = float(exact_slope(traj[warmup:n - 1]))
-        with mock.patch.object(sim, "SLOPE_THRESHOLD", threshold_for(choice, slope)):
-            [expected] = sim._verdicts(traj[None], warmup, [slope])
-            assert b.classify_stability(traj, warmup) is expected
+        slope = exact_slope(traj[warmup:n - 1])
+        with mock.patch.object(sim, "SLOPE_THRESHOLD", threshold_for(choice, float(slope))):
+            assert b.classify_stability(traj, warmup) is reference_verdict(traj, warmup, slope)
+
+    @pytest.mark.parametrize("horizon", [10_000, 10_001, 10_015])
+    def test_window_edges(self, horizon):
+        """classify_stability and run() fit the exact slope and give the
+        reference rule's verdict at every warmup edge: 0, 1, either side of
+        a scan block's edge, the default and the last one allowed; at
+        horizons 0, 1 and 15 past a block edge; for trajectories that start
+        above 0, and as uint64 and int16, whose sums would overflow."""
+        rng = np.random.default_rng(horizon)
+        series = {kind: verdict_series(kind, horizon + 1, horizon)
+                  for kind in ("zeros", "queue", "drifting", "ceiling")}
+        # a queue that starts full and drains, one at MAX_HORIZON throughout,
+        # and one that grows by a packet per slot from MAX_HORIZON at slot 0,
+        # which lifts the first decile's mean at warmup 0 above its final length
+        series["starts full"] = np.maximum(
+            verdict_series("queue", horizon + 1, horizon) + 3000 - np.arange(horizon + 1), 0)
+        series["ceiling from slot 0"] = np.full(horizon + 1, sim.MAX_HORIZON)
+        series["growing after a full slot 0"] = np.arange(horizon + 1)
+        series["growing after a full slot 0"][0] = sim.MAX_HORIZON
+        # one packet throughout but for one empty slot, the final half's first or the one before
+        for name, empty in (("empty as the final half starts", horizon // 2),
+                            ("empty just before the final half", horizon // 2 - 1)):
+            series[name] = np.ones(horizon + 1, dtype=np.int32)
+            series[name][empty] = 0
+        for warmup in (0, 1, 15, 16, 17, horizon // 10, horizon - 2):
+            for traj in series.values():
+                slope = exact_slope(traj[warmup:horizon])
+                narrow = [traj.astype(np.int16)] if traj.max() < 2**15 else []
+                for given in (traj, traj.astype(np.uint64), *narrow):
+                    assert classify_stability_slope(given, warmup) == float(slope)
+                    assert b.classify_stability(given, warmup) is reference_verdict(traj, warmup,
+                                                                                    slope)
+            for index, params in enumerate(ALL_PARAMS):
+                cfg = SimConfig(RatePoint(*rng.uniform(0.1, 0.6, 2)), params, horizon=horizon,
+                                warmup=warmup, seed=index)
+                r = b.run(cfg, return_trajectory=True)
+                post = r.trajectory[warmup:horizon]
+                slopes = [exact_slope(column) for column in post.T]
+                assert r.drift_slope == tuple(map(float, slopes))
+                assert r.verdict == tuple(reference_verdict(column, warmup, slope)
+                                          for column, slope in zip(r.trajectory.T, slopes))
 
     @pytest.mark.parametrize("traj", [
         np.zeros(20_001),
@@ -1184,13 +1303,13 @@ def test_probes_equal_runs(monkeypatch, event_draws, index, angle, seed, expecte
     assert len(held) == 1 and held[0].shape == (2, 16, 2_500)
     assert event_draws == [(params, 40_000, seed)]  # the ray's one draw of its events
     assert len(probes) == 9
-    for n, (config, drew, cold, path, (_, q, _, slopes, verdicts, _)) in enumerate(probes):
+    for n, (config, drew, cold, path, (_, q, _, slopes, verdicts, *_)) in enumerate(probes):
         assert config.seed == seed
         assert not drew and cold is (n == 0)
         assert path is probes[0][3] and path[1] is held[0]
         result = b.run(config, return_trajectory=True)
         assert (slopes, verdicts) == ([result.drift_slope], [result.verdict])
-        assert np.array_equal(q[0].T, result.trajectory)
+        assert np.array_equal(q[0], in_layout(result.trajectory.T)[0])
 
 
 # The Picard passes of each probe of each PINNED_BOUNDARIES ray, and of each
