@@ -407,7 +407,7 @@ def main():
         for name, cfg in configs(horizon):
             kernel_args = sim._kernel_inputs([cfg])
             loop_args = [_kernels.slot_major(lines, horizon) for lines in kernel_args]
-            t_loop, (q_loop, _) = repeat_times(_kernels.simulate_slots_py, loop_args, args.repeat)
+            t_loop, q_loop = repeat_times(_kernels.simulate_slots_py, loop_args, args.repeat)
             q, [passes], busy = _kernels.simulate_slots(*kernel_args, horizon=horizon)
             splits = watch(LAYERS, sim.run, (cfg,), args.repeat)
             t_lindley, solved = repeat_times(_kernels._lindley,
@@ -415,7 +415,6 @@ def main():
             row = summary(columns, [t_loop, seconds(splits, *LAYERS),
                                     *(seconds(splits, layer) for layer in layers), t_lindley,
                                     *draw_and_event_times(cfg, args.repeat)])
-            passes = "loop" if passes is None else passes
             loop = _kernels.block_major(q_loop[..., 1:], q_loop[..., -1:])
             row.update(passes=passes, identical=bool(np.array_equal(q, loop) and np.array_equal(
                            lengths(kernel_args, solved), q[:, 0])),

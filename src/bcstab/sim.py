@@ -31,14 +31,13 @@ slot, from which ``_judge`` takes the slopes and verdicts and
 ``_summarise`` the final and warmup lengths, and its busy columns, from
 which ``_summarise`` counts and the next probe or cell starts. Only
 ``run(..., return_trajectory=True)`` makes a slot-major trajectory.
-``run_batch``
-makes a sweep's cells in strips, and ``batch_verdicts`` makes them the same
-way but stops at their verdicts, which is all ``sweep --simulate`` reports:
-each ``lambda2`` is a column sorted by ``lambda1`` descending, a strip of
-``_BATCH_SLOTS // horizon`` columns (13 at 20k slots, so a grid-7 sweep is
-one strip) is solved top-down, one batch per rank, and each cell starts its
-Picard passes from queue 2's busy column at the cell above it, which bounds
-its own on one path.
+``run_batch`` makes a sweep's cells in strips, and ``batch_verdicts`` makes
+them the same way but stops at their verdicts, which is all ``sweep
+--simulate`` reports: each ``lambda2`` is a column sorted by ``lambda1``
+descending, a strip of ``_BATCH_SLOTS // horizon`` columns (13 at 20k
+slots, so a grid-7 sweep is one strip) is solved top-down, one batch per
+rank, and each cell starts its Picard passes from queue 2's busy column at
+the cell above it, which bounds its own on one path.
 """
 
 from __future__ import annotations

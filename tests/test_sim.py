@@ -157,7 +157,7 @@ class TestStep:
             cfg = SimConfig(RatePoint(lam1, lam2), params, horizon=400, seed=97,
                             dominant_mode=mode)
             arr_u, chan = whole_array_draw(cfg)
-            qtraj = _kernels.simulate_slots_py(*whole_array_inputs(cfg))[0][0]
+            qtraj = _kernels.simulate_slots_py(*whole_array_inputs(cfg))[0]
             state = (0, 0)
             attempts, successes, departures = np.zeros((3, 2), np.int64)
             for t in range(cfg.horizon):
@@ -438,7 +438,7 @@ def vec_matches_loop(kernel_args, start=None):
     slot-major inputs; return the solver's passes, one per row. The solver's
     lengths and busy columns are the loop's, in its layout, with the final
     length in every pad and no busy pad."""
-    ref, _ = _kernels.simulate_slots_py(*kernel_args)
+    ref = _kernels.simulate_slots_py(*kernel_args)
     q, passes, busy = solve_in_layout(kernel_args, start)
     lengths, busy_ref = in_layout(ref)
     assert q.shape == lengths.shape and len(passes) == kernel_args[0].shape[0]
@@ -562,33 +562,17 @@ class TestVectorisedSolver:
                 point = RatePoint(factor * bscale * np.cos(np.radians(angle)),
                                   factor * bscale * np.sin(np.radians(angle)))
                 cfg = SimConfig(point, params, horizon=20_000, seed=29)
-                assert vec_matches_loop(whole_array_inputs(cfg)) != [None]
+                vec_matches_loop(whole_array_inputs(cfg))
 
     def test_converges_next_to_a_strongly_coupled_frontier(self):
         """Started from the all-busy column, the coupled solve converges in a
-        few passes where a start from the empty column took 61 (seed 1) or hit
-        the cap."""
+        few passes where a start from the empty column took 61 (seed 1)."""
         params = generic_params(SuccessProfile(0.9, 0.9, 0.05, 0.05))
         scale = 0.98 * b.boundary_scale(b.region_for_params(params), 45.0)
         point = RatePoint(scale * np.cos(np.radians(45.0)), scale * np.sin(np.radians(45.0)))
         cfg = SimConfig(point, params, horizon=200_000, seed=1)
         [passes] = vec_matches_loop(whole_array_inputs(cfg))
-        assert passes is not None and passes <= 32
-
-    @pytest.mark.parametrize("mode", ["none", "queue1", "queue2"])
-    def test_pass_cap_falls_back_to_loop(self, monkeypatch, mode):
-        monkeypatch.setattr(_kernels, "_MAX_PASSES", 1)
-        for params in ALL_PARAMS:
-            for lam1, lam2 in KERNEL_LOADS:
-                cfg = SimConfig(RatePoint(lam1, lam2), params, horizon=5_000, seed=61,
-                                dominant_mode=mode)
-                inputs = whole_array_inputs(cfg)
-                passes = vec_matches_loop(inputs)
-                # coupled busy queues need a second pass to confirm the fixed point;
-                # an empty flip column (a dummy queue's partner, fixed SC) needs one
-                _, solo1, solo2, both1, both2 = inputs
-                coupled = (solo1 ^ both1).any() and (solo2 ^ both2).any()
-                assert passes == [None if coupled else 1]
+        assert passes <= 32
 
     @pytest.mark.parametrize("index, mode", [
         *((i, mode) for i in range(len(ALL_PARAMS)) for mode in ("queue1", "queue2")),
@@ -639,8 +623,7 @@ class TestBatchSolver:
         for empty_flip in (None, 1, 2):
             inputs = batch_inputs(rows, horizon, rows * horizon, empty_flip)
             arrivals, events = inputs[0], inputs[1:]
-            ref, loop_passes = _kernels.simulate_slots_py(*inputs)
-            assert loop_passes == [None] * rows
+            ref = _kernels.simulate_slots_py(*inputs)
             lengths, busy_ref = in_layout(ref)
             starts = np.random.default_rng(horizon).random((rows, horizon)) < 0.5
             for start in (None, starts):
@@ -659,26 +642,35 @@ class TestBatchSolver:
                 elif rows > 1 and horizon > 10_000:
                     assert len(set(passes)) > 1  # rows left the working set on different passes
 
-    def test_a_row_past_the_pass_cap_falls_back_alone(self, monkeypatch):
-        """A row that hits the pass cap goes to the slot loop alone; the
-        rows that converged keep the solver's trajectories and pass counts."""
-        inputs = batch_inputs(4, 20_001, 0)
-        arrivals = inputs[0]
-        q, passes, busy = solve_in_layout(inputs)
-        assert passes == [4, 5, 2, 2]
-        loops = []
-        loop = _kernels.simulate_slots_py
+    def test_a_row_takes_as_many_passes_as_it_needs(self):
+        """Two rows of one run next to a strongly coupled frontier, each
+        solved to its fixed point: started from the empty column, row 0
+        takes 77 passes, and started all-busy, row 1 takes 9. Both are the
+        slot loop's trajectory."""
+        params = generic_params(SuccessProfile(0.9, 0.9, 0.05, 0.05))
+        scale = 0.98 * b.boundary_scale(b.region_for_params(params), 45.0)
+        point = RatePoint(scale * np.cos(np.radians(45.0)), scale * np.sin(np.radians(45.0)))
+        arrivals, *events = whole_array_inputs(SimConfig(point, params, horizon=20_000, seed=1))
+        start = np.stack([np.zeros(20_000, dtype=bool), np.ones(20_000, dtype=bool)])
+        assert vec_matches_loop((np.concatenate([arrivals] * 2), *events), start) == [77, 9]
 
-        def counted(arrivals, *args):
-            loops.append(arrivals)
-            return loop(arrivals, *args)
-
-        monkeypatch.setattr(_kernels, "simulate_slots_py", counted)
-        monkeypatch.setattr(_kernels, "_MAX_PASSES", 4)
-        capped, capped_passes, capped_busy = solve_in_layout(inputs)
-        assert capped_passes == [4, None, 2, 2]
-        assert len(loops) == 1 and np.array_equal(loops[0], arrivals[1:2])
-        assert np.array_equal(capped, q) and np.array_equal(capped_busy, busy)
+    @settings(deadline=None, max_examples=300)
+    @given(horizon=st.integers(1, 120), rows=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           densities=st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                              min_size=7, max_size=7))
+    def test_passes_stay_within_the_horizon(self, horizon, rows, seed, densities):
+        """Random batches whose shared-slot successes imply the solo ones,
+        each row started from a busy column drawn at random, bounding the
+        trajectory or not: every row is the slot loop's, and takes an int
+        number of passes, at most ``horizon + 1``, since each pass fixes at
+        least one more slot."""
+        rng = np.random.default_rng(seed)
+        arrivals = rng.random((rows, 2, horizon)) < np.array(densities[:2])[:, None]
+        events = rng.random((4, horizon)) < np.array(densities[2:6])[:, None]
+        events[2:] &= events[:2]
+        start = rng.random((rows, horizon)) < densities[6]
+        passes = vec_matches_loop((arrivals, *events), start)
+        assert all(type(n) is int and 1 <= n <= horizon + 1 for n in passes)
 
 
 # sha256 of run()'s trajectory and SimResult fields at RatePoint(0.4, 0.35),
@@ -1355,6 +1347,16 @@ def test_run_passes_match_pinned(solver_passes, index):
         b.run(SimConfig(RatePoint(0.4, 0.35), ALL_PARAMS[index], horizon=20_000, seed=41,
                         dominant_mode=mode))
     assert [passes for [passes] in solver_passes] == PINNED_RUN_PASSES[index]
+
+
+def test_a_million_slots_next_to_a_strongly_coupled_frontier(solver_passes):
+    """A run at 1.01x the frontier of the strongly coupled profile, 1M
+    slots, takes 45 Picard passes from the all-busy start: longer runs next
+    to that frontier take more passes, up to 72 at 10M slots (the
+    ``_kernels`` docstring), and the solve runs each to its fixed point."""
+    params = generic_params(SuccessProfile(0.9, 0.9, 0.05, 0.05))
+    b.run(SimConfig(RatePoint(0.0505, 0.0505), params, horizon=1_000_000, seed=1))
+    assert solver_passes == [[45]]
 
 
 class TestEstimateBoundary:
