@@ -38,8 +38,10 @@ one Lindley row-solve (``_kernels._lindley`` on one row, in the solver's
 layout, as a Picard pass makes it: the scan and the busy column it hands
 on, without a trajectory) of queue 1's service column at the solved busy
 columns, the column the solver's last pass solves, so it is the
-queue-recursion layer on its own; a row is ``identical`` when that solve's
-lengths, ``r8 + a - excess`` as at a fixed point, also reproduce queue 1's.
+queue-recursion layer on its own; a row is ``identical`` when the solver's
+lengths, its int8 lines less each block's int32 excess, are the loop's,
+and that solve's ``r8 + a`` and excess are also the solver's queue 1
+pair.
 ``draw_whole`` times the
 reference whole-array draw of the same randomness (two ``(horizon, 2)``
 float64 arrays from one generator), which the blocked draw replaced, so the
@@ -225,11 +227,11 @@ def lindley_args(kernel_args, busy, horizon):
 
 
 def lengths(kernel_args, solved):
-    """Queue 1's lengths after each slot from its Lindley solve, ``r8 + a -
-    excess``, in the solver's layout, as the solver writes them at a fixed
-    point."""
+    """Queue 1's lengths after each slot from its Lindley solve as the
+    solver returns them at a fixed point, in its layout: the pair of int8
+    lines ``r8 + a`` and int32 per-block ``excess``."""
     r8, excess, _ = solved
-    return r8 + kernel_args[0][:, 0].astype(np.int64) - excess[:, None]
+    return r8 + kernel_args[0][:, 0].view(np.int8), excess
 
 
 SEED = 1234
@@ -408,7 +410,7 @@ def main():
             kernel_args = sim._kernel_inputs([cfg])
             loop_args = [_kernels.slot_major(lines, horizon) for lines in kernel_args]
             t_loop, q_loop = repeat_times(_kernels.simulate_slots_py, loop_args, args.repeat)
-            q, [passes], busy = _kernels.simulate_slots(*kernel_args, horizon=horizon)
+            (lines, excess), [passes], busy = _kernels.simulate_slots(*kernel_args, horizon=horizon)
             splits = watch(LAYERS, sim.run, (cfg,), args.repeat)
             t_lindley, solved = repeat_times(_kernels._lindley,
                                              lindley_args(kernel_args, busy, horizon), args.repeat)
@@ -416,8 +418,11 @@ def main():
                                     *(seconds(splits, layer) for layer in layers), t_lindley,
                                     *draw_and_event_times(cfg, args.repeat)])
             loop = _kernels.block_major(q_loop[..., 1:], q_loop[..., -1:])
-            row.update(passes=passes, identical=bool(np.array_equal(q, loop) and np.array_equal(
-                           lengths(kernel_args, solved), q[:, 0])),
+            own_lines, own_excess = lengths(kernel_args, solved)
+            row.update(passes=passes,
+                       identical=bool(np.array_equal(lines - excess[..., None, :], loop)
+                                      and np.array_equal(own_lines, lines[:, 0])
+                                      and np.array_equal(own_excess, excess[:, 0])),
                        faults={layer: faults(splits, layer) for layer in layers})
             results["runs"].setdefault(str(horizon), {})[name] = row
             print_row(name, f"{passes:>8}", columns, row, f"  {row['identical']}")

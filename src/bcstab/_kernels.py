@@ -55,11 +55,17 @@ bounded by the horizon, fit int32 because ``sim.MAX_HORIZON < 2**31``.
 
 So a pass hands on no trajectory, only each queue's busy column, the
 slot-start ``r + a > 0`` one slot later: ``busy = shift(r8 > 0) | A_prev``,
-False in the pads. Only at a row's fixed point are each queue's lengths
-after each slot, ``r8 + a - excess``, written, once and in the solver's
-layout, into the int32 ``(rows, 2, 16, blocks)`` array that the statistics
-read (``sim._judge``). The pads hold the final length, since no pad holds
-an arrival or a service. Nothing here writes a slot-major trajectory.
+False in the pads. Only at a row's fixed point is each queue's solve
+written out, once and in the solver's layout, as the pair that the
+statistics read (``sim._judge``): the int8 ``(rows, 2, 16, blocks)`` lines
+``r8 + a`` and the int32 ``(rows, 2, blocks)`` excess, so that a queue's
+length after each slot is ``lines - excess``, each block's excess
+broadcast along its 16 slots. This is the scan's own two-level split, the
+part within a block apart from the carry into it, and it takes 1.25 bytes
+per slot and queue; no solve forms the lengths themselves, 4 bytes per
+slot and queue as int32. The pads hold the final length, since no pad
+holds an arrival or a service. Nothing here writes a slot-major
+trajectory.
 
 A queue's service column depends on the other queue only through whether it
 is transmitting, in the slots of its flip column ``solo ^ both``. When a
@@ -244,7 +250,8 @@ def _runs(positions, rows):
 
 
 def simulate_slots(arrivals, solo1, solo2, both1, both2, start=None, *, horizon):
-    """Each run's queue lengths after every slot, exactly as the slot loop.
+    """Each run's queue lengths after every slot, exactly as the slot loop,
+    as the scan's int8 lines and int32 per-block excess.
 
     The inputs are in the solver's layout (see the module docstring) for
     ``horizon`` slots: ``arrivals`` is a ``(rows, 2, 16, blocks)`` boolean
@@ -252,10 +259,12 @@ def simulate_slots(arrivals, solo1, solo2, both1, both2, start=None, *, horizon)
     four ``(16, blocks)`` event columns, none of them set in a pad. ``start``
     is a ``(rows, 16, blocks)`` busy column of queue 2 per row, False in the
     pads, that the coupled solve starts from, all-busy if None; an empty
-    flip column ignores it. Returns ``(q, passes, busy)``: ``q`` is an int32
-    ``(rows, 2, 16, blocks)`` array in the solver's layout, slot ``t`` each
-    queue's length after slot ``t``, which is the slot loop's ``q[:, :, t +
-    1]``, and every pad the final length; ``passes`` lists per row the Picard
+    flip column ignores it. Returns ``((lines, excess), passes, busy)``:
+    ``lines`` is the int8 ``(rows, 2, 16, blocks)`` ``r8 + a`` and
+    ``excess`` the int32 ``(rows, 2, blocks)`` excess of each block, so that
+    ``lines - excess[..., None, :]`` holds at slot ``t`` each queue's length
+    after slot ``t``, which is the slot loop's ``q[:, :, t + 1]``, and at
+    every pad the final length; ``passes`` lists per row the Picard
     passes begun (1 if a flip column is empty), each of which solves queue 1
     and, unless queue 1's busy column repeated, queue 2, at most ``horizon +
     1`` of them; ``busy`` is each run's ``(rows, 2, 16, blocks)`` busy
@@ -270,22 +279,22 @@ def simulate_slots(arrivals, solo1, solo2, both1, both2, start=None, *, horizon)
     solo = (solo1, solo2)
     flip = (solo1 ^ both1, solo2 ^ both2)
     passes = [1] * rows
-    q = busy = None
+    lines = excess = busy = None
 
     def finish(at, solved):
         """Write the rows at the working positions ``at``, each from its
-        final solve of either queue, whose ``r8`` is spent: ``r8 + a -
-        excess``, each block's excess broadcast along its 16 slots. The
-        outputs are made when the first row is written, so the passes
-        before run without them."""
-        nonlocal q, busy
-        if q is None:
-            q = np.empty((rows, 2, _SCAN_BLOCK, blocks), dtype=np.int32)
+        final solve of either queue: ``r8 + a``, its excess and its busy
+        column. The outputs are made when the first row is written, so the
+        passes before run without them."""
+        nonlocal lines, excess, busy
+        if lines is None:
+            lines = np.empty((rows, 2, _SCAN_BLOCK, blocks), dtype=np.int8)
+            excess = np.empty((rows, 2, blocks), dtype=np.int32)
             busy = np.empty_like(arrivals)
         for i, batch in _runs(at.tolist(), live[at].tolist()):
-            for k, (r8, excess, column) in enumerate(solved):
-                r8[i] += arrivals[batch, k].view(np.int8)
-                np.subtract(r8[i], excess[i, None], out=q[batch, k])
+            for k, (r8, below, column) in enumerate(solved):
+                np.add(r8[i], arrivals[batch, k].view(np.int8), out=lines[batch, k])
+                excess[batch, k] = below[i]
                 busy[batch, k] = column[i]
 
     live = np.arange(rows)
@@ -297,15 +306,16 @@ def simulate_slots(arrivals, solo1, solo2, both1, both2, start=None, *, horizon)
             solved[k] = _lindley(prev[:, k], solo[k] ^ (solved[1 - k][2] & flip[k]), real)
             del prev, flip  # the writes need neither
             finish(live, solved)
-            return q, passes, busy
+            return (lines, excess), passes, busy
     # Picard passes over the working rows: queue k is solved from the other
     # queue's busy column and compared with its own previous one, and a row
     # leaves at its own fixed point, where its lengths are written. The
     # working rows' arrays are views of the batch's while they are a run of
     # adjacent rows, as when the rows that leave are the batch's first or
-    # last, else copies; ``live`` maps them to their rows of q. ``solved``
-    # holds each queue's last solve, and ``columns`` its busy column, which
-    # outlives the rest of the solve until the next solve is compared with it.
+    # last, else copies; ``live`` maps them to their rows of the outputs.
+    # ``solved`` holds each queue's last solve, and ``columns`` its busy
+    # column, which outlives the rest of the solve until the next solve is
+    # compared with it.
     if start is None:
         # one row, broadcast across the rows; slot 0 is never busy, so no
         # busy column repeats this one, whatever its pads hold
@@ -326,7 +336,7 @@ def simulate_slots(arrivals, solo1, solo2, both1, both2, start=None, *, horizon)
             if done.all():
                 del prev, flip, columns  # the writes need none of them
                 finish(at, solved)
-                return q, passes, busy
+                return (lines, excess), passes, busy
             finish(at, solved)
             keep = np.flatnonzero(~done)
             if keep[-1] - keep[0] == len(keep) - 1:

@@ -292,7 +292,11 @@ def write_output(rows: list[dict], meta: dict, spec: dict, stream) -> None:
         json.dump(payload, stream, indent=2)
         stream.write("\n")
         return
-    for key, value in {**spec, **meta, "profile": profile_meta}.items():
+    header = {**spec, **meta}
+    if profile_meta is not None:
+        # a command's resolved profile; one that resolves none keeps the user's --profile
+        header["profile"] = profile_meta
+    for key, value in header.items():
         stream.write(f"# {key}: {json.dumps(_jsonable(value))}\n")
     if not rows:
         return

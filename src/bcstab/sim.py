@@ -27,10 +27,12 @@ mode and warmup: one call of the queue solver, of the slopes and verdicts
 and of the statistics (``_solve``, ``_judge``, ``_summarise``) covers every
 run of a batch, one row each, and a lone run or a probe is a batch of one.
 Everything is read in the solver's layout: each run's lengths after each
-slot, from which ``_judge`` takes the slopes and verdicts and
-``_summarise`` the final and warmup lengths, and its busy columns, from
-which ``_summarise`` counts and the next probe or cell starts. Only
-``run(..., return_trajectory=True)`` makes a slot-major trajectory.
+slot, as the solver's int8 lines and int32 per-block excess, from which
+``_judge`` takes the slopes, verdicts and final lengths and
+``_summarise`` the warmup length, and its busy columns, from which
+``_summarise`` counts and the next probe or cell starts. Only ``run(...,
+return_trajectory=True)`` forms int32 lengths, and a slot-major
+trajectory from them.
 ``run_batch`` makes a sweep's cells in strips, and ``batch_verdicts`` makes
 them the same way but stops at their verdicts, which is all ``sweep
 --simulate`` reports: each ``lambda2`` is a column sorted by ``lambda1``
@@ -80,26 +82,27 @@ SLOPE_THRESHOLD = 1e-3
 # (_channel_events), both in the solver's block-major layout, and while it is
 # drawn three 512 KiB block buffers: each stream's draws and the events'
 # contiguous copy of them. A run keeps 6 bytes per slot of arrival flags and
-# success events; its Picard passes add 2 of shifted arrival flags, 2 of flip
-# columns, 4.5 of both queues' last solves (per queue an int8 length, a busy
-# column and a quarter byte of int32 excess) and up to 5 of the next solve's
-# service column and scan buffers, and the fixed point 8 of int32 lengths in
-# the solver's layout and 2 of busy columns; the statistics (_judge) add 2.5
+# success events and 1 of the all-busy start; its Picard passes add 2 of
+# shifted arrival flags, 2 of flip columns, 3.25 of the last solves (one
+# queue's int8 length, busy column and quarter byte of int32 excess, and the
+# other queue's busy column) and 4.5 of the next solve's service column, scan
+# buffers, busy column and int32 carries; the fixed point holds both queues'
+# last solves (4.5) and adds 2.5 of int8 lines and int32 excess in the
+# solver's layout and 2 of busy columns; the statistics (_judge) add under 2
 # of per-block sums. A lone run drops its uniforms before it is solved and
-# peaks at 22 bytes per slot while it draws, its solve at 21.5, so this caps
-# one run near 220 MB (a 10M-slot dominant IAN run peaked at 247 MB resident
-# through run(), 324 under the command line's pinned heap, where the lengths,
-# made last, do not fit the region the freed uniforms leave); longer runs are
-# rejected before any allocation. Runs that share a path hold it while they
-# are made, and nothing of it after; a W-thread sweep holds one path, not W.
-# Its batches (run_batch, batch_verdicts) hold up to 32 bytes per slot and
-# run, at most _BATCH_SLOTS slot-rows of runs (8 MB) or one run, per thread; a
-# grid-7 sweep at 20k slots measured about 23 bytes per slot-row of its 7-run
-# batches, and from 131 073 slots on a batch is one run. A boundary-search ray
-# holds its path and queue 2's busy column (1 byte per slot) between probes,
-# and its probes peak near 37.5 bytes per slot (near 375 MB at this cap). The
-# solver's int32 carries and lengths need this < 2**31, and _judge's int32
-# block sums 120 * this < 2**31.
+# peaks at 22 bytes per slot while it draws, its solve at 18.75, so this caps
+# one run near 220 MB (a 10M-slot dominant IAN run peaked at 249 MB resident
+# under the command line's pinned heap, where int32 lengths, made last, took
+# it to 324); longer runs are rejected before any allocation. Runs that share
+# a path hold it while they are made, and nothing of it after; a W-thread
+# sweep holds one path, not W. Its batches (run_batch, batch_verdicts) hold up
+# to 26.5 bytes per slot and run, at most _BATCH_SLOTS slot-rows of runs (7
+# MB) or one run, per thread; a grid-7 sweep at 20k slots measured about 17.5
+# bytes per slot-row of its 7-run batches, and from 131 073 slots on a batch
+# is one run. A boundary-search ray holds its path and queue 2's busy column
+# (1 byte per slot) between probes, and its probes peak near 34.75 bytes per
+# slot (near 350 MB at this cap). The solver's int32 carries and excess need
+# this < 2**31.
 MAX_HORIZON = 10_000_000
 
 # Slots per block of a path's draws (_blocks), a multiple of the solver's
@@ -388,36 +391,51 @@ def _check_fit_window(warmup: int, horizon: int) -> None:
 
 # Blocks per chunk of _judge's int64 sums of block sums weighted by their index
 # from the chunk's start, each below 8 * _SUM_BLOCKS**2 * max|y|: exact for
-# |y| < 2**30. The block sums themselves, in int32 lines' own dtype, are exact
-# while 120 * max|y| < 2**31.
+# |y| < 2**30.
 _SUM_BLOCKS = 1 << 15
 
 
-def _judge(lines: np.ndarray, warmup: int, horizon: int,
+def _judge(lines: np.ndarray, excess: np.ndarray, warmup: int, horizon: int,
            first: int = 0) -> tuple[list, list, list, list]:
     """Each line's exact drift slope, verdict, window sum and final length.
 
-    ``lines`` are queue lengths as ``simulate_slots`` returns them, int32 or
-    int64 ``(lines, 16, blocks)`` in the solver's layout: slot ``s`` holds
-    the length after slot ``s``, each pad the final one, every value in
-    ``[0, MAX_HORIZON]``; ``first`` is the length at slot 0, 0 in a run. So
-    slot ``t`` of the window ``[warmup, horizon)`` is a line's slot ``t - 1``.
-    The slope is ``num / den`` in Python ints (README, Kernel paths), its
-    ``sum(y)``, ``sum(t*y)`` and the first decile's sum each a whole prefix
-    less a shorter one, as ``_counts`` takes its windows. The verdict is
-    ``classify_stability``'s rule, inconclusive below
-    ``_MIN_CLASSIFY_HORIZON`` slots.
+    A line's queue lengths are ``lines - excess``, as ``simulate_slots``
+    returns them: ``lines`` is ``(lines, 16, blocks)`` in the solver's
+    layout, int8 ``r8 + a`` from a solve or a whole trajectory of a wider
+    integer dtype, and ``excess`` the ``(lines, blocks)`` per-block excess,
+    0 for a whole trajectory. Slot ``s`` holds the length after slot ``s``,
+    each pad the final one, every length in ``[0, MAX_HORIZON]``, and a
+    block whose excess is nonzero holds lines of at least 1; ``first`` is
+    the length at slot 0, 0 in a run. So slot ``t`` of the window
+    ``[warmup, horizon)`` is a line's slot ``t - 1``. The slope is ``num /
+    den`` in Python ints (README, Kernel paths), its ``sum(y)``,
+    ``sum(t*y)`` and the first decile's sum each a whole prefix less a
+    shorter one, as ``_counts`` takes its windows. A block's sums are those
+    of its lines less ``16 * excess`` and ``120 * excess`` (``sum(j)`` over
+    its 16 slots); the lengths themselves are formed only at the edges of
+    the sums and at the final slot. The verdict is ``classify_stability``'s
+    rule, inconclusive below ``_MIN_CLASSIFY_HORIZON`` slots.
     """
     n = horizon - warmup
-    index = np.arange(_kernels._SCAN_BLOCK, dtype=lines.dtype)
-    sums = np.einsum("ljb->lb", lines).astype(np.int64)
-    weighted = np.einsum("ljb,j->lb", lines, index).astype(np.int64)
+    # int8 lines hold r8 + a <= 34 (_kernels), so a block's sums, at most
+    # 120 * 34, are exact in int16; a whole trajectory's, of lengths below
+    # 2**30, in int64, which also holds every uint64 one
+    wide = np.int16 if lines.dtype == np.int8 else np.int64
+    index = np.arange(_kernels._SCAN_BLOCK, dtype=wide)
+    sums = np.multiply(excess, -_kernels._SCAN_BLOCK, dtype=np.int64)
+    sums += np.add.reduce(lines, axis=1, dtype=wide)
+    weighted = np.multiply(excess, -(_kernels._SCAN_BLOCK * (_kernels._SCAN_BLOCK - 1) // 2),
+                           dtype=np.int64)
+    weighted += np.einsum("ljb,j->lb", lines, index, dtype=wide, casting="unsafe")
 
-    def prefix(m: int) -> tuple[list[int], list[int]]:
-        """Each line's sums of ``y[s]`` and ``s * y[s]`` over slots ``s < m``."""
+    def prefix(m: int, dotted: bool = True) -> tuple[list[int], list[int] | None]:
+        """Each line's sums of ``y[s]`` and, if ``dotted``, of ``s * y[s]``
+        over slots ``s < m``."""
         full, part = divmod(m, _kernels._SCAN_BLOCK)
-        edge = lines[:, :part, full].astype(np.int64)
+        edge = lines[:, :part, full].astype(np.int64) - excess[:, full, None]
         totals = (sums[:, :full].sum(axis=1) + edge.sum(axis=1)).tolist()
+        if not dotted:
+            return totals, None
         dots = (weighted[:, :full].sum(axis=1)
                 + edge @ np.arange(_kernels._SCAN_BLOCK * full, m)).tolist()
         for lo in range(0, full, _SUM_BLOCKS):
@@ -431,7 +449,7 @@ def _judge(lines: np.ndarray, warmup: int, horizon: int,
     early = max(1, n // 10)
     start_sums, start_dots = prefix(start)
     end_sums, end_dots = prefix(horizon - 1)
-    early_ends, _ = prefix(warmup + early - 1)
+    early_ends, _ = prefix(warmup + early - 1, dotted=False)
     early_sums = [end - before + lead for end, before in zip(early_ends, start_sums)]
     sum_t = n * (n - 1) // 2
     den = n * ((n - 1) * n * (2 * n - 1) // 6) - sum_t * sum_t
@@ -443,11 +461,14 @@ def _judge(lines: np.ndarray, warmup: int, horizon: int,
         slopes.append((n * dot - sum_t * (total + lead)) / den)
         window_sums.append(total + lead)
     last, pad = divmod(horizon - 1, _kernels._SCAN_BLOCK)
-    finals = lines[:, pad, last].tolist()
+    finals = [line - below
+              for line, below in zip(lines[:, pad, last].tolist(), excess[:, last].tolist())]
     if horizon < _MIN_CLASSIFY_HORIZON:
         return slopes, [Verdict.INCONCLUSIVE] * len(lines), window_sums, finals
     # a queue is never negative: it returned to empty where its least length
-    # from the final half's first slot on, the final one included, is 0
+    # from the final half's first slot on, the final one included, is 0. A
+    # length is at most its line, and a block with excess holds lines of at
+    # least 1, so the least line there is 0 exactly where the least length is
     full, part = divmod(horizon // 2 - 1, _kernels._SCAN_BLOCK)
     lows = np.minimum(lines[:, part:, full].min(axis=1),
                       lines[:, :, full + 1:].min(axis=2).min(axis=1)).tolist()
@@ -468,9 +489,9 @@ def classify_stability(trajectory: np.ndarray, warmup: int) -> Verdict:
 
     The trajectory counts packets: it is 1-D, of an integer dtype, with
     every value in ``[0, MAX_HORIZON]``, as a column of ``run()``'s
-    trajectory is. It is judged in the solver's layout by the function that
-    judges every run (``_judge``), so its slope is the exact one ``run()``
-    reports as ``drift_slope``.
+    trajectory is. It is judged in the solver's layout, with no excess, by
+    the function that judges every run (``_judge``), so its slope is the
+    exact one ``run()`` reports as ``drift_slope``.
     """
     traj = np.asarray(trajectory)
     if traj.ndim != 1:
@@ -489,7 +510,8 @@ def classify_stability(trajectory: np.ndarray, warmup: int) -> Verdict:
         raise InvalidParameterError(f"queue lengths are integers in [0, {MAX_HORIZON}]")
     traj = traj.astype(np.int64)
     lines = _kernels.block_major(traj[None, 1:], traj[-1])
-    return _judge(lines, warmup, horizon, int(traj[0]))[1][0]
+    excess = np.zeros((1, lines.shape[-1]), dtype=np.int64)
+    return _judge(lines, excess, warmup, horizon, int(traj[0]))[1][0]
 
 
 def system_verdict(verdicts: tuple[Verdict, Verdict]) -> Verdict:
@@ -507,16 +529,18 @@ def _solve(configs, start=None, path=None) -> tuple:
     ``configs`` share their horizon, seed, params, dominant mode and warmup.
     ``start`` is passed to ``_kernels.simulate_slots`` and ``path``, a held
     sample path, to ``_kernel_inputs``. Returns the kernel inputs, the
-    solver's lengths and busy columns in its layout, and per run four
-    pairs, one entry per queue (``_judge``): its exact drift slope over
-    ``[warmup, horizon)``, its verdict, its exact sum over that window and
-    its final length.
+    solver's lengths as it returns them, the pair ``(lines, excess)``, and
+    its busy columns in its layout, and per run four pairs, one entry per
+    queue (``_judge``): its exact drift slope over ``[warmup, horizon)``,
+    its verdict, its exact sum over that window and its final length.
     """
     inputs = _kernel_inputs(configs, path)
     warmup, horizon = configs[0].warmup, configs[0].horizon
-    q, _, busy = _kernels.simulate_slots(*inputs, start=start, horizon=horizon)
-    judged = _judge(q.reshape(-1, *q.shape[2:]), warmup, horizon)  # each run's queue 1, then 2
-    return inputs, q, busy, *map(_pairs, judged)
+    (lines, excess), _, busy = _kernels.simulate_slots(*inputs, start=start, horizon=horizon)
+    # each run's queue 1, then 2
+    judged = _judge(lines.reshape(-1, *lines.shape[2:]), excess.reshape(-1, excess.shape[-1]),
+                    warmup, horizon)
+    return inputs, (lines, excess), busy, *map(_pairs, judged)
 
 
 def _pairs(values: list) -> list[tuple]:
@@ -549,13 +573,14 @@ def _counts(flags: np.ndarray, warmup: int = 0) -> tuple[list[int], list[int]]:
     return totals, windows
 
 
-def _summarise(configs, inputs: tuple, q: np.ndarray, busy: np.ndarray, slopes, verdicts, sums,
+def _summarise(configs, inputs: tuple, lengths: tuple, busy: np.ndarray, slopes, verdicts, sums,
                finals, return_trajectory: bool = False) -> list[SimResult]:
     """run()'s statistics of each solved run of a batch, from ``_solve``'s
     output. The counts are taken in the solver's layout, where no pad holds
     an arrival, an event or a busy slot, and packets are conserved: a
     queue's departures from a slot on are its length then and its arrivals
-    since, less its final length."""
+    since, less its final length. Only a trajectory asked for is formed
+    from all of the solver's ``lines - excess``, as int32 lengths."""
     horizon, warmup = configs[0].horizon, configs[0].warmup
     arrivals, solo1, solo2, both1, both2 = inputs
 
@@ -565,7 +590,9 @@ def _summarise(configs, inputs: tuple, q: np.ndarray, busy: np.ndarray, slopes, 
     arrivals_total, arrived_post = _counts(arrivals, warmup)
     finals = [final for pair in finals for final in pair]
     block, slot = divmod(warmup - 1, _kernels._SCAN_BLOCK)
-    at_warmup = q[:, :, slot, block].ravel().tolist() if warmup else [0] * len(finals)
+    lines, excess = lengths
+    at_warmup = ((lines[:, :, slot, block] - excess[:, :, block]).ravel().tolist() if warmup
+                 else [0] * len(finals))
     departed_post = [length + arrived - final
                      for length, arrived, final in zip(at_warmup, arrived_post, finals)]
     # a queue attempts where it is busy, so its successes are its departures
@@ -582,7 +609,8 @@ def _summarise(configs, inputs: tuple, q: np.ndarray, busy: np.ndarray, slopes, 
         pair = (2 * run_index, 2 * run_index + 1)
         if return_trajectory:
             trajectory = np.zeros((horizon + 1, 2), dtype=np.int64)
-            trajectory[1:] = _kernels.slot_major(q[run_index], horizon).T
+            trajectory[1:] = _kernels.slot_major(
+                lines[run_index] - excess[run_index, :, None], horizon).T
         results.append(SimResult(
             config=config,
             mean_queue=tuple(total / n for total in sums[run_index]),

@@ -126,6 +126,20 @@ class TestSimulateCommand:
         ]
 
 
+    def test_csv_header_keeps_the_given_profile(self, capsys):
+        """simulate resolves no profile of its own, so its CSV header keeps
+        the user's --profile, as its JSON spec does."""
+        args = ("simulate", "--scheme", "generic", "--profile", "0.9,0.9,0.05,0.05",
+                "--lambda1", "0.05", "--lambda2", "0.05", "--horizon", "100")
+        status, out, _ = run_cli(capsys, *args)
+        assert status == 0
+        meta, _ = parse_csv(out)
+        assert meta["profile"] == [0.9, 0.9, 0.05, 0.05]
+        _, out, _ = run_cli(capsys, *args, "--format", "json")
+        payload = json.loads(out)
+        assert payload["spec"]["profile"] == meta["profile"] and payload["profile"] is None
+
+
 class TestSweepCommand:
     def test_analytic_grid_shape_and_monotonicity(self, capsys):
         status, out, _ = run_cli(capsys, "sweep", *GENERAL, "--grid", "10")

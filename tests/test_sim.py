@@ -57,7 +57,7 @@ KERNEL_LOADS = [(0.35, 0.3), (0.9, 0.9)]
 def solver_run(cfg):
     """Each queue's lengths after each slot, from the solver on the config's
     randomness, in its layout."""
-    return _kernels.simulate_slots(*_kernel_inputs([cfg]), horizon=cfg.horizon)[0][0]
+    return lengths_of(_kernels.simulate_slots(*_kernel_inputs([cfg]), horizon=cfg.horizon)[0])[0]
 
 
 def in_layout(q):
@@ -65,6 +65,16 @@ def in_layout(q):
     returns them, in the solver's layout: each slot's length after it, the
     pads the final length, and the busy columns, False in the pads."""
     return _kernels.block_major(q[..., 1:], q[..., -1:]), _kernels.block_major(q[..., :-1] > 0)
+
+
+def lengths_of(pair):
+    """Queue lengths in the solver's layout from its pair ``(lines,
+    excess)``: the int8 ``r8 + a`` less each block's int32 excess, broadcast
+    along its 16 slots."""
+    lines, excess = pair
+    assert lines.dtype == np.int8 and excess.dtype == np.int32
+    assert excess.shape == (*lines.shape[:-2], lines.shape[-1])
+    return lines - excess[..., None, :]
 
 
 def whole_array_draw(cfg):
@@ -232,35 +242,55 @@ class TestKernelInputs:
         """A lone run drops its path's arrival uniforms once it has its
         flags, before it is solved: a 1M-slot coupled run (adaptive SC)
         peaks at 22 bytes per slot while it draws (the path and the flags),
-        and its solve at 21.5: 6 of flags and events, and, when the solver
-        writes each queue's lengths at the fixed point, 8 of int32 lengths
-        in its layout, 2 of busy columns and 4.5 of both queues' last solves
-        (per queue an int8 length, a busy column and a quarter byte of int32
-        excess). A run that kept its uniforms through the solve would peak
-        near 37.5."""
+        and its solve at 18.75. The solve holds 6 of flags and events and 1
+        of the all-busy start, and its passes add 2 of shifted arrival
+        flags, 2 of flip columns, 3.25 of the last solves (one queue's int8
+        length, busy column and quarter byte of int32 excess, and the other
+        queue's busy column) and 4.5 of the next solve's service column,
+        scan buffers, busy column and int32 carries. Its fixed point writes
+        only 2.5 of int8 lines and int32 excess and 2 of busy columns, where
+        int32 lengths took 8 and the solve peaked at 21.5. A run that kept
+        its uniforms through the solve would peak near 34.75."""
         horizon = 1_000_000
         cfg = SimConfig(RatePoint(0.35, 0.3), ALL_PARAMS[2], horizon=horizon, seed=5)
         b.run(SimConfig(RatePoint(0.35, 0.3), ALL_PARAMS[2], horizon=10_000))  # thresholds
+        peaks = []
+        solve = _kernels.simulate_slots
+
+        def measured(*args, **kwargs):
+            """The solve's own peak, after the peak so far."""
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            out = solve(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return out
+
         tracemalloc.start()
         try:
-            b.run(cfg)
-            _, peak = tracemalloc.get_traced_memory()
+            with mock.patch.object(_kernels, "simulate_slots", measured):
+                b.run(cfg)
         finally:
             tracemalloc.stop()
-        assert peak <= 22 * horizon + 4 * sim._DRAW_BLOCK * 2 * 8
+        drawn, solved = peaks
+        block_bytes = sim._DRAW_BLOCK * 2 * 8
+        assert drawn <= 22 * horizon + 4 * block_bytes
+        assert solved <= 18.75 * horizon + block_bytes
 
     def test_peak_memory_of_a_ray_holds_its_uniforms(self, event_draws):
         """A 1M-slot ray holds, between probes, 16 bytes per slot of arrival
         uniforms, 4 of its path's success events and 1 of queue 2's busy
         column at the last non-stable probe, the next probe's start (21). A
         probe on a coupled profile (adaptive SC) adds 2 of arrival flags,
-        and peaks when the solver writes its lengths at the fixed point: 4.5
-        of both queues' last solves (per queue an int8 length, a busy column
-        and a quarter byte of int32 excess), 8 of int32 lengths in its
-        layout and 2 of busy columns (16.5), so the ray peaks at 37.5 bytes
-        per slot. Its passes peak below that: they hold flip columns, the
-        shifted arrivals and the scan's int8 buffers, but no lengths. When
-        the ray returns nothing of its path is left."""
+        and peaks in its Picard passes: 2 of shifted arrival flags, 2 of
+        flip columns, 3.25 of the last solves (one queue's int8 length, busy
+        column and quarter byte of int32 excess, and the other queue's busy
+        column) and 4.5 of the next solve's service column, scan buffers,
+        busy column and int32 carries (13.75), so the ray peaks at 34.75
+        bytes per slot. Its fixed point peaks below that: it holds both
+        queues' last solves (4.5) and writes 2.5 of int8 lines and int32
+        excess and 2 of busy columns, where int32 lengths took 8 and the ray
+        peaked there at 37.5. When the ray returns nothing of its path is
+        left."""
         horizon = 1_000_000
         params = ALL_PARAMS[2]
         b.estimate_boundary(params, 45.0, steps=8, horizon=10_000, seed=3)  # thresholds
@@ -273,22 +303,23 @@ class TestKernelInputs:
             tracemalloc.stop()
         assert event_draws == [(params, horizon, 3)]  # one path: no probe was retried
         block_bytes = sim._DRAW_BLOCK * 2 * 8
-        assert 37.5 * horizon <= peak <= 37.5 * horizon + 3 * block_bytes
+        assert 34.75 * horizon <= peak <= 34.75 * horizon + 3 * block_bytes
         assert current <= block_bytes
 
     def test_peak_memory_of_a_sweep_is_its_path_and_a_batch(self):
         """A 7x7 grid of 20k-slot runs on one path holds its path, 20 bytes
         per slot (16 of arrival uniforms, 4 of success events), and solves
         its cells a rank of a strip at a time: one strip of 7 columns here,
-        so at most 7 runs per batch. A batch stays under 32 bytes per
-        slot-row: 2 of arrival flags, 8 of int32 lengths, 1 of the busy column
-        its strip holds for the next rank, 2 of shifted arrival flags, 2 of
-        busy columns, 4.5 of both queues' last solves, up to 5 of the next
-        solve's service column and scan buffers, and more while the rows
-        still working are copied out of a batch whose other rows converged;
-        at 20k slots it measured 23 bytes per slot-row. This holds through
-        ``run_batch`` and, without the statistics, through
-        ``batch_verdicts``."""
+        so at most 7 runs per batch. A batch stays under 26.5 bytes per
+        slot-row: 2 of arrival flags, 2.5 of int8 lines and int32 excess, 1
+        of the busy column its strip holds for the next rank, 2 of shifted
+        arrival flags, 2 of busy columns, 4.5 of both queues' last solves,
+        up to 5 of the next solve's service column and scan buffers, and
+        more while the rows still working are copied out of a batch whose
+        other rows converged. At 20k slots it measured 17.5 bytes per
+        slot-row, where int32 lengths took 8 in place of 2.5, the bound was
+        32 and it measured 23. This holds through ``run_batch`` and, without
+        the statistics, through ``batch_verdicts``."""
         horizon = 20_000
         cfgs = [SimConfig(RatePoint(l1, l2), ALL_PARAMS[3], horizon=horizon, seed=6)
                 for l1 in np.linspace(0.0, 0.6, 7) for l2 in np.linspace(0.0, 0.6, 7)]
@@ -301,7 +332,7 @@ class TestKernelInputs:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert 20 * horizon <= peak <= 20 * horizon + 32 * 7 * horizon, entry
+            assert 20 * horizon <= peak <= 20 * horizon + 26.5 * 7 * horizon, entry
 
     def test_held_events_are_read_only(self):
         """A held path's four event columns are read-only, and a run on the
@@ -439,7 +470,8 @@ def vec_matches_loop(kernel_args, start=None):
     lengths and busy columns are the loop's, in its layout, with the final
     length in every pad and no busy pad."""
     ref = _kernels.simulate_slots_py(*kernel_args)
-    q, passes, busy = solve_in_layout(kernel_args, start)
+    pair, passes, busy = solve_in_layout(kernel_args, start)
+    q = lengths_of(pair)
     lengths, busy_ref = in_layout(ref)
     assert q.shape == lengths.shape and len(passes) == kernel_args[0].shape[0]
     assert np.array_equal(q, lengths)
@@ -627,10 +659,9 @@ class TestBatchSolver:
             lengths, busy_ref = in_layout(ref)
             starts = np.random.default_rng(horizon).random((rows, horizon)) < 0.5
             for start in (None, starts):
-                q, passes, busy = solve_in_layout(inputs, start)
-                assert q.shape == (rows, 2, 16, _kernels.blocks_of(horizon))
-                assert q.dtype == np.int32
-                assert np.array_equal(q, lengths)
+                (lines, excess), passes, busy = solve_in_layout(inputs, start)
+                assert lines.shape == (rows, 2, 16, _kernels.blocks_of(horizon))
+                assert np.array_equal(lengths_of((lines, excess)), lengths)
                 assert np.array_equal(busy, busy_ref)
                 assert len(passes) == rows
                 for row in range(rows):
@@ -672,6 +703,31 @@ class TestBatchSolver:
         passes = vec_matches_loop((arrivals, *events), start)
         assert all(type(n) is int and 1 <= n <= horizon + 1 for n in passes)
 
+    @settings(deadline=None, max_examples=150)
+    @given(horizon=st.integers(33, 400), rows=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           burst=st.integers(18, 64),
+           densities=st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                              min_size=7, max_size=7))
+    def test_lines_and_excess_rebuild_the_loop(self, horizon, rows, seed, burst, densities):
+        """Random batches whose first row takes both queues' arrivals in
+        each of its first ``burst`` slots, and whose events all fail in the
+        first two blocks: that row carries at least 18 packets per queue
+        into the third block, past the scan's clip at -17, so its excess is
+        nonzero, and its queues may drain later and cross the clip back.
+        Each row's ``lines - excess`` is the slot loop's lengths, whatever
+        the start."""
+        rng = np.random.default_rng(seed)
+        arrivals = rng.random((rows, 2, horizon)) < np.array(densities[:2])[:, None]
+        arrivals[0, :, :burst] = True
+        events = rng.random((4, horizon)) < np.array(densities[2:6])[:, None]
+        events[2:] &= events[:2]
+        events[:, :32] = False
+        start = rng.random((rows, horizon)) < densities[6]
+        (lines, excess), _, _ = solve_in_layout((arrivals, *events), start)
+        assert (excess[0].min(axis=1) < 0).all()
+        assert np.array_equal(lengths_of((lines, excess)),
+                              in_layout(_kernels.simulate_slots_py(arrivals, *events))[0])
+
 
 # sha256 of run()'s trajectory and SimResult fields at RatePoint(0.4, 0.35),
 # 20k slots, seed 41. The trajectory and every field but drift_slope were
@@ -711,17 +767,24 @@ def test_run_matches_pinned_digest(index, mode):
 
 
 def test_no_slot_major_trajectory_unless_asked(monkeypatch):
-    """Runs are judged in the solver's layout: a sweep's verdicts, a ray, a
-    batch and a run convert nothing to slot-major, and a run asked for its
-    trajectory converts its lengths once."""
-    conversions = []
-    convert = _kernels.slot_major
+    """Runs are judged in the solver's layout, from its int8 lines and
+    per-block excess: a sweep's verdicts, a ray, a batch and a run convert
+    nothing to slot-major and judge no int32 lengths, and a run asked for
+    its trajectory forms its int32 lengths and converts them once."""
+    conversions, judged = [], []
+    convert, judge = _kernels.slot_major, sim._judge
 
     def counted(lines, horizon):
-        conversions.append(lines.shape)
+        conversions.append((lines.shape, lines.dtype))
         return convert(lines, horizon)
 
+    def recorded(lines, excess, *args):
+        judged.append((lines.dtype.name, excess.dtype.name,
+                       excess.shape == (len(lines), lines.shape[-1])))
+        return judge(lines, excess, *args)
+
     monkeypatch.setattr(_kernels, "slot_major", counted)
+    monkeypatch.setattr(sim, "_judge", recorded)
     cfgs = [SimConfig(RatePoint(l1, l2), ALL_PARAMS[3], horizon=20_000, seed=4)
             for l1 in (0.1, 0.3, 0.5) for l2 in (0.2, 0.4)]
     b.batch_verdicts(cfgs)
@@ -730,8 +793,10 @@ def test_no_slot_major_trajectory_unless_asked(monkeypatch):
     for mode in ("none", "queue1", "queue2"):
         b.run(dataclasses.replace(cfgs[0], dominant_mode=mode))
     assert conversions == []
+    # three ranks per entry, nine probes and three runs
+    assert judged == [("int8", "int32", True)] * 18
     r = b.run(cfgs[0], return_trajectory=True)
-    assert conversions == [(2, 16, _kernels.blocks_of(20_000))]
+    assert conversions == [((2, 16, _kernels.blocks_of(20_000)), np.int32)]
     assert r.trajectory.shape == (20_001, 2)
 
 
@@ -1008,7 +1073,8 @@ def judged(series, warmup=0):
     traj = np.concatenate((np.zeros(warmup, series.dtype), series, series[-1:]))
     lines = _kernels.block_major(traj[None, 1:], traj[-1])
     horizon = len(traj) - 1
-    slopes, _, sums, _ = sim._judge(lines, warmup, horizon, int(traj[0]))
+    excess = np.zeros((1, lines.shape[-1]), dtype=np.int64)
+    slopes, _, sums, _ = sim._judge(lines, excess, warmup, horizon, int(traj[0]))
     return slopes[0], sums[0]
 
 
@@ -1033,6 +1099,29 @@ class TestFitSlope:
         for warmup in (0, 1, 17):
             assert judged(series, warmup)[0] == slope
         assert judged(series.astype(np.uint64))[0] == slope
+
+    @pytest.mark.parametrize("n", [10_000, 16 * sim._SUM_BLOCKS - 1, 16 * sim._SUM_BLOCKS + 3])
+    @pytest.mark.parametrize("kind", ["queue", "drifting", "ceiling", "block-limit"])
+    def test_lines_and_excess_judge_as_their_lengths(self, n, kind):
+        """``_judge`` on a pair ``(lines, excess)`` gives what it gives on
+        the lengths ``lines - excess`` with no excess: slopes, verdicts,
+        window sums and final lengths, across the sums' chunk edges, with
+        the largest lengths a trajectory holds and the largest the chunk
+        bound admits. A block whose least length ``m`` is at least 2 keeps
+        ``m - 1`` as minus its excess, so that, as in the solver's pairs,
+        its lines are at least 1 where its excess is nonzero; the other
+        blocks keep no excess."""
+        series = verdict_series(kind, n, n)
+        for warmup in (0, 1, 17):
+            traj = np.concatenate((np.zeros(warmup, series.dtype), series, series[-1:]))
+            y = _kernels.block_major(traj[None, 1:], traj[-1]).astype(np.int64)
+            excess = -np.maximum(y.min(axis=1) - 1, 0)
+            lines = y + excess[:, None]
+            assert lines.max() <= 34 and excess.min() >= -(2**31)
+            pair = lines.astype(np.int8), excess.astype(np.int32)
+            args = (warmup, len(traj) - 1, int(traj[0]))
+            assert (pair[1] < 0).any()
+            assert sim._judge(*pair, *args) == sim._judge(y, np.zeros_like(excess), *args)
 
     @pytest.mark.parametrize("n", [18_000, 36_000, 90_000, 1_000_001])
     def test_matches_polyfit_at_run_lengths(self, n):
@@ -1301,7 +1390,7 @@ def test_probes_equal_runs(monkeypatch, event_draws, index, angle, seed, expecte
         assert path is probes[0][3] and path[1] is held[0]
         result = b.run(config, return_trajectory=True)
         assert (slopes, verdicts) == ([result.drift_slope], [result.verdict])
-        assert np.array_equal(q[0], in_layout(result.trajectory.T)[0])
+        assert np.array_equal(lengths_of(q)[0], in_layout(result.trajectory.T)[0])
 
 
 # The Picard passes of each probe of each PINNED_BOUNDARIES ray, and of each
