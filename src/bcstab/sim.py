@@ -404,8 +404,9 @@ def _judge(lines: np.ndarray, excess: np.ndarray, warmup: int, horizon: int,
     layout, int8 ``r8 + a`` from a solve or a whole trajectory of a wider
     integer dtype, and ``excess`` the ``(lines, blocks)`` per-block excess,
     0 for a whole trajectory. Slot ``s`` holds the length after slot ``s``,
-    each pad the final one, every length in ``[0, MAX_HORIZON]``, and a
-    block whose excess is nonzero holds lines of at least 1; ``first`` is
+    each pad the final one, every length in ``[0, MAX_HORIZON]``; an excess
+    is never above 0, and a block whose excess is nonzero (negative) holds
+    lines of at least 1; ``first`` is
     the length at slot 0, 0 in a run. So slot ``t`` of the window
     ``[warmup, horizon)`` is a line's slot ``t - 1``. The slope is ``num /
     den`` in Python ints (README, Kernel paths), its ``sum(y)``,
@@ -467,8 +468,9 @@ def _judge(lines: np.ndarray, excess: np.ndarray, warmup: int, horizon: int,
         return slopes, [Verdict.INCONCLUSIVE] * len(lines), window_sums, finals
     # a queue is never negative: it returned to empty where its least length
     # from the final half's first slot on, the final one included, is 0. A
-    # length is at most its line, and a block with excess holds lines of at
-    # least 1, so the least line there is 0 exactly where the least length is
+    # length is at least its line and equals it where the excess is 0, and a
+    # block with (negative) excess holds lines of at least 1, so the least
+    # line is 0 exactly where the least length is
     full, part = divmod(horizon // 2 - 1, _kernels._SCAN_BLOCK)
     lows = np.minimum(lines[:, part:, full].min(axis=1),
                       lines[:, :, full + 1:].min(axis=2).min(axis=1)).tolist()

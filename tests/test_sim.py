@@ -250,7 +250,12 @@ class TestKernelInputs:
         scan buffers, busy column and int32 carries. Its fixed point writes
         only 2.5 of int8 lines and int32 excess and 2 of busy columns, where
         int32 lengths took 8 and the solve peaked at 21.5. A run that kept
-        its uniforms through the solve would peak near 34.75."""
+        its uniforms through the solve would peak near 34.75. After its
+        solve the run holds 10.5 (6 of flags and events, 2.5 of lines and
+        excess, 2 of busy columns), and its statistics add at most 2.25:
+        ``_judge``'s two int64 block sums per line (2) and the int16 sums of
+        a block's lines that it adds into them (0.25), so the rest of the
+        run peaks at 12.75."""
         horizon = 1_000_000
         cfg = SimConfig(RatePoint(0.35, 0.3), ALL_PARAMS[2], horizon=horizon, seed=5)
         b.run(SimConfig(RatePoint(0.35, 0.3), ALL_PARAMS[2], horizon=10_000))  # thresholds
@@ -258,23 +263,28 @@ class TestKernelInputs:
         solve = _kernels.simulate_slots
 
         def measured(*args, **kwargs):
-            """The solve's own peak, after the peak so far."""
+            """The solve's own peak, after the peak so far; the peak is then
+            reset again, for what follows the solve."""
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.reset_peak()
             out = solve(*args, **kwargs)
             peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
             return out
 
         tracemalloc.start()
         try:
             with mock.patch.object(_kernels, "simulate_slots", measured):
                 b.run(cfg)
+            # the peak since the solve ended: the statistics
+            judged = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         drawn, solved = peaks
         block_bytes = sim._DRAW_BLOCK * 2 * 8
         assert drawn <= 22 * horizon + 4 * block_bytes
         assert solved <= 18.75 * horizon + block_bytes
+        assert judged <= 12.75 * horizon + block_bytes
 
     def test_peak_memory_of_a_ray_holds_its_uniforms(self, event_draws):
         """A 1M-slot ray holds, between probes, 16 bytes per slot of arrival
